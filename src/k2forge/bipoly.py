@@ -287,11 +287,6 @@ class BiPoly:
         q, r = _pseudo_divmod_y(other, self)
         return q is not None and r.is_zero()
 
-    def reduce_mod(self, modulus: "BiPoly") -> "BiPoly":
-        """Remainder of self modulo `modulus`, as polynomials in y (modulus monic in y)."""
-        _, r = _pseudo_divmod_y(self, modulus, require_monic=True)
-        return r
-
     # -- projective ----------------------------------------------------------
     def homogenize(self, degree: int = None) -> "TriPoly":
         d = self.total_degree if degree is None else degree
@@ -379,7 +374,7 @@ class BiPoly:
         return f"BiPoly({self.canonical()})"
 
 
-def _pseudo_divmod_y(num: BiPoly, den: BiPoly, require_monic: bool = False):
+def _pseudo_divmod_y(num: BiPoly, den: BiPoly):
     """Division of num by den as polynomials in y over Q[x].
 
     Returns (quotient, remainder) when den's leading y-coefficient is a
@@ -393,8 +388,6 @@ def _pseudo_divmod_y(num: BiPoly, den: BiPoly, require_monic: bool = False):
         raise ZeroDivisionError("division by zero polynomial")
     lead = b[-1]
     if lead.degree > 0:
-        if require_monic:
-            raise PreconditionError("modulus is not monic in y")
         return None, num
     lc = lead.coeffs[0]
     q: Dict[int, UniPoly] = {}

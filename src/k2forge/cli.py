@@ -9,113 +9,121 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import itertools
 import json
 import sys
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import PreconditionError, VerificationError
-from .families import GENERATORS
+from .families import GENERATORS, PARAMS, Param
 from .plotting import PlotSpec, render_record_svg
 from .rationals import rat, rat_str
-from .records import (CurveRecord, catalog_entry_jsonable, params_hash,
-                      record_from_json, record_jsonable, record_to_json)
+from .records import (catalog_entry_jsonable, params_hash, record_from_json,
+                      record_to_json)
 from .symbols import SymbolEngine, verify_k2t
 
 USAGE_FAMILIES = ", ".join(sorted(GENERATORS))
 
 
-def _rat_list(text: str) -> List[Fraction]:
-    return [rat(tok) for tok in text.split(",") if tok.strip()]
+class InputError(Exception):
+    """Unknown family, unparsable flag value or non-entry catalog db line (exit 1)."""
 
 
-def _int_list(text: str) -> List[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+def _tokens(text: str) -> List[str]:
+    return [tok for tok in text.split(",") if tok.strip()]
 
 
-def _build_args_for_family(family: str, ns) -> tuple:
-    if family in ("hyp-odd", "hyp-even"):
-        if ns.genus is None or not ns.a:
-            raise PreconditionError("need --genus and --a")
-        if family == "hyp-odd":
-            return (ns.genus, _rat_list(ns.a))
-        if not ns.eps:
-            raise PreconditionError("need --eps for hyp-even")
-        return (ns.genus, _rat_list(ns.a), _int_list(ns.eps))
-    if family == "hyp-partial":
-        if ns.genus is None or ns.d is None:
-            raise PreconditionError("need --genus and --d")
-        constraints = []
-        if ns.constraints:
-            for tok in ns.constraints.split(","):
-                apart, _, epart = tok.partition(":")
-                constraints.append((rat(apart), int(epart or "1")))
-        free = _rat_list(ns.free) if ns.free else []
-        return (ns.genus, ns.d, constraints, free)
-    if family == "quartic-lines":
-        return (rat(ns.a), rat(ns.b), rat(ns.c if ns.c is not None else "0"))
-    if family == "quartic-ct":
-        if ns.t is None:
-            raise PreconditionError("need --t")
-        return (rat(ns.t),)
-    if family == "quartic-conic":
-        vals = [ns.d1, ns.d2, ns.d3, ns.d4]
-        if any(v is None for v in vals):
-            raise PreconditionError("need --d1 --d2 --d3 --d4")
-        return tuple(rat(v) for v in vals)
-    if family == "quartic-conic-1t":
-        if ns.a is None or ns.d1 is None or ns.d4 is None:
-            raise PreconditionError("need --a --d1 --d4")
-        return (rat(ns.a), rat(ns.d1), rat(ns.d4))
-    if family == "quartic-conic-2t":
-        if ns.a1 is None or ns.a2 is None:
-            raise PreconditionError("need --a1 --a2")
-        return (rat(ns.a1), rat(ns.a2))
-    if family == "quartic-conic-pq":
-        if ns.a is None or ns.b is None:
-            raise PreconditionError("need --a --b")
-        return (rat(ns.a), rat(ns.b))
-    if family in ("nekovar-2tor", "nekovar-3tor", "nekovar-g2"):
-        if ns.r is None:
-            raise PreconditionError("need --r")
-        return (rat(ns.r),)
-    raise PreconditionError(f"unknown family {family!r}")
+def _pair(tok: str) -> Tuple[Fraction, int]:
+    a, _, eps = tok.partition(":")
+    return rat(a), int(eps or "1")
+
+
+def _rat_axis(text: str) -> List[Fraction]:
+    if ".." in text:
+        lo, hi = text.split("..", 1)
+        return [Fraction(k) for k in range(int(lo), int(hi) + 1)]
+    return [rat(tok) for tok in _tokens(text)]
+
+
+# kind -> parser of the flag text
+_KINDS = {
+    "int": int,
+    "rat": rat,
+    "rats": lambda text: [rat(tok) for tok in _tokens(text)],
+    "ints": lambda text: [int(tok) for tok in _tokens(text)],
+    "pairs": lambda text: [_pair(tok) for tok in _tokens(text)],
+    "axis": _rat_axis,  # a catalog sweep over a rat parameter
+}
+
+
+def _parse(flag: str, kind: str, text: str):
+    try:
+        return _KINDS[kind](text)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"bad value for --{flag}: {text!r}") from None
+
+
+def _param_grid(ns, sweep: bool) -> List[Dict[str, object]]:
+    """The generator arguments the flags ask for, keyed by parameter name
+    in generator-argument order.
+
+    `gen` asks for one argument tuple.  `catalog` (sweep=True) asks for the
+    product, in table order, of one axis per parameter: a `rat` flag takes
+    a comma list or an integer range lo..hi, and --a-grid tuples fill the
+    family's `rats` parameter, or else all its `rat` parameters.  Every
+    other flag takes one value.  Raises InputError for an unknown family or
+    a value that does not parse, PreconditionError for a missing flag.
+    """
+    if ns.family not in PARAMS:
+        raise InputError(f"unknown family {ns.family!r}; choose one of: {USAGE_FAMILIES}")
+    specs = PARAMS[ns.family]
+    joint = []
+    if sweep and ns.a_grid:
+        joint = ([p for p in specs if p.kind == "rats"][:1]
+                 or [p for p in specs if p.kind == "rat"])
+    missing = [f"--{p.name}" for p in specs
+               if p not in joint and p.default is None and getattr(ns, p.name) is None]
+    if missing:
+        raise PreconditionError("need " + " ".join(missing))
+    axes = []  # each a list of {name: value} choices
+    for p in specs:
+        if p in joint[1:]:
+            continue
+        text = p.default if getattr(ns, p.name) is None else getattr(ns, p.name)
+        if p in joint:
+            axes.append([_grid_tuple(joint, chunk) for chunk in ns.a_grid.split(";")])
+        elif sweep and p.kind == "rat":
+            axes.append([{p.name: v} for v in _parse(p.name, "axis", text)])
+        else:
+            axes.append([{p.name: _parse(p.name, p.kind, text)}])
+    grid = []
+    for combo in itertools.product(*axes):
+        merged = {k: v for choice in combo for k, v in choice.items()}
+        grid.append({p.name: merged[p.name] for p in specs})
+    return grid
+
+
+def _grid_tuple(joint: List[Param], chunk: str) -> Dict[str, object]:
+    values = _parse("a-grid", "rats", chunk)
+    if joint[0].kind == "rats":
+        return {joint[0].name: values}
+    if len(values) != len(joint):
+        raise InputError(f"bad value for --a-grid: {chunk!r} needs {len(joint)} values")
+    return {p.name: v for p, v in zip(joint, values)}
 
 
 def _add_family_flags(p: argparse.ArgumentParser):
-    p.add_argument("--genus", type=int)
-    p.add_argument("--a")
-    p.add_argument("--eps")
-    p.add_argument("--d", type=int)
-    p.add_argument("--constraints", help="a:eps pairs, e.g. '1:-1,1/2:-1'")
-    p.add_argument("--free", help="comma list of free parameters")
-    p.add_argument("--b")
-    p.add_argument("--c")
-    p.add_argument("--t")
-    p.add_argument("--r")
-    p.add_argument("--a1")
-    p.add_argument("--a2")
-    p.add_argument("--d1")
-    p.add_argument("--d2")
-    p.add_argument("--d3")
-    p.add_argument("--d4")
+    kinds: Dict[str, Dict[str, None]] = {}
+    for spec in itertools.chain.from_iterable(PARAMS.values()):
+        kinds.setdefault(spec.name, {})[spec.kind.upper()] = None
+    for name, metavars in kinds.items():
+        p.add_argument(f"--{name}", metavar="|".join(metavars))
 
 
 def cmd_gen(ns) -> int:
-    family = ns.family
-    if family not in GENERATORS:
-        print(f"unknown family {family!r}; choose one of: {USAGE_FAMILIES}",
-              file=sys.stderr)
-        return 1
-    try:
-        args = _build_args_for_family(family, ns)
-        rec = GENERATORS[family](*args)
-    except VerificationError as e:
-        print(f"verification failure: {e}", file=sys.stderr)
-        return 3
-    except PreconditionError as e:
-        print(f"precondition error: {e}", file=sys.stderr)
-        return 2
+    (params,) = _param_grid(ns, sweep=False)
+    rec = GENERATORS[ns.family](*params.values())
     text = record_to_json(rec)
     if ns.out:
         with open(ns.out, "w", encoding="utf-8") as fh:
@@ -161,110 +169,53 @@ def cmd_verify(ns) -> int:
     return 0
 
 
-def _parse_range(spec: str) -> List[Fraction]:
-    """Integer range 'a..b' or comma list of rationals."""
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        return [Fraction(k) for k in range(int(lo), int(hi) + 1)]
-    return _rat_list(spec)
-
-
-def _catalog_tuples(family: str, ns) -> List[dict]:
-    if family == "quartic-ct":
-        if not ns.t:
-            raise PreconditionError("catalog quartic-ct needs --t range")
-        return [{"t": t} for t in _parse_range(ns.t)]
-    if family in ("nekovar-2tor", "nekovar-3tor", "nekovar-g2"):
-        if not ns.r:
-            raise PreconditionError("catalog needs --r range")
-        return [{"r": r} for r in _parse_range(ns.r)]
-    if family in ("hyp-odd", "hyp-even"):
-        if ns.genus is None or not ns.a_grid:
-            raise PreconditionError("catalog needs --genus and --a-grid")
-        tuples = []
-        for chunk in ns.a_grid.split(";"):
-            entry = {"genus": ns.genus, "a": _rat_list(chunk)}
-            if family == "hyp-even":
-                if not ns.eps:
-                    raise PreconditionError("catalog hyp-even needs --eps")
-                entry["eps"] = _int_list(ns.eps)
-            tuples.append(entry)
-        return tuples
-    if family == "quartic-conic-2t":
-        if not ns.a_grid:
-            raise PreconditionError("catalog needs --a-grid of 'a1,a2' pairs")
-        return [{"a1": v[0], "a2": v[1]}
-                for v in (_rat_list(chunk) for chunk in ns.a_grid.split(";"))]
-    raise PreconditionError(f"catalog is not wired for family {family!r}")
-
-
-def _gen_from_params(family: str, params: dict) -> CurveRecord:
-    gen = GENERATORS[family]
-    if family == "quartic-ct":
-        return gen(params["t"])
-    if family in ("nekovar-2tor", "nekovar-3tor", "nekovar-g2"):
-        return gen(params["r"])
-    if family == "hyp-odd":
-        return gen(params["genus"], params["a"])
-    if family == "hyp-even":
-        return gen(params["genus"], params["a"], params["eps"])
-    if family == "quartic-conic-2t":
-        return gen(params["a1"], params["a2"])
-    raise PreconditionError(f"catalog is not wired for family {family!r}")
-
-
-def cmd_catalog(ns) -> int:
-    family = ns.family
-    if family not in GENERATORS:
-        print(f"unknown family {family!r}; choose one of: {USAGE_FAMILIES}",
-              file=sys.stderr)
-        return 1
+def _db_hashes(path: str) -> Set[str]:
+    """input_hash of every entry already in the db (none when it is missing)."""
+    hashes = set()
     try:
-        tuples = _catalog_tuples(family, ns)
-    except PreconditionError as e:
-        print(f"precondition error: {e}", file=sys.stderr)
-        return 2
-    existing = set()
-    try:
-        with open(ns.db, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    existing.add(json.loads(line)["input_hash"])
+        with open(path, "r", encoding="utf-8") as fh:
+            for n, line in enumerate(fh, 1):
+                if line.strip():
+                    try:
+                        hashes.add(json.loads(line)["input_hash"])
+                    except (ValueError, TypeError, KeyError) as e:
+                        raise InputError(f"cannot read db: line {n}: {e!r}") from None
     except FileNotFoundError:
         pass
     except OSError as e:
-        print(f"cannot read db: {e}", file=sys.stderr)
-        return 1
+        raise InputError(f"cannot read db: {e}") from None
+    return hashes
+
+
+def cmd_catalog(ns) -> int:
+    """Append one entry per new grid member, flushed as soon as it is made,
+    so a run that ends early keeps what it wrote."""
+    grid = _param_grid(ns, sweep=True)
+    existing = _db_hashes(ns.db)
     added = skipped = errored = 0
-    error_lines = []
-    entries = []
-    for params in tuples:
-        h = params_hash(family, params)
-        if h in existing:
-            skipped += 1
-            continue
-        try:
-            rec = _gen_from_params(family, params)
-        except PreconditionError as e:
-            errored += 1
-            error_lines.append(f"{family} {json.dumps({k: str(v) for k, v in params.items()})}: {e}")
-            continue
-        stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        entries.append(json.dumps(catalog_entry_jsonable(rec, stamp),
-                                  sort_keys=False))
-        existing.add(h)
-        added += 1
     try:
-        with open(ns.db, "a", encoding="utf-8") as fh:
-            for line in entries:
-                fh.write(line + "\n")
+        with open(ns.db, "a", encoding="utf-8") as db:
+            for params in grid:
+                h = params_hash(ns.family, params)
+                if h in existing:
+                    skipped += 1
+                    continue
+                try:
+                    rec = GENERATORS[ns.family](*params.values())
+                except PreconditionError as e:  # a VerificationError ends the run
+                    errored += 1
+                    with open(ns.db + ".errors.txt", "a", encoding="utf-8") as log:
+                        shown = json.dumps({k: str(v) for k, v in params.items()})
+                        log.write(f"{ns.family} {shown}: {e}\n")
+                    continue
+                stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
+                db.write(json.dumps(catalog_entry_jsonable(rec, stamp, h)) + "\n")
+                db.flush()
+                existing.add(h)
+                added += 1
     except OSError as e:
         print(f"cannot write db: {e}", file=sys.stderr)
         return 1
-    if error_lines:
-        with open(ns.db + ".errors.txt", "a", encoding="utf-8") as fh:
-            fh.write("\n".join(error_lines) + "\n")
     print(f"catalog: {added} added, {skipped} skipped (duplicates), {errored} errored")
     return 0
 
@@ -334,7 +285,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ns = ap.parse_args(argv)
     except SystemExit as e:
         return 1 if e.code not in (0, None) else 0
-    return ns.func(ns)
+    try:
+        return ns.func(ns)
+    except InputError as e:
+        print(e, file=sys.stderr)
+        return 1
+    except VerificationError as e:
+        print(f"verification failure: {e}", file=sys.stderr)
+        return 3
+    except PreconditionError as e:
+        print(f"precondition error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

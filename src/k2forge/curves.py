@@ -170,10 +170,6 @@ class PlaneCurve:
         if check_squarefree and not _squarefree_probe(affine):
             raise PreconditionError("curve polynomial has a repeated factor")
 
-    @staticmethod
-    def from_string(text: str) -> "PlaneCurve":
-        return PlaneCurve(BiPoly.parse(text))
-
     def chart(self, name: str) -> BiPoly:
         """Dehomogenized polynomial in the chart Z=1, Y=1 or X=1."""
         return self.hom.dehomogenize(name)

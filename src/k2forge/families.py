@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .bipoly import BiPoly
 from .curves import (Conic, CurvePoint, Line, PlaneCurve,
@@ -1068,6 +1068,36 @@ def _attach_integral_model(rec: CurveRecord, g: int, d: int, f1: UniPoly) -> Non
 # ---------------------------------------------------------------------------
 # registry
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Param:
+    """One generator argument as the command line takes it: flag ``--name``,
+    kind (``int``, ``rat``, comma lists ``rats`` and ``ints``, or ``pairs``
+    of a:eps) and, for an optional flag, the text it defaults to."""
+
+    name: str
+    kind: str
+    default: Optional[str] = None
+
+
+# Each family's parameters in generator-argument order.  The command line
+# derives its flags, their parsing and the catalog sweep from this table.
+PARAMS = {
+    "hyp-odd": (Param("genus", "int"), Param("a", "rats")),
+    "hyp-even": (Param("genus", "int"), Param("a", "rats"), Param("eps", "ints")),
+    "hyp-partial": (Param("genus", "int"), Param("d", "int"),
+                    Param("constraints", "pairs", ""), Param("free", "rats", "")),
+    "quartic-lines": (Param("a", "rat"), Param("b", "rat"), Param("c", "rat", "0")),
+    "quartic-ct": (Param("t", "rat"),),
+    "quartic-conic": (Param("d1", "rat"), Param("d2", "rat"), Param("d3", "rat"),
+                      Param("d4", "rat")),
+    "quartic-conic-1t": (Param("a", "rat"), Param("d1", "rat"), Param("d4", "rat")),
+    "quartic-conic-2t": (Param("a1", "rat"), Param("a2", "rat")),
+    "quartic-conic-pq": (Param("a", "rat"), Param("b", "rat")),
+    "nekovar-2tor": (Param("r", "rat"),),
+    "nekovar-3tor": (Param("r", "rat"),),
+    "nekovar-g2": (Param("r", "rat"),),
+}
 
 GENERATORS = {
     "hyp-odd": gen_hyp_odd,

@@ -9,29 +9,11 @@ determinants over polynomial rings.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 from .errors import PreconditionError
 
 Matrix = List[List]
-
-
-def gauss_solve(a: Matrix, b: Sequence) -> Optional[List[Fraction]]:
-    """Solve the square system a*x = b exactly; None if a is singular."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a, b)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [v * inv for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
 
 
 def solve_underdetermined(a: Matrix, b: Sequence):

@@ -10,12 +10,8 @@ format and integrality tests).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 
 Rat = Fraction
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def rat(value, den=None) -> Fraction:
@@ -42,13 +38,3 @@ def rat_str(q: Fraction) -> str:
 def is_integer(q: Fraction) -> bool:
     return Fraction(q).denominator == 1
 
-
-def sqrt_exact(q: Fraction):
-    """Return the nonnegative square root if ``q`` is a perfect square, else None."""
-    q = Fraction(q)
-    if q < 0:
-        return None
-    sn, sd = isqrt(q.numerator), isqrt(q.denominator)
-    if sn * sn == q.numerator and sd * sd == q.denominator:
-        return Fraction(sn, sd)
-    return None

@@ -216,10 +216,12 @@ def params_hash(family_id: str, params: Dict[str, object]) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def catalog_entry_jsonable(rec: CurveRecord, created_at: str) -> dict:
+def catalog_entry_jsonable(rec: CurveRecord, created_at: str, input_hash: str) -> dict:
+    """`input_hash` is the params_hash of the parameters the record was
+    generated from; a catalog deduplicates on it."""
     return {
         "record": record_jsonable(rec),
         "created_at": created_at,
         "tool_version": TOOL_VERSION,
-        "input_hash": params_hash(rec.family_id, rec.params),
+        "input_hash": input_hash,
     }

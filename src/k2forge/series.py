@@ -12,7 +12,6 @@ InsufficientPrecisionError ("insufficient precision").
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -23,16 +22,7 @@ _DEFAULT_EXTRA = 4
 
 
 def default_order(max_pole_order: int) -> int:
-    """Default truncation: 2 * (max pole order at the point) + 4.
-
-    Overridable through the K2FORGE_SERIES_ORDER environment variable.
-    """
-    env = os.environ.get("K2FORGE_SERIES_ORDER")
-    if env:
-        try:
-            return max(int(env), 4)
-        except ValueError:
-            pass
+    """Default truncation: 2 * (max pole order at the point) + 4."""
     return 2 * max(max_pole_order, 1) + _DEFAULT_EXTRA
 
 
@@ -95,12 +85,6 @@ class PowerSeries:
         if self.is_zero():
             raise InsufficientPrecisionError("insufficient precision: series is zero to truncation")
         return self.coeffs[0]
-
-    def constant_term(self) -> Fraction:
-        """Value at t=0; requires valuation >= 0."""
-        if not self.is_zero() and self.val < 0:
-            raise PreconditionError("series has a pole; no constant term")
-        return self.coeff(0) if self.prec > 0 else Fraction(0)
 
     # -- arithmetic -----------------------------------------------------------
     def _aligned(self, other: "PowerSeries"):

@@ -313,9 +313,8 @@ class SymbolEngine:
         self.curve = curve
         self._affine: Dict[CurvePoint, Branch] = {}
         self._infinity: Optional[Dict[CurvePoint, Branch]] = None
-        self._val_lead_cache: Dict[Tuple[int, CurvePoint], Tuple[int, Fraction]] = {}
-        self._ord_cache: Dict[Tuple[int, CurvePoint], int] = {}
-        self._keepalive: List[BiPoly] = []  # pins id()-keyed cache entries
+        self._val_lead_cache: Dict[Tuple[BiPoly, CurvePoint], Tuple[int, Fraction]] = {}
+        self._ord_cache: Dict[Tuple[BiPoly, CurvePoint], int] = {}
 
     # -- branches -----------------------------------------------------
     def infinity_branches(self) -> List[Branch]:
@@ -347,13 +346,12 @@ class SymbolEngine:
             raise PreconditionError("zero function")
         if poly.total_degree == 0:
             return 0, poly.terms[(0, 0)]
-        key = (id(poly), p)
+        key = (poly, p)
         hit = self._val_lead_cache.get(key)
         if hit is not None:
             return hit
         out = self._val_lead_uncached(poly, p)
         self._val_lead_cache[key] = out
-        self._keepalive.append(poly)
         return out
 
     def _val_lead_uncached(self, poly: BiPoly, p: CurvePoint) -> Tuple[int, Fraction]:
@@ -377,7 +375,7 @@ class SymbolEngine:
             if poly.is_zero():
                 raise PreconditionError("zero function")
             return 0
-        key = (id(poly), p)
+        key = (poly, p)
         hit = self._ord_cache.get(key)
         if hit is not None:
             return hit
@@ -396,7 +394,6 @@ class SymbolEngine:
         else:
             m, _ = self.val_lead(poly, p)
         self._ord_cache[key] = m
-        self._keepalive.append(poly)
         return m
 
     def ord(self, f: FnElt, p: CurvePoint) -> int:
@@ -449,12 +446,6 @@ class SymbolEngine:
         if value == 0:
             raise VerificationError("tame symbol evaluated to zero: contract violation")
         return value
-
-    def tame_element(self, elem: K2Element, p: CurvePoint) -> Fraction:
-        total = Fraction(1)
-        for pair in elem.terms:
-            total *= self.tame(pair, p) ** pair.coefficient
-        return total
 
     # -- divisors ----------------------------------------------------------
     def divisor(self, f: FnElt, candidates: Sequence[CurvePoint]) -> Divisor:

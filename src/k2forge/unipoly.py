@@ -189,11 +189,6 @@ class UniPoly:
         """p(x + a)."""
         return self.compose(UniPoly([rat(a), 1]))
 
-    def scale_arg(self, s) -> "UniPoly":
-        """p(s*x)."""
-        s = rat(s)
-        return UniPoly([c * s**i for i, c in enumerate(self.coeffs)])
-
     # -- gcd / roots ----------------------------------------------------
     def monic(self) -> "UniPoly":
         if self.is_zero():

@@ -7,8 +7,10 @@ import pytest
 
 from k2forge import families as fam
 from k2forge.cli import main
+from k2forge.errors import VerificationError
 from k2forge.records import (record_from_json, record_to_json, params_hash)
 from k2forge.symbols import SymbolEngine, verify_k2t
+from test_acceptance import SMOKE_TUPLES
 
 
 @pytest.fixture(scope="module")
@@ -128,9 +130,82 @@ def test_cli_plot_window_warning(tmp_path, capsys):
     assert "window excludes all marked points" in capsys.readouterr().err
 
 
-def test_env_series_order_override(monkeypatch):
-    from k2forge.series import default_order
-    monkeypatch.setenv("K2FORGE_SERIES_ORDER", "37")
-    assert default_order(5) == 37
-    monkeypatch.delenv("K2FORGE_SERIES_ORDER")
-    assert default_order(5) == 14
+
+def test_param_table_covers_every_generator():
+    assert list(fam.PARAMS) == list(fam.GENERATORS)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["gen", "hyp-odd", "--genus", "2", "--a", "1,x"], "--a"),
+    (["gen", "quartic-ct", "--t", "1/0"], "--t"),
+    (["catalog", "quartic-ct", "--t=a..3"], "--t"),
+    (["gen", "hyp-partial", "--genus", "2", "--d", "5", "--constraints", "1:z",
+      "--free", "0,0"], "--constraints"),
+    (["gen", "quartic-ct", "--t", "1,2"], "--t"),
+    (["catalog", "quartic-conic-2t", "--a-grid", "1,2;3"], "--a-grid"),
+])
+def test_cli_malformed_value_exits_1_naming_the_flag(argv, flag, tmp_path, capsys):
+    if argv[0] == "catalog":
+        argv = argv + ["--db", str(tmp_path / "cat.jsonl")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and flag in err
+    assert "Traceback" not in err
+
+
+def test_cli_missing_parameter_exits_2(tmp_path, capsys):
+    assert main(["gen", "quartic-conic", "--d1", "1", "--d3", "1"]) == 2
+    assert capsys.readouterr().err == "precondition error: need --d2 --d4\n"
+    assert main(["catalog", "quartic-ct", "--db", str(tmp_path / "c.jsonl")]) == 2
+    assert capsys.readouterr().err == "precondition error: need --t\n"
+
+
+@pytest.mark.parametrize("family, flags", SMOKE_TUPLES + [("nekovar-2tor", ["--r", "3/4"])],
+                         ids=[f for f, _ in SMOKE_TUPLES] + ["nekovar-2tor"])
+def test_cli_catalog_round_trips_every_family(family, flags, tmp_path, capsys):
+    db = tmp_path / "cat.jsonl"
+    argv = ["catalog", family, *flags, "--db", str(db)]
+    assert main(argv) == 0
+    if family == "nekovar-2tor":  # no record over Q (criterion 5a)
+        assert capsys.readouterr().out == "catalog: 0 added, 0 skipped (duplicates), 1 errored\n"
+        assert db.read_text() == ""
+        return
+    assert capsys.readouterr().out == "catalog: 1 added, 0 skipped (duplicates), 0 errored\n"
+    (line,) = db.read_text().splitlines()
+    assert main(["gen", family, *flags]) == 0
+    assert json.loads(line)["record"] == json.loads(capsys.readouterr().out)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "catalog: 0 added, 1 skipped (duplicates), 0 errored\n"
+    assert db.read_text().splitlines() == [line]
+
+
+def test_cli_catalog_truncated_db_exits_1(tmp_path, capsys):
+    db = tmp_path / "cat.jsonl"
+    assert main(["catalog", "quartic-ct", "--t", "0,2", "--db", str(db)]) == 0
+    capsys.readouterr()
+    db.write_text(db.read_text()[:-40])
+    assert main(["catalog", "quartic-ct", "--t", "0", "--db", str(db)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("cannot read db: line 2: ")
+
+
+def test_cli_catalog_keeps_entries_written_before_a_verification_failure(
+        tmp_path, capsys, monkeypatch):
+    db = tmp_path / "cat.jsonl"
+    real = fam.GENERATORS["nekovar-3tor"]
+
+    def flaky(r):
+        if r == 3:
+            # the two earlier entries (small enough to sit in a write buffer)
+            # are already whole on disk
+            on_disk = db.read_text()
+            assert on_disk.count("\n") == 2 and all(map(json.loads, on_disk.splitlines()))
+            raise VerificationError("injected")
+        return real(r)
+
+    monkeypatch.setitem(fam.GENERATORS, "nekovar-3tor", flaky)
+    assert main(["catalog", "nekovar-3tor", "--r=1..4", "--db", str(db)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "verification failure: injected\n" and captured.out == ""
+    assert [json.loads(l)["record"]["params"]["r"] for l in db.read_text().splitlines()] \
+        == ["1", "2"]
