@@ -19,8 +19,8 @@ from .errors import PreconditionError, VerificationError
 from .families import GENERATORS, PARAMS, Param
 from .plotting import PlotSpec, render_record_svg
 from .rationals import rat, rat_str
-from .records import (catalog_entry_jsonable, params_hash, record_from_json,
-                      record_to_json)
+from .records import (_param_jsonable, catalog_entry_jsonable, params_hash,
+                      record_from_json, record_to_json)
 from .symbols import SymbolEngine, verify_k2t
 
 USAGE_FAMILIES = ", ".join(sorted(GENERATORS))
@@ -189,7 +189,9 @@ def _db_hashes(path: str) -> Set[str]:
 
 def cmd_catalog(ns) -> int:
     """Append one entry per new grid member, flushed as soon as it is made,
-    so a run that ends early keeps what it wrote."""
+    so a run that ends early keeps what it wrote.  Each refused member
+    (exit 2), and the verification failure that ends a run (exit 3), is
+    appended to <db>.errors.txt as one JSON line."""
     grid = _param_grid(ns, sweep=True)
     existing = _db_hashes(ns.db)
     added = skipped = errored = 0
@@ -202,11 +204,16 @@ def cmd_catalog(ns) -> int:
                     continue
                 try:
                     rec = GENERATORS[ns.family](*params.values())
-                except PreconditionError as e:  # a VerificationError ends the run
-                    errored += 1
+                except (PreconditionError, VerificationError) as e:
+                    code = 3 if isinstance(e, VerificationError) else 2
                     with open(ns.db + ".errors.txt", "a", encoding="utf-8") as log:
-                        shown = json.dumps({k: str(v) for k, v in params.items()})
-                        log.write(f"{ns.family} {shown}: {e}\n")
+                        log.write(json.dumps({
+                            "family": ns.family,
+                            "params": {k: _param_jsonable(v) for k, v in params.items()},
+                            "exit": code, "error": str(e)}) + "\n")
+                    if code == 3:
+                        raise  # a verification failure ends the run
+                    errored += 1
                     continue
                 stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
                 db.write(json.dumps(catalog_entry_jsonable(rec, stamp, h)) + "\n")

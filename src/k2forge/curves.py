@@ -10,14 +10,15 @@ or X=1 where they become affine.
 Projective smoothness is decided exactly through the Macaulay resultant
 of the three partial derivatives: a nonzero Macaulay determinant
 certifies smoothness, a zero determinant with nonzero extraneous minor
-certifies a singular point over the algebraic closure.  A separate
-search produces rational singular witnesses when they exist.
+certifies a singular point over the algebraic closure.  Only then does
+a separate search look for a rational singular witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import List, Optional, Tuple, Union
 
 from .bipoly import BiPoly, TriPoly
@@ -253,7 +254,6 @@ def _primitive_scale(p: BiPoly) -> BiPoly:
     Rescaling either argument never changes an intersection multiplicity,
     and it keeps the reduction loop's coefficients from blowing up.
     """
-    from math import gcd
     if p.is_zero():
         return p
     den = 1
@@ -275,12 +275,10 @@ def fulton_multiplicity(f: BiPoly, g: BiPoly, bound: int) -> int:
     """
     total = 0
     f, g = _primitive_scale(f), _primitive_scale(g)
-    steps = 0
-    max_steps = 40 * (bound + 4) + 200
+    # Each pass returns, raises, splits off one y (adding at least 1 to
+    # total, which is capped by bound) or lowers the sum of the two
+    # restriction degrees, so the loop ends.
     while True:
-        steps += 1
-        if steps > max_steps:
-            raise VerificationError("intersection reduction did not terminate (common component?)")
         if f.is_zero() or g.is_zero():
             raise VerificationError("intersection multiplicity infinite: common component")
         fr = f.restriction_y0()  # restriction to the x-axis
@@ -391,17 +389,12 @@ def _int_coeff_rows(monomials: List[Tuple[int, int, int]], rows_spec):
         row = [0] * len(monomials)
         den = 1
         for key, c in form.terms.items():
-            den = den * c.denominator // _gcd(den, c.denominator)
+            den = den * c.denominator // gcd(den, c.denominator)
         for key, c in form.terms.items():
             mono = (key[0] + shift[0], key[1] + shift[1], key[2] + shift[2])
             row[index[mono]] = int(c * den)
         rows.append(row)
     return rows
-
-
-def _gcd(a, b):
-    from math import gcd
-    return gcd(a, b)
 
 
 def macaulay_nonzero(g1: TriPoly, g2: TriPoly, g3: TriPoly) -> Optional[bool]:
@@ -458,23 +451,17 @@ _RETRY_MAPS = [
 def _rational_singular_point(curve: PlaneCurve) -> Optional[CurvePoint]:
     f = curve.affine
     fx, fy = f.partial("x"), f.partial("y")
-    try:
-        pts = rational_common_zeros(f, fx)
-        if pts is None:
-            pts = rational_common_zeros(f, fy)
-            if pts is not None:
-                pts = [(x0, y0) for (x0, y0) in pts if fx(x0, y0) == 0]
-        else:
-            pts = [(x0, y0) for (x0, y0) in pts if fy(x0, y0) == 0]
-    except PreconditionError:
-        pts = None  # witness search is best-effort; the Macaulay gate decides
+    pts = rational_common_zeros(f, fx)
+    if pts is None:
+        pts = rational_common_zeros(f, fy)
+        if pts is not None:
+            pts = [(x0, y0) for (x0, y0) in pts if fx(x0, y0) == 0]
+    else:
+        pts = [(x0, y0) for (x0, y0) in pts if fy(x0, y0) == 0]
     if pts:
         return CurvePoint.affine(*pts[0])
     # rational points at infinity
-    try:
-        inf_pts, _ = curve.rational_infinity_points()
-    except PreconditionError:
-        return None
+    inf_pts, _ = curve.rational_infinity_points()
     FX, FY, FZ = (curve.hom.partial(v) for v in "XYZ")
     for (X, Y) in inf_pts:
         if FX(X, Y, 0) == 0 and FY(X, Y, 0) == 0 and FZ(X, Y, 0) == 0:
@@ -516,35 +503,38 @@ def rational_common_zeros(p1: BiPoly, p2: BiPoly) -> Optional[List[Tuple[Fractio
     return out
 
 
+def _macaulay_verdict(hom: TriPoly) -> Optional[bool]:
+    partials = [hom.partial(v) for v in "XYZ"]
+    if any(g.is_zero() for g in partials):
+        return False  # a cone over its vertex, which is a singular point
+    return macaulay_nonzero(*partials)
+
+
 def smoothness_check(curve: PlaneCurve) -> SmoothnessReport:
     """Exact smooth/singular verdict for the projective plane curve."""
     if curve.degree == 1:
         return SmoothnessReport(True)
+    verdict = _macaulay_verdict(curve.hom)
+    tries = 0
+    while verdict is None and tries < len(_RETRY_MAPS):
+        verdict = _macaulay_verdict(curve.hom.substitute_linear(_RETRY_MAPS[tries]))
+        tries += 1
+    if verdict:
+        return SmoothnessReport(True)
+    # a certified-smooth curve has no singular point, so the witness
+    # search runs only on a singular or undecided verdict
     witness = _rational_singular_point(curve)
     if witness is not None:
         return SmoothnessReport(False, witness)
-    partials = [curve.hom.partial(v) for v in "XYZ"]
-    verdict = macaulay_nonzero(*partials)
-    hom = curve.hom
-    tries = 0
-    while verdict is None and tries < len(_RETRY_MAPS):
-        hom2 = curve.hom.substitute_linear(_RETRY_MAPS[tries])
-        verdict = macaulay_nonzero(*(hom2.partial(v) for v in "XYZ"))
-        tries += 1
     if verdict is None:
         raise VerificationError("smoothness undecided: Macaulay minor vanished under all retries")
-    if verdict:
-        return SmoothnessReport(True)
     # singular with no rational witness: report the eliminating polynomial
     f = curve.affine
-    try:
-        r1 = _resultant_or_none(f, f.partial("x"))
-        r2 = _resultant_or_none(f, f.partial("y"))
-        elim = None
-        if r1 is not None and r2 is not None and not r1.is_zero() and not r2.is_zero():
-            elim = r1.gcd(r2)
-    except PreconditionError:
-        elim = None
+    r1 = _resultant_or_none(f, f.partial("x"))
+    r2 = _resultant_or_none(f, f.partial("y"))
+    elim = None
+    if r1 is not None and r2 is not None and not r1.is_zero() and not r2.is_zero():
+        elim = r1.gcd(r2)
     return SmoothnessReport(False, elim if elim is not None else "non-rational singular locus")
 
 

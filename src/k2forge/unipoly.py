@@ -9,8 +9,8 @@ t(x) = f1(x)^2/4 - x^d, discriminants and rational root extraction.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as igcd
-from typing import Iterable, List, Optional, Sequence, Tuple
+from math import isqrt, lcm
+from typing import Iterable, List, Sequence, Tuple
 
 from .errors import PreconditionError
 from .rationals import rat
@@ -223,7 +223,16 @@ class UniPoly:
         return m
 
     def rational_roots(self) -> List[Tuple[Fraction, int]]:
-        """All rational roots with multiplicities, via the rational root test."""
+        """All rational roots with multiplicities, by q-adic Newton lifting.
+
+        A root u/v of the squarefree part, cleared to integer coefficients a,
+        has u | a0 and v | lc, so lc*u/v is an integer of size at most
+        |a0*lc|.  Mod the smallest prime q not dividing lc at which every
+        root of a is simple, u/v is one of those roots; Newton lifting past
+        2|a0*lc| recovers lc*u/v as a symmetric residue (von zur Gathen and
+        Gerhard, Modern Computer Algebra, ch. 15).  Each candidate is
+        confirmed by exact evaluation.
+        """
         if self.is_zero():
             raise PreconditionError("zero polynomial")
         roots: List[Tuple[Fraction, int]] = []
@@ -237,26 +246,29 @@ class UniPoly:
             roots.append((Fraction(0), k))
         if p.degree < 1:
             return roots
-        # clear denominators -> integer coefficients
-        den = 1
-        for c in p.coeffs:
-            den = den * c.denominator // igcd(den, c.denominator)
-        ic = [int(c * den) for c in p.coeffs]
-        g = 0
-        for c in ic:
-            g = igcd(g, abs(c))
-        ic = [c // g for c in ic]
-        a0, an = abs(ic[0]), abs(ic[-1])
-        d_num, d_den = _divisors(a0), _divisors(an)
-        if len(d_num) * len(d_den) > 400_000:
-            raise PreconditionError("too many candidates for rational root search")
-        for pnum in d_num:
-            for qden in d_den:
-                if igcd(pnum, qden) != 1:
-                    continue
-                for cand in (Fraction(pnum, qden), Fraction(-pnum, qden)):
-                    if self(cand) == 0 and all(cand != r for r, _ in roots):
-                        roots.append((cand, self.root_multiplicity(cand)))
+        # squarefree part, cleared to integer coefficients
+        s = p.exact_div(p.gcd(p.derivative()))
+        den = lcm(*(c.denominator for c in s.coeffs))
+        a = [int(c * den) for c in s.coeffs]
+        da = [i * c for i, c in enumerate(a)][1:]
+        lc, bound = a[-1], 2 * abs(a[0] * a[-1])
+        q = 1
+        while True:
+            q += 1
+            if lc % q == 0 or any(q % d == 0 for d in range(2, isqrt(q) + 1)):
+                continue
+            mod_roots = [r for r in range(q) if _eval_mod(a, r, q) == 0]
+            if all(_eval_mod(da, r, q) for r in mod_roots):
+                break
+        for r in mod_roots:
+            m = q
+            while m <= bound:
+                m *= m
+                r = (r - _eval_mod(a, r, m) * pow(_eval_mod(da, r, m), -1, m)) % m
+            w = lc * r % m
+            cand = Fraction(w - m if 2 * w > m else w, lc)
+            if self(cand) == 0:
+                roots.append((cand, self.root_multiplicity(cand)))
         roots.sort(key=lambda t: t[0])
         return roots
 
@@ -348,94 +360,9 @@ class UniPoly:
         return out[2:] if out.startswith("+ ") else ("-" + out[2:])
 
 
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_rho(n: int, budget: int) -> Optional[int]:
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 20):
-        x = y = 2
-        d = 1
-        steps = 0
-        while d == 1:
-            steps += 1
-            if steps > budget:
-                return None
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = igcd(abs(x - y), n)
-        if d != n:
-            return d
-    return None
-
-
-def _factorize(n: int, budget: int = 200_000) -> Optional[dict]:
-    """Prime factorization of n > 0; None when the work budget is exceeded."""
-    out: dict = {}
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    p = 53
-    while p * p <= n and p < 100_000:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 2
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if _is_probable_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m, budget)
-        if d is None:
-            return None
-        stack.append(d)
-        stack.append(m // d)
-    return out
-
-
-def _divisors(n: int, limit: int = 100_000) -> List[int]:
-    """Positive divisors of |n| (divisors of 0 -> [1]).
-
-    Raises PreconditionError when the factorization work budget or the
-    divisor count limit is exceeded; callers that only need a best-effort
-    answer catch it.
-    """
-    n = abs(n)
-    if n == 0:
-        return [1]
-    fac = _factorize(n)
-    if fac is None:
-        raise PreconditionError("integer factorization budget exceeded")
-    divs = [1]
-    for p, e in fac.items():
-        if len(divs) * (e + 1) > limit:
-            raise PreconditionError("too many divisors for rational root search")
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
+def _eval_mod(coeffs: Sequence[int], x: int, m: int) -> int:
+    """Integer polynomial (ascending coefficients) at x, reduced mod m."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % m
+    return acc

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
+from hypothesis import example, given, settings, strategies as st
 
 from k2forge.bipoly import BiPoly
 from k2forge.errors import InsufficientPrecisionError, PreconditionError
@@ -188,6 +190,35 @@ def test_root_multiplicity_zero_poly_rejected():
 def test_rational_roots():
     p = UniPoly.from_roots([F(1, 2), F(1, 2), F(-3)]) * 4
     assert p.rational_roots() == [(F(-3), 1), (F(1, 2), 2)]
+
+
+def test_rational_roots_zero_poly_rejected():
+    with pytest.raises(PreconditionError, match="zero polynomial"):
+        UniPoly.zero().rational_roots()
+
+
+# 20-digit primes: a0 and lc that integer factoring cannot split cheaply
+P1, P2 = 10000000000000000051, 10000000000000000087
+BIG = 10**20
+linear_factors = st.lists(
+    st.tuples(st.integers(-BIG, BIG), st.integers(1, BIG), st.integers(1, 3)),
+    max_size=4)
+cofactors = st.lists(st.integers(-50, 50), min_size=1, max_size=4).filter(lambda c: c[-1] != 0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(linear_factors, cofactors)
+@example([(3, 7, 1)], [P1 * P2, 0, 1])
+@example([(P1, P2, 2), (-5, 3, 1)], [1, 0, 1])
+def test_rational_roots_match_sympy(factors, cofactor):
+    p = UniPoly(cofactor)
+    for u, v, mult in factors:
+        p = p * UniPoly([F(-u, v), 1]) ** mult
+    x = sympy.Symbol("x")
+    oracle = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                         for c in reversed(p.coeffs)], x, domain=sympy.QQ).ground_roots()
+    expected = sorted((F(int(r.p), int(r.q)), m) for r, m in oracle.items())
+    assert p.rational_roots() == expected
 
 
 # ---------------------------------------------------------------------------

@@ -88,8 +88,12 @@ def test_cli_catalog_count_and_idempotence(tmp_path, capsys):
 def test_cli_catalog_a_grid(tmp_path):
     db = tmp_path / "cat2.jsonl"
     assert main(["catalog", "hyp-odd", "--genus", "2",
-                 "--a-grid", "1,1/2,1/4;1,2,3", "--db", str(db)]) == 0
+                 "--a-grid", "1,1/2,1/4;1,2,3;1,-1,2", "--db", str(db)]) == 0
     assert len(db.read_text().splitlines()) == 2
+    (logged,) = (tmp_path / "cat2.jsonl.errors.txt").read_text().splitlines()
+    assert json.loads(logged) == {
+        "family": "hyp-odd", "params": {"genus": "2", "a": ["1", "-1", "2"]}, "exit": 2,
+        "error": "singular Vandermonde: squares of parameters collide"}
 
 
 def test_cli_plot_deterministic(tmp_path):
@@ -209,3 +213,6 @@ def test_cli_catalog_keeps_entries_written_before_a_verification_failure(
     assert captured.err == "verification failure: injected\n" and captured.out == ""
     assert [json.loads(l)["record"]["params"]["r"] for l in db.read_text().splitlines()] \
         == ["1", "2"]
+    (logged,) = (tmp_path / "cat.jsonl.errors.txt").read_text().splitlines()
+    assert json.loads(logged) == {"family": "nekovar-3tor", "params": {"r": "3"},
+                                  "exit": 3, "error": "injected"}

@@ -52,6 +52,13 @@ def test_ord_of_y_on_quartic(quartic):
     assert eng.ord(y, pts["inf"]) == -4
 
 
+def test_ord_of_tangent_power_is_exact(quartic):
+    # I_Q(C, (x+y)^7) = 7 * 3, the tangent at Q having contact 3; the
+    # reduction takes many steps, and ord_poly checks it against the series
+    curve, _, pts = quartic
+    assert SymbolEngine(curve).ord_poly(BiPoly.parse("y + x")**7, pts["Q"]) == 21
+
+
 def test_ord_of_constant_is_zero(quartic):
     curve, eng, pts = quartic
     c = FnElt.constant(curve, F(7, 5))
