@@ -29,10 +29,11 @@ def _norm(terms: Dict[Term, Fraction]) -> Dict[Term, Fraction]:
 class BiPoly:
     """Exact polynomial in x and y."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_hash")
 
     def __init__(self, terms: Dict[Term, object] = None):
         self.terms = _norm({k: rat(v) for k, v in (terms or {}).items()})
+        self._hash = None
 
     # -- constructors --------------------------------------------------
     @staticmethod
@@ -77,7 +78,10 @@ class BiPoly:
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # terms is assigned only in __init__, so the hash never goes stale
+        if self._hash is None:
+            self._hash = hash(frozenset(self.terms.items()))
+        return self._hash
 
     @property
     def total_degree(self) -> int:

@@ -27,8 +27,8 @@ from typing import List, Optional, Tuple
 
 from .bipoly import BiPoly
 from .curves import CurvePoint, PlaneCurve
-from .errors import (InsufficientPrecisionError, NonRationalSupportError,
-                     PreconditionError, VerificationError)
+from .errors import (NonRationalSupportError, PreconditionError,
+                     VerificationError)
 from .series import PowerSeries
 from .unipoly import UniPoly
 
@@ -48,70 +48,87 @@ class _ChartPlace:
 
     The last frame leaves a regular equation: H_final(0,0) = 0 with
     a nonzero v-derivative, so plain Newton iteration finishes the job.
+
+    Each frame writes v = s1^q * (m + v1) with m != 0, so the chain alone
+    fixes val(v) along the place and the precision each frame adds to
+    the Newton series: ``val`` and ``shift`` below.  Without frames
+    v is the Newton series itself, of valuation ord_s H(s, 0).
     """
 
     def __init__(self, frames: List[_Frame], final: BiPoly):
         self.frames = frames
         self.final = final
-        self.e_total, self.lam_total = _compose_monomial(frames)
+        e, shift, val = 1, 0, None
+        for fr in reversed(frames):
+            val = e * fr.q
+            shift += val
+            e *= fr.e
+        if val is None:
+            val = min(i for (i, j) in final.terms if j == 0)
+        self.shift, self.val = shift, val
 
     def sv_series(self, prec: int) -> Tuple[PowerSeries, PowerSeries]:
         """(s(t), v(t)) with both series known at least mod t^prec."""
-        n = max(prec, 2)
-        for _ in range(8):
-            v = _newton_series(self.final, n)
-            lam, e = Fraction(1), 1  # current level's s as lam * t^e
-            for fr in reversed(self.frames):
-                # v_prev = s_i^q * (m + v_i) with s_i the current monomial
-                mono = PowerSeries.t_power(e * fr.q, v.prec + e * fr.q, lam**fr.q)
-                v = mono * (v + PowerSeries.const(fr.m, v.prec))
-                lam, e = fr.lam * lam**fr.e, fr.e * e
-            s = PowerSeries.t_power(self.e_total, v.prec + self.e_total, self.lam_total)
-            if v.prec >= prec and s.prec >= prec:
-                return s.truncate(max(prec, s.val + 1)), v
-            n *= 2
-        raise InsufficientPrecisionError("place expansion did not reach requested precision")
-
-
-def _compose_monomial(frames: List[_Frame]) -> Tuple[int, Fraction]:
-    e_total = 1
-    lam_total = Fraction(1)
-    for fr in reversed(frames):
-        lam_total = fr.lam * lam_total**fr.e
-        e_total = fr.e * e_total
-    return e_total, lam_total
+        v = _newton_series(self.final, max(prec - self.shift, 1))
+        lam, e = Fraction(1), 1  # current level's s as lam * t^e
+        for fr in reversed(self.frames):
+            # v_prev = s_i^q * (m + v_i) with s_i the current monomial
+            mono = PowerSeries.t_power(e * fr.q, v.prec + e * fr.q, lam**fr.q)
+            v = mono * (v + PowerSeries.const(fr.m, v.prec))
+            lam, e = fr.lam * lam**fr.e, fr.e * e
+        return PowerSeries.t_power(e, v.prec + e, lam), v
 
 
 def _newton_series(h: BiPoly, prec: int) -> PowerSeries:
-    """Solve h(t, v(t)) = 0 for v with v(0) = 0; needs dh/dv(0,0) != 0."""
+    """Solve h(t, v(t)) = 0 for v with v(0) = 0; needs dh/dv(0,0) != 0.
+
+    One precision-doubling run (Kung and Traub, JACM 1978): with v right
+    mod t^k and g = 1/h_v(t, v) mod t^k, the step v <- v - h(t, v) * g is
+    right mod t^2k because h(t, v) = O(t^k).  So h is evaluated at the new
+    precision, h_v only at the old one, and g is carried from step to
+    step by the Newton update g <- g * (2 - h_v * g).
+    """
     hv = h.partial("y")
     if h(0, 0) != 0 or hv(0, 0) == 0:
         raise VerificationError("internal: Newton iteration needs a regular root")
-    v = PowerSeries.zero(prec)
-    t = PowerSeries.t_power(1, prec + 4)
-    correct = 1
-    while correct < prec:
-        num = _eval_series(h, t, v, prec)
-        den = _eval_series(hv, t, v, prec)
-        v = v - num / den
-        v = v.truncate(prec)
-        correct *= 2
+    h_coeffs, hv_coeffs = h.as_poly_in("y"), hv.as_poly_in("y")
+    plan = []  # prec, ceil(prec/2), ... down to 2
+    while prec > 1:
+        plan.append(prec)
+        prec = (prec + 1) // 2
+    v = PowerSeries.zero(1)
+    g = PowerSeries.const(1 / hv(0, 0), 1)
+    for n in reversed(plan):
+        k = v.prec
+        if g.prec < k:
+            g = _extend(g, k)
+            g = (g + g * (1 - _eval_in_t(hv_coeffs, v, k) * g)).truncate(k)
+        v = _extend(v, n)
+        v = (v - _eval_in_t(h_coeffs, v, n) * g).truncate(n)
     return v
+
+
+def _extend(a: PowerSeries, prec: int) -> PowerSeries:
+    """The known terms of a, read as exact up to t^prec."""
+    return PowerSeries(a.val, a.coeffs, prec)
+
+
+def _eval_in_t(coeffs: List[UniPoly], v: PowerSeries, prec: int) -> PowerSeries:
+    """sum_j coeffs[j](t) * v(t)^j truncated to prec."""
+    return _horner([PowerSeries.from_unipoly(c, prec) for c in coeffs], v, prec)
 
 
 def _eval_series(p: BiPoly, s: PowerSeries, v: PowerSeries, prec: int) -> PowerSeries:
     """p(s(t), v(t)) truncated to prec."""
-    coeffs = p.as_poly_in("y")
+    return _horner([_horner([PowerSeries.const(a, prec) for a in c.coeffs], s, prec)
+                    for c in p.as_poly_in("y")], v, prec)
+
+
+def _horner(coeffs: List[PowerSeries], v: PowerSeries, prec: int) -> PowerSeries:
+    """sum_j coeffs[j] * v^j truncated to prec."""
     acc = PowerSeries.zero(prec)
     for c in reversed(coeffs):
-        acc = (acc * v + _eval_unipoly_series(c, s, prec)).truncate(prec)
-    return acc
-
-
-def _eval_unipoly_series(c: UniPoly, s: PowerSeries, prec: int) -> PowerSeries:
-    acc = PowerSeries.zero(prec)
-    for coeff in reversed(c.coeffs):
-        acc = (acc * s + PowerSeries.const(coeff, prec)).truncate(prec)
+        acc = (acc * v + c).truncate(prec)
     return acc
 
 
@@ -122,19 +139,6 @@ def _divide_out_x_power(p: BiPoly, k: int) -> BiPoly:
             raise VerificationError("internal: monomial division failed in polygon step")
         terms[(i - k, j)] = c
     return BiPoly(terms)
-
-
-def _modinv(a: int, m: int) -> int:
-    a %= m
-    x0, x1 = 0, 1
-    r0, r1 = m, a
-    while r1:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        x0, x1 = x1, x0 - q * x1
-    if r0 != 1:
-        raise VerificationError("internal: modular inverse does not exist")
-    return x0 % m
 
 
 def _polygon_places(h: BiPoly, depth: int = 0) -> List[_ChartPlace]:
@@ -183,7 +187,7 @@ def _polygon_places(h: BiPoly, depth: int = 0) -> List[_ChartPlace]:
                 "non-rational branch: polygon edge polynomial has an irrational root",
                 details={"edge_poly": list(psi.coeffs)},
             )
-        alpha = 0 if e == 1 else (-_modinv(q, e)) % e
+        alpha = -pow(q, -1, e) % e  # q/e is in lowest terms, so q is invertible mod e
         for rho, mult in roots:
             if rho == 0:
                 continue
@@ -224,12 +228,9 @@ class Branch:
 
     def xy(self, prec: int) -> Tuple[PowerSeries, PowerSeries]:
         """Affine coordinate series (x(t), y(t)), both known mod t^prec at least."""
-        if self._cached is not None and self._cached[0].prec >= prec and self._cached[1].prec >= prec:
-            return self._cached
-        out = self._xy_uncached(prec)
-        if self._cached is None or out[0].prec > self._cached[0].prec:
-            self._cached = out
-        return out
+        if self._cached is None or min(self._cached[0].prec, self._cached[1].prec) < prec:
+            self._cached = self._xy_uncached(prec)
+        return self._cached
 
     def _xy_uncached(self, prec: int) -> Tuple[PowerSeries, PowerSeries]:
         if self._kind in ("affine-y", "affine-x"):
@@ -240,25 +241,16 @@ class Branch:
                 return (t + PowerSeries.const(px, v.prec), v + PowerSeries.const(py, v.prec))
             return (v + PowerSeries.const(px, v.prec), t + PowerSeries.const(py, v.prec))
         place, u0 = self._data
-        n = max(prec, 4)
-        for _ in range(10):
-            s, v = place.sv_series(n + 2 * self.curve.degree + 8)
-            w = v  # chart second coordinate
-            u = s + PowerSeries.const(u0, s.prec)
-            try:
-                if self._kind == "inf-Y":
-                    x = u / w
-                    y = w.invert()
-                else:  # inf-X: (v, w) = (Y/X, Z/X)
-                    x = w.invert()
-                    y = u / w
-            except InsufficientPrecisionError:
-                n *= 2
-                continue
-            if x.prec >= prec and y.prec >= prec:
-                return x.truncate(prec), y.truncate(prec)
-            n *= 2
-        raise InsufficientPrecisionError("branch series did not reach requested precision")
+        # the chart's w = Z/Y (inf-Y) or Z/X (inf-X) has valuation place.val,
+        # so 1/w and u/w are known to 2*place.val fewer terms than w
+        s, w = place.sv_series(prec + 2 * place.val)
+        w_inv = w.invert()
+        u_w = (s + PowerSeries.const(u0, s.prec)) * w_inv
+        if self._kind == "inf-Y":  # (u, w) = (X/Y, Z/Y)
+            x, y = u_w, w_inv
+        else:  # inf-X: (v, w) = (Y/X, Z/X)
+            x, y = w_inv, u_w
+        return x.truncate(prec), y.truncate(prec)
 
     def residual_ok(self, prec: int = None) -> bool:
         """Check F(x(t), y(t)) = 0 to the working truncation."""
@@ -317,12 +309,11 @@ def branches_at_infinity(curve: PlaneCurve) -> List[Branch]:
         for pl in places:
             br = Branch(curve, CurvePoint.at_infinity(X, Y, 0), kind, (pl, u0))
             x, y = br.xy(probe)
-            if x.is_zero() or y.is_zero():
-                raise InsufficientPrecisionError("branch coordinates vanished to truncation")
-            keyed.append(((y.val, x.val, y.leading(), x.leading()), pl))
+            keyed.append(((y.val, x.val, y.leading(), x.leading()), br))
         keyed.sort(key=lambda kv: kv[0])
-        for idx, (_, pl) in enumerate(keyed):
-            point = CurvePoint.at_infinity(X, Y, idx)
-            out.append(Branch(curve, point, kind, (pl, u0)))
+        # the probe branches are returned with their series cached
+        for idx, (_, br) in enumerate(keyed):
+            br.point = CurvePoint.at_infinity(X, Y, idx)
+            out.append(br)
     out.sort(key=lambda b: (b.point.x, b.point.y, b.point.branch))
     return out

@@ -454,10 +454,12 @@ def _rational_singular_point(curve: PlaneCurve) -> Optional[CurvePoint]:
     pts = rational_common_zeros(f, fx)
     if pts is None:
         pts = rational_common_zeros(f, fy)
-        if pts is not None:
-            pts = [(x0, y0) for (x0, y0) in pts if fx(x0, y0) == 0]
-    else:
-        pts = [(x0, y0) for (x0, y0) in pts if fy(x0, y0) == 0]
+    if pts is None:
+        # f shares a component with both partials (line components
+        # crossing, as in x*y): the singular points lie on f_x = f_y = 0
+        pts = rational_common_zeros(fx, fy)
+    pts = [(x0, y0) for (x0, y0) in pts or ()
+           if f(x0, y0) == 0 and fx(x0, y0) == 0 and fy(x0, y0) == 0]
     if pts:
         return CurvePoint.affine(*pts[0])
     # rational points at infinity

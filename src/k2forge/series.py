@@ -113,12 +113,7 @@ class PowerSeries:
         if isinstance(other, (int, Fraction)):
             q = rat(other)
             return PowerSeries(self.val, [c * q for c in self.coeffs], self.prec)
-        if self.is_zero() or other.is_zero():
-            prec = min(
-                self.prec + (other.val if not other.is_zero() else 0),
-                other.prec + (self.val if not self.is_zero() else 0),
-            )
-            return PowerSeries.zero(prec)
+        # a zero series O(t^prec) has val = prec, so one rule covers it
         prec = min(self.prec + other.val, other.prec + self.val)
         val = self.val + other.val
         n = prec - val

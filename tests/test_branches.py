@@ -3,9 +3,12 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from k2forge import branches
 from k2forge.bipoly import BiPoly
-from k2forge.branches import branch_at_affine, branches_at_infinity
+from k2forge.branches import (Branch, _eval_series, _newton_series,
+                              branch_at_affine, branches_at_infinity)
 from k2forge.curves import CurvePoint, PlaneCurve
 from k2forge.errors import NonRationalSupportError
 from k2forge.linalg import vandermonde_solve
@@ -112,7 +115,6 @@ def test_affine_branch_solves_curve():
     assert c.contains(p)
     br = branch_at_affine(c, p)
     x, y = br.xy(12)
-    from k2forge.branches import _eval_series
     assert _eval_series(c.affine, x, y, min(x.prec, y.prec)).is_zero()
     # vertical tangent at this Weierstrass point: x - 1 vanishes doubly
     assert (x - PowerSeries.const(1, x.prec)).valuation() == 2
@@ -126,3 +128,78 @@ def test_branch_parametrization_residuals_across_models():
     for c in curves:
         for br in branches_at_infinity(c):
             assert br.residual_ok()
+
+
+small_rats = st.builds(F, st.integers(-9, 9), st.integers(1, 5))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.lists(small_rats, min_size=9, max_size=9), small_rats, small_rats,
+       st.integers(2, 14), st.data())
+def test_newton_series_solves_and_truncates(coeffs, px, py, n, data):
+    """A random cubic through (px, py), shifted there: v at precision n
+    solves h(t, v) = O(t^n), and truncated to m < n it is the run at m."""
+    monos = [(i, j) for i in range(4) for j in range(4 - i) if (i, j) != (0, 0)]
+    f = BiPoly(dict(zip(monos, coeffs)))
+    f = f - BiPoly.const(f(px, py))
+    assume(f.partial("y")(px, py) != 0)
+    h = f.substitute(BiPoly.x() + BiPoly.const(px), BiPoly.y() + BiPoly.const(py))
+    v = _newton_series(h, n)
+    assert v.prec == n and (v.is_zero() or v.val >= 1)
+    assert _eval_series(h, PowerSeries.t_power(1, n), v, n).is_zero()
+    m = data.draw(st.integers(1, n - 1))
+    assert v.truncate(m) == _newton_series(h, m)
+
+
+def _counting_newton(monkeypatch):
+    calls = []
+    real = branches._newton_series
+
+    def counted(h, prec):
+        calls.append(prec)
+        return real(h, prec)
+
+    monkeypatch.setattr(branches, "_newton_series", counted)
+    return calls
+
+
+HYP_ODD_A = [F(1), F(-1, 2), F(3, 4), F(-1, 3), F(4, 3), F(2, 5)]
+
+
+def _plan_curves():
+    out = [hyp_odd_curve(g, HYP_ODD_A[:g + 1]) for g in range(2, 6)]
+    # ramified place (test_even_model_one_ramified_branch) and two places
+    # over one point (test_two_branches_for_cubic_f1)
+    f1 = UniPoly(vandermonde_solve([F(1), F(2)], [F(-4), F(-16)])) + UniPoly.x(2) * 2
+    out.append(PlaneCurve(BiPoly.y(2) + BiPoly.from_unipoly(f1) * BiPoly.y() + BiPoly.x(4)))
+    f1 = UniPoly([F(1, 2), -1, 0, -2])
+    out.append(PlaneCurve(BiPoly.y(2) + BiPoly.from_unipoly(f1) * BiPoly.y() + BiPoly.x(5)))
+    # places with no polygon frame (in both charts), and places over
+    # (1:0:0) and (1:1:0)
+    for poly in ("y^2 - x^3 - x - 1", "x*y^2 + y - x^2 + 1", "x*y^2 - x^2*y + y + 1"):
+        out.append(PlaneCurve(BiPoly.parse(poly)))
+    return out
+
+
+def test_xy_reaches_requested_precision_in_one_run(monkeypatch):
+    calls = _counting_newton(monkeypatch)
+    for c in _plan_curves():
+        d = c.degree
+        for br in branches_at_infinity(c):
+            for prec in (1, 2, 5, 2 * d + 6, 2 * d + 7):
+                fresh = Branch(c, br.point, br._kind, br._data)
+                calls.clear()
+                x, y = fresh.xy(prec)
+                assert len(calls) == 1, (c, br, prec)
+                assert x.prec >= prec and y.prec >= prec, (c, br, prec)
+                assert fresh.residual_ok(prec), (c, br, prec)
+
+
+def test_infinity_branches_keep_their_probe_series(monkeypatch):
+    calls = _counting_newton(monkeypatch)
+    for c in _plan_curves():
+        brs = branches_at_infinity(c)
+        calls.clear()
+        for br in brs:
+            br.xy(2 * c.degree + 6)
+        assert calls == [], c

@@ -61,6 +61,18 @@ def test_singular_witness_rational():
     assert not rep.smooth and rep.witness == CurvePoint.affine(0, 0)
 
 
+@pytest.mark.parametrize("poly, witnesses", [
+    ("x^2*y + x*y^2 - x*y", {(0, 0), (1, 0), (0, 1)}),  # lines x=0, y=0, x+y=1
+    ("x*y", {(0, 0)}),
+])
+def test_singular_witness_where_line_components_cross(poly, witnesses):
+    # f shares a component with f_x and with f_y, so neither pair has
+    # finitely many common zeros; the witness comes from f_x = f_y = 0
+    rep = smoothness_check(PlaneCurve(BiPoly.parse(poly)))
+    assert not rep.smooth
+    assert (rep.witness.x, rep.witness.y) in witnesses
+
+
 # ---------------------------------------------------------------------------
 # intersection multiplicity
 # ---------------------------------------------------------------------------
