@@ -14,7 +14,8 @@ from .curves import (Conic, CurvePoint, Line, PlaneCurve, SmoothnessReport,
 from .branches import Branch, branch_at_affine, branches_at_infinity
 from .errors import (InsufficientPrecisionError, K2ForgeError,
                      NonRationalSupportError, PreconditionError,
-                     SingularModelError, VerificationError)
+                     RecordFormatError, SingularModelError,
+                     VerificationError)
 from .families import (GENERATORS, EpsilonVector, gen_hyp_even, gen_hyp_odd,
                        gen_hyp_partial, gen_nekovar_2tor, gen_nekovar_3tor,
                        gen_nekovar_genus2, gen_quartic_conic,

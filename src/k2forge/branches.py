@@ -110,7 +110,7 @@ def _newton_series(h: BiPoly, prec: int) -> PowerSeries:
 
 def _extend(a: PowerSeries, prec: int) -> PowerSeries:
     """The known terms of a, read as exact up to t^prec."""
-    return PowerSeries(a.val, a.coeffs, prec)
+    return PowerSeries.from_ints(a.val, a.nums, a.den, prec)
 
 
 def _eval_in_t(coeffs: List[UniPoly], v: PowerSeries, prec: int) -> PowerSeries:

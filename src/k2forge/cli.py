@@ -15,7 +15,8 @@ import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .errors import PreconditionError, VerificationError
+from .errors import (InsufficientPrecisionError, PreconditionError, RecordFormatError,
+                     VerificationError)
 from .families import GENERATORS, PARAMS, Param
 from .plotting import PlotSpec, render_record_svg
 from .rationals import rat, rat_str
@@ -139,7 +140,7 @@ def cmd_verify(ns) -> int:
         with open(ns.path, "r", encoding="utf-8") as fh:
             text = fh.read()
         loaded = record_from_json(text)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, json.JSONDecodeError, RecordFormatError) as e:
         print(f"cannot read record: {e}", file=sys.stderr)
         return 1
     except PreconditionError as e:
@@ -234,7 +235,7 @@ def cmd_plot(ns) -> int:
     except (OSError, json.JSONDecodeError) as e:
         print(f"cannot read record: {e}", file=sys.stderr)
         return 1
-    if "record" in data:  # catalog entry
+    if isinstance(data, dict) and "record" in data:  # catalog entry
         data = data["record"]
     try:
         window = tuple(float(x) for x in ns.window.split(","))
@@ -242,6 +243,9 @@ def cmd_plot(ns) -> int:
             raise ValueError
         spec = PlotSpec(window=window, grid=ns.grid)
         svg = render_record_svg(data, spec)
+    except RecordFormatError as e:
+        print(f"cannot read record: {e}", file=sys.stderr)
+        return 1
     except (ValueError, PreconditionError) as e:
         print(f"bad plot spec: {e}", file=sys.stderr)
         return 2
@@ -297,7 +301,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InputError as e:
         print(e, file=sys.stderr)
         return 1
-    except VerificationError as e:
+    except (VerificationError, InsufficientPrecisionError) as e:
         print(f"verification failure: {e}", file=sys.stderr)
         return 3
     except PreconditionError as e:

@@ -3,7 +3,8 @@
 Two classes of failure matter to callers: bad input (precondition
 violations, singular parameters, non-rational data) and internal
 certificate violations (a verification that should have been impossible
-to fail).  The CLI maps them to exit codes 2 and 3 respectively.
+to fail).  The CLI maps them to exit codes 2 and 3 respectively; a stored
+record of the wrong JSON shape is exit 1.
 """
 
 
@@ -37,3 +38,7 @@ class VerificationError(K2ForgeError):
 
 class InsufficientPrecisionError(K2ForgeError):
     """A truncated series was zero to its truncation order where a unit was required."""
+
+
+class RecordFormatError(K2ForgeError):
+    """A stored record does not have the documented JSON shape (CLI exit code 1)."""

@@ -19,7 +19,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import PreconditionError
-from .rationals import rat
 
 
 @dataclass
@@ -125,7 +124,10 @@ def _clip_line(u: float, v: float, w: float, window) -> Optional[Tuple[float, fl
 
 
 def render_record_svg(record_data: dict, spec: PlotSpec) -> str:
-    """Render a stored record: curve contour, aux lines/conics, labeled points."""
+    """Render a stored record: curve contour, aux lines/conics, labeled points.
+
+    Raises RecordFormatError when record_data does not have a record's shape.
+    """
     xmin, xmax, ymin, ymax = spec.window
     W, H = spec.width, spec.height
 
@@ -138,7 +140,10 @@ def render_record_svg(record_data: dict, spec: PlotSpec) -> str:
         return f"{v:.2f}"
 
     from .bipoly import BiPoly
-    curve_terms = BiPoly.parse(record_data["curve"]["affine"]).terms
+    from .records import json_field, rat_field, rats_field
+    curve = json_field(record_data, "curve", dict)
+    curve_terms = BiPoly.parse(json_field(curve, "affine", str)).terms
+    aux = json_field(record_data, "aux", dict, {})
     xs = np.linspace(xmin, xmax, spec.grid + 1)
     ys = np.linspace(ymin, ymax, spec.grid + 1)
     out = []
@@ -170,16 +175,16 @@ def render_record_svg(record_data: dict, spec: PlotSpec) -> str:
                    f'stroke-width="{width}" fill="none"{dash_attr}/>')
 
     # auxiliary lines first (under the curve)
-    for line in record_data.get("aux", {}).get("lines", []):
-        u, v, w = (float(rat(c)) for c in line["coeffs"])
+    for line in json_field(aux, "lines", list, []):
+        u, v, w = (float(c) for c in rats_field(line, "coeffs", 3))
         seg = _clip_line(u, v, w, spec.window)
         if seg is None:
             continue
         pa, pb = to_px(seg[0], seg[1]), to_px(seg[2], seg[3])
         out.append(f'<line x1="{fmt(pa[0])}" y1="{fmt(pa[1])}" x2="{fmt(pb[0])}" '
                    f'y2="{fmt(pb[1])}" stroke="#888888" stroke-width="1"/>')
-    for conic in record_data.get("aux", {}).get("conics", []):
-        d1, d2, d3, d4 = (rat(c) for c in conic["coeffs"])
+    for conic in json_field(aux, "conics", list, []):
+        d1, d2, d3, d4 = rats_field(conic, "coeffs", 4)
         inner = {(0, 1): Fraction(1), (1, 0): d1, (0, 0): d2}
         from .bipoly import BiPoly as BP
         cp = BP(inner)
@@ -190,10 +195,10 @@ def render_record_svg(record_data: dict, spec: PlotSpec) -> str:
     # marked points with labels
     any_inside = False
     labels = []
-    for name, pd in sorted(record_data.get("points", {}).items()):
-        if pd["kind"] != "affine":
+    for name, pd in sorted(json_field(record_data, "points", dict, {}).items()):
+        if json_field(pd, "kind", str) != "affine":
             continue
-        x, y = float(rat(pd["x"])), float(rat(pd["y"]))
+        x, y = float(rat_field(pd, "x")), float(rat_field(pd, "y"))
         inside = xmin <= x <= xmax and ymin <= y <= ymax
         any_inside = any_inside or inside
         if not inside:

@@ -1,10 +1,12 @@
 """Exact rational scalars.
 
-All scalar arithmetic in this package runs on `fractions.Fraction`, which
-already guarantees the canonical form we rely on everywhere: reduced,
-positive denominator, structural equality.  This module adds the few
-helpers the rest of the code needs (parsing/printing the "p/q" wire
-format and integrality tests).
+Scalars in this package are `fractions.Fraction`, which guarantees the
+canonical form we rely on everywhere: reduced, positive denominator,
+structural equality.  The one exception is the coefficient storage of
+`series.PowerSeries`, which keeps integer numerators over one common
+denominator and builds a `Fraction` only when a coefficient is read.
+This module adds the few helpers the rest of the code needs
+(parsing/printing the "p/q" wire format and integrality tests).
 """
 
 from __future__ import annotations

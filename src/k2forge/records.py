@@ -17,7 +17,7 @@ from typing import Dict, List, Optional
 
 from .bipoly import BiPoly
 from .curves import CurvePoint, PlaneCurve
-from .errors import PreconditionError
+from .errors import PreconditionError, RecordFormatError
 from .rationals import rat, rat_str
 from .symbols import Certificate, FnElt, K2Element, SymbolPair
 
@@ -74,6 +74,62 @@ def _param_jsonable(v):
     return str(v)
 
 
+# ---------------------------------------------------------------------------
+# reading stored JSON: every wrong shape is a RecordFormatError
+# ---------------------------------------------------------------------------
+
+_REQUIRED = object()
+
+
+def json_object(d) -> dict:
+    """d itself, which must be a JSON object."""
+    if not isinstance(d, dict):
+        raise RecordFormatError(f"expected a JSON object, got {type(d).__name__}")
+    return d
+
+
+def json_field(d, key: str, kind, default=_REQUIRED):
+    """d[key], which must be of type `kind`; RecordFormatError for any other shape."""
+    if key not in json_object(d):
+        if default is _REQUIRED:
+            raise RecordFormatError(f"missing key {key!r}")
+        return default
+    value = d[key]
+    if not isinstance(value, kind):
+        raise RecordFormatError(f"{key!r} has type {type(value).__name__}")
+    return value
+
+
+def _as_rat(key: str, value) -> Fraction:
+    """value read as a "p/q" string or an integer."""
+    if isinstance(value, (str, int)):
+        try:
+            return rat(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise RecordFormatError(f"{key!r} is not a rational: {value!r}")
+
+
+def rat_field(d, key: str, default=_REQUIRED) -> Fraction:
+    return _as_rat(key, json_field(d, key, (str, int), default))
+
+
+def int_field(d, key: str, default=_REQUIRED) -> int:
+    value = json_field(d, key, (str, int), default)
+    try:
+        return int(value)
+    except ValueError:
+        raise RecordFormatError(f"{key!r} is not an integer: {value!r}") from None
+
+
+def rats_field(d, key: str, n: int) -> List[Fraction]:
+    """d[key] as a list of exactly n rationals."""
+    values = json_field(d, key, list)
+    if len(values) != n:
+        raise RecordFormatError(f"{key!r} needs {n} values, has {len(values)}")
+    return [_as_rat(key, v) for v in values]
+
+
 def point_jsonable(p: CurvePoint) -> dict:
     if p.is_affine:
         return {"kind": "affine", "x": rat_str(p.x), "y": rat_str(p.y)}
@@ -82,9 +138,10 @@ def point_jsonable(p: CurvePoint) -> dict:
 
 
 def point_from_json(d: dict) -> CurvePoint:
-    if d["kind"] == "affine":
-        return CurvePoint.affine(rat(d["x"]), rat(d["y"]))
-    return CurvePoint.at_infinity(rat(d["X"]), rat(d["Y"]), int(d.get("branch", 0)))
+    if json_field(d, "kind", str) == "affine":
+        return CurvePoint.affine(rat_field(d, "x"), rat_field(d, "y"))
+    return CurvePoint.at_infinity(rat_field(d, "X"), rat_field(d, "Y"),
+                                  int_field(d, "branch", 0))
 
 
 def _fnelt_jsonable(f: FnElt) -> dict:
@@ -98,12 +155,14 @@ def _fnelt_jsonable(f: FnElt) -> dict:
 
 
 def _fnelt_from_json(curve: PlaneCurve, d: dict) -> FnElt:
-    if "factors" in d:
-        out = FnElt.constant(curve, rat(d.get("scalar", "1")))
-        for fd in d["factors"]:
-            out = out * FnElt(curve, BiPoly.parse(fd["poly"])) ** int(fd["exp"])
+    if "factors" in json_object(d):
+        out = FnElt.constant(curve, rat_field(d, "scalar", "1"))
+        for fd in json_field(d, "factors", list):
+            poly = BiPoly.parse(json_field(fd, "poly", str))
+            out = out * FnElt(curve, poly) ** int_field(fd, "exp")
         return out
-    return FnElt(curve, BiPoly.parse(d["num"]), BiPoly.parse(d["den"]))
+    return FnElt(curve, BiPoly.parse(json_field(d, "num", str)),
+                 BiPoly.parse(json_field(d, "den", str)))
 
 
 def _element_jsonable(e: NamedElement) -> dict:
@@ -178,31 +237,35 @@ class LoadedRecord:
 
 
 def record_from_json(text: str) -> LoadedRecord:
+    """Decode a stored record.  Raises RecordFormatError when the JSON does
+    not have the record's shape, PreconditionError for an unsupported
+    schema or a marked point off the stored curve."""
     data = json.loads(text)
-    if data.get("k2forge_schema") != SCHEMA_VERSION:
+    if json_object(data).get("k2forge_schema") != SCHEMA_VERSION:
         raise PreconditionError("unsupported record schema")
-    curve = PlaneCurve(BiPoly.parse(data["curve"]["affine"]))
-    points = {name: point_from_json(d) for name, d in data["points"].items()}
+    curve = PlaneCurve(BiPoly.parse(json_field(json_field(data, "curve", dict), "affine", str)))
+    points = {name: point_from_json(d) for name, d in json_field(data, "points", dict).items()}
     for name, p in points.items():
         if not curve.contains(p):
             raise PreconditionError(f"point {name} does not lie on the stored curve")
     elements = []
-    for ed in data["elements"]:
+    for ed in json_field(data, "elements", list):
+        name = json_field(ed, "name", str)
         symbols = []
-        for sd in ed["symbols"]:
+        for sd in json_field(ed, "symbols", list):
             pairs = [
                 SymbolPair(
-                    _fnelt_from_json(curve, pd["f"]),
-                    _fnelt_from_json(curve, pd["h"]),
-                    int(pd["coefficient"]),
+                    _fnelt_from_json(curve, json_field(pd, "f", dict)),
+                    _fnelt_from_json(curve, json_field(pd, "h", dict)),
+                    int_field(pd, "coefficient"),
                 )
-                for pd in sd["pairs"]
+                for pd in json_field(sd, "pairs", list)
             ]
-            support = [point_from_json(pt) for pt in sd["support"]]
-            symbols.append(K2Element(pairs, support, name=ed["name"]))
-        verdicts = [cd["verdict"] for cd in ed["certificates"]]
-        elements.append(LoadedElement(ed["name"], ed["kind"], symbols, verdicts))
-    return LoadedRecord(data["family_id"], curve, points, elements, data)
+            support = [point_from_json(pt) for pt in json_field(sd, "support", list)]
+            symbols.append(K2Element(pairs, support, name=name))
+        verdicts = [json_field(cd, "verdict", str) for cd in json_field(ed, "certificates", list)]
+        elements.append(LoadedElement(name, json_field(ed, "kind", str), symbols, verdicts))
+    return LoadedRecord(json_field(data, "family_id", str), curve, points, elements, data)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,14 @@ valuation upward, and the (exclusive) truncation order: it represents
 sum c_k t^k for val <= k < prec, plus O(t^prec).  Branch expansions at
 infinity produce these, and tame-symbol evaluation consumes them.
 
+The coefficients are stored as integer numerators ``nums`` over one
+positive common denominator ``den``, kept reduced (gcd(den, *nums) = 1),
+so a product costs integer multiplications and one gcd sweep rather than
+one gcd per coefficient product (von zur Gathen and Gerhard, *Modern
+Computer Algebra*, ch. 8).  That pair is unique for given coefficients,
+so equality stays structural.  ``Fraction`` is built only at the edges:
+``coeff``, ``leading``, ``coeffs`` and ``repr``.
+
 Precision bookkeeping under multiplication and inversion follows the
 usual rules; inverting a series that is zero to its truncation raises
 InsufficientPrecisionError ("insufficient precision").
@@ -13,7 +21,9 @@ InsufficientPrecisionError ("insufficient precision").
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from math import gcd, lcm
+from operator import mul
+from typing import Optional, Sequence, Tuple
 
 from .errors import InsufficientPrecisionError, PreconditionError
 from .rationals import rat
@@ -29,46 +39,61 @@ def default_order(max_pole_order: int) -> int:
 class PowerSeries:
     """Laurent series with exact coefficients and explicit truncation."""
 
-    __slots__ = ("val", "coeffs", "prec")
+    __slots__ = ("val", "nums", "den", "prec")
 
     def __init__(self, val: int, coeffs: Sequence, prec: int):
-        cs = [rat(c) for c in coeffs]
-        # normalize: strip leading zeros (raising val), drop tail beyond prec
-        while cs and cs[0] == 0:
-            cs.pop(0)
-            val += 1
-        if val + len(cs) > prec:
-            cs = cs[: max(0, prec - val)]
-            while cs and cs[0] == 0:
-                cs.pop(0)
-                val += 1
-        if not cs:
-            val = prec
-        self.val = val
-        self.coeffs = tuple(cs)
+        cs = [rat(c) for c in coeffs[: max(prec - val, 0)]]
+        den = lcm(*(c.denominator for c in cs))
+        self._set(val, [c.numerator * (den // c.denominator) for c in cs], den, prec)
+
+    def _set(self, val: int, nums: Sequence[int], den: int, prec: int):
+        """Store sum nums[i]/den t^(val+i) + O(t^prec) in reduced form; den > 0."""
+        if len(nums) > prec - val:
+            nums = nums[: max(prec - val, 0)]
+        lo = next((i for i, c in enumerate(nums) if c), None)
+        if lo is None:
+            self.val, self.nums, self.den = prec, (), 1
+        else:
+            g = gcd(den, *nums)
+            self.val = val + lo
+            self.nums = tuple(c // g for c in nums[lo:]) if g > 1 else tuple(nums[lo:])
+            self.den = den // g
         self.prec = prec
 
     # -- constructors ----------------------------------------------------
     @staticmethod
+    def from_ints(val: int, nums: Sequence[int], den: int, prec: int) -> "PowerSeries":
+        """sum nums[i]/den t^(val+i) + O(t^prec), reduced; den > 0."""
+        s = PowerSeries.__new__(PowerSeries)
+        s._set(val, nums, den, prec)
+        return s
+
+    @staticmethod
     def zero(prec: int) -> "PowerSeries":
-        return PowerSeries(prec, (), prec)
+        return PowerSeries.from_ints(prec, (), 1, prec)
 
     @staticmethod
     def const(c, prec: int) -> "PowerSeries":
-        return PowerSeries(0, (rat(c),), prec)
+        return PowerSeries.t_power(0, prec, c)
 
     @staticmethod
     def t_power(k: int, prec: int, coeff=1) -> "PowerSeries":
-        return PowerSeries(k, (rat(coeff),), prec)
+        c = rat(coeff)
+        return PowerSeries.from_ints(k, (c.numerator,), c.denominator, prec)
 
     @staticmethod
     def from_unipoly(p, prec: int) -> "PowerSeries":
-        return PowerSeries(0, list(p.coeffs), prec)
+        return PowerSeries(0, p.coeffs, prec)
 
     # -- inspection --------------------------------------------------------
+    @property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        """The coefficients from t^val upward, as Fractions (read-only)."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
+
     def is_zero(self) -> bool:
         """Zero to the stated truncation order."""
-        return not self.coeffs
+        return not self.nums
 
     def valuation(self) -> Optional[int]:
         """Leading exponent; None when zero to truncation."""
@@ -77,54 +102,51 @@ class PowerSeries:
     def coeff(self, k: int) -> Fraction:
         if k >= self.prec:
             raise InsufficientPrecisionError(f"coefficient of t^{k} beyond truncation {self.prec}")
-        if k < self.val or k - self.val >= len(self.coeffs):
+        if k < self.val or k - self.val >= len(self.nums):
             return Fraction(0)
-        return self.coeffs[k - self.val]
+        return Fraction(self.nums[k - self.val], self.den)
 
     def leading(self) -> Fraction:
         if self.is_zero():
             raise InsufficientPrecisionError("insufficient precision: series is zero to truncation")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     # -- arithmetic -----------------------------------------------------------
-    def _aligned(self, other: "PowerSeries"):
+    def _combine(self, other, sign: int) -> "PowerSeries":
+        """self + sign * other over the lcm of the two denominators."""
+        if isinstance(other, (int, Fraction)):
+            other = PowerSeries.const(other, self.prec)
         prec = min(self.prec, other.prec)
         lo = min(self.val, other.val, prec)
-        return prec, lo
+        den = lcm(self.den, other.den)
+        out = [0] * (prec - lo)
+        for s, f in ((self, den // self.den), (other, sign * den // other.den)):
+            for k, c in enumerate(s.nums[: max(prec - s.val, 0)], s.val - lo):
+                out[k] += c * f
+        return PowerSeries.from_ints(lo, out, den, prec)
 
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        if isinstance(other, (int, Fraction)):
-            other = PowerSeries.const(other, self.prec)
-        prec, lo = self._aligned(other)
-        out = [self.coeff(k) + other.coeff(k) for k in range(lo, prec)]
-        return PowerSeries(lo, out, prec)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        if isinstance(other, (int, Fraction)):
-            other = PowerSeries.const(other, self.prec)
-        prec, lo = self._aligned(other)
-        out = [self.coeff(k) - other.coeff(k) for k in range(lo, prec)]
-        return PowerSeries(lo, out, prec)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "PowerSeries":
-        return PowerSeries(self.val, [-c for c in self.coeffs], self.prec)
+        return PowerSeries.from_ints(self.val, [-c for c in self.nums], self.den, self.prec)
 
     def __mul__(self, other) -> "PowerSeries":
         if isinstance(other, (int, Fraction)):
-            q = rat(other)
-            return PowerSeries(self.val, [c * q for c in self.coeffs], self.prec)
+            return PowerSeries.from_ints(self.val, [c * other.numerator for c in self.nums],
+                                         self.den * other.denominator, self.prec)
         # a zero series O(t^prec) has val = prec, so one rule covers it
         prec = min(self.prec + other.val, other.prec + self.val)
         val = self.val + other.val
-        n = prec - val
-        out = [Fraction(0)] * n
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            jmax = min(len(other.coeffs), n - i)
-            for j in range(jmax):
-                out[i + j] += a * other.coeffs[j]
-        return PowerSeries(val, out, prec)
+        a, rb = self.nums, other.nums[::-1]
+        lb = len(rb)
+        # schoolbook: out[k] = sum a[i] * b[k - i]; rb[lb - 1 - k + i] is b[k - i]
+        out = [sum(map(mul, a[max(0, k - lb + 1): k + 1], rb[max(lb - 1 - k, 0):]))
+               for k in range(prec - val)]
+        return PowerSeries.from_ints(val, out, self.den * other.den, prec)
 
     __rmul__ = __mul__
     __radd__ = __add__
@@ -136,19 +158,22 @@ class PowerSeries:
         """Multiplicative inverse; error if zero to truncation."""
         if self.is_zero():
             raise InsufficientPrecisionError("insufficient precision: cannot invert zero series")
-        v = self.val
-        n = self.prec - v  # known unit-part terms
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        inv0 = 1 / a[0]
-        out = [Fraction(0)] * n
-        out[0] = inv0
+        a, n = self.nums, self.prec - self.val  # n known unit-part terms
+        # 1/sum a_i t^i = sum b_k t^k with b_0 = 1/a_0 and
+        # b_k = -(sum_{i=1..k} a_i b_(k-i)) / a_0, each b_k = beta_k / q
+        beta, q = ([1], a[0]) if a[0] > 0 else ([-1], -a[0])
         for k in range(1, n):
-            s = Fraction(0)
-            for i in range(1, k + 1):
-                if i < len(a) and a[i]:
-                    s += a[i] * out[k - i]
-            out[k] = -inv0 * s
-        return PowerSeries(-v, out, n - v)
+            s = -sum(map(mul, a[1: k + 1], reversed(beta[max(k - len(a) + 1, 0): k])))
+            g = gcd(s, a[0] * q)
+            num, den = s // g, a[0] * q // g
+            if den < 0:
+                num, den = -num, -den
+            m = den // gcd(den, q)  # q * m = lcm(q, den)
+            if m > 1:
+                beta = [b * m for b in beta]
+                q *= m
+            beta.append(num * (q // den))
+        return PowerSeries.from_ints(-self.val, [b * self.den for b in beta], q, n - self.val)
 
     def __truediv__(self, other: "PowerSeries") -> "PowerSeries":
         if isinstance(other, (int, Fraction)):
@@ -175,25 +200,27 @@ class PowerSeries:
             raise PreconditionError("cannot compose a Laurent tail")
         prec = inner.prec
         acc = PowerSeries.zero(prec)
-        for c in reversed(list(self.coeffs)):
+        for c in reversed(self.nums):
             acc = acc * inner + PowerSeries.const(c, prec)
         if self.val > 0:
             acc = acc * inner**self.val
-        return acc
+        return acc * Fraction(1, self.den)
 
     def truncate(self, prec: int) -> "PowerSeries":
         if prec >= self.prec:
             return self
-        return PowerSeries(self.val, self.coeffs, prec)
+        return PowerSeries.from_ints(self.val, self.nums, self.den, prec)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             q = rat(other)
             if q == 0:
                 return self.is_zero()
-            return (not self.is_zero()) and self.val == 0 and len(self.coeffs) == 1 and self.coeffs[0] == q
+            return (self.val == 0 and self.nums == (q.numerator,)
+                    and self.den == q.denominator)
         if isinstance(other, PowerSeries):
-            return self.val == other.val and self.coeffs == other.coeffs and self.prec == other.prec
+            return (self.val == other.val and self.nums == other.nums
+                    and self.den == other.den and self.prec == other.prec)
         return NotImplemented
 
     def __repr__(self):

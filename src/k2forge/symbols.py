@@ -30,7 +30,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .bipoly import BiPoly
 from .branches import (Branch, _eval_series, branch_at_affine,
                        branches_at_infinity)
-from .curves import CurvePoint, PlaneCurve, fulton_multiplicity, rational_common_zeros
+from .curves import (CurvePoint, PlaneCurve, fulton_multiplicity, intersection_multiplicity,
+                     rational_common_zeros)
 from .errors import (NonRationalSupportError, PreconditionError,
                      VerificationError)
 from .rationals import rat, rat_str
@@ -314,7 +315,6 @@ class SymbolEngine:
         self._affine: Dict[CurvePoint, Branch] = {}
         self._infinity: Optional[Dict[CurvePoint, Branch]] = None
         self._val_lead_cache: Dict[Tuple[BiPoly, CurvePoint], Tuple[int, Fraction]] = {}
-        self._ord_cache: Dict[Tuple[BiPoly, CurvePoint], int] = {}
 
     # -- branches -----------------------------------------------------
     def infinity_branches(self) -> List[Branch]:
@@ -341,7 +341,12 @@ class SymbolEngine:
 
     # -- series valuation / leading coefficient ------------------------
     def val_lead(self, poly: BiPoly, p: CurvePoint) -> Tuple[int, Fraction]:
-        """Valuation and leading coefficient of poly along the branch at p."""
+        """Valuation and leading coefficient of poly along the branch at p.
+
+        At an affine point the valuation comes twice, from the intersection
+        reduction and from the series, and a mismatch raises
+        VerificationError.
+        """
         if poly.is_zero():
             raise PreconditionError("zero function")
         if poly.total_degree == 0:
@@ -356,6 +361,20 @@ class SymbolEngine:
 
     def _val_lead_uncached(self, poly: BiPoly, p: CurvePoint) -> Tuple[int, Fraction]:
         br = self.branch(p)
+        if p.is_affine:
+            c = poly(p.x, p.y)
+            if c != 0:
+                return 0, c
+            # the valuation is the intersection multiplicity m, so m + 1
+            # terms of the series decide it; the two routes must agree
+            m = intersection_multiplicity(self.curve, poly, p)
+            x, y = br.xy(m + 1)
+            ser = _eval_series(poly, x, y, m + 1)
+            if ser.valuation() != m:
+                got = f"> {m}" if ser.is_zero() else ser.val
+                raise VerificationError(
+                    f"ord bookkeeping wrong at {p.label()}: reduction gives {m}, series gives {got}")
+            return m, ser.leading()
         d = self.curve.degree
         bound = poly.total_degree * d + d + 2
         prec = default_order(max(d, poly.total_degree))
@@ -375,26 +394,7 @@ class SymbolEngine:
             if poly.is_zero():
                 raise PreconditionError("zero function")
             return 0
-        key = (poly, p)
-        hit = self._ord_cache.get(key)
-        if hit is not None:
-            return hit
-        if p.is_affine:
-            if self.curve.affine(p.x, p.y) != 0:
-                raise PreconditionError(f"point {p.label()} not on the curve")
-            if poly(p.x, p.y) != 0:
-                m = 0
-            else:
-                from .curves import intersection_multiplicity
-                m = intersection_multiplicity(self.curve, poly, p)
-                v, _ = self.val_lead(poly, p)
-                if v != m:
-                    raise VerificationError(
-                        f"ord bookkeeping wrong at {p.label()}: reduction gives {m}, series gives {v}")
-        else:
-            m, _ = self.val_lead(poly, p)
-        self._ord_cache[key] = m
-        return m
+        return self.val_lead(poly, p)[0]
 
     def ord(self, f: FnElt, p: CurvePoint) -> int:
         return sum(e * self.ord_poly(poly, p) for poly, e in f.factors)
@@ -430,17 +430,11 @@ class SymbolEngine:
 
         At affine points the orders come from the reduction algorithm and
         the leading coefficients from the branch series; the two routes
-        are reconciled factor by factor inside ord_poly, so a mismatch
+        are reconciled factor by factor inside val_lead, so a mismatch
         surfaces as a VerificationError rather than a wrong certificate.
         """
-        f, h = pair.f, pair.h
-        vf, lead_f = self.fn_val_lead(f, p)
-        vh, lead_h = self.fn_val_lead(h, p)
-        m = self.ord(f, p)
-        n = self.ord(h, p)
-        if (m, n) != (vf, vh):
-            raise VerificationError(
-                f"ord bookkeeping wrong at {p.label()}: ({m},{n}) vs ({vf},{vh})")
+        m, lead_f = self.fn_val_lead(pair.f, p)
+        n, lead_h = self.fn_val_lead(pair.h, p)
         sign = -1 if (m * n) % 2 else 1
         value = sign * lead_f**n / lead_h**m
         if value == 0:
@@ -729,7 +723,6 @@ def _full_affine_intersection(eng: SymbolEngine, poly: BiPoly):
     zs = rational_common_zeros(curve.affine, poly)
     if zs is None:
         raise VerificationError("auxiliary curve shares a component with the curve")
-    from .curves import intersection_multiplicity
     out = []
     total = 0
     for (x0, y0) in zs:

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 import sympy
@@ -255,6 +256,98 @@ def test_series_invert_round_trip_100():
         prod = s * s.invert()
         assert prod.valuation() == 0 and prod.leading() == 1
         assert (prod - PowerSeries.const(1, prod.prec)).is_zero()
+
+
+# A naive reference series: (val, list of Fraction coefficients, prec), with
+# the truncation and valuation rules the series contract states.
+
+def _ref(val, cs, prec):
+    cs = list(cs[: max(prec - val, 0)])
+    while cs and cs[0] == 0:
+        cs.pop(0)
+        val += 1
+    return (val, cs, prec) if cs else (prec, [], prec)
+
+
+def _ref_coeff(a, k):
+    val, cs, _ = a
+    return cs[k - val] if 0 <= k - val < len(cs) else F(0)
+
+
+def _ref_add(a, b, sign=1):
+    prec = min(a[2], b[2])
+    lo = min(a[0], b[0], prec)
+    return _ref(lo, [_ref_coeff(a, k) + sign * _ref_coeff(b, k) for k in range(lo, prec)], prec)
+
+
+def _ref_scale(a, q):
+    return _ref(a[0], [c * q for c in a[1]], a[2])
+
+
+def _ref_mul(a, b):
+    prec = min(a[2] + b[0], b[2] + a[0])
+    val = a[0] + b[0]
+    out = [F(0)] * max(prec - val, 0)
+    for i, x in enumerate(a[1]):
+        for j, y in enumerate(b[1]):
+            if i + j < len(out):
+                out[i + j] += x * y
+    return _ref(val, out, prec)
+
+
+def _ref_invert(a):
+    val, cs, prec = a
+    n = prec - val
+    cs = cs + [F(0)] * (n - len(cs))
+    out = [1 / cs[0]]
+    for k in range(1, n):
+        out.append(-sum(cs[i] * out[k - i] for i in range(1, k + 1)) / cs[0])
+    return _ref(-val, out, n - val)
+
+
+def _ref_compose(a, inner):
+    prec = inner[2]
+    acc = _ref(prec, [], prec)
+    for c in reversed(a[1]):
+        acc = _ref_add(_ref_mul(acc, inner), _ref(0, [c], prec))
+    for _ in range(a[0]):
+        acc = _ref_mul(acc, inner)
+    return acc
+
+
+def _as_ref(s):
+    assert s.den > 0 and gcd(s.den, *s.nums) == 1
+    assert s.nums[0] != 0 if s.nums else s.is_zero() and s.val == s.prec
+    assert isinstance(s.coeffs, tuple) and all(type(c) is F for c in s.coeffs)
+    return (s.val, list(s.coeffs), s.prec)
+
+
+small_fractions = st.builds(F, st.integers(-40, 40), st.integers(1, 12))
+# zeros are frequent, so leading zeros, zero series and cancellation occur
+series_coeffs = st.lists(st.just(F(0)) | small_fractions, max_size=6)
+series_args = st.tuples(st.integers(-3, 3), series_coeffs, st.integers(-2, 8))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(series_args, series_args, small_fractions)
+def test_series_arithmetic_matches_fraction_reference(a_args, b_args, q):
+    (va, ca, pa), (vb, cb, pb) = a_args, b_args
+    a, b = PowerSeries(va, ca, va + pa), PowerSeries(vb, cb, vb + pb)
+    ra, rb = _ref(va, ca, va + pa), _ref(vb, cb, vb + pb)
+    assert _as_ref(a) == ra and _as_ref(b) == rb
+    assert _as_ref(a + b) == _ref_add(ra, rb)
+    assert _as_ref(a - b) == _ref_add(ra, rb, -1)
+    assert _as_ref(-a) == _ref_scale(ra, -1)
+    assert _as_ref(a * q) == _ref_scale(ra, q)
+    assert _as_ref(a * 3) == _ref_scale(ra, 3)
+    assert _as_ref(a * b) == _ref_mul(ra, rb)
+    assert _as_ref(a.truncate(va + 2)) == _ref(ra[0], ra[1], min(va + 2, ra[2]))
+    assert (a == b) == (ra == rb)
+    assert (a == a * 1) and (a == PowerSeries(*ra))
+    if not a.is_zero() and a.prec - a.val < 12:
+        assert _as_ref(a.invert()) == _ref_invert(ra)
+    if a.val >= 0:
+        assert _as_ref(a.compose(b)) == _ref_compose(ra, rb)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from k2forge import families as fam
+from k2forge import cli, families as fam
 from k2forge.cli import main
-from k2forge.errors import VerificationError
+from k2forge.errors import InsufficientPrecisionError, VerificationError
 from k2forge.records import (record_from_json, record_to_json, params_hash)
 from k2forge.symbols import SymbolEngine, verify_k2t
 from test_acceptance import SMOKE_TUPLES
@@ -67,6 +67,37 @@ def test_cli_verify_tampered_exits_3(tmp_path, hyp_record_json):
     p = tmp_path / "tampered.json"
     p.write_text(json.dumps(data))
     assert main(["verify", str(p)]) == 3
+
+
+MALFORMED = {
+    "number": lambda d: 5,
+    "array": lambda d: [],
+    "curve-number": lambda d: {**d, "curve": 5},
+    "no-curve": lambda d: {k: v for k, v in d.items() if k != "curve"},
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "plot"])
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_cli_malformed_record_exits_1(command, case, hyp_record_json, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(MALFORMED[case](json.loads(hyp_record_json))))
+    svg = tmp_path / "bad.svg"
+    extra = ["--out", str(svg)] if command == "plot" else []
+    assert main([command, str(path)] + extra) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("cannot read record: ")
+    assert "Traceback" not in err
+    assert not svg.exists()
+
+
+def test_cli_insufficient_precision_exits_3(monkeypatch, capsys):
+    def short_series(t):
+        raise InsufficientPrecisionError("insufficient precision: series is zero to truncation")
+    monkeypatch.setitem(cli.GENERATORS, "quartic-ct", short_series)
+    assert main(["gen", "quartic-ct", "--t", "0"]) == 3
+    err = capsys.readouterr().err
+    assert err == "verification failure: insufficient precision: series is zero to truncation\n"
 
 
 def test_cli_catalog_count_and_idempotence(tmp_path, capsys):

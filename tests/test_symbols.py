@@ -10,6 +10,7 @@ from k2forge.bipoly import BiPoly
 from k2forge.curves import CurvePoint, PlaneCurve
 from k2forge.errors import (NonRationalSupportError, PreconditionError,
                             VerificationError)
+from k2forge import symbols
 from k2forge.families import _thm53_polys, gen_nekovar_3tor
 from k2forge.symbols import (FnElt, K2Element, SymbolEngine, SymbolPair,
                              TorsionFunction, construction_torsion,
@@ -57,6 +58,26 @@ def test_ord_of_tangent_power_is_exact(quartic):
     # reduction takes many steps, and ord_poly checks it against the series
     curve, _, pts = quartic
     assert SymbolEngine(curve).ord_poly(BiPoly.parse("y + x")**7, pts["Q"]) == 21
+
+
+def test_val_lead_sizes_affine_branches_exactly(quartic):
+    curve, _, pts = quartic
+    eng = SymbolEngine(curve)
+    # a unit at the point: its value, with no branch expansion
+    assert eng.val_lead(BiPoly.parse("x - 1"), pts["Q"]) == (0, F(-3, 4))
+    assert eng.branch(pts["Q"])._cached is None
+    # the tangent at Q has contact m = 3: the branch is expanded to m + 1 terms
+    assert eng.val_lead(BiPoly.parse("y + x"), pts["Q"])[0] == 3
+    x, y = eng.branch(pts["Q"])._cached
+    assert min(x.prec, y.prec) == 4
+
+
+@pytest.mark.parametrize("skew", [-1, 1])
+def test_val_lead_rejects_a_reduction_the_series_contradicts(quartic, monkeypatch, skew):
+    curve, _, pts = quartic
+    monkeypatch.setattr(symbols, "intersection_multiplicity", lambda c, f, p: 3 + skew)
+    with pytest.raises(VerificationError, match=f"reduction gives {3 + skew}, series gives"):
+        SymbolEngine(curve).val_lead(BiPoly.parse("y + x"), pts["Q"])
 
 
 def test_ord_of_constant_is_zero(quartic):
