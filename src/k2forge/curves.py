@@ -7,23 +7,25 @@ curves with no common component and agrees with the local-ring
 definition.  Points at infinity are handled by moving to the chart Y=1
 or X=1 where they become affine.
 
-Projective smoothness is decided exactly through the Macaulay resultant
-of the three partial derivatives: a nonzero Macaulay determinant
-certifies smoothness, a zero determinant with nonzero extraneous minor
-certifies a singular point over the algebraic closure.  Only then does
-a separate search look for a rational singular witness.
+Projective smoothness is decided exactly through the resultant of the
+three partial derivatives.  Macaulay's determinant, taken modulo one
+61-bit prime after one fixed coordinate change, certifies smoothness when
+its residue is nonzero.  On a zero residue a search looks for a rational
+singular witness, and failing one, Canny's generalised characteristic
+polynomial gives the resultant exactly in original coordinates, even
+where Macaulay's extraneous minor vanishes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import List, Optional, Tuple, Union
+from math import gcd, lcm
+from typing import Dict, List, Optional, Tuple, Union
 
 from .bipoly import BiPoly, TriPoly
 from .errors import PreconditionError, VerificationError
-from .linalg import bareiss_det
+from .linalg import bareiss_det, vandermonde_solve
 from .rationals import rat, rat_str
 from .unipoly import UniPoly
 
@@ -156,8 +158,8 @@ class PlaneCurve:
     """A plane curve over Q, given by its affine polynomial F(x, y).
 
     The homogeneous form is derived by homogenizing to the total degree.
-    The affine polynomial must be squarefree; this is probed through
-    discriminants of pencil-of-line sections.
+    The affine polynomial must be squarefree; this is decided exactly
+    through a family of parallel line sections (`_is_squarefree`).
     """
 
     __slots__ = ("affine", "hom", "degree")
@@ -168,7 +170,7 @@ class PlaneCurve:
         self.affine = affine
         self.degree = affine.total_degree
         self.hom = affine.homogenize()
-        if check_squarefree and not _squarefree_probe(affine):
+        if check_squarefree and not _is_squarefree(affine):
             raise PreconditionError("curve polynomial has a repeated factor")
 
     def chart(self, name: str) -> BiPoly:
@@ -213,35 +215,20 @@ class PlaneCurve:
         return f"PlaneCurve({self.canonical()})"
 
 
-def _squarefree_probe(f: BiPoly, tries: int = 8) -> bool:
-    """Squarefreeness via discriminants of line sections.
+def _is_squarefree(f: BiPoly) -> bool:
+    """Exact squarefreeness test through parallel line sections.
 
-    A repeated factor forces every line section to have a repeated root;
-    one squarefree section certifies squarefreeness.
+    Along y = c*x + k, with c the first of 0..d at which the top-degree
+    form is nonzero at (1, c), every section has full degree d.  The
+    discriminant of the section is a polynomial in k of degree at most
+    d(d-1), nonzero exactly when f is squarefree; so f is squarefree iff
+    one of the first d(d-1) + 1 values of k gives a squarefree section.
     """
-    if f.total_degree == 0:
-        return True
-    probes = [(1, 0, 0, 1), (0, 1, 1, 0), (1, 1, 1, -1), (1, 2, 3, 5), (2, -1, 1, 3),
-              (1, -2, 2, 7), (3, 1, -1, 2), (5, 3, 2, -4)]
-    for (a, b, c, d) in probes[:tries]:
-        # section along x = a*t + b, y = c*t + d
-        sec_terms = {}
-        t = UniPoly([rat(b), rat(a)])
-        s = UniPoly([rat(d), rat(c)])
-        acc = UniPoly.zero()
-        tp = {0: UniPoly.const(1)}
-        sp = {0: UniPoly.const(1)}
-        for (i, j), cf in f.terms.items():
-            if i not in tp:
-                for k in range(max(tp) + 1, i + 1):
-                    tp[k] = tp[k - 1] * t
-            if j not in sp:
-                for k in range(max(sp) + 1, j + 1):
-                    sp[k] = sp[k - 1] * s
-            acc = acc + tp[i] * sp[j] * cf
-        if acc.degree >= 1 and acc.is_squarefree():
-            return True
-    return False
+    d = f.total_degree
+    top = [(j, cf) for (i, j), cf in f.terms.items() if i + j == d]
+    c = next(c for c in range(d + 1) if sum(cf * c**j for j, cf in top) != 0)
+    sheared = f.substitute(BiPoly.x(), BiPoly.y() + BiPoly.x() * c)
+    return any(sheared.eval_y(k).is_squarefree() for k in range(d * (d - 1) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -382,70 +369,156 @@ class SmoothnessReport:
         return self.smooth
 
 
-def _int_coeff_rows(monomials: List[Tuple[int, int, int]], rows_spec):
-    index = {m: k for k, m in enumerate(monomials)}
-    rows = []
-    for shift, form in rows_spec:
-        row = [0] * len(monomials)
-        den = 1
-        for key, c in form.terms.items():
-            den = den * c.denominator // gcd(den, c.denominator)
-        for key, c in form.terms.items():
-            mono = (key[0] + shift[0], key[1] + shift[1], key[2] + shift[2])
-            row[index[mono]] = int(c * den)
-        rows.append(row)
-    return rows
+# The modular certificate works modulo one fixed 61-bit prime, after one
+# fixed change of coordinates.  Any invertible map keeps smoothness, and
+# determinant -1 keeps it invertible modulo every prime; a generic map keeps
+# Macaulay's extraneous minor from vanishing for structural reasons, as it
+# does in original coordinates for sparse equations such as quartic-ct's.
+_PRIME = 2**61 - 1
+_COORDINATE_CHANGE = ((1, 2, -1), (2, 5, 1), (-1, -1, 3))
+
+Form = Dict[Tuple[int, int, int], int]
 
 
-def macaulay_nonzero(g1: TriPoly, g2: TriPoly, g3: TriPoly) -> Optional[bool]:
-    """Decide whether Res(g1, g2, g3) != 0 for ternary forms of equal degree.
+def _integer_form(hom: TriPoly) -> Form:
+    """hom scaled by the lcm of its denominators, as integer coefficients."""
+    den = lcm(*(c.denominator for c in hom.terms.values()))
+    return {key: int(c * den) for key, c in hom.terms.items()}
 
-    Returns True (no common projective zero), False (common zero), or
-    None when the extraneous minor also vanishes (caller retries after a
-    coordinate change).
+
+def _form_mul(a: Form, b: Form, p: int) -> Form:
+    out: Form = {}
+    for (i1, j1, k1), v1 in a.items():
+        for (i2, j2, k2), v2 in b.items():
+            key = (i1 + i2, j1 + j2, k1 + k2)
+            out[key] = (out.get(key, 0) + v1 * v2) % p
+    return out
+
+
+def _coordinate_change_mod(form: Form, degree: int, p: int) -> Form:
+    """form(A*(X, Y, Z)) mod p for A = _COORDINATE_CHANGE."""
+    powers = []
+    for a, b, c in _COORDINATE_CHANGE:
+        lin = {(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c}
+        pw = [{(0, 0, 0): 1}]
+        for _ in range(degree):
+            pw.append(_form_mul(pw[-1], lin, p))
+        powers.append(pw)
+    out: Form = {}
+    for (i, j, k), c in form.items():
+        term = _form_mul(_form_mul(powers[0][i], powers[1][j], p), powers[2][k], p)
+        for key, v in term.items():
+            out[key] = (out.get(key, 0) + c * v) % p
+    return out
+
+
+def _partials(form: Form) -> List[Form]:
+    """The X, Y and Z partial derivatives of an integer form."""
+    out = []
+    for v in range(3):
+        g: Form = {}
+        for key, c in form.items():
+            if key[v]:
+                g[key[:v] + (key[v] - 1,) + key[v + 1:]] = c * key[v]
+        out.append(g)
+    return out
+
+
+def _macaulay_matrix(gs: List[Form], m: int) -> Tuple[List[List[int]], List[int]]:
+    """Macaulay's matrix for three ternary forms of degree m >= 1.
+
+    Rows and columns are both indexed by the monomials of degree 3m - 2;
+    the row of a monomial is g_v times its quotient by V^m, for the first
+    variable V whose m-th power divides it, so the V^m term of g_v lands
+    on the diagonal.  Also returns the indices of the non-reduced
+    monomials (divisible by two of X^m, Y^m, Z^m), which span the
+    extraneous minor.
     """
-    m = g1.degree
-    if g2.degree != m or g3.degree != m:
-        raise PreconditionError("Macaulay resultant needs equal degrees")
-    if m == 0:
-        return not (g1.is_zero() and g2.is_zero() and g3.is_zero())
     t = 3 * m - 2
-    monos = [
-        (i, j, t - i - j)
-        for i in range(t + 1)
-        for j in range(t - i + 1)
-    ]
-    rows_spec = []
-    reduced_flags = []
-    for mono in monos:
-        i, j, k = mono
-        big = [i >= m, j >= m, k >= m]
-        if big[0]:
-            rows_spec.append(((i - m, j, k), g1))
-        elif big[1]:
-            rows_spec.append(((i, j - m, k), g2))
-        else:
-            rows_spec.append(((i, j, k - m), g3))
-        reduced_flags.append(sum(big) == 1)
-    rows = _int_coeff_rows(monos, rows_spec)
-    big_det = bareiss_det([row[:] for row in rows], exact_div=lambda a, b: a // b)
-    if big_det != 0:
-        return True
-    nonred = [idx for idx, flag in enumerate(reduced_flags) if not flag]
-    minor = [[rows[r][c] for c in nonred] for r in nonred]
-    minor_det = bareiss_det(minor, exact_div=lambda a, b: a // b)
-    if minor_det != 0:
-        return False
-    return None
+    monos = [(i, j, t - i - j) for i in range(t + 1) for j in range(t - i + 1)]
+    index = {mono: n for n, mono in enumerate(monos)}
+    rows, nonreduced = [], []
+    for n, mono in enumerate(monos):
+        big = [e >= m for e in mono]
+        v = big.index(True)
+        shift = mono[:v] + (mono[v] - m,) + mono[v + 1:]
+        row = [0] * len(monos)
+        for (i, j, k), c in gs[v].items():
+            row[index[(i + shift[0], j + shift[1], k + shift[2])]] = c
+        rows.append(row)
+        if sum(big) > 1:
+            nonreduced.append(n)
+    return rows, nonreduced
 
 
-_RETRY_MAPS = [
-    [[1, 1, 0], [0, 1, 0], [0, 0, 1]],
-    [[1, 0, 0], [0, 1, 1], [1, 0, 1]],
-    [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
-    [[1, 2, 1], [0, 1, 3], [1, 1, 1]],
-    [[2, 1, 1], [1, 3, 1], [1, 1, 4]],
-]
+def _nonsingular_mod(rows: List[List[int]], p: int) -> bool:
+    """True when the square integer matrix is invertible modulo the prime p."""
+    rows = [[v % p for v in row] for row in rows]
+    n = len(rows)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if rows[r][c]), None)
+        if piv is None:
+            return False
+        rows[c], rows[piv] = rows[piv], rows[c]
+        inv = pow(rows[c][c], -1, p)
+        pivot_row = [v * inv % p for v in rows[c][c + 1:]]
+        # column c of the rows below is never read again, so it is left
+        for r in range(c + 1, n):
+            f = rows[r][c]
+            if f:
+                rows[r][c + 1:] = [(a - f * b) % p for a, b in zip(rows[r][c + 1:], pivot_row)]
+    return True
+
+
+def macaulay_nonzero(hom: TriPoly) -> bool:
+    """One-sided modular certificate that the curve hom = 0 is smooth.
+
+    Clears denominators, applies _COORDINATE_CHANGE, and eliminates the
+    Macaulay matrix of the three partials modulo _PRIME.  Its integer
+    determinant is Res(partials) times the extraneous minor, so a nonzero
+    residue proves that the partials have no common projective zero: the
+    curve is smooth.  False proves nothing.
+    """
+    p = _PRIME
+    form = _coordinate_change_mod(_integer_form(hom), hom.degree, p)
+    rows, _ = _macaulay_matrix(_partials(form), hom.degree - 1)
+    return _nonsingular_mod(rows, p)
+
+
+def _int_det(matrix: List[List[int]]) -> int:
+    return bareiss_det(matrix, exact_div=lambda a, b: a // b)
+
+
+def _canny_resultant(gs: List[Form], m: int) -> Fraction:
+    """Res(g1, g2, g3) exactly, for integer ternary forms of degree m >= 1.
+
+    Canny's generalised characteristic polynomial C(s) = det(M - sI) /
+    det(M' - sI), with M Macaulay's matrix and M' its extraneous minor, is
+    a polynomial of degree len(M) - len(M') with C(0) = Res even when M'
+    is singular (J. Canny, J. Symbolic Comput. 9, 1990).  C is read at
+    the first integers k >= 0 where det(M' - kI) != 0, of which there are
+    at most len(M') exceptions, and interpolated at 0.
+    """
+    rows, nonreduced = _macaulay_matrix(gs, m)
+    minor = [[rows[r][c] for c in nonreduced] for r in nonreduced]
+    deg = len(rows) - len(minor)
+
+    def shifted(a: List[List[int]], k: int) -> List[List[int]]:
+        return [[v - k if r == c else v for c, v in enumerate(row)] for r, row in enumerate(a)]
+
+    nodes: List[int] = []
+    values: List[Fraction] = []
+    k = 0
+    while len(nodes) <= deg:
+        below = _int_det(shifted(minor, k))
+        if below:
+            value = Fraction(_int_det(shifted(rows, k)), below)
+            if k == 0:
+                return value
+            nodes.append(k)
+            values.append(value)
+        k += 1
+    return vandermonde_solve(nodes, values)[0]
 
 
 def _rational_singular_point(curve: PlaneCurve) -> Optional[CurvePoint]:
@@ -505,31 +578,19 @@ def rational_common_zeros(p1: BiPoly, p2: BiPoly) -> Optional[List[Tuple[Fractio
     return out
 
 
-def _macaulay_verdict(hom: TriPoly) -> Optional[bool]:
-    partials = [hom.partial(v) for v in "XYZ"]
-    if any(g.is_zero() for g in partials):
-        return False  # a cone over its vertex, which is a singular point
-    return macaulay_nonzero(*partials)
-
-
 def smoothness_check(curve: PlaneCurve) -> SmoothnessReport:
     """Exact smooth/singular verdict for the projective plane curve."""
     if curve.degree == 1:
         return SmoothnessReport(True)
-    verdict = _macaulay_verdict(curve.hom)
-    tries = 0
-    while verdict is None and tries < len(_RETRY_MAPS):
-        verdict = _macaulay_verdict(curve.hom.substitute_linear(_RETRY_MAPS[tries]))
-        tries += 1
-    if verdict:
+    if macaulay_nonzero(curve.hom):
         return SmoothnessReport(True)
-    # a certified-smooth curve has no singular point, so the witness
-    # search runs only on a singular or undecided verdict
+    # a zero residue decides nothing: look for a rational singular point,
+    # and failing one decide exactly in original coordinates
     witness = _rational_singular_point(curve)
     if witness is not None:
         return SmoothnessReport(False, witness)
-    if verdict is None:
-        raise VerificationError("smoothness undecided: Macaulay minor vanished under all retries")
+    if _canny_resultant(_partials(_integer_form(curve.hom)), curve.degree - 1) != 0:
+        return SmoothnessReport(True)
     # singular with no rational witness: report the eliminating polynomial
     f = curve.affine
     r1 = _resultant_or_none(f, f.partial("x"))

@@ -2,9 +2,12 @@
 
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from k2forge import curves
 from k2forge.bipoly import BiPoly
 from k2forge.curves import (Conic, CurvePoint, Line, PlaneCurve,
                             intersection_multiplicity, is_on_curve,
@@ -35,6 +38,32 @@ def test_on_curve_marked_point():
 def test_not_on_curve():
     c = PlaneCurve(BiPoly.parse("y^2 + y + x^3"))
     assert not is_on_curve(c, CurvePoint.affine(1, 1))
+
+
+def _product_of_lines(*lines):
+    out = BiPoly.const(1)
+    for u, v, w in lines:
+        out = out * BiPoly.line(u, v, w)
+    return out
+
+
+X, Y = BiPoly.x(), BiPoly.y()
+
+
+@pytest.mark.parametrize("f, squarefree", [
+    ((X - BiPoly.const(5)) * (X - BiPoly.const(5)) * Y, False),
+    (Y * Y * Y * (X - BiPoly.const(2)), False),
+    (BiPoly.parse("-x^2*y^2 - x^4"), False),
+    # eight distinct lines: a fixed table of these eight sections sees only zeros
+    (_product_of_lines((0, -1, 1), (1, 0, 0), (1, -1, 0), (3, -1, -4), (1, -2, 5),
+                       (2, -1, 1), (-1, -3, 7), (2, -5, -2)), True),
+], ids=["(x-5)^2*y", "y^3*(x-2)", "-x^2*(x^2+y^2)", "eight-lines"])
+def test_squarefree_check_is_exact(f, squarefree):
+    if squarefree:
+        PlaneCurve(f)
+    else:
+        with pytest.raises(PreconditionError, match="repeated factor"):
+            PlaneCurve(f)
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +100,68 @@ def test_singular_witness_where_line_components_cross(poly, witnesses):
     rep = smoothness_check(PlaneCurve(BiPoly.parse(poly)))
     assert not rep.smooth
     assert (rep.witness.x, rep.witness.y) in witnesses
+
+
+@pytest.mark.parametrize("poly, smooth, witness", [
+    ("-2*y^3 - x^2*y + 2*x*y + x^2 - x", True, None),
+    ("-y^3 - x^2*y + x^2 + 3*y - x", True, None),
+    # a line meeting a conic in two conjugate points
+    ("x^2*y - 3*y^2 + x*y - 3*y", False, "non-rational singular locus"),
+    ("-3*x*y^2 + x^2*y + 2*y", False, "non-rational singular locus"),
+    ("x*y^2 + x^2*y - x*y", False, CurvePoint.affine(0, 0)),
+])
+def test_reports_where_the_macaulay_minor_vanishes(poly, smooth, witness):
+    # Macaulay's extraneous minor vanishes in original coordinates for
+    # each of these, so Macaulay's determinant alone decides none of them
+    rep = smoothness_check(PlaneCurve(BiPoly.parse(poly)))
+    assert (rep.smooth, rep.witness) == (smooth, witness)
+
+
+small = st.integers(-3, 3)
+
+
+@st.composite
+def small_curves(draw):
+    """Cubics and quartics: generic, singular at a chosen rational point,
+    or products of two curves."""
+    d = draw(st.sampled_from([3, 4]))
+    kind = draw(st.sampled_from(["generic", "singular", "product"]))
+
+    def form(deg, low=0):
+        return BiPoly({(i, j): draw(small) for i in range(deg + 1)
+                       for j in range(deg + 1 - i) if i + j >= low})
+
+    if kind == "generic":
+        f = form(d)
+    elif kind == "singular":
+        x0, y0 = draw(small), draw(small)
+        f = form(d, low=2).substitute(X - BiPoly.const(x0), Y - BiPoly.const(y0))
+    else:
+        e = draw(st.sampled_from([1, 2]))
+        f = form(e) * form(d - e)
+    assume(f.total_degree == d)
+    try:
+        return PlaneCurve(f)
+    except PreconditionError:
+        assume(False)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(small_curves())
+def test_modular_first_report_matches_exact_route(curve):
+    with mock.patch.object(curves, "macaulay_nonzero", lambda hom: False):
+        exact = smoothness_check(curve)
+    assert smoothness_check(curve) == exact
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(small_curves())
+def test_reports_do_not_depend_on_the_prime(curve):
+    # modulo 7 the Macaulay determinant vanishes for about half of these
+    # curves, smooth ones included, so both routes run
+    expected = smoothness_check(curve)
+    with mock.patch.object(curves, "_PRIME", 7):
+        assert smoothness_check(curve) == expected
 
 
 # ---------------------------------------------------------------------------
