@@ -12,6 +12,7 @@ fractional coefficients: "y^3 + (3/4)*x*y^2 - 2*x + 1/4".
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import PreconditionError
@@ -211,6 +212,35 @@ class BiPoly:
             acc = acc + xpow[i] * ypow[j] * c
         return acc
 
+    def shift(self, x0, y0) -> "BiPoly":
+        """f(x + x0, y + y0): one Taylor shift per variable on integer numerators.
+
+        Shifting x by p/q uses the rows (p + q*x)^i * q^(d - i), d the
+        x-degree, which are (x + p/q)^i over the common denominator q^d.
+        """
+        if not self.terms:
+            return self
+        den = lcm(*(c.denominator for c in self.terms.values()))
+        acc = {k: c.numerator * (den // c.denominator) for k, c in self.terms.items()}
+        for axis, a in enumerate((rat(x0), rat(y0))):
+            if a == 0:
+                continue
+            p, q = a.numerator, a.denominator
+            d = max(k[axis] for k in acc)
+            rows = [[1]]  # (p + q*x)^i
+            for _ in range(d):
+                r = rows[-1]
+                rows.append([p * u + q * v for u, v in zip(r + [0], [0] + r)])
+            rows = [[c * q ** (d - i) for c in r] for i, r in enumerate(rows)]
+            out: Dict[Term, int] = {}
+            for (i, j), c in acc.items():
+                for e, v in enumerate(rows[(i, j)[axis]]):
+                    k = (e, j) if axis == 0 else (i, e)
+                    out[k] = out.get(k, 0) + c * v
+            acc = out
+            den *= q**d
+        return BiPoly({k: Fraction(v, den) for k, v in acc.items() if v})
+
     def partial(self, var: str) -> "BiPoly":
         idx = 0 if var == "x" else 1
         out: Dict[Term, Fraction] = {}
@@ -326,7 +356,12 @@ class BiPoly:
 
     @staticmethod
     def parse(text: str, xname: str = "x", yname: str = "y") -> "BiPoly":
-        """Inverse of canonical(); tolerant about whitespace."""
+        """Inverse of canonical(); tolerant about whitespace.
+
+        A term is a product of rationals, each optionally in parentheses,
+        and powers xname^e, yname^e with e a non-negative integer.  Any
+        other term raises PreconditionError naming it.
+        """
         s = text.replace(" ", "")
         if s in ("", "0"):
             return BiPoly.zero()
@@ -352,25 +387,25 @@ class BiPoly:
                 depth -= 1
             i += 1
         for sgn, chunk in chunks:
+            bad = PreconditionError(f"malformed term {chunk!r} in polynomial {text!r}")
             if not chunk:
-                raise PreconditionError(f"cannot parse polynomial term in {text!r}")
+                raise bad
             coeff = Fraction(sgn)
             ex = ey = 0
             for factor in chunk.split("*"):
-                f = factor.strip("()")
-                if not f:
-                    raise PreconditionError(f"bad factor in {chunk!r}")
-                if f[0] == xname or f[0] == yname:
-                    name, _, exp = f.partition("^")
-                    e = int(exp) if exp else 1
+                f = factor[1:-1] if factor[:1] == "(" and factor[-1:] == ")" else factor
+                name, caret, exp = f.partition("^")
+                if name in (xname, yname) and (not caret or exp.isascii() and exp.isdigit()):
+                    e = int(exp) if caret else 1
                     if name == xname:
                         ex += e
-                    elif name == yname:
-                        ey += e
                     else:
-                        raise PreconditionError(f"unknown variable {name!r}")
-                else:
+                        ey += e
+                    continue
+                try:
                     coeff *= Fraction(f)
+                except (ValueError, ZeroDivisionError):
+                    raise bad from None
             terms[(ex, ey)] = terms.get((ex, ey), Fraction(0)) + coeff
         return BiPoly(terms)
 

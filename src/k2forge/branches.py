@@ -270,9 +270,7 @@ def branch_at_affine(curve: PlaneCurve, p: CurvePoint) -> Branch:
     if not curve.contains(p):
         raise PreconditionError("point does not lie on the curve")
     fx, fy = curve.gradient_at(p)
-    shifted = curve.affine.substitute(
-        BiPoly.x() + BiPoly.const(p.x), BiPoly.y() + BiPoly.const(p.y)
-    )
+    shifted = curve.affine.shift(p.x, p.y)
     if fy != 0:
         return Branch(curve, p, "affine-y", (shifted, p.x, p.y))
     if fx != 0:
@@ -296,7 +294,7 @@ def branches_at_infinity(curve: PlaneCurve) -> List[Branch]:
         if Y != 0:
             chart = curve.chart("Y")  # variables (u, w) = (X/Y, Z/Y)
             u0 = X / Y
-            shifted = chart.substitute(BiPoly.x() + BiPoly.const(u0), BiPoly.y())
+            shifted = chart.shift(u0, 0)
             places = _polygon_places(shifted)
             kind = "inf-Y"
         else:

@@ -1,18 +1,20 @@
 """Plane curves over Q: points, intersection multiplicity, tangents, smoothness.
 
-Intersection multiplicity is computed by the axiomatic reduction
-algorithm (translate the point to the origin, cancel leading terms of
-the restrictions to y=0, split off factors of y), which terminates for
-curves with no common component and agrees with the local-ring
-definition.  Points at infinity are handled by moving to the chart Y=1
-or X=1 where they become affine.
+Intersection multiplicity is computed by Fulton's reduction algorithm:
+translate the point to the origin with one exact Taylor shift
+(`BiPoly.shift`), then, on content-free integer coefficients, cancel the
+leading terms of the restrictions to y=0 fraction-free (g <- a*g -
+b*x^s*f, then divide out the content) and split off factors of y.  It
+terminates for curves with no common component and agrees with the
+local-ring definition.  Points at infinity are handled by moving to the
+chart Y=1 or X=1 where they become affine.
 
 Projective smoothness is decided exactly through the resultant of the
-three partial derivatives.  Macaulay's determinant, taken modulo one
-61-bit prime after one fixed coordinate change, certifies smoothness when
-its residue is nonzero.  On a zero residue a search looks for a rational
-singular witness, and failing one, Canny's generalised characteristic
-polynomial gives the resultant exactly in original coordinates, even
+three partial derivatives, after one fixed coordinate change applied over
+the integers.  Macaulay's determinant, taken modulo one 61-bit prime,
+certifies smoothness when its residue is nonzero.  On a zero residue a
+search looks for a rational singular witness, and failing one, Canny's
+generalised characteristic polynomial gives the resultant exactly, even
 where Macaulay's extraneous minor vanishes.
 """
 
@@ -235,73 +237,66 @@ def _is_squarefree(f: BiPoly) -> bool:
 # intersection multiplicity (axiomatic reduction)
 # ---------------------------------------------------------------------------
 
-def _primitive_scale(p: BiPoly) -> BiPoly:
-    """Rescale by a positive rational so coefficients are coprime integers.
+IntTerms = Dict[Tuple[int, int], int]
 
-    Rescaling either argument never changes an intersection multiplicity,
-    and it keeps the reduction loop's coefficients from blowing up.
+
+def _primitive(terms: IntTerms) -> IntTerms:
+    """Divide out the content (the gcd of the coefficients)."""
+    c = gcd(*terms.values())
+    return {k: v // c for k, v in terms.items()} if c > 1 else terms
+
+
+def _content_free(p: BiPoly) -> IntTerms:
+    """p times a positive rational, as coprime integer coefficients.
+
+    Rescaling either argument never changes an intersection multiplicity.
     """
-    if p.is_zero():
-        return p
-    den = 1
-    for c in p.terms.values():
-        den = den * c.denominator // gcd(den, c.denominator)
-    num = 0
-    for c in p.terms.values():
-        num = gcd(num, abs(c.numerator * (den // c.denominator)))
-    if num in (0, 1) and den == 1:
-        return p
-    return p * Fraction(den, num)
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    return _primitive({k: c.numerator * (den // c.denominator) for k, c in p.terms.items()})
 
 
 def fulton_multiplicity(f: BiPoly, g: BiPoly, bound: int) -> int:
     """I_origin(f, g) by the reduction algorithm; both must vanish at (0,0).
 
-    Raises VerificationError when the computed multiplicity would exceed
-    `bound` (shared component or contract violation).
+    Runs on content-free integer coefficients.  Raises VerificationError
+    when the computed multiplicity would exceed `bound` (shared component
+    or contract violation).
     """
     total = 0
-    f, g = _primitive_scale(f), _primitive_scale(g)
+    f, g = _content_free(f), _content_free(g)
     # Each pass returns, raises, splits off one y (adding at least 1 to
     # total, which is capped by bound) or lowers the sum of the two
     # restriction degrees, so the loop ends.
     while True:
-        if f.is_zero() or g.is_zero():
+        if not f or not g:
             raise VerificationError("intersection multiplicity infinite: common component")
-        fr = f.restriction_y0()  # restriction to the x-axis
-        gr = g.restriction_y0()
-        if fr.coeff(0) != 0 or gr.coeff(0) != 0:
+        # restrictions to the x-axis, as {x-degree: coefficient}
+        fr = {i: c for (i, j), c in f.items() if j == 0}
+        gr = {i: c for (i, j), c in g.items() if j == 0}
+        if 0 in fr or 0 in gr:
             return total
-        if fr.is_zero() and gr.is_zero():
+        if not fr and not gr:
             raise VerificationError("intersection multiplicity infinite: common factor y")
-        if fr.is_zero() or gr.is_zero():
-            if gr.is_zero():
-                f, g = g, f
-                fr, gr = gr, fr
-            # y | f: split off one factor of y
-            q = _divide_out_y(f)
-            k = next(i for i, c in enumerate(gr.coeffs) if c != 0)  # ord_x g(x,0) >= 1
-            total += k
+        if not fr or not gr:
+            if not gr:
+                f, g, fr, gr = g, f, gr, fr
+            # y | f: split off one factor of y; ord_x g(x,0) >= 1
+            total += min(gr)
             if total > bound:
                 raise VerificationError("intersection multiplicity exceeds the Bezout bound")
-            f = q
+            f = {(i, j - 1): c for (i, j), c in f.items()}
             continue
         # both restrictions nonzero; cancel leading x-terms
-        if fr.degree > gr.degree:
-            f, g = g, f
-            fr, gr = gr, fr
-        # g := g - (lc(gr)/lc(fr)) x^shift f  keeps I and lowers the restriction degree
-        shift = gr.degree - fr.degree
-        g = _primitive_scale(f * (BiPoly.x(shift) * gr.lc) * (1 / fr.lc) * (-1) + g)
-
-
-def _divide_out_y(f: BiPoly) -> BiPoly:
-    terms = {}
-    for (i, j), c in f.terms.items():
-        if j == 0:
-            raise VerificationError("internal: y does not divide polynomial")
-        terms[(i, j - 1)] = c
-    return BiPoly(terms)
+        if max(fr) > max(gr):
+            f, g, fr, gr = g, f, gr, fr
+        shift = max(gr) - max(fr)
+        a, b = fr[max(fr)], gr[max(gr)]
+        # g := a*g - b*x^shift*f keeps I (a != 0) and lowers the restriction degree
+        out = {k: a * v for k, v in g.items()}
+        for (i, j), v in f.items():
+            key = (i + shift, j)
+            out[key] = out.get(key, 0) - b * v
+        g = _primitive({k: v for k, v in out.items() if v})
 
 
 def intersection_multiplicity(c1: CurveLike, c2: CurveLike, p: CurvePoint) -> int:
@@ -312,9 +307,7 @@ def intersection_multiplicity(c1: CurveLike, c2: CurveLike, p: CurvePoint) -> in
     if p.is_affine:
         if f1(p.x, p.y) != 0 or f2(p.x, p.y) != 0:
             raise PreconditionError(f"empty intersection at point {p.label()}")
-        a = f1.substitute(BiPoly.x() + BiPoly.const(p.x), BiPoly.y() + BiPoly.const(p.y))
-        b = f2.substitute(BiPoly.x() + BiPoly.const(p.x), BiPoly.y() + BiPoly.const(p.y))
-        return fulton_multiplicity(a, b, bound)
+        return fulton_multiplicity(f1.shift(p.x, p.y), f2.shift(p.x, p.y), bound)
     # at infinity: move to the chart where p is affine
     X, Y, _ = p.projective()
     h1 = f1.homogenize()
@@ -327,9 +320,7 @@ def intersection_multiplicity(c1: CurveLike, c2: CurveLike, p: CurvePoint) -> in
         u0 = Y / X  # = 0
     if g1(u0, 0) != 0 or g2(u0, 0) != 0:
         raise PreconditionError(f"empty intersection at point {p.label()}")
-    a = g1.substitute(BiPoly.x() + BiPoly.const(u0), BiPoly.y())
-    b = g2.substitute(BiPoly.x() + BiPoly.const(u0), BiPoly.y())
-    return fulton_multiplicity(a, b, bound)
+    return fulton_multiplicity(g1.shift(u0, 0), g2.shift(u0, 0), bound)
 
 
 def is_on_curve(c: CurveLike, p: CurvePoint) -> bool:
@@ -369,46 +360,45 @@ class SmoothnessReport:
         return self.smooth
 
 
-# The modular certificate works modulo one fixed 61-bit prime, after one
-# fixed change of coordinates.  Any invertible map keeps smoothness, and
-# determinant -1 keeps it invertible modulo every prime; a generic map keeps
-# Macaulay's extraneous minor from vanishing for structural reasons, as it
-# does in original coordinates for sparse equations such as quartic-ct's.
+# Both smoothness routes work after one fixed change of coordinates, the
+# modular certificate modulo one fixed 61-bit prime.  Any invertible map
+# keeps smoothness, and determinant -1 keeps it invertible modulo every
+# prime; a generic map keeps Macaulay's extraneous minor from vanishing for
+# structural reasons, as it does in original coordinates for sparse
+# equations such as quartic-ct's.
 _PRIME = 2**61 - 1
 _COORDINATE_CHANGE = ((1, 2, -1), (2, 5, 1), (-1, -1, 3))
 
 Form = Dict[Tuple[int, int, int], int]
 
 
-def _integer_form(hom: TriPoly) -> Form:
-    """hom scaled by the lcm of its denominators, as integer coefficients."""
-    den = lcm(*(c.denominator for c in hom.terms.values()))
-    return {key: int(c * den) for key, c in hom.terms.items()}
-
-
-def _form_mul(a: Form, b: Form, p: int) -> Form:
+def _form_mul(a: Form, b: Form) -> Form:
     out: Form = {}
     for (i1, j1, k1), v1 in a.items():
         for (i2, j2, k2), v2 in b.items():
             key = (i1 + i2, j1 + j2, k1 + k2)
-            out[key] = (out.get(key, 0) + v1 * v2) % p
+            out[key] = out.get(key, 0) + v1 * v2
     return out
 
 
-def _coordinate_change_mod(form: Form, degree: int, p: int) -> Form:
-    """form(A*(X, Y, Z)) mod p for A = _COORDINATE_CHANGE."""
+def _changed_form(hom: TriPoly) -> Form:
+    """hom(A*(X, Y, Z)) for A = _COORDINATE_CHANGE, over the integers.
+
+    hom is first scaled by the lcm of its denominators.
+    """
+    den = lcm(*(c.denominator for c in hom.terms.values()))
     powers = []
     for a, b, c in _COORDINATE_CHANGE:
         lin = {(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c}
         pw = [{(0, 0, 0): 1}]
-        for _ in range(degree):
-            pw.append(_form_mul(pw[-1], lin, p))
+        for _ in range(hom.degree):
+            pw.append(_form_mul(pw[-1], lin))
         powers.append(pw)
     out: Form = {}
-    for (i, j, k), c in form.items():
-        term = _form_mul(_form_mul(powers[0][i], powers[1][j], p), powers[2][k], p)
-        for key, v in term.items():
-            out[key] = (out.get(key, 0) + c * v) % p
+    for (i, j, k), c in hom.terms.items():
+        c = c.numerator * (den // c.denominator)
+        for key, v in _form_mul(_form_mul(powers[0][i], powers[1][j]), powers[2][k]).items():
+            out[key] = out.get(key, 0) + c * v
     return out
 
 
@@ -470,19 +460,17 @@ def _nonsingular_mod(rows: List[List[int]], p: int) -> bool:
     return True
 
 
-def macaulay_nonzero(hom: TriPoly) -> bool:
-    """One-sided modular certificate that the curve hom = 0 is smooth.
+def macaulay_nonzero(form: Form) -> bool:
+    """One-sided modular certificate that the curve form = 0 is smooth.
 
-    Clears denominators, applies _COORDINATE_CHANGE, and eliminates the
-    Macaulay matrix of the three partials modulo _PRIME.  Its integer
-    determinant is Res(partials) times the extraneous minor, so a nonzero
-    residue proves that the partials have no common projective zero: the
-    curve is smooth.  False proves nothing.
+    `form` is a curve's _changed_form.  Eliminates the Macaulay matrix of its
+    three partials modulo _PRIME.  The integer determinant is Res(partials)
+    times the extraneous minor, so a nonzero residue proves that the
+    partials have no common projective zero: the curve is smooth.  False
+    proves nothing.
     """
-    p = _PRIME
-    form = _coordinate_change_mod(_integer_form(hom), hom.degree, p)
-    rows, _ = _macaulay_matrix(_partials(form), hom.degree - 1)
-    return _nonsingular_mod(rows, p)
+    rows, _ = _macaulay_matrix(_partials(form), sum(next(iter(form))) - 1)
+    return _nonsingular_mod(rows, _PRIME)
 
 
 def _int_det(matrix: List[List[int]]) -> int:
@@ -582,14 +570,16 @@ def smoothness_check(curve: PlaneCurve) -> SmoothnessReport:
     """Exact smooth/singular verdict for the projective plane curve."""
     if curve.degree == 1:
         return SmoothnessReport(True)
-    if macaulay_nonzero(curve.hom):
+    form = _changed_form(curve.hom)
+    if macaulay_nonzero(form):
         return SmoothnessReport(True)
     # a zero residue decides nothing: look for a rational singular point,
-    # and failing one decide exactly in original coordinates
+    # and failing one decide exactly; an invertible coordinate change
+    # scales Res(partials) by a nonzero factor, so it keeps the verdict
     witness = _rational_singular_point(curve)
     if witness is not None:
         return SmoothnessReport(False, witness)
-    if _canny_resultant(_partials(_integer_form(curve.hom)), curve.degree - 1) != 0:
+    if _canny_resultant(_partials(form), curve.degree - 1) != 0:
         return SmoothnessReport(True)
     # singular with no rational witness: report the eliminating polynomial
     f = curve.affine

@@ -139,10 +139,8 @@ def render_record_svg(record_data: dict, spec: PlotSpec) -> str:
     def fmt(v):
         return f"{v:.2f}"
 
-    from .bipoly import BiPoly
-    from .records import json_field, rat_field, rats_field
-    curve = json_field(record_data, "curve", dict)
-    curve_terms = BiPoly.parse(json_field(curve, "affine", str)).terms
+    from .records import json_field, poly_field, rat_field, rats_field
+    curve_terms = poly_field(json_field(record_data, "curve", dict), "affine").terms
     aux = json_field(record_data, "aux", dict, {})
     xs = np.linspace(xmin, xmax, spec.grid + 1)
     ys = np.linspace(ymin, ymax, spec.grid + 1)

@@ -130,6 +130,14 @@ def rats_field(d, key: str, n: int) -> List[Fraction]:
     return [_as_rat(key, v) for v in values]
 
 
+def poly_field(d, key: str) -> BiPoly:
+    """d[key] parsed as a polynomial string."""
+    try:
+        return BiPoly.parse(json_field(d, key, str))
+    except PreconditionError as e:
+        raise RecordFormatError(f"{key!r}: {e}") from None
+
+
 def point_jsonable(p: CurvePoint) -> dict:
     if p.is_affine:
         return {"kind": "affine", "x": rat_str(p.x), "y": rat_str(p.y)}
@@ -158,11 +166,10 @@ def _fnelt_from_json(curve: PlaneCurve, d: dict) -> FnElt:
     if "factors" in json_object(d):
         out = FnElt.constant(curve, rat_field(d, "scalar", "1"))
         for fd in json_field(d, "factors", list):
-            poly = BiPoly.parse(json_field(fd, "poly", str))
+            poly = poly_field(fd, "poly")
             out = out * FnElt(curve, poly) ** int_field(fd, "exp")
         return out
-    return FnElt(curve, BiPoly.parse(json_field(d, "num", str)),
-                 BiPoly.parse(json_field(d, "den", str)))
+    return FnElt(curve, poly_field(d, "num"), poly_field(d, "den"))
 
 
 def _element_jsonable(e: NamedElement) -> dict:
@@ -243,7 +250,7 @@ def record_from_json(text: str) -> LoadedRecord:
     data = json.loads(text)
     if json_object(data).get("k2forge_schema") != SCHEMA_VERSION:
         raise PreconditionError("unsupported record schema")
-    curve = PlaneCurve(BiPoly.parse(json_field(json_field(data, "curve", dict), "affine", str)))
+    curve = PlaneCurve(poly_field(json_field(data, "curve", dict), "affine"))
     points = {name: point_from_json(d) for name, d in json_field(data, "points", dict).items()}
     for name, p in points.items():
         if not curve.contains(p):

@@ -657,11 +657,7 @@ def nekovar_element(curve: PlaneCurve,
     X0, Y0 = inf_pts[0]
     chart = curve.chart("Y") if Y0 != 0 else curve.chart("X")
     u0 = X0 / Y0 if Y0 != 0 else Fraction(0)
-    contact = fulton_multiplicity(
-        chart.substitute(BiPoly.x() + BiPoly.const(u0), BiPoly.y()),
-        BiPoly.y(),
-        bound=d,
-    )
+    contact = fulton_multiplicity(chart.shift(u0, 0), BiPoly.y(), bound=d)
     if contact != d:
         raise PreconditionError(
             f"maximal contact hypothesis fails: contact {contact} != degree {d}")

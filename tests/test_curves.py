@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from math import gcd, lcm
 from unittest import mock
 
 import pytest
@@ -9,10 +10,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from k2forge import curves
 from k2forge.bipoly import BiPoly
-from k2forge.curves import (Conic, CurvePoint, Line, PlaneCurve,
+from k2forge.curves import (Conic, CurvePoint, Line, PlaneCurve, fulton_multiplicity,
                             intersection_multiplicity, is_on_curve,
                             smoothness_check, tangent_line)
-from k2forge.errors import PreconditionError
+from k2forge.errors import PreconditionError, VerificationError
 from k2forge.families import ct_equation, _thm53_polys
 from k2forge.unipoly import UniPoly
 
@@ -210,8 +211,6 @@ def _random_small_curves():
 
 
 def test_symmetry_on_random_instances():
-    from k2forge.curves import fulton_multiplicity
-    from k2forge.errors import VerificationError
     checked = 0
     while checked < 100:
         f, g = _random_small_curves()
@@ -223,6 +222,112 @@ def test_symmetry_on_random_instances():
             continue  # shared component
         assert ab == ba
         checked += 1
+
+
+def _fraction_fulton(f, g, bound):
+    """The reduction over Fraction coefficients, as it ran before the integer
+    form: the reference the integer reduction must reproduce step for step."""
+
+    def primitive_scale(p):
+        if p.is_zero():
+            return p
+        den = lcm(*(c.denominator for c in p.terms.values()))
+        num = gcd(*(c.numerator * (den // c.denominator) for c in p.terms.values()))
+        return p * F(den, num)
+
+    total = 0
+    f, g = primitive_scale(f), primitive_scale(g)
+    while True:
+        if f.is_zero() or g.is_zero():
+            raise VerificationError("intersection multiplicity infinite: common component")
+        fr, gr = f.restriction_y0(), g.restriction_y0()
+        if fr.coeff(0) != 0 or gr.coeff(0) != 0:
+            return total
+        if fr.is_zero() and gr.is_zero():
+            raise VerificationError("intersection multiplicity infinite: common factor y")
+        if fr.is_zero() or gr.is_zero():
+            if gr.is_zero():
+                f, g, fr, gr = g, f, gr, fr
+            total += next(i for i, c in enumerate(gr.coeffs) if c != 0)
+            if total > bound:
+                raise VerificationError("intersection multiplicity exceeds the Bezout bound")
+            f = BiPoly({(i, j - 1): c for (i, j), c in f.terms.items()})
+            continue
+        if fr.degree > gr.degree:
+            f, g, fr, gr = g, f, gr, fr
+        shift = gr.degree - fr.degree
+        g = primitive_scale(g - f * BiPoly.x(shift) * (gr.lc / fr.lc))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except VerificationError as e:
+        return str(e)
+
+
+small_rats = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+bipolys_any = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), small_rats,
+                              min_size=1, max_size=4).map(BiPoly).filter(lambda p: not p.is_zero())
+
+
+@st.composite
+def origin_polys(draw, max_deg=3):
+    """A polynomial vanishing at the origin, with a pure power of x or y,
+    so that random pairs seldom share the factor x or y."""
+    terms = draw(st.dictionaries(st.tuples(st.integers(0, max_deg), st.integers(0, max_deg)),
+                                 small_rats, min_size=1, max_size=5))
+    terms.pop((0, 0), None)
+    e = draw(st.integers(1, max_deg))
+    terms[draw(st.sampled_from([(e, 0), (0, e)]))] = draw(small_rats.filter(bool))
+    p = BiPoly(terms)
+    assume(not p.is_zero())
+    return p
+
+
+@st.composite
+def origin_pairs(draw):
+    """(f, g, shared): both through the origin; shared pairs have a common
+    component through it."""
+    shared = draw(st.booleans())
+    if not shared:
+        return draw(origin_polys()), draw(origin_polys()), False
+    c = draw(origin_polys(max_deg=1))
+    return c * draw(bipolys_any), c * draw(bipolys_any), True
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(origin_pairs())
+def test_integer_reduction_matches_fraction_reference(pair):
+    f, g, shared = pair
+    bound = f.total_degree * g.total_degree
+    got = _outcome(fulton_multiplicity, f, g, bound)
+    assert got == _outcome(_fraction_fulton, f, g, bound)
+    if shared:
+        assert isinstance(got, str)  # raised VerificationError
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(origin_polys(), origin_polys(), bipolys_any)
+def test_integer_reduction_is_symmetric_and_ignores_multiples(f, g, h):
+    bound = f.total_degree * g.total_degree
+    ab = _outcome(fulton_multiplicity, f, g, bound)
+    ba = _outcome(fulton_multiplicity, g, f, bound)
+    # a shared component may be reported in either of its two ways
+    assert ab == ba if isinstance(ab, int) else isinstance(ba, str)
+    g2 = g + h * f
+    assume(not g2.is_zero() and isinstance(ab, int))
+    assert fulton_multiplicity(f, g2, f.total_degree * g2.total_degree) == ab
+
+
+def test_multiplicity_of_a_tangent_power_is_linear():
+    # quartic-lines 1/2,-1,0: the tangent x + y at Q has contact 3
+    c = thm53_curve(F(1, 2), -1, 0)
+    q = CurvePoint.affine(F(1, 4), F(-1, 4))
+    tangent = BiPoly.parse("x + y")
+    assert intersection_multiplicity(c, tangent, q) == 3
+    for k in range(2, 8):
+        assert intersection_multiplicity(c, tangent**k, q) == 3 * k
 
 
 def test_affine_invariance():

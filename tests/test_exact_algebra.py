@@ -1,6 +1,7 @@
 """Exact scalar/polynomial/series layer: contract examples and invariants."""
 
 import random
+import re
 from fractions import Fraction as F
 from math import gcd
 
@@ -351,6 +352,22 @@ def test_series_arithmetic_matches_fraction_reference(a_args, b_args, q):
 
 
 # ---------------------------------------------------------------------------
+# Taylor shift
+# ---------------------------------------------------------------------------
+
+bipolys = st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                          small_fractions, max_size=8).map(BiPoly)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(bipolys, small_fractions | st.just(F(0)), small_fractions | st.just(F(0)))
+def test_shift_is_the_translation(f, a, b):
+    shifted = f.shift(a, b)
+    assert shifted == f.substitute(BiPoly.x() + BiPoly.const(a), BiPoly.y() + BiPoly.const(b))
+    assert shifted.shift(-a, -b) == f
+
+
+# ---------------------------------------------------------------------------
 # canonical strings
 # ---------------------------------------------------------------------------
 
@@ -366,3 +383,16 @@ def test_canonical_random_round_trip():
         p = BiPoly({(rng.randint(0, 4), rng.randint(0, 4)): rand_rat(6)
                     for _ in range(rng.randint(1, 6))})
         assert BiPoly.parse(p.canonical()) == p
+
+
+@pytest.mark.parametrize("text, term", [
+    ("y^2 - x^-1", "x^-1"),
+    ("z*x + 1", "z*x"),
+    ("y + 3x", "3x"),
+    ("(x+1)*y", "(x+1)*y"),
+    ("(x - 5)^2*y", "(x-5)^2*y"),
+    ("x + ", ""),
+])
+def test_parse_rejects_a_malformed_term_naming_it(text, term):
+    with pytest.raises(PreconditionError, match=f"malformed term {re.escape(repr(term))}"):
+        BiPoly.parse(text)

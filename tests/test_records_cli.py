@@ -75,6 +75,10 @@ MALFORMED = {
     "curve-number": lambda d: {**d, "curve": 5},
     "no-curve": lambda d: {k: v for k, v in d.items() if k != "curve"},
 }
+# a curve string with one malformed term each
+for _term in ["x^-1", "z*x", "3x", "(x+1)*y"]:
+    MALFORMED[f"curve-term-{_term}"] = lambda d, t=_term: {
+        **d, "curve": {**d["curve"], "affine": f"{d['curve']['affine']} + {t}"}}
 
 
 @pytest.mark.parametrize("command", ["verify", "plot"])
