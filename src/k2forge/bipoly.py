@@ -116,12 +116,13 @@ class BiPoly:
             q = rat(other)
             return BiPoly({k: v * q for k, v in self.terms.items()})
         other = self._coerce(other)
-        out: Dict[Term, Fraction] = {}
-        for (i1, j1), a in self.terms.items():
-            for (i2, j2), b in other.terms.items():
+        (na, da), (nb, db) = _numerators(self), _numerators(other)
+        out: Dict[Term, int] = {}
+        for (i1, j1), a in na.items():
+            for (i2, j2), b in nb.items():
                 k = (i1 + i2, j1 + j2)
-                out[k] = out.get(k, Fraction(0)) + a * b
-        return BiPoly(out)
+                out[k] = out.get(k, 0) + a * b
+        return BiPoly({k: Fraction(v, da * db) for k, v in out.items() if v})
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -220,8 +221,7 @@ class BiPoly:
         """
         if not self.terms:
             return self
-        den = lcm(*(c.denominator for c in self.terms.values()))
-        acc = {k: c.numerator * (den // c.denominator) for k, c in self.terms.items()}
+        acc, den = _numerators(self)
         for axis, a in enumerate((rat(x0), rat(y0))):
             if a == 0:
                 continue
@@ -411,6 +411,12 @@ class BiPoly:
 
     def __repr__(self):
         return f"BiPoly({self.canonical()})"
+
+
+def _numerators(p: BiPoly) -> Tuple[Dict[Term, int], int]:
+    """p's integer numerators over the lcm of its denominators, and that lcm."""
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    return {k: c.numerator * (den // c.denominator) for k, c in p.terms.items()}, den
 
 
 def _pseudo_divmod_y(num: BiPoly, den: BiPoly):

@@ -22,10 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
 from typing import Dict, List, Optional, Tuple, Union
 
-from .bipoly import BiPoly, TriPoly
+from .bipoly import BiPoly, TriPoly, _numerators
 from .errors import PreconditionError, VerificationError
 from .linalg import bareiss_det, vandermonde_solve
 from .rationals import rat, rat_str
@@ -251,8 +252,7 @@ def _content_free(p: BiPoly) -> IntTerms:
 
     Rescaling either argument never changes an intersection multiplicity.
     """
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    return _primitive({k: c.numerator * (den // c.denominator) for k, c in p.terms.items()})
+    return _primitive(_numerators(p)[0])
 
 
 def fulton_multiplicity(f: BiPoly, g: BiPoly, bound: int) -> int:
@@ -581,14 +581,16 @@ def smoothness_check(curve: PlaneCurve) -> SmoothnessReport:
         return SmoothnessReport(False, witness)
     if _canny_resultant(_partials(form), curve.degree - 1) != 0:
         return SmoothnessReport(True)
-    # singular with no rational witness: report the eliminating polynomial
+    # singular with no rational witness: report the eliminating polynomial,
+    # the monic gcd of the nonzero resultants; when f shares a component
+    # with a partial, Res_y(f_x, f_y) joins them
     f = curve.affine
-    r1 = _resultant_or_none(f, f.partial("x"))
-    r2 = _resultant_or_none(f, f.partial("y"))
-    elim = None
-    if r1 is not None and r2 is not None and not r1.is_zero() and not r2.is_zero():
-        elim = r1.gcd(r2)
-    return SmoothnessReport(False, elim if elim is not None else "non-rational singular locus")
+    fx, fy = f.partial("x"), f.partial("y")
+    rs = [_resultant_or_none(f, fx), _resultant_or_none(f, fy)]
+    if not all(rs):
+        rs.append(_resultant_or_none(fx, fy))
+    elim = reduce(UniPoly.gcd, [r for r in rs if r], UniPoly.zero())
+    return SmoothnessReport(False, elim or "non-rational singular locus")
 
 
 def _resultant_or_none(a: BiPoly, b: BiPoly) -> Optional[UniPoly]:

@@ -4,9 +4,11 @@ Scalars in this package are `fractions.Fraction`, which guarantees the
 canonical form we rely on everywhere: reduced, positive denominator,
 structural equality.  Hot paths work on integers instead and build a
 `Fraction` only at their edges: `series.PowerSeries` keeps integer
-numerators over one common denominator; `BiPoly.shift` translates on
-integer numerators; `curves` runs Fulton's reduction on content-free
-integer coefficients and the smoothness test on an integer form.
+numerators over one common denominator; `BiPoly.shift` translates and
+`BiPoly.__mul__` multiplies on integer numerators, so powers,
+substitutions and `FnElt` numerators do too; `curves` runs Fulton's
+reduction on content-free integer coefficients and the smoothness test
+on an integer form.
 This module adds the few helpers the rest of the code needs
 (parsing/printing the "p/q" wire format and integrality tests).
 """

@@ -315,6 +315,7 @@ class SymbolEngine:
         self._affine: Dict[CurvePoint, Branch] = {}
         self._infinity: Optional[Dict[CurvePoint, Branch]] = None
         self._val_lead_cache: Dict[Tuple[BiPoly, CurvePoint], Tuple[int, Fraction]] = {}
+        self._zeros_cache: Dict[BiPoly, Optional[Tuple[Tuple[Fraction, Fraction], ...]]] = {}
 
     # -- branches -----------------------------------------------------
     def infinity_branches(self) -> List[Branch]:
@@ -338,6 +339,15 @@ class SymbolEngine:
     def infinity_points(self) -> List[CurvePoint]:
         return sorted((b.point for b in self.infinity_branches()),
                       key=lambda p: (p.x, p.y, p.branch))
+
+    # -- rational intersection with the curve ---------------------------
+    def affine_zeros(self, poly: BiPoly) -> Optional[Tuple[Tuple[Fraction, Fraction], ...]]:
+        """Rational affine common zeros of the curve and poly, computed once
+        per distinct poly; None when they share a component."""
+        if poly not in self._zeros_cache:
+            zs = rational_common_zeros(self.curve.affine, poly)
+            self._zeros_cache[poly] = None if zs is None else tuple(zs)
+        return self._zeros_cache[poly]
 
     # -- series valuation / leading coefficient ------------------------
     def val_lead(self, poly: BiPoly, p: CurvePoint) -> Tuple[int, Fraction]:
@@ -463,7 +473,7 @@ class SymbolEngine:
             for poly, _ in f.factors:
                 if poly.total_degree == 0:
                     continue
-                zs = rational_common_zeros(self.curve.affine, poly)
+                zs = self.affine_zeros(poly)
                 if zs is None:
                     raise VerificationError("degenerate support: shared component with the curve")
                 for (x0, y0) in zs:
@@ -608,8 +618,7 @@ def steinberg_values(curve: PlaneCurve, f: FnElt,
         for poly, _ in g.factors:
             if poly.total_degree == 0:
                 continue
-            zs = rational_common_zeros(curve.affine, poly)
-            for (x0, y0) in zs or []:
+            for (x0, y0) in eng.affine_zeros(poly) or ():
                 p = CurvePoint.affine(x0, y0)
                 if p not in seen:
                     seen.add(p)
@@ -716,7 +725,7 @@ def _full_affine_intersection(eng: SymbolEngine, poly: BiPoly):
     """All affine intersection points of poly=0 with the curve, with
     multiplicities; raises when irrational points must exist (Bezout gap)."""
     curve = eng.curve
-    zs = rational_common_zeros(curve.affine, poly)
+    zs = eng.affine_zeros(poly)
     if zs is None:
         raise VerificationError("auxiliary curve shares a component with the curve")
     out = []

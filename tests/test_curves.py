@@ -6,7 +6,8 @@ from math import gcd, lcm
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+import sympy
+from hypothesis import assume, example, given, settings, strategies as st
 
 from k2forge import curves
 from k2forge.bipoly import BiPoly
@@ -106,9 +107,10 @@ def test_singular_witness_where_line_components_cross(poly, witnesses):
 @pytest.mark.parametrize("poly, smooth, witness", [
     ("-2*y^3 - x^2*y + 2*x*y + x^2 - x", True, None),
     ("-y^3 - x^2*y + x^2 + 3*y - x", True, None),
-    # a line meeting a conic in two conjugate points
-    ("x^2*y - 3*y^2 + x*y - 3*y", False, "non-rational singular locus"),
-    ("-3*x*y^2 + x^2*y + 2*y", False, "non-rational singular locus"),
+    # a line meeting a conic in two conjugate points: f shares the line
+    # with f_x, and the gcd takes in Res_y(f_x, f_y)
+    ("x^2*y - 3*y^2 + x*y - 3*y", False, UniPoly([-3, 1, 1])),
+    ("-3*x*y^2 + x^2*y + 2*y", False, UniPoly([2, 0, 1])),
     ("x*y^2 + x^2*y - x*y", False, CurvePoint.affine(0, 0)),
 ])
 def test_reports_where_the_macaulay_minor_vanishes(poly, smooth, witness):
@@ -353,6 +355,83 @@ def test_affine_invariance():
         py = (-c_ * (P[0] - e) + a * (P[1] - f_)) / det
         q = CurvePoint.affine(px, py)
         assert intersection_multiplicity(PlaneCurve(tc), tl, q) == base
+
+
+# ---------------------------------------------------------------------------
+# rational intersection points
+# ---------------------------------------------------------------------------
+
+coords = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+
+
+def _through(draw, deg, pts):
+    """A random polynomial of total degree deg through the given points:
+    the constant term and one linear term are solved for."""
+    f = BiPoly({(i, j): draw(small) for i in range(deg + 1) for j in range(deg + 1 - i)})
+    if not pts:
+        return f
+    p0 = pts[0]
+    if len(pts) == 1:
+        return f - BiPoly.const(f(*p0))
+    p1 = pts[1]
+    axis = 0 if p0[0] != p1[0] else 1
+    var = BiPoly.x() if axis == 0 else BiPoly.y()
+    b = -(f(*p0) - f(*p1)) / (p0[axis] - p1[axis])
+    return f + var * b - BiPoly.const(f(*p0) + b * p0[axis])
+
+
+@st.composite
+def intersection_pairs(draw):
+    """(curve, g): a curve of degree 2-4 and a line or conic, both through
+    0-2 chosen rational points; with shared=True the curve contains g."""
+    pts = list(dict.fromkeys(draw(st.lists(st.tuples(coords, coords), max_size=2))))
+    g = _through(draw, draw(st.sampled_from([1, 2])), pts)
+    d = draw(st.integers(max(2, g.total_degree), 4))
+    shared = draw(st.booleans())
+    f = g * _through(draw, d - g.total_degree, pts) if shared else _through(draw, d, pts)
+    assume(f.total_degree == d and f.degree_in("y") >= 1 and g.total_degree >= 1)
+    # an x-only conic shared with the curve may have no rational points at all
+    assume(g.degree_in("y") >= 1 or g.total_degree == 1)
+    return f, g, pts, shared
+
+
+def _sympy(p, x, y):
+    return sum(sympy.Rational(c.numerator, c.denominator) * x**i * y**j
+               for (i, j), c in p.terms.items())
+
+
+def _rational_solutions(fs, gs, x, y):
+    """Rational common zeros of a zero-dimensional pair, read off sympy's
+    lex Groebner basis: rational roots of its y-only member, then of the
+    gcd of the basis at each.  (sympy's solve_poly_system finds them too,
+    but builds every root in radicals, for over a minute on a cubic
+    against a conic.)"""
+    basis = list(sympy.groebner([fs, gs], x, y, order="lex"))
+    elim = next(b for b in basis if not b.has(x))
+    out = set()
+    for y0 in sympy.Poly(elim, y).ground_roots():
+        common = sympy.gcd_list([b.subs(y, y0) for b in basis])
+        for x0 in sympy.Poly(common, x).ground_roots():
+            out.add((F(int(x0.p), int(x0.q)), F(int(y0.p), int(y0.q))))
+    return out
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(intersection_pairs())
+# a shared vertical line, seen only as a zero section over x = 1
+@example((BiPoly.parse("x*y^2 - y^2 + x^2 - x"), BiPoly.parse("x - 1"), [], True))
+def test_rational_common_zeros_match_sympy(pair):
+    f, g, pts, shared = pair
+    zs = curves.rational_common_zeros(f, g)
+    x, y = sympy.symbols("x y")
+    fs, gs = _sympy(f, x, y), _sympy(g, x, y)
+    if shared or sympy.Poly(sympy.gcd(fs, gs), x, y).total_degree() > 0:
+        assert zs is None
+        return
+    oracle = _rational_solutions(fs, gs, x, y)
+    assert len(zs) == len(set(zs))
+    assert set(zs) == oracle
+    assert set(pts) <= oracle
 
 
 def test_tangent_parabola():

@@ -368,6 +368,42 @@ def test_shift_is_the_translation(f, a, b):
 
 
 # ---------------------------------------------------------------------------
+# products on integer numerators
+# ---------------------------------------------------------------------------
+
+def _ref_product(a, b):
+    """Schoolbook product of two term dicts in Fraction arithmetic."""
+    out = {}
+    for (i1, j1), u in a.items():
+        for (i2, j2), v in b.items():
+            k = (i1 + i2, j1 + j2)
+            out[k] = out.get(k, F(0)) + u * v
+    return {k: v for k, v in out.items() if v}
+
+
+def _checked(p, ref):
+    assert p.terms == ref
+    assert all(type(c) is F and c != 0 for c in p.terms.values())
+    q = BiPoly(ref)
+    assert p == q and hash(p) == hash(q)
+
+
+factors = bipolys | small_fractions.map(BiPoly.const)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(factors, factors, st.integers(0, 4))
+def test_products_match_fraction_reference(a, b, n):
+    ref = _ref_product(a.terms, b.terms)
+    _checked(a * b, ref)
+    _checked(b * a, ref)
+    power = {(0, 0): F(1)}
+    for _ in range(n):
+        power = _ref_product(power, a.terms)
+    _checked(a**n, power)
+
+
+# ---------------------------------------------------------------------------
 # canonical strings
 # ---------------------------------------------------------------------------
 

@@ -11,7 +11,8 @@ from k2forge.curves import CurvePoint, PlaneCurve
 from k2forge.errors import (NonRationalSupportError, PreconditionError,
                             VerificationError)
 from k2forge import symbols
-from k2forge.families import _thm53_polys, gen_nekovar_3tor
+from k2forge.families import _thm53_polys, gen_nekovar_3tor, gen_quartic_ct
+from k2forge.records import record_to_json
 from k2forge.symbols import (FnElt, K2Element, SymbolEngine, SymbolPair,
                              TorsionFunction, construction_torsion,
                              nekovar_element, steinberg_values, verify_k2t)
@@ -265,6 +266,34 @@ def test_product_formula_on_random_symbols(quartic):
         for p in support:
             prod *= eng.tame(pair, p)
         assert prod == 1
+
+
+def test_engine_intersects_each_factor_once(monkeypatch):
+    expected = record_to_json(gen_quartic_ct(2))
+    calls = []
+    real = symbols.rational_common_zeros
+
+    def counting(f, g):
+        calls.append(g)
+        return real(f, g)
+
+    monkeypatch.setattr(symbols, "rational_common_zeros", counting)
+    rec = gen_quartic_ct(2)
+    assert record_to_json(rec) == expected
+    factors = {poly for e in rec.elements for s in e.symbols for t in s.terms
+               for f in (t.f, t.h) for poly, _ in f.factors}
+    assert len(calls) == len(set(calls)) and set(calls) == factors
+    # the results live in their engine: a second engine on an equal curve
+    # computes them again, and a shared component is remembered as None
+    line, n = calls[0], len(calls)
+    for _ in range(2):
+        curve = PlaneCurve(BiPoly.parse(rec.curve.canonical()))
+        eng = SymbolEngine(curve)
+        zs = eng.affine_zeros(line)
+        assert isinstance(zs, tuple) and eng.affine_zeros(line) is zs
+        assert eng.affine_zeros(curve.affine) is None
+        assert eng.affine_zeros(curve.affine * 3) is None
+    assert calls[n:] == [line, curve.affine, curve.affine * 3] * 2
 
 
 # ---------------------------------------------------------------------------
