@@ -109,8 +109,10 @@ def test_singular_witness_where_line_components_cross(poly, witnesses):
     ("-y^3 - x^2*y + x^2 + 3*y - x", True, None),
     # a line meeting a conic in two conjugate points: f shares the line
     # with f_x, and the gcd takes in Res_y(f_x, f_y)
-    ("x^2*y - 3*y^2 + x*y - 3*y", False, UniPoly([-3, 1, 1])),
-    ("-3*x*y^2 + x^2*y + 2*y", False, UniPoly([2, 0, 1])),
+    pytest.param("x^2*y - 3*y^2 + x*y - 3*y", False, UniPoly([-3, 1, 1]),
+                 id="x^2*y - 3*y^2 + x*y - 3*y-False-non-rational singular locus"),
+    pytest.param("-3*x*y^2 + x^2*y + 2*y", False, UniPoly([2, 0, 1]),
+                 id="-3*x*y^2 + x^2*y + 2*y-False-non-rational singular locus"),
     ("x*y^2 + x^2*y - x*y", False, CurvePoint.affine(0, 0)),
 ])
 def test_reports_where_the_macaulay_minor_vanishes(poly, smooth, witness):
