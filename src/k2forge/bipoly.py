@@ -1,8 +1,19 @@
 """Sparse bivariate (and ternary homogeneous) polynomials over Q.
 
-BiPoly maps exponent pairs (i, j) for x^i*y^j to nonzero Fractions; the
-zero polynomial is the empty map.  TriPoly is the homogeneous companion
-used for projective charts, transforms and smoothness checks.
+A BiPoly stores integer numerators ``nums``, a map from exponent pairs
+(i, j) for x^i*y^j to nonzero ints, over one positive common
+denominator ``den``, kept reduced (gcd(den, *nums) = 1); the zero
+polynomial is the empty map over 1.  That pair is unique for given
+coefficients, so equality and hashing stay structural but run on ints.
+Every operation runs on the numerators: sums over the lcm of the two
+denominators, products, powers, Taylor shifts, substitutions, partials,
+and evaluation, which clears x = a/b and y = c/d once and sums
+n * a^i * b^(dx-i) * c^j * d^(dy-j).  ``Fraction`` is built only at
+the edges: ``coeff``, the read-only ``terms`` view, the value
+``__call__`` returns, the ``UniPoly`` coefficients of ``eval_x``,
+``eval_y`` and ``as_poly_in``, ``homogenize`` and the text form.
+TriPoly is the homogeneous companion used for projective charts,
+transforms and smoothness checks.
 
 The canonical text form sorts monomials by total degree (descending),
 then y-degree (descending), prints x before y, and parenthesizes
@@ -12,8 +23,9 @@ fractional coefficients: "y^3 + (3/4)*x*y^2 - 2*x + 1/4".
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Dict, List, Sequence, Tuple
+from math import gcd, lcm
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .errors import PreconditionError
 from .linalg import bareiss_det
@@ -21,37 +33,72 @@ from .rationals import rat, rat_str
 from .unipoly import UniPoly
 
 Term = Tuple[int, int]
+IntTerms = Dict[Term, int]
 
 
-def _norm(terms: Dict[Term, Fraction]) -> Dict[Term, Fraction]:
-    return {k: v for k, v in terms.items() if v != 0}
+def _cleared_powers(a: int, b: int, n: int) -> List[int]:
+    """[a^i * b^(n-i) for i = 0..n]: the powers of a/b over b^n."""
+    pa, pb = [1], [1]
+    for _ in range(n):
+        pa.append(pa[-1] * a)
+        pb.append(pb[-1] * b)
+    return [u * v for u, v in zip(pa, reversed(pb))]
+
+
+def _mul_ints(a: IntTerms, b: IntTerms) -> IntTerms:
+    out: IntTerms = {}
+    for (i1, j1), u in a.items():
+        for (i2, j2), v in b.items():
+            k = (i1 + i2, j1 + j2)
+            out[k] = out.get(k, 0) + u * v
+    return out
 
 
 class BiPoly:
-    """Exact polynomial in x and y."""
+    """Exact polynomial in x and y: integer numerators over one denominator."""
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("nums", "den", "total_degree", "_hash")
 
     def __init__(self, terms: Dict[Term, object] = None):
-        self.terms = _norm({k: rat(v) for k, v in (terms or {}).items()})
+        cs = {k: rat(v) for k, v in (terms or {}).items()}
+        den = lcm(*(c.denominator for c in cs.values()))
+        self._set({k: c.numerator * (den // c.denominator) for k, c in cs.items()}, den)
+
+    def _set(self, nums: IntTerms, den: int):
+        """Store nums/den reduced, without zero numerators; den > 0."""
+        nums = {k: v for k, v in nums.items() if v}
+        g = gcd(den, *nums.values())
+        if g > 1:
+            nums = {k: v // g for k, v in nums.items()}
+        self.nums, self.den = nums, den // g
+        # total_degree is max i + j over the stored terms; -1 for zero
+        self.total_degree = max((i + j for i, j in nums), default=-1)
         self._hash = None
 
     # -- constructors --------------------------------------------------
+    @staticmethod
+    def from_ints(nums: IntTerms, den: int = 1) -> "BiPoly":
+        """sum nums[(i, j)]/den x^i y^j, reduced; den > 0."""
+        p = BiPoly.__new__(BiPoly)
+        p._set(nums, den)
+        return p
+
     @staticmethod
     def zero() -> "BiPoly":
         return BiPoly()
 
     @staticmethod
     def const(c) -> "BiPoly":
-        return BiPoly({(0, 0): rat(c)})
+        c = rat(c)
+        return BiPoly.from_ints({(0, 0): c.numerator}, c.denominator)
 
     @staticmethod
     def x(power: int = 1) -> "BiPoly":
-        return BiPoly({(power, 0): 1})
+        return BiPoly.from_ints({(power, 0): 1})
 
     @staticmethod
     def y(power: int = 1) -> "BiPoly":
-        return BiPoly({(0, power): 1})
+        return BiPoly.from_ints({(0, power): 1})
 
     @staticmethod
     def from_unipoly(p: UniPoly, var: str = "x") -> "BiPoly":
@@ -65,64 +112,67 @@ class BiPoly:
         return BiPoly({(1, 0): rat(u), (0, 1): rat(v), (0, 0): rat(w)})
 
     # -- structure ------------------------------------------------------
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, BiPoly):
-            return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self.terms == BiPoly.const(other).terms
-        return NotImplemented
-
-    def __hash__(self):
-        # terms is assigned only in __init__, so the hash never goes stale
-        if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
-        return self._hash
+    def coeff(self, i: int, j: int) -> Fraction:
+        """The coefficient of x^i*y^j."""
+        return Fraction(self.nums.get((i, j), 0), self.den)
 
     @property
-    def total_degree(self) -> int:
-        """Max i + j over stored terms; -1 for the zero polynomial."""
-        return max((i + j for i, j in self.terms), default=-1)
+    def terms(self) -> Mapping[Term, Fraction]:
+        """The nonzero coefficients as Fractions (a read-only copy)."""
+        return MappingProxyType({k: Fraction(v, self.den) for k, v in self.nums.items()})
+
+    def is_zero(self) -> bool:
+        return not self.nums
+
+    def __bool__(self):
+        return bool(self.nums)
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = BiPoly.const(other)
+        elif not isinstance(other, BiPoly):
+            return NotImplemented
+        if self._hash is not None and other._hash is not None and self._hash != other._hash:
+            return False
+        return self.den == other.den and self.nums == other.nums
+
+    def __hash__(self):
+        # nums and den are set only in _set, so the hash never goes stale
+        if self._hash is None:
+            self._hash = hash((self.den, frozenset(self.nums.items())))
+        return self._hash
 
     def degree_in(self, var: str) -> int:
         idx = 0 if var == "x" else 1
-        return max((k[idx] for k in self.terms), default=-1)
+        return max((k[idx] for k in self.nums), default=-1)
 
     # -- arithmetic -----------------------------------------------------
-    def __add__(self, other):
+    def _combine(self, other, sign: int) -> "BiPoly":
+        """self + sign * other over the lcm of the two denominators."""
         other = self._coerce(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return BiPoly(out)
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        out = {k: v * fa for k, v in self.nums.items()}
+        for k, v in other.nums.items():
+            out[k] = out.get(k, 0) + v * fb
+        return BiPoly.from_ints(out, den)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) - v
-        return BiPoly(out)
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return BiPoly({k: -v for k, v in self.terms.items()})
+        return BiPoly.from_ints({k: -v for k, v in self.nums.items()}, self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             q = rat(other)
-            return BiPoly({k: v * q for k, v in self.terms.items()})
+            return BiPoly.from_ints({k: v * q.numerator for k, v in self.nums.items()},
+                                    self.den * q.denominator)
         other = self._coerce(other)
-        (na, da), (nb, db) = _numerators(self), _numerators(other)
-        out: Dict[Term, int] = {}
-        for (i1, j1), a in na.items():
-            for (i2, j2), b in nb.items():
-                k = (i1 + i2, j1 + j2)
-                out[k] = out.get(k, 0) + a * b
-        return BiPoly({k: Fraction(v, da * db) for k, v in out.items() if v})
+        return BiPoly.from_ints(_mul_ints(self.nums, other.nums), self.den * other.den)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -155,63 +205,54 @@ class BiPoly:
     # -- evaluation / substitution ---------------------------------------
     def __call__(self, x, y) -> Fraction:
         x, y = rat(x), rat(y)
-        xp = {0: Fraction(1)}
-        yp = {0: Fraction(1)}
-        acc = Fraction(0)
-        for (i, j), c in self.terms.items():
-            if i not in xp:
-                v = xp[max(xp)]
-                for k in range(max(xp) + 1, i + 1):
-                    v = v * x
-                    xp[k] = v
-            if j not in yp:
-                v = yp[max(yp)]
-                for k in range(max(yp) + 1, j + 1):
-                    v = v * y
-                    yp[k] = v
-            acc += c * xp[i] * yp[j]
-        return acc
+        if not x and not y:
+            return self.coeff(0, 0)
+        dx, dy = max(self.degree_in("x"), 0), max(self.degree_in("y"), 0)
+        xs = _cleared_powers(x.numerator, x.denominator, dx)
+        ys = _cleared_powers(y.numerator, y.denominator, dy)
+        total = sum(c * xs[i] * ys[j] for (i, j), c in self.nums.items())
+        return Fraction(total, self.den * x.denominator**dx * y.denominator**dy)
+
+    def _section(self, axis: int, value) -> UniPoly:
+        """Set the variable `axis` (0 for x, 1 for y) to value: a UniPoly in the other."""
+        v = rat(value)
+        n = max(self.degree_in("xy"[axis]), 0)
+        ps = _cleared_powers(v.numerator, v.denominator, n)
+        out: Dict[int, int] = {}
+        for k, c in self.nums.items():
+            e = k[1 - axis]
+            out[e] = out.get(e, 0) + c * ps[k[axis]]
+        den = self.den * v.denominator**n
+        return UniPoly([Fraction(out.get(e, 0), den) for e in range(max(out, default=-1) + 1)])
 
     def eval_x(self, x0) -> UniPoly:
         """Specialize x: returns a UniPoly in y."""
-        x0 = rat(x0)
-        out: Dict[int, Fraction] = {}
-        for (i, j), c in self.terms.items():
-            out[j] = out.get(j, Fraction(0)) + c * x0**i
-        deg = max(out, default=-1)
-        return UniPoly([out.get(k, Fraction(0)) for k in range(deg + 1)])
+        return self._section(0, x0)
 
     def eval_y(self, y0) -> UniPoly:
         """Specialize y: returns a UniPoly in x."""
-        y0 = rat(y0)
-        if y0 == 0:
-            return self.restriction_y0()
-        out: Dict[int, Fraction] = {}
-        for (i, j), c in self.terms.items():
-            out[i] = out.get(i, Fraction(0)) + c * y0**j
-        deg = max(out, default=-1)
-        return UniPoly([out.get(k, Fraction(0)) for k in range(deg + 1)])
-
-    def restriction_y0(self) -> UniPoly:
-        """The y=0 restriction (no arithmetic: keeps the j=0 terms)."""
-        out = {i: c for (i, j), c in self.terms.items() if j == 0}
-        deg = max(out, default=-1)
-        return UniPoly([out.get(k, Fraction(0)) for k in range(deg + 1)])
+        return self._section(1, y0)
 
     def substitute(self, x_image: "BiPoly", y_image: "BiPoly") -> "BiPoly":
-        """Image under (x, y) -> (x_image, y_image)."""
-        xi = sorted({i for i, _ in self.terms})
-        yj = sorted({j for _, j in self.terms})
-        xpow = {0: BiPoly.const(1)}
-        for k in range(1, (xi[-1] if xi else 0) + 1):
-            xpow[k] = xpow[k - 1] * x_image
-        ypow = {0: BiPoly.const(1)}
-        for k in range(1, (yj[-1] if yj else 0) + 1):
-            ypow[k] = ypow[k - 1] * y_image
-        acc = BiPoly.zero()
-        for (i, j), c in self.terms.items():
-            acc = acc + xpow[i] * ypow[j] * c
-        return acc
+        """Image under (x, y) -> (x_image, y_image).
+
+        With x_image = X/p and y_image = Y/q on integer numerators, the
+        term n*x^i*y^j/den is n * X^i * Y^j * p^(dx-i) * q^(dy-j) over the
+        common denominator den * p^dx * q^dy.
+        """
+        dx, dy = self.degree_in("x"), self.degree_in("y")
+        pows = []
+        for img, d in ((x_image, dx), (y_image, dy)):
+            pw = [{(0, 0): 1}]
+            for _ in range(d):
+                pw.append(_mul_ints(pw[-1], img.nums))
+            pows.append((pw, _cleared_powers(1, img.den, d)))
+        (xp, xs), (yp, ys) = pows
+        out: IntTerms = {}
+        for (i, j), c in self.nums.items():
+            for k, v in _mul_ints(xp[i], yp[j]).items():
+                out[k] = out.get(k, 0) + c * xs[i] * ys[j] * v
+        return BiPoly.from_ints(out, self.den * xs[0] * ys[0])
 
     def shift(self, x0, y0) -> "BiPoly":
         """f(x + x0, y + y0): one Taylor shift per variable on integer numerators.
@@ -219,9 +260,9 @@ class BiPoly:
         Shifting x by p/q uses the rows (p + q*x)^i * q^(d - i), d the
         x-degree, which are (x + p/q)^i over the common denominator q^d.
         """
-        if not self.terms:
+        if not self.nums:
             return self
-        acc, den = _numerators(self)
+        acc, den = self.nums, self.den
         for axis, a in enumerate((rat(x0), rat(y0))):
             if a == 0:
                 continue
@@ -232,40 +273,43 @@ class BiPoly:
                 r = rows[-1]
                 rows.append([p * u + q * v for u, v in zip(r + [0], [0] + r)])
             rows = [[c * q ** (d - i) for c in r] for i, r in enumerate(rows)]
-            out: Dict[Term, int] = {}
+            out: IntTerms = {}
             for (i, j), c in acc.items():
                 for e, v in enumerate(rows[(i, j)[axis]]):
                     k = (e, j) if axis == 0 else (i, e)
                     out[k] = out.get(k, 0) + c * v
             acc = out
             den *= q**d
-        return BiPoly({k: Fraction(v, den) for k, v in acc.items() if v})
+        return BiPoly.from_ints(acc, den)
 
     def partial(self, var: str) -> "BiPoly":
         idx = 0 if var == "x" else 1
-        out: Dict[Term, Fraction] = {}
-        for (i, j), c in self.terms.items():
+        out: IntTerms = {}
+        for (i, j), c in self.nums.items():
             e = (i, j)[idx]
             if e:
-                k = (i - 1, j) if idx == 0 else (i, j - 1)
-                out[k] = out.get(k, Fraction(0)) + c * e
-        return BiPoly(out)
+                out[(i - 1, j) if idx == 0 else (i, j - 1)] = c * e
+        return BiPoly.from_ints(out, self.den)
 
     # -- polynomial-in-one-variable views ----------------------------------
+    def rows_in(self, var: str) -> List[List[int]]:
+        """Integer coefficient rows in `var`, all over ``den``.
+
+        Row e lists the numerators of the coefficient of var^e, from the
+        constant term of the other variable up to its last nonzero one.
+        """
+        main = 1 if var == "y" else 0
+        rows: List[List[int]] = [[] for _ in range(self.degree_in(var) + 1)]
+        for k, c in self.nums.items():
+            row, e = rows[k[main]], k[1 - main]
+            if len(row) <= e:
+                row.extend([0] * (e + 1 - len(row)))
+            row[e] = c
+        return rows
+
     def as_poly_in(self, var: str) -> List[UniPoly]:
         """Coefficient list in `var`, entries UniPoly in the other variable."""
-        main = 1 if var == "y" else 0
-        deg = self.degree_in(var)
-        buckets: List[Dict[int, Fraction]] = [dict() for _ in range(deg + 1)]
-        for (i, j), c in self.terms.items():
-            e_main = (i, j)[main]
-            e_other = (i, j)[1 - main]
-            buckets[e_main][e_other] = c
-        out = []
-        for b in buckets:
-            d = max(b, default=-1)
-            out.append(UniPoly([b.get(k, Fraction(0)) for k in range(d + 1)]))
-        return out
+        return [UniPoly([Fraction(c, self.den) for c in row]) for row in self.rows_in(var)]
 
     @staticmethod
     def from_poly_in(coeffs: Sequence[UniPoly], var: str) -> "BiPoly":
@@ -326,16 +370,16 @@ class BiPoly:
         d = self.total_degree if degree is None else degree
         if d < self.total_degree:
             raise PreconditionError("homogenization degree below total degree")
-        return TriPoly({(i, j, d - i - j): c for (i, j), c in self.terms.items()})
+        return TriPoly({(i, j, d - i - j): Fraction(c, self.den) for (i, j), c in self.nums.items()})
 
     # -- text form -------------------------------------------------------------
     def canonical(self, xname: str = "x", yname: str = "y") -> str:
         if self.is_zero():
             return "0"
-        keys = sorted(self.terms, key=lambda k: (-(k[0] + k[1]), -k[1]))
+        keys = sorted(self.nums, key=lambda k: (-(k[0] + k[1]), -k[1]))
         parts = []
         for i, j in keys:
-            c = self.terms[(i, j)]
+            c = self.coeff(i, j)
             factors = []
             if i:
                 factors.append(xname if i == 1 else f"{xname}^{i}")
@@ -411,12 +455,6 @@ class BiPoly:
 
     def __repr__(self):
         return f"BiPoly({self.canonical()})"
-
-
-def _numerators(p: BiPoly) -> Tuple[Dict[Term, int], int]:
-    """p's integer numerators over the lcm of its denominators, and that lcm."""
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    return {k: c.numerator * (den // c.denominator) for k, c in p.terms.items()}, den
 
 
 def _pseudo_divmod_y(num: BiPoly, den: BiPoly):

@@ -64,7 +64,7 @@ class _ChartPlace:
             shift += val
             e *= fr.e
         if val is None:
-            val = min(i for (i, j) in final.terms if j == 0)
+            val = min(i for (i, j) in final.nums if j == 0)
         self.shift, self.val = shift, val
 
     def sv_series(self, prec: int) -> Tuple[PowerSeries, PowerSeries]:
@@ -91,7 +91,7 @@ def _newton_series(h: BiPoly, prec: int) -> PowerSeries:
     hv = h.partial("y")
     if h(0, 0) != 0 or hv(0, 0) == 0:
         raise VerificationError("internal: Newton iteration needs a regular root")
-    h_coeffs, hv_coeffs = h.as_poly_in("y"), hv.as_poly_in("y")
+    h_rows, hv_rows = h.rows_in("y"), hv.rows_in("y")
     plan = []  # prec, ceil(prec/2), ... down to 2
     while prec > 1:
         plan.append(prec)
@@ -102,9 +102,9 @@ def _newton_series(h: BiPoly, prec: int) -> PowerSeries:
         k = v.prec
         if g.prec < k:
             g = _extend(g, k)
-            g = (g + g * (1 - _eval_in_t(hv_coeffs, v, k) * g)).truncate(k)
+            g = (g + g * (1 - _eval_in_t(hv_rows, hv.den, v, k) * g)).truncate(k)
         v = _extend(v, n)
-        v = (v - _eval_in_t(h_coeffs, v, n) * g).truncate(n)
+        v = (v - _eval_in_t(h_rows, h.den, v, n) * g).truncate(n)
     return v
 
 
@@ -113,15 +113,15 @@ def _extend(a: PowerSeries, prec: int) -> PowerSeries:
     return PowerSeries.from_ints(a.val, a.nums, a.den, prec)
 
 
-def _eval_in_t(coeffs: List[UniPoly], v: PowerSeries, prec: int) -> PowerSeries:
-    """sum_j coeffs[j](t) * v(t)^j truncated to prec."""
-    return _horner([PowerSeries.from_unipoly(c, prec) for c in coeffs], v, prec)
+def _eval_in_t(rows: List[List[int]], den: int, v: PowerSeries, prec: int) -> PowerSeries:
+    """sum_j (rows[j](t) / den) * v(t)^j truncated to prec."""
+    return _horner([PowerSeries.from_ints(0, r, den, prec) for r in rows], v, prec)
 
 
 def _eval_series(p: BiPoly, s: PowerSeries, v: PowerSeries, prec: int) -> PowerSeries:
     """p(s(t), v(t)) truncated to prec."""
-    return _horner([_horner([PowerSeries.const(a, prec) for a in c.coeffs], s, prec)
-                    for c in p.as_poly_in("y")], v, prec)
+    return _horner([_horner([PowerSeries.from_ints(0, (a,), p.den, prec) for a in r], s, prec)
+                    for r in p.rows_in("y")], v, prec)
 
 
 def _horner(coeffs: List[PowerSeries], v: PowerSeries, prec: int) -> PowerSeries:
@@ -133,12 +133,12 @@ def _horner(coeffs: List[PowerSeries], v: PowerSeries, prec: int) -> PowerSeries
 
 
 def _divide_out_x_power(p: BiPoly, k: int) -> BiPoly:
-    terms = {}
-    for (i, j), c in p.terms.items():
+    nums = {}
+    for (i, j), c in p.nums.items():
         if i < k:
             raise VerificationError("internal: monomial division failed in polygon step")
-        terms[(i - k, j)] = c
-    return BiPoly(terms)
+        nums[(i - k, j)] = c
+    return BiPoly.from_ints(nums, p.den)
 
 
 def _polygon_places(h: BiPoly, depth: int = 0) -> List[_ChartPlace]:
@@ -147,7 +147,7 @@ def _polygon_places(h: BiPoly, depth: int = 0) -> List[_ChartPlace]:
         raise VerificationError("Newton polygon recursion did not terminate")
     if h(0, 0) != 0:
         return []
-    support = list(h.terms.keys())
+    support = list(h.nums)
     if all(j >= 1 for _, j in support):
         raise NonRationalSupportError("curve has the chart axis as a component")
     if all(i >= 1 for i, _ in support):
@@ -177,7 +177,7 @@ def _polygon_places(h: BiPoly, depth: int = 0) -> List[_ChartPlace]:
             k = (j - j0) // e
             if (j - j0) % e != 0:
                 raise VerificationError("internal: edge exponents not in arithmetic progression")
-            psi_terms[k] = h.terms[(i, j)]
+            psi_terms[k] = h.coeff(i, j)
         psi = UniPoly([psi_terms.get(k, Fraction(0)) for k in range(max(psi_terms) + 1)])
         roots = psi.rational_roots()
         covered = sum(mult for root, mult in roots if root != 0)
@@ -208,7 +208,7 @@ def _shift_frame(h: BiPoly, e: int, q: int, lam: Fraction, m: Fraction) -> BiPol
     s_img = BiPoly({(e, 0): lam})
     v_img = BiPoly({(q, 0): m, (q, 1): Fraction(1)})
     g = h.substitute(s_img, v_img)
-    k = min((i for (i, _) in g.terms), default=0)
+    k = min((i for (i, _) in g.nums), default=0)
     return _divide_out_x_power(g, k)
 
 

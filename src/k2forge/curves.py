@@ -26,7 +26,7 @@ from functools import reduce
 from math import gcd, lcm
 from typing import Dict, List, Optional, Tuple, Union
 
-from .bipoly import BiPoly, TriPoly, _numerators
+from .bipoly import BiPoly, IntTerms, TriPoly
 from .errors import PreconditionError, VerificationError
 from .linalg import bareiss_det, vandermonde_solve
 from .rationals import rat, rat_str
@@ -45,12 +45,21 @@ class CurvePoint:
     infinity carry normalized projective coordinates (X:Y:0) plus a
     branch index enumerating the places of the (possibly singular)
     model that lie over that projective point.
+
+    Points key the engines' caches, so the hash is taken once, at
+    construction.
     """
 
     kind: str  # "affine" | "infinity"
     x: Fraction = Fraction(0)
     y: Fraction = Fraction(0)
     branch: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.kind, self.x, self.y, self.branch)))
+
+    def __hash__(self):
+        return self._hash
 
     @staticmethod
     def affine(x, y) -> "CurvePoint":
@@ -228,7 +237,7 @@ def _is_squarefree(f: BiPoly) -> bool:
     one of the first d(d-1) + 1 values of k gives a squarefree section.
     """
     d = f.total_degree
-    top = [(j, cf) for (i, j), cf in f.terms.items() if i + j == d]
+    top = [(j, cf) for (i, j), cf in f.nums.items() if i + j == d]
     c = next(c for c in range(d + 1) if sum(cf * c**j for j, cf in top) != 0)
     sheared = f.substitute(BiPoly.x(), BiPoly.y() + BiPoly.x() * c)
     return any(sheared.eval_y(k).is_squarefree() for k in range(d * (d - 1) + 1))
@@ -237,9 +246,6 @@ def _is_squarefree(f: BiPoly) -> bool:
 # ---------------------------------------------------------------------------
 # intersection multiplicity (axiomatic reduction)
 # ---------------------------------------------------------------------------
-
-IntTerms = Dict[Tuple[int, int], int]
-
 
 def _primitive(terms: IntTerms) -> IntTerms:
     """Divide out the content (the gcd of the coefficients)."""
@@ -252,7 +258,7 @@ def _content_free(p: BiPoly) -> IntTerms:
 
     Rescaling either argument never changes an intersection multiplicity.
     """
-    return _primitive(_numerators(p)[0])
+    return _primitive(p.nums)
 
 
 def fulton_multiplicity(f: BiPoly, g: BiPoly, bound: int) -> int:
@@ -535,30 +541,33 @@ def _rational_singular_point(curve: PlaneCurve) -> Optional[CurvePoint]:
 def rational_common_zeros(p1: BiPoly, p2: BiPoly) -> Optional[List[Tuple[Fraction, Fraction]]]:
     """All rational common zeros of two bivariate polynomials.
 
-    Returns None when the pair shares a positive-dimensional component
-    (resultant identically zero) and the enumeration is meaningless.
+    Returns None exactly when the pair shares a positive-dimensional
+    component, where the enumeration is meaningless: a factor in x alone
+    (the gcd of all their y-coefficients is not constant) or one of
+    positive y-degree (the resultant in y vanishes identically).
     """
     if p1.is_zero() or p2.is_zero():
         return None
+    content = UniPoly.zero()
+    for c in reversed(p1.as_poly_in("y") + p2.as_poly_in("y")):
+        content = content.gcd(c)
+        if content.degree == 0:
+            break
+    if content.degree > 0:
+        return None
     d1, d2 = p1.degree_in("y"), p2.degree_in("y")
     if d1 == 0 and d2 == 0:
-        return None  # two x-only polynomials: common zeros form vertical lines
+        return []  # coprime polynomials in x alone have no common root
     if d1 == 0 or d2 == 0:
-        only_x = p1 if d1 == 0 else p2
-        other = p2 if d1 == 0 else p1
-        r = only_x.eval_y(0)
+        r = (p1 if d1 == 0 else p2).eval_y(0)
     else:
         r = p1.resultant(p2, "y")
-        other = None
-    if r.is_zero():
-        return None
+        if r.is_zero():
+            return None
     out = []
     for x0, _ in r.rational_roots():
-        u1 = p1.eval_x(x0)
-        u2 = p2.eval_x(x0)
-        if u1.is_zero() and u2.is_zero():
-            return None
-        g = u1.gcd(u2) if (not u1.is_zero() and not u2.is_zero()) else (u2 if u1.is_zero() else u1)
+        # the content is constant, so the two sections are not both zero
+        g = p1.eval_x(x0).gcd(p2.eval_x(x0))
         if g.degree == 0:
             continue
         for y0, _ in g.rational_roots():

@@ -55,8 +55,10 @@ class EpsilonVector:
 # model builders
 # ---------------------------------------------------------------------------
 
-def hyperelliptic_curve(g: int, d: int, f1: UniPoly) -> Tuple[PlaneCurve, UniPoly]:
-    """Curve y^2 + f1*y + x^d with its two-torsion polynomial -4x^d + f1^2.
+def hyperelliptic_curve(g: int, d: int,
+                        f1: UniPoly) -> Tuple[PlaneCurve, UniPoly, Fraction]:
+    """Curve y^2 + f1*y + x^d, its two-torsion polynomial -4x^d + f1^2 and
+    that polynomial's discriminant.
 
     Rejects singular members (vanishing discriminant) and degenerate
     interpolants (wrong degree shape).
@@ -73,11 +75,12 @@ def hyperelliptic_curve(g: int, d: int, f1: UniPoly) -> Tuple[PlaneCurve, UniPol
         raise SingularModelError("discriminant vanishes: two-torsion polynomial degenerates")
     if d == 2 * g + 2 and tpoly.degree != 2 * g + 1:
         raise SingularModelError("discriminant vanishes: two-torsion polynomial drops degree")
-    if tpoly.discriminant() == 0:
+    disc = tpoly.discriminant()
+    if disc == 0:
         raise SingularModelError("discriminant vanishes: disc(-4x^d + f1^2) = 0")
     curve = PlaneCurve(
         BiPoly.y(2) + BiPoly.from_unipoly(f1) * BiPoly.y() + BiPoly.x(d))
-    return curve, tpoly
+    return curve, tpoly, disc
 
 
 def quartic_curve(f1: UniPoly, f2: UniPoly) -> PlaneCurve:
@@ -185,7 +188,7 @@ def _hyp_record(family_id: str, params: dict, g: int, d: int, f1: UniPoly,
                 marked: List[Tuple[Fraction, Fraction]],
                 notes: List[str] = None) -> CurveRecord:
     """Common path: model, tangency verification, elements, flags."""
-    curve, tpoly = hyperelliptic_curve(g, d, f1)
+    curve, tpoly, disc = hyperelliptic_curve(g, d, f1)
     eng = SymbolEngine(curve)
     if len(eng.infinity_points()) != 1:
         raise VerificationError("hyperelliptic model must have one place at infinity")
@@ -216,7 +219,7 @@ def _hyp_record(family_id: str, params: dict, g: int, d: int, f1: UniPoly,
     }
     extras = {
         "two_torsion_poly": [rat_str(c) for c in tpoly.coeffs],
-        "disc_two_torsion": rat_str(tpoly.discriminant()),
+        "disc_two_torsion": rat_str(disc),
     }
     if d == 2 * g + 2:
         half = f1 * Fraction(1, 2)
@@ -477,7 +480,7 @@ def swapped_quartic_model(curve: PlaneCurve, a, b) -> BiPoly:
         raise VerificationError("swapped model lost its cubic term")
     hom = hom.scaled(1 / lead)
     g = hom.dehomogenize("Z")
-    if g.terms.get((4, 0)) != 1:
+    if g.coeff(4, 0) != 1:
         raise VerificationError("swapped model is not monic in w^4")
     return g
 
@@ -892,7 +895,7 @@ def gen_nekovar_3tor(r) -> CurveRecord:
     eng = SymbolEngine(curve)
     O = CurvePoint.affine(0, 0)
     # y = 0 meets the curve only at the origin: F(x, 0) = x^3
-    sec = curve.affine.restriction_y0()
+    sec = curve.affine.eval_y(0)
     if sec != UniPoly.x(3):
         raise VerificationError("the line y=0 does not have maximal contact at the origin")
     q1 = CurvePoint.affine(0, -r)
@@ -940,7 +943,7 @@ def gen_nekovar_genus2(r) -> CurveRecord:
         raise VerificationError(
             f"model must have two places at infinity, found {len(branches)}")
     O = CurvePoint.affine(0, 0)
-    if curve.affine.restriction_y0() != UniPoly.x(5):
+    if curve.affine.eval_y(0) != UniPoly.x(5):
         raise VerificationError("the line y=0 does not have maximal contact at the origin")
     y_fn = FnElt.poly(curve, BiPoly.y())
     if eng.ord(y_fn, O) != 5:
@@ -992,9 +995,7 @@ def _nekovar_record(family_id: str, params: dict, curve: PlaneCurve,
 
 
 def _line_coeffs(line: BiPoly) -> List[str]:
-    u = line.terms.get((1, 0), Fraction(0))
-    v = line.terms.get((0, 1), Fraction(0))
-    w = line.terms.get((0, 0), Fraction(0))
+    u, v, w = line.coeff(1, 0), line.coeff(0, 1), line.coeff(0, 0)
     return [rat_str(u), rat_str(v), rat_str(w)]
 
 

@@ -3,10 +3,11 @@
 Scalars in this package are `fractions.Fraction`, which guarantees the
 canonical form we rely on everywhere: reduced, positive denominator,
 structural equality.  Hot paths work on integers instead and build a
-`Fraction` only at their edges: `series.PowerSeries` keeps integer
-numerators over one common denominator; `BiPoly.shift` translates and
-`BiPoly.__mul__` multiplies on integer numerators, so powers,
-substitutions and `FnElt` numerators do too; `curves` runs Fulton's
+`Fraction` only at their edges: `series.PowerSeries` and `bipoly.BiPoly`
+each keep integer numerators over one common denominator, so series
+products, polynomial arithmetic, Taylor shifts, substitutions and
+evaluation at a rational point run on integers, and branch Newton steps
+read a polynomial's integer rows directly; `curves` runs Fulton's
 reduction on content-free integer coefficients and the smoothness test
 on an integer form.
 This module adds the few helpers the rest of the code needs
@@ -35,7 +36,8 @@ def rat(value, den=None) -> Fraction:
 
 def rat_str(q: Fraction) -> str:
     """Serialize as "p" or "p/q" (never a float)."""
-    q = Fraction(q)
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"

@@ -81,10 +81,6 @@ class PowerSeries:
         c = rat(coeff)
         return PowerSeries.from_ints(k, (c.numerator,), c.denominator, prec)
 
-    @staticmethod
-    def from_unipoly(p, prec: int) -> "PowerSeries":
-        return PowerSeries(0, p.coeffs, prec)
-
     # -- inspection --------------------------------------------------------
     @property
     def coeffs(self) -> Tuple[Fraction, ...]:

@@ -67,7 +67,7 @@ class FnElt:
         factors = []
         for poly, e in ((num, 1), (den, -1)):
             if poly.total_degree == 0:
-                self.scalar *= poly.terms[(0, 0)] ** e
+                self.scalar *= poly.coeff(0, 0) ** e
             else:
                 factors.append((poly, e))
         self.factors = tuple(factors)
@@ -360,7 +360,7 @@ class SymbolEngine:
         if poly.is_zero():
             raise PreconditionError("zero function")
         if poly.total_degree == 0:
-            return 0, poly.terms[(0, 0)]
+            return 0, poly.coeff(0, 0)
         key = (poly, p)
         hit = self._val_lead_cache.get(key)
         if hit is not None:

@@ -244,7 +244,7 @@ def _fraction_fulton(f, g, bound):
     while True:
         if f.is_zero() or g.is_zero():
             raise VerificationError("intersection multiplicity infinite: common component")
-        fr, gr = f.restriction_y0(), g.restriction_y0()
+        fr, gr = f.eval_y(0), g.eval_y(0)
         if fr.coeff(0) != 0 or gr.coeff(0) != 0:
             return total
         if fr.is_zero() and gr.is_zero():
@@ -366,14 +366,15 @@ def test_affine_invariance():
 coords = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
 
 
-def _through(draw, deg, pts):
-    """A random polynomial of total degree deg through the given points:
-    the constant term and one linear term are solved for."""
-    f = BiPoly({(i, j): draw(small) for i in range(deg + 1) for j in range(deg + 1 - i)})
+def _through(draw, deg, pts, x_only=False):
+    """A random polynomial of total degree deg, in x alone if x_only, through
+    the given points: the constant term and one linear term are solved for."""
+    f = BiPoly({(i, j): draw(small) for i in range(deg + 1)
+                for j in range(1 if x_only else deg + 1 - i)})
     if not pts:
         return f
     p0 = pts[0]
-    if len(pts) == 1:
+    if len(pts) == 1 or x_only and p0[0] == pts[1][0]:
         return f - BiPoly.const(f(*p0))
     p1 = pts[1]
     axis = 0 if p0[0] != p1[0] else 1
@@ -385,15 +386,14 @@ def _through(draw, deg, pts):
 @st.composite
 def intersection_pairs(draw):
     """(curve, g): a curve of degree 2-4 and a line or conic, both through
-    0-2 chosen rational points; with shared=True the curve contains g."""
+    0-2 chosen rational points; with shared=True the curve contains g,
+    which may lie in x alone (x^2 + 1 shared has no rational point)."""
     pts = list(dict.fromkeys(draw(st.lists(st.tuples(coords, coords), max_size=2))))
-    g = _through(draw, draw(st.sampled_from([1, 2])), pts)
+    g = _through(draw, draw(st.sampled_from([1, 2])), pts, draw(st.booleans()))
     d = draw(st.integers(max(2, g.total_degree), 4))
     shared = draw(st.booleans())
     f = g * _through(draw, d - g.total_degree, pts) if shared else _through(draw, d, pts)
     assume(f.total_degree == d and f.degree_in("y") >= 1 and g.total_degree >= 1)
-    # an x-only conic shared with the curve may have no rational points at all
-    assume(g.degree_in("y") >= 1 or g.total_degree == 1)
     return f, g, pts, shared
 
 
@@ -422,6 +422,11 @@ def _rational_solutions(fs, gs, x, y):
 @given(intersection_pairs())
 # a shared vertical line, seen only as a zero section over x = 1
 @example((BiPoly.parse("x*y^2 - y^2 + x^2 - x"), BiPoly.parse("x - 1"), [], True))
+# a shared component in x alone with no rational point
+@example((BiPoly.parse("x^2*y + y + x^2 + 1"), BiPoly.parse("x^2*y + y + 2*x^2 + 2"), [], True))
+# polynomials in x alone: coprime ones have no common zero, others share a line
+@example((BiPoly.parse("x^2 - 1"), BiPoly.parse("x - 3"), [], False))
+@example((BiPoly.parse("x^2 - 1"), BiPoly.parse("x - 1"), [], True))
 def test_rational_common_zeros_match_sympy(pair):
     f, g, pts, shared = pair
     zs = curves.rational_common_zeros(f, g)

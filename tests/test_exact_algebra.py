@@ -368,7 +368,7 @@ def test_shift_is_the_translation(f, a, b):
 
 
 # ---------------------------------------------------------------------------
-# products on integer numerators
+# the integer form against a schoolbook Fraction reference
 # ---------------------------------------------------------------------------
 
 def _ref_product(a, b):
@@ -381,26 +381,86 @@ def _ref_product(a, b):
     return {k: v for k, v in out.items() if v}
 
 
+def _ref_sum(a, b, sign=1):
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, F(0)) + sign * v
+    return {k: v for k, v in out.items() if v}
+
+
+def _ref_substitute(a, x_image, y_image):
+    out = {}
+    for (i, j), c in a.items():
+        term = {(0, 0): c}
+        for img, e in ((x_image, i), (y_image, j)):
+            for _ in range(e):
+                term = _ref_product(term, img)
+        out = _ref_sum(out, term)
+    return out
+
+
+def _ref_section(a, axis, v):
+    """a with variable `axis` set to v, as a UniPoly in the other one."""
+    out = {}
+    for k, c in a.items():
+        out[k[1 - axis]] = out.get(k[1 - axis], F(0)) + c * v ** k[axis]
+    return UniPoly([out.get(e, F(0)) for e in range(max(out, default=-1) + 1)])
+
+
+def _ref_partial(a, axis):
+    return {(i - (axis == 0), j - (axis == 1)): c * (i, j)[axis]
+            for (i, j), c in a.items() if (i, j)[axis]}
+
+
 def _checked(p, ref):
+    """p has the terms ref, in the reduced integer form."""
     assert p.terms == ref
     assert all(type(c) is F and c != 0 for c in p.terms.values())
+    assert p.den > 0 and gcd(p.den, *p.nums.values()) == 1
+    assert all(type(v) is int and v != 0 for v in p.nums.values())
+    assert p.total_degree == max((i + j for i, j in ref), default=-1)
     q = BiPoly(ref)
     assert p == q and hash(p) == hash(q)
+    assert BiPoly.parse(p.canonical()) == p
 
 
 factors = bipolys | small_fractions.map(BiPoly.const)
+# zero, integers, small fractions and 30-digit denominators
+points = (st.just(F(0)) | st.integers(-5, 5).map(F) | small_fractions
+          | st.builds(F, st.integers(-10**30, 10**30), st.integers(10**29, 10**30)))
+affine_images = st.dictionaries(st.sampled_from([(0, 0), (1, 0), (0, 1)]), small_fractions,
+                                max_size=3).map(BiPoly)
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
-@given(factors, factors, st.integers(0, 4))
-def test_products_match_fraction_reference(a, b, n):
-    ref = _ref_product(a.terms, b.terms)
+@given(factors, factors, st.integers(0, 4), points, points, affine_images, affine_images)
+def test_products_match_fraction_reference(a, b, n, x0, y0, x_image, y_image):
+    ref_a, ref_b = dict(a.terms), dict(b.terms)
+    _checked(a, ref_a)
+    ref = _ref_product(ref_a, ref_b)
     _checked(a * b, ref)
     _checked(b * a, ref)
     power = {(0, 0): F(1)}
     for _ in range(n):
-        power = _ref_product(power, a.terms)
+        power = _ref_product(power, ref_a)
     _checked(a**n, power)
+    _checked(a + b, _ref_sum(ref_a, ref_b))
+    _checked(a - b, _ref_sum(ref_a, ref_b, -1))
+    _checked(a * x0, _ref_product(ref_a, {(0, 0): x0} if x0 else {}))
+    _checked(-a, _ref_sum({}, ref_a, -1))
+    assert (a == b) == (ref_a == ref_b)
+    assert a(x0, y0) == sum((c * x0**i * y0**j for (i, j), c in ref_a.items()), F(0))
+    assert a.eval_x(x0) == _ref_section(ref_a, 0, x0)
+    assert a.eval_y(y0) == _ref_section(ref_a, 1, y0)
+    for axis, var in enumerate("xy"):
+        _checked(a.partial(var), _ref_partial(ref_a, axis))
+        rows = [_ref_section({k: c for k, c in ref_a.items() if k[axis] == e}, axis, F(1))
+                for e in range(a.degree_in(var) + 1)]
+        assert a.as_poly_in(var) == rows
+    _checked(a.substitute(x_image, y_image),
+             _ref_substitute(ref_a, dict(x_image.terms), dict(y_image.terms)))
+    _checked(a.shift(x0, y0),
+             _ref_substitute(ref_a, {(1, 0): F(1), (0, 0): x0}, {(0, 1): F(1), (0, 0): y0}))
 
 
 # ---------------------------------------------------------------------------

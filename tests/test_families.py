@@ -163,7 +163,7 @@ def test_hyp_tangency_identity_random_100():
                 w = [-2 * x**(g + 1) - 2 * e * x**(g + 1) for x, e in zip(a, eps)]
                 f1 = UniPoly(vandermonde_solve(a, w)) + UniPoly.x(g + 1) * 2
                 marked = [(x, e * x**(g + 1)) for x, e in zip(a, eps)]
-            curve, _ = fam.hyperelliptic_curve(g, d, f1)
+            curve, _, _ = fam.hyperelliptic_curve(g, d, f1)
         except (PreconditionError, SingularModelError):
             continue
         for alpha, beta in marked:

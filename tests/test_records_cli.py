@@ -1,7 +1,11 @@
 """Record serialization, CLI exit codes, catalogs and figure output."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +45,21 @@ def test_cli_gen_verify_round_trip(tmp_path):
     assert main(["gen", "hyp-odd", "--genus", "2", "--a", "1,1/2,1/4",
                  "--out", str(out)]) == 0
     assert main(["verify", str(out)]) == 0
+
+
+@pytest.mark.parametrize("args", [["hyp-odd", "--genus", "2", "--a", "1,1/2,1/4"],
+                                  ["quartic-ct", "--t", "2"]])
+def test_gen_output_does_not_depend_on_the_hash_seed(tmp_path, args):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    texts = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"rec-{seed}.json"
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+        subprocess.run([sys.executable, "-m", "k2forge.cli", "gen", *args, "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
 
 
 def test_cli_gen_excluded_value_exits_2(capsys):
