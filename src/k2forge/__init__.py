@@ -23,14 +23,13 @@ from .families import (GENERATORS, EpsilonVector, gen_hyp_even, gen_hyp_odd,
                        gen_quartic_conic_pq, gen_quartic_ct,
                        gen_quartic_lines, integrality_flags)
 from .linalg import vandermonde_solve
-from .rationals import Rat, rat, rat_str
+from .rationals import rat, rat_str
 from .records import (CurveRecord, NamedElement, record_from_json,
                       record_jsonable, record_to_json)
 from .series import PowerSeries
 from .symbols import (Certificate, Divisor, FnElt, K2Element, SymbolEngine,
                       SymbolPair, TorsionFunction, construction_torsion,
-                      divisor_of, nekovar_element, ord_at, steinberg_values,
-                      tame_symbol, verify_k2t)
+                      nekovar_element, steinberg_values, verify_k2t)
 from .unipoly import UniPoly
 
 __version__ = "0.1.0"

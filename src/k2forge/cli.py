@@ -28,7 +28,7 @@ USAGE_FAMILIES = ", ".join(sorted(GENERATORS))
 
 
 class InputError(Exception):
-    """Unknown family, unparsable flag value or non-entry catalog db line (exit 1)."""
+    """Unknown family, bad flag value or db line, unwritable --out (exit 1)."""
 
 
 def _tokens(text: str) -> List[str]:
@@ -122,13 +122,20 @@ def _add_family_flags(p: argparse.ArgumentParser):
         p.add_argument(f"--{name}", metavar="|".join(metavars))
 
 
+def _write_out(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise InputError(f"cannot write {path}: {e.strerror or e}") from None
+
+
 def cmd_gen(ns) -> int:
     (params,) = _param_grid(ns, sweep=False)
     rec = GENERATORS[ns.family](*params.values())
     text = record_to_json(rec)
     if ns.out:
-        with open(ns.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write_out(ns.out, text + "\n")
         print(f"wrote {ns.out} ({len(rec.elements)} element(s), all PASS)")
     else:
         print(text)
@@ -249,8 +256,7 @@ def cmd_plot(ns) -> int:
     except (ValueError, PreconditionError) as e:
         print(f"bad plot spec: {e}", file=sys.stderr)
         return 2
-    with open(ns.out, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    _write_out(ns.out, svg)
     print(f"wrote {ns.out}")
     return 0
 

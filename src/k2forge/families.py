@@ -520,9 +520,7 @@ def gen_quartic_lines(a, b, c) -> CurveRecord:
     if a == b:
         raise PreconditionError("parameters must satisfy a != b")
     factors = disc_thm53_factors(a, b, c)
-    printed = Fraction(1)
-    for _, v in factors:
-        printed *= v
+    printed = disc_thm53_printed(a, b, c)
     f1, f2 = _thm53_polys(a, b, c)
     try:
         curve = quartic_curve(f1, f2)
@@ -738,12 +736,6 @@ def gen_quartic_conic_1tangent(a, d1, d4) -> CurveRecord:
 def gen_quartic_conic_2tangent(a1, a2) -> CurveRecord:
     """Conic contact plus two vertical 3-contact tangents."""
     a1, a2 = rat(a1), rat(a2)
-    if a1 == a2:
-        raise SingularModelError("singular member: factor (a1-a2)^4 vanishes",
-                                 vanished="(a1-a2)^4")
-    if a1 == -a2:
-        raise SingularModelError("singular member: factor (a2+a1)^2 vanishes",
-                                 vanished="(a2+a1)^2")
     for name, v in disc_ex63_factors(a1, a2):
         if v == 0:
             raise SingularModelError(f"singular member: factor {name} vanishes",

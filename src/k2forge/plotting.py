@@ -1,9 +1,12 @@
 """Deterministic SVG figures of real curve loci with marked points.
 
-The exact rational coefficients are evaluated in double precision on a
-regular grid; the zero contour comes from marching squares with linear
-interpolation inside each cell (no adaptive refinement: the figures are
-illustrative).  Auxiliary tangent lines are drawn by analytic clipping,
+The exact rational coefficients are evaluated in double precision, as
+plain Python floats, on a regular grid; the zero contour comes from
+marching squares with linear interpolation inside each cell (no adaptive
+refinement: the figures are illustrative).  A value that overflows the
+float range (a power x**i or y**j, a coefficient, a point or line
+coordinate) becomes nan, and a grid value that is not finite leaves its
+cells undrawn.  Auxiliary tangent lines are drawn by analytic clipping,
 auxiliary conics reuse the contour machinery.  Output is byte-stable:
 cells are visited row-major and every coordinate is printed with fixed
 precision.
@@ -11,12 +14,11 @@ precision.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from .errors import PreconditionError
 
@@ -30,41 +32,66 @@ class PlotSpec:
 
     def __post_init__(self):
         xmin, xmax, ymin, ymax = self.window
+        if not all(map(math.isfinite, (*self.window, xmax - xmin, ymax - ymin))):
+            raise PreconditionError("window bounds and spans must be finite")
         if not (xmin < xmax and ymin < ymax):
             raise PreconditionError("window must satisfy xmin < xmax and ymin < ymax")
         if self.grid < 16:
             raise PreconditionError("grid must be at least 16 cells per axis")
 
 
-def _poly_grid(terms: Dict[Tuple[int, int], Fraction], xs, ys) -> np.ndarray:
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    acc = np.zeros_like(X)
-    for (i, j), c in sorted(terms.items()):
-        acc += float(c) * X**i * Y**j
-    return acc
+def _linspace(a: float, b: float, n: int) -> List[float]:
+    """n evenly spaced points i * step + a from a to b, the last set to b."""
+    step = (b - a) / (n - 1)
+    pts = [i * step + a for i in range(n)]
+    pts[-1] = b
+    return pts
 
 
-def _marching_segments(vals: np.ndarray, xs, ys) -> List[Tuple[float, float, float, float]]:
+def _or_nan(f, *args) -> float:
+    """f(*args), or nan where it overflows the float range."""
+    try:
+        return f(*args)
+    except OverflowError:
+        return math.nan
+
+
+def _poly_grid(terms: Dict[Tuple[int, int], Fraction], xs, ys) -> List[List[float]]:
+    """vals[i][j] = sum of c * xs[i]**dx * ys[j]**dy over the terms, added
+    one term at a time in sorted order from 0.0."""
+    items = sorted(terms.items())
+    xpow = {dx: [_or_nan(pow, x, dx) for x in xs] for (dx, _), _ in items}
+    ypow = {dy: [_or_nan(pow, y, dy) for y in ys] for (_, dy), _ in items}
+    vals = [[0.0] * len(ys) for _ in xs]
+    for (dx, dy), c in items:
+        c, py = _or_nan(float, c), ypow[dy]
+        for i, x in enumerate(xpow[dx]):
+            cx = c * x
+            vals[i] = [acc + cx * y for acc, y in zip(vals[i], py)]
+    return vals
+
+
+def _marching_segments(vals: List[List[float]], xs, ys) -> List[Tuple[float, float, float, float]]:
     """Zero-contour segments, row-major deterministic order."""
     segs = []
-    n, m = vals.shape
 
     def interp(p0, p1, v0, v1):
         t = v0 / (v0 - v1)
         t = min(max(t, 0.0), 1.0)
         return (p0[0] + t * (p1[0] - p0[0]), p0[1] + t * (p1[1] - p0[1]))
 
-    for i in range(n - 1):
-        for j in range(m - 1):
+    for i in range(len(xs) - 1):
+        row, nxt = vals[i], vals[i + 1]
+        for j in range(len(ys) - 1):
+            v = (row[j], nxt[j], nxt[j + 1], row[j + 1])
+            idx = (v[0] > 0) | (v[1] > 0) << 1 | (v[2] > 0) << 2 | (v[3] > 0) << 3
+            if idx in (0, 15) or not all(map(math.isfinite, v)):
+                continue
             corners = [(xs[i], ys[j]), (xs[i + 1], ys[j]),
                        (xs[i + 1], ys[j + 1]), (xs[i], ys[j + 1])]
-            v = [vals[i, j], vals[i + 1, j], vals[i + 1, j + 1], vals[i, j + 1]]
-            idx = sum(1 << k for k in range(4) if v[k] > 0)
-            if idx in (0, 15) or any(not np.isfinite(x) for x in v):
-                continue
             edges = _MS_TABLE[idx]
             if edges is None:  # ambiguous saddle: split on the cell mean
-                center = sum(v) / 4.0
+                center = (v[0] + v[1] + v[2] + v[3]) / 4.0
                 edges = _MS_SADDLE[(idx, center > 0)]
             for (e0, e1) in edges:
                 a = interp(corners[e0[0]], corners[e0[1]], v[e0[0]], v[e0[1]])
@@ -119,8 +146,7 @@ def _clip_line(u: float, v: float, w: float, window) -> Optional[Tuple[float, fl
             uniq.append(p)
     if len(uniq) < 2:
         return None
-    (x0, y0), (x1, y1) = uniq[0], uniq[1]
-    return (x0, y0, x1, y1)
+    return (*uniq[0], *uniq[1])
 
 
 def render_record_svg(record_data: dict, spec: PlotSpec) -> str:
@@ -142,13 +168,11 @@ def render_record_svg(record_data: dict, spec: PlotSpec) -> str:
     from .records import json_field, poly_field, rat_field, rats_field
     curve_terms = poly_field(json_field(record_data, "curve", dict), "affine").terms
     aux = json_field(record_data, "aux", dict, {})
-    xs = np.linspace(xmin, xmax, spec.grid + 1)
-    ys = np.linspace(ymin, ymax, spec.grid + 1)
-    out = []
-    out.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{W}" height="{H}" viewBox="0 0 {W} {H}">')
-    out.append(f'<rect width="{W}" height="{H}" fill="white"/>')
+    xs = _linspace(xmin, xmax, spec.grid + 1)
+    ys = _linspace(ymin, ymax, spec.grid + 1)
+    out = [f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+           f'width="{W}" height="{H}" viewBox="0 0 {W} {H}">',
+           f'<rect width="{W}" height="{H}" fill="white"/>']
     # axes
     if xmin < 0 < xmax:
         x0, _ = to_px(0, 0)
@@ -160,8 +184,7 @@ def render_record_svg(record_data: dict, spec: PlotSpec) -> str:
                    'stroke="#cccccc" stroke-width="1"/>')
 
     def contour_path(terms, color, width, dash=""):
-        vals = _poly_grid(terms, xs, ys)
-        segs = _marching_segments(vals, xs, ys)
+        segs = _marching_segments(_poly_grid(terms, xs, ys), xs, ys)
         if not segs:
             return
         parts = []
@@ -174,7 +197,7 @@ def render_record_svg(record_data: dict, spec: PlotSpec) -> str:
 
     # auxiliary lines first (under the curve)
     for line in json_field(aux, "lines", list, []):
-        u, v, w = (float(c) for c in rats_field(line, "coeffs", 3))
+        u, v, w = (_or_nan(float, c) for c in rats_field(line, "coeffs", 3))
         seg = _clip_line(u, v, w, spec.window)
         if seg is None:
             continue
@@ -192,21 +215,18 @@ def render_record_svg(record_data: dict, spec: PlotSpec) -> str:
 
     # marked points with labels
     any_inside = False
-    labels = []
     for name, pd in sorted(json_field(record_data, "points", dict, {}).items()):
         if json_field(pd, "kind", str) != "affine":
             continue
-        x, y = float(rat_field(pd, "x")), float(rat_field(pd, "y"))
-        inside = xmin <= x <= xmax and ymin <= y <= ymax
-        any_inside = any_inside or inside
-        if not inside:
+        x, y = _or_nan(float, rat_field(pd, "x")), _or_nan(float, rat_field(pd, "y"))
+        if not (xmin <= x <= xmax and ymin <= y <= ymax):
             continue
+        any_inside = True
         px, py = to_px(x, y)
-        labels.append(
+        out.append(
             f'<circle cx="{fmt(px)}" cy="{fmt(py)}" r="3.5" fill="#c02020"/>'
             f'<text x="{fmt(px + 6)}" y="{fmt(py - 6)}" font-family="sans-serif" '
             f'font-size="14" fill="#c02020">{name}</text>')
-    out.extend(labels)
     if not any_inside:
         print("warning: window excludes all marked points", file=sys.stderr)
     out.append("</svg>")

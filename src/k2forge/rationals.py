@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Rat = Fraction
-
 
 def rat(value, den=None) -> Fraction:
     """Build a Fraction from ints, strings like "-3/4", or another Fraction."""

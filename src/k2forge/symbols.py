@@ -488,22 +488,6 @@ class SymbolEngine:
         return pts
 
 
-# ---------------------------------------------------------------------------
-# module-level operations (spec surface)
-# ---------------------------------------------------------------------------
-
-def ord_at(curve: PlaneCurve, f: FnElt, p: CurvePoint) -> int:
-    return SymbolEngine(curve).ord(f, p)
-
-
-def divisor_of(curve: PlaneCurve, f: FnElt, candidates: Sequence[CurvePoint]) -> Divisor:
-    return SymbolEngine(curve).divisor(f, candidates)
-
-
-def tame_symbol(curve: PlaneCurve, pair: SymbolPair, p: CurvePoint) -> Fraction:
-    return SymbolEngine(curve).tame(pair, p)
-
-
 def verify_k2t(curve: PlaneCurve, elem: K2Element,
                engine: SymbolEngine = None) -> Certificate:
     """Certify that every tame symbol of `elem` over its declared support is 1.

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -47,19 +48,40 @@ def test_cli_gen_verify_round_trip(tmp_path):
     assert main(["verify", str(out)]) == 0
 
 
+def _package_env(**extra) -> dict:
+    """The environment for a subprocess that imports this k2forge."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
 @pytest.mark.parametrize("args", [["hyp-odd", "--genus", "2", "--a", "1,1/2,1/4"],
                                   ["quartic-ct", "--t", "2"]])
 def test_gen_output_does_not_depend_on_the_hash_seed(tmp_path, args):
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     texts = []
     for seed in ("1", "2"):
         out = tmp_path / f"rec-{seed}.json"
-        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
         subprocess.run([sys.executable, "-m", "k2forge.cli", "gen", *args, "--out", str(out)],
-                       env=env, check=True, capture_output=True)
+                       env=_package_env(PYTHONHASHSEED=seed), check=True, capture_output=True)
         texts.append(out.read_bytes())
     assert texts[0] == texts[1]
+
+
+def test_cli_runs_without_numpy(tmp_path):
+    """k2forge has no runtime dependency: gen, verify and plot all run with
+    numpy made unimportable."""
+    script = ("import sys; sys.modules['numpy'] = None\n"
+              "from k2forge.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))")
+    rec, svg = tmp_path / "rec.json", tmp_path / "fig.svg"
+    for argv in (["gen", "quartic-ct", "--t", "0", "--out", str(rec)],
+                 ["verify", str(rec)],
+                 ["plot", str(rec), "--window=-0.6,0.6,-0.6,0.3", "--grid", "64",
+                  "--out", str(svg)]):
+        done = subprocess.run([sys.executable, "-c", script, *argv], env=_package_env(),
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+    assert ">O</text>" in svg.read_text()
 
 
 def test_cli_gen_excluded_value_exits_2(capsys):
@@ -186,6 +208,62 @@ def test_cli_plot_window_warning(tmp_path, capsys):
     assert main(["plot", str(rec), "--window", "100,101,100,101",
                  "--out", str(out)]) == 0
     assert "window excludes all marked points" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def quartic_t0_record(tmp_path_factory):
+    rec = tmp_path_factory.mktemp("quartic") / "rec.json"
+    rec.write_text(record_to_json(fam.gen_quartic_ct(0)) + "\n")
+    return rec
+
+
+NOT_FINITE = "bad plot spec: window bounds and spans must be finite\n"
+
+
+@pytest.mark.parametrize("window, code, err", [
+    # powers of x overflow over most of the grid: those cells stay undrawn
+    ("-1e200,1e200,-1,1", 0, ""),
+    ("-1e200,1e200,100,101", 0, "warning: window excludes all marked points\n"),
+    ("-inf,inf,-1,1", 2, NOT_FINITE),
+    ("-1e308,1e308,-1,1", 2, NOT_FINITE),  # the x span overflows
+    ("nan,1,-1,1", 2, NOT_FINITE),
+], ids=["huge", "huge-excluding", "infinite", "span-overflow", "nan"])
+def test_cli_plot_window_bounds(window, code, err, quartic_t0_record, tmp_path, capsys):
+    out = tmp_path / "fig.svg"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow must not surface as a warning
+        assert main(["plot", str(quartic_t0_record), f"--window={window}", "--grid", "16",
+                     "--out", str(out)]) == code
+    assert capsys.readouterr().err == err
+    assert out.exists() == (code == 0)
+    if code == 0:
+        assert "nan" not in out.read_text() and "inf" not in out.read_text()
+
+
+def test_cli_plot_out_of_range_values_exit_0(quartic_t0_record, tmp_path, capsys):
+    """A coefficient or coordinate beyond the float range is left undrawn."""
+    data = json.loads(quartic_t0_record.read_text())
+    huge = "1" + "0" * 400
+    data["curve"]["affine"] += f" + {huge}*x^5"
+    data["points"]["O"]["x"] = "-" + huge
+    data["aux"]["lines"][0]["coeffs"][0] = huge
+    rec, out = tmp_path / "huge.json", tmp_path / "huge.svg"
+    rec.write_text(json.dumps(data))
+    assert main(["plot", str(rec), "--grid", "16", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    body = out.read_text()
+    assert "<path " not in body and ">O</text>" not in body and ">P</text>" in body
+
+
+@pytest.mark.parametrize("command", ["gen", "plot"])
+def test_cli_unwritable_out_exits_1(command, quartic_t0_record, tmp_path, capsys):
+    dest = tmp_path / "missing" / "out"
+    argv = {"gen": ["gen", "quartic-ct", "--t", "2"],
+            "plot": ["plot", str(quartic_t0_record), "--grid", "16"]}[command]
+    assert main(argv + ["--out", str(dest)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"cannot write {dest}: ")
+    assert "Traceback" not in err and not dest.exists()
 
 
 
