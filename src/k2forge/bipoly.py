@@ -8,10 +8,12 @@ coefficients, so equality and hashing stay structural but run on ints.
 Every operation runs on the numerators: sums over the lcm of the two
 denominators, products, powers, Taylor shifts, substitutions, partials,
 and evaluation, which clears x = a/b and y = c/d once and sums
-n * a^i * b^(dx-i) * c^j * d^(dy-j).  ``Fraction`` is built only at
-the edges: ``coeff``, the read-only ``terms`` view, the value
-``__call__`` returns, the ``UniPoly`` coefficients of ``eval_x``,
-``eval_y`` and ``as_poly_in``, ``homogenize`` and the text form.
+n * a^i * b^(dx-i) * c^j * d^(dy-j).  ``eval_x``, ``eval_y`` and
+``as_poly_in`` hand integer numerators to ``UniPoly``, which keeps the
+same form, and ``resultant`` runs its Sylvester determinant on integer
+polynomials.  ``Fraction`` is built only at the edges: ``coeff``, the
+read-only ``terms`` view, the value ``__call__`` returns,
+``homogenize`` and the text form.
 TriPoly is the homogeneous companion used for projective charts,
 transforms and smoothness checks.
 
@@ -23,13 +25,13 @@ fractional coefficients: "y^3 + (3/4)*x*y^2 - 2*x + 1/4".
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .errors import PreconditionError
-from .linalg import bareiss_det
-from .rationals import rat, rat_str
+from .linalg import bareiss_det, sylvester_matrix
+from .rationals import lowest_terms, rat, rat_str
 from .unipoly import UniPoly
 
 Term = Tuple[int, int]
@@ -66,11 +68,9 @@ class BiPoly:
 
     def _set(self, nums: IntTerms, den: int):
         """Store nums/den reduced, without zero numerators; den > 0."""
-        nums = {k: v for k, v in nums.items() if v}
-        g = gcd(den, *nums.values())
-        if g > 1:
-            nums = {k: v // g for k, v in nums.items()}
-        self.nums, self.den = nums, den // g
+        keys = [k for k, v in nums.items() if v]
+        vals, self.den = lowest_terms([nums[k] for k in keys], den)
+        self.nums = nums = dict(zip(keys, vals))
         # total_degree is max i + j over the stored terms; -1 for zero
         self.total_degree = max((i + j for i, j in nums), default=-1)
         self._hash = None
@@ -102,9 +102,8 @@ class BiPoly:
 
     @staticmethod
     def from_unipoly(p: UniPoly, var: str = "x") -> "BiPoly":
-        if var == "x":
-            return BiPoly({(i, 0): c for i, c in enumerate(p.coeffs)})
-        return BiPoly({(0, i): c for i, c in enumerate(p.coeffs)})
+        key = (lambda e: (e, 0)) if var == "x" else (lambda e: (0, e))
+        return BiPoly.from_ints({key(e): c for e, c in enumerate(p.nums)}, p.den)
 
     @staticmethod
     def line(u, v, w) -> "BiPoly":
@@ -222,8 +221,8 @@ class BiPoly:
         for k, c in self.nums.items():
             e = k[1 - axis]
             out[e] = out.get(e, 0) + c * ps[k[axis]]
-        den = self.den * v.denominator**n
-        return UniPoly([Fraction(out.get(e, 0), den) for e in range(max(out, default=-1) + 1)])
+        return UniPoly.from_ints([out.get(e, 0) for e in range(max(out, default=-1) + 1)],
+                                 self.den * v.denominator**n)
 
     def eval_x(self, x0) -> UniPoly:
         """Specialize x: returns a UniPoly in y."""
@@ -309,61 +308,48 @@ class BiPoly:
 
     def as_poly_in(self, var: str) -> List[UniPoly]:
         """Coefficient list in `var`, entries UniPoly in the other variable."""
-        return [UniPoly([Fraction(c, self.den) for c in row]) for row in self.rows_in(var)]
-
-    @staticmethod
-    def from_poly_in(coeffs: Sequence[UniPoly], var: str) -> "BiPoly":
-        out: Dict[Term, Fraction] = {}
-        for e_main, p in enumerate(coeffs):
-            for e_other, c in enumerate(p.coeffs):
-                key = (e_other, e_main) if var == "y" else (e_main, e_other)
-                if c:
-                    out[key] = c
-        return BiPoly(out)
+        return [UniPoly.from_ints(row, self.den) for row in self.rows_in(var)]
 
     # -- elimination -------------------------------------------------------
     def resultant(self, other: "BiPoly", eliminate: str) -> UniPoly:
         """Resultant w.r.t. the named variable; result lives in the other one.
 
-        Sylvester matrix with UniPoly entries, evaluated by fraction-free
-        Bareiss elimination (exact at every step).
+        The Sylvester matrix of the integer rows, entries UniPoly with
+        denominator 1, evaluated by fraction-free Bareiss elimination, which
+        divides exactly in Z[x] at every step.  Res is homogeneous of degree
+        n in self and m in other, so the result is that determinant over
+        den_self^n * den_other^m.
         """
         other = self._coerce(other)
         if self.is_zero() or other.is_zero():
             raise PreconditionError("resultant of the zero polynomial")
-        a = self.as_poly_in(eliminate)
-        b = other.as_poly_in(eliminate)
+        a = [UniPoly.from_ints(row) for row in self.rows_in(eliminate)]
+        b = [UniPoly.from_ints(row) for row in other.rows_in(eliminate)]
         m, n = len(a) - 1, len(b) - 1
         if m <= 0 and n <= 0:
             raise PreconditionError("nothing to eliminate")
         if m < 0 or n < 0:
             return UniPoly.zero()
-        size = m + n
-        if size == 0:
-            return UniPoly.const(1)
-        zero = UniPoly.zero()
-        rows = []
-        for i in range(n):
-            row = [zero] * size
-            for j, c in enumerate(reversed(a)):
-                row[i + j] = c
-            rows.append(row)
-        for i in range(m):
-            row = [zero] * size
-            for j, c in enumerate(reversed(b)):
-                row[i + j] = c
-            rows.append(row)
-        det = bareiss_det(rows, exact_div=lambda p, q: p.exact_div(q))
-        return det
+        det = bareiss_det(sylvester_matrix(a, b, UniPoly.zero()), exact_div=UniPoly.exact_div)
+        return det * Fraction(1, self.den**n * other.den**m)
 
     def divides(self, other: "BiPoly") -> bool:
-        """Exact divisibility self | other (used with curve polynomials monic in y)."""
-        if self.is_zero():
+        """Exact divisibility self | other, by long division in y.
+
+        False whenever self's leading coefficient in y is not a constant;
+        the curve polynomials this is used with are monic in y.
+        """
+        if self.is_zero() or other.is_zero():
             return other.is_zero()
-        if other.is_zero():
-            return True
-        q, r = _pseudo_divmod_y(other, self)
-        return q is not None and r.is_zero()
+        b = self.as_poly_in("y")
+        if b[-1].degree > 0:
+            return False
+        rem, inv = other.as_poly_in("y"), 1 / b[-1].lc
+        for k in range(len(rem) - len(b), -1, -1):
+            f = rem[k + len(b) - 1] * inv
+            for i, c in enumerate(b):
+                rem[k + i] = rem[k + i] - f * c
+        return all(r.is_zero() for r in rem[: len(b) - 1])
 
     # -- projective ----------------------------------------------------------
     def homogenize(self, degree: int = None) -> "TriPoly":
@@ -455,42 +441,6 @@ class BiPoly:
 
     def __repr__(self):
         return f"BiPoly({self.canonical()})"
-
-
-def _pseudo_divmod_y(num: BiPoly, den: BiPoly):
-    """Division of num by den as polynomials in y over Q[x].
-
-    Returns (quotient, remainder) when den's leading y-coefficient is a
-    nonzero constant (all curve models used here are monic in y), else
-    (None, num) unless division happens to proceed exactly.
-    """
-    a = num.as_poly_in("y")
-    b = den.as_poly_in("y")
-    db = len(b) - 1
-    if db < 0:
-        raise ZeroDivisionError("division by zero polynomial")
-    lead = b[-1]
-    if lead.degree > 0:
-        return None, num
-    lc = lead.coeffs[0]
-    q: Dict[int, UniPoly] = {}
-    rem = list(a)
-    while len(rem) - 1 >= db:
-        while rem and rem[-1].is_zero():
-            rem.pop()
-        if len(rem) - 1 < db:
-            break
-        k = len(rem) - 1 - db
-        f = rem[-1] * (1 / lc)
-        q[k] = f
-        for i in range(db + 1):
-            rem[k + i] = rem[k + i] - f * b[i]
-        rem.pop()
-    qc = [q.get(k, UniPoly.zero()) for k in range(max(q, default=-1) + 1)]
-    return (
-        BiPoly.from_poly_in(qc, "y"),
-        BiPoly.from_poly_in(rem, "y"),
-    )
 
 
 class TriPoly:

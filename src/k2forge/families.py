@@ -1045,11 +1045,9 @@ def _attach_integral_model(rec: CurveRecord, g: int, d: int, f1: UniPoly) -> Non
     (x, y) -> (x/v^2, y/v^d) turns f1 into v^d f1(x/v^2) with coefficients
     b_j v^(d-2j); v = lcm of the coefficient denominators clears them all.
     """
-    v = 1
-    for c in f1.coeffs:
-        v = lcm(v, c.denominator)
+    v = f1.den
     scaled = UniPoly([c * Fraction(v)**(d - 2 * j) for j, c in enumerate(f1.coeffs)])
-    if any(c.denominator != 1 for c in scaled.coeffs):
+    if scaled.den != 1:
         raise VerificationError("integral rescaling failed to clear denominators")
     rec.extras["integral_model"] = {
         "v": str(v),

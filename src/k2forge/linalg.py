@@ -1,9 +1,12 @@
 """Dense exact linear algebra over Q (and over any ring with exact division).
 
 Sizes here are tiny (interpolation systems with <= 10 unknowns, Macaulay
-matrices up to ~70x70), so clarity beats asymptotics: plain fraction
-arithmetic for solving, fraction-free Bareiss elimination for
-determinants over polynomial rings.
+matrices up to ~70x70), so clarity beats asymptotics: `Fraction`
+arithmetic for solving, and fraction-free Bareiss elimination for
+determinants over any integral domain.  Its callers hand it integers or
+integer polynomials (`BiPoly.resultant` builds its Sylvester matrix from
+`UniPoly`s over denominator 1), so every step divides exactly without a
+`Fraction`.
 """
 
 from __future__ import annotations
@@ -90,6 +93,18 @@ def bareiss_det(matrix: Matrix, exact_div: Callable = None):
         prev = m[k][k]
     det = m[n - 1][n - 1]
     return det if sign == 1 else -det
+
+
+def sylvester_matrix(a: Sequence, b: Sequence, zero) -> Matrix:
+    """The Sylvester matrix of two coefficient lists (constant term first).
+
+    deg b rows of a's coefficients, then deg a rows of b's, highest degree
+    first and each shifted one column right; Res(a, b) is its determinant.
+    """
+    m, n = len(a) - 1, len(b) - 1
+    ra, rb = list(reversed(a)), list(reversed(b))
+    return ([[zero] * i + ra + [zero] * (n - 1 - i) for i in range(n)]
+            + [[zero] * i + rb + [zero] * (m - 1 - i) for i in range(m)])
 
 
 def vandermonde_solve(nodes: Sequence[Fraction], values: Sequence[Fraction]) -> List[Fraction]:

@@ -23,6 +23,11 @@ from typing import Dict, List, Optional, Tuple
 from .errors import PreconditionError
 
 
+# cells per axis; the grid holds (grid + 1)^2 floats, about 40 bytes each,
+# so the maximum keeps a plot near 160 MiB
+MIN_GRID, MAX_GRID = 16, 2048
+
+
 @dataclass
 class PlotSpec:
     window: Tuple[float, float, float, float]  # xmin, xmax, ymin, ymax
@@ -36,8 +41,8 @@ class PlotSpec:
             raise PreconditionError("window bounds and spans must be finite")
         if not (xmin < xmax and ymin < ymax):
             raise PreconditionError("window must satisfy xmin < xmax and ymin < ymax")
-        if self.grid < 16:
-            raise PreconditionError("grid must be at least 16 cells per axis")
+        if not MIN_GRID <= self.grid <= MAX_GRID:
+            raise PreconditionError(f"grid must be {MIN_GRID} to {MAX_GRID} cells per axis")
 
 
 def _linspace(a: float, b: float, n: int) -> List[float]:

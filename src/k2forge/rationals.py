@@ -3,20 +3,22 @@
 Scalars in this package are `fractions.Fraction`, which guarantees the
 canonical form we rely on everywhere: reduced, positive denominator,
 structural equality.  Hot paths work on integers instead and build a
-`Fraction` only at their edges: `series.PowerSeries` and `bipoly.BiPoly`
-each keep integer numerators over one common denominator, so series
-products, polynomial arithmetic, Taylor shifts, substitutions and
-evaluation at a rational point run on integers, and branch Newton steps
-read a polynomial's integer rows directly; `curves` runs Fulton's
-reduction on content-free integer coefficients and the smoothness test
-on an integer form.
-This module adds the few helpers the rest of the code needs
-(parsing/printing the "p/q" wire format and integrality tests).
+`Fraction` only at their edges: `series.PowerSeries`, `bipoly.BiPoly`
+and `unipoly.UniPoly` each keep integer numerators over one common
+denominator, stored through `lowest_terms`, so series products,
+polynomial arithmetic, Taylor shifts, substitutions, evaluation at a
+rational point, gcds, rational roots and resultants (subresultant
+sequences, and Bareiss determinants of integer polynomials) run on
+integers.  `curves` runs Fulton's reduction and the smoothness test on
+integer forms.  This module adds the few helpers the rest of the code
+needs (the "p/q" wire format, integrality tests, `lowest_terms`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
+from typing import Sequence, Tuple
 
 
 def rat(value, den=None) -> Fraction:
@@ -44,3 +46,15 @@ def rat_str(q: Fraction) -> str:
 def is_integer(q: Fraction) -> bool:
     return Fraction(q).denominator == 1
 
+
+def lowest_terms(nums: Sequence[int], den: int) -> Tuple[Tuple[int, ...], int]:
+    """nums/den as numerators over a positive denominator d with gcd(d, *nums) = 1.
+
+    `den` must be nonzero; a negative one flips every sign.
+    """
+    g = 1 if den == 1 else gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return tuple(nums), den
+    return tuple(c // g for c in nums), den // g

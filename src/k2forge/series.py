@@ -26,7 +26,7 @@ from operator import mul
 from typing import Optional, Sequence, Tuple
 
 from .errors import InsufficientPrecisionError, PreconditionError
-from .rationals import rat
+from .rationals import lowest_terms, rat
 
 _DEFAULT_EXTRA = 4
 
@@ -54,10 +54,8 @@ class PowerSeries:
         if lo is None:
             self.val, self.nums, self.den = prec, (), 1
         else:
-            g = gcd(den, *nums)
             self.val = val + lo
-            self.nums = tuple(c // g for c in nums[lo:]) if g > 1 else tuple(nums[lo:])
-            self.den = den // g
+            self.nums, self.den = lowest_terms(nums[lo:], den)
         self.prec = prec
 
     # -- constructors ----------------------------------------------------

@@ -1,48 +1,68 @@
 """Dense univariate polynomials over Q.
 
-Coefficient index = monomial degree; the zero polynomial is the empty
-coefficient list.  Everything is exact `Fraction` arithmetic.  This is
-the workhorse for interpolation targets, two-torsion polynomials
-t(x) = f1(x)^2/4 - x^d, discriminants and rational root extraction.
+A UniPoly stores integer numerators ``nums``, indexed by monomial degree
+and without trailing zeros, over one positive denominator ``den``, kept
+reduced (gcd(den, *nums) = 1); the zero polynomial is () over 1.  That
+pair is unique for given coefficients, so equality and hashing run on
+ints.  Arithmetic, division, the derivative and evaluation (which clears
+x = a/b once) run on the numerators; ``gcd`` is a primitive remainder
+sequence made monic only at the end, and ``resultant`` the subresultant
+remainder sequence (Collins, JACM 1967; von zur Gathen and Gerhard,
+*Modern Computer Algebra*, ch. 6 and 11), both over Z.  ``Fraction`` is
+built only at the edges: ``coeffs``, ``coeff``, ``lc``, values, roots,
+resultants and the text form.  This is the workhorse for interpolation
+targets, two-torsion polynomials t(x) = f1(x)^2/4 - x^d, discriminants
+and rational root extraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
-from typing import Iterable, List, Sequence, Tuple
+from math import gcd, isqrt, lcm
+from typing import List, Sequence, Tuple
 
 from .errors import PreconditionError
-from .rationals import rat
-
-
-def _norm(coeffs: Iterable) -> Tuple[Fraction, ...]:
-    cs = [Fraction(c) if not isinstance(c, Fraction) else c for c in coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
+from .linalg import bareiss_det, sylvester_matrix
+from .rationals import lowest_terms, rat
 
 
 class UniPoly:
-    """Polynomial in one variable with exact rational coefficients."""
+    """Polynomial in one variable: integer numerators over one denominator."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Sequence = ()):
-        self.coeffs = _norm(coeffs)
+        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in cs))
+        self._set([c.numerator * (den // c.denominator) for c in cs], den)
+
+    def _set(self, nums: Sequence[int], den: int):
+        """Store nums/den in lowest terms, without trailing zeros; den != 0."""
+        n = len(nums)
+        while n and not nums[n - 1]:
+            n -= 1
+        self.nums, self.den = lowest_terms(nums[:n], den)
 
     # -- constructors -------------------------------------------------
     @staticmethod
+    def from_ints(nums: Sequence[int], den: int = 1) -> "UniPoly":
+        """sum nums[i]/den x^i, reduced; den != 0."""
+        p = UniPoly.__new__(UniPoly)
+        p._set(nums, den)
+        return p
+
+    @staticmethod
     def zero() -> "UniPoly":
-        return UniPoly(())
+        return UniPoly.from_ints(())
 
     @staticmethod
     def const(c) -> "UniPoly":
-        return UniPoly((rat(c),))
+        c = rat(c)
+        return UniPoly.from_ints((c.numerator,), c.denominator)
 
     @staticmethod
-    def x(power: int = 1, coeff=1) -> "UniPoly":
-        return UniPoly([0] * power + [rat(coeff)])
+    def x(power: int = 1) -> "UniPoly":
+        return UniPoly.from_ints([0] * power + [1])
 
     @staticmethod
     def from_roots(roots: Sequence) -> "UniPoly":
@@ -53,62 +73,75 @@ class UniPoly:
 
     # -- structure ----------------------------------------------------
     @property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        """The coefficients as Fractions, constant term first (a read-only copy)."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
+
+    @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def lc(self) -> Fraction:
-        if not self.coeffs:
+        if not self.nums:
             raise PreconditionError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.nums[-1], self.den)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, UniPoly):
-            return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
-            return self == UniPoly.const(other)
-        return NotImplemented
+            other = UniPoly.const(other)
+        elif not isinstance(other, UniPoly):
+            return NotImplemented
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.den, self.nums))
 
     def coeff(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+        return Fraction(self.nums[i], self.den) if 0 <= i < len(self.nums) else Fraction(0)
 
     # -- arithmetic ---------------------------------------------------
-    def __add__(self, other):
+    def _combine(self, other, sign: int) -> "UniPoly":
+        """self + sign * other over the lcm of the two denominators."""
         other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly([self.coeff(i) + other.coeff(i) for i in range(n)])
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        out = [c * fa for c in self.nums]
+        out.extend([0] * (len(other.nums) - len(out)))
+        for i, c in enumerate(other.nums):
+            out[i] += c * fb
+        return UniPoly.from_ints(out, den)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly([self.coeff(i) - other.coeff(i) for i in range(n)])
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return UniPoly([-c for c in self.coeffs])
+        return UniPoly.from_ints([-c for c in self.nums], self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = rat(other)
-            return UniPoly([c * q for c in self.coeffs])
+            return UniPoly.from_ints([c * other.numerator for c in self.nums],
+                                     self.den * other.denominator)
         other = self._coerce(other)
-        if not self.coeffs or not other.coeffs:
+        a, b = self.nums, other.nums
+        if not a or not b:
             return UniPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return UniPoly(out)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, u in enumerate(a):
+            if u:
+                for j, v in enumerate(b):
+                    out[i + j] += u * v
+        return UniPoly.from_ints(out, self.den * other.den)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -120,12 +153,8 @@ class UniPoly:
         if n < 0:
             raise PreconditionError("negative power of a polynomial")
         result = UniPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        for _ in range(n):
+            result = result * self
         return result
 
     @staticmethod
@@ -140,27 +169,10 @@ class UniPoly:
         other = self._coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(0, self.degree - other.degree + 1)
-        rem = list(self.coeffs)
-        d, lc = other.degree, other.lc
-        while len(rem) - 1 >= d and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            k = len(rem) - 1 - d
-            f = rem[-1] / lc
-            q[k] = f
-            for i in range(d + 1):
-                rem[k + i] -= f * other.coeffs[i]
-            rem.pop()
-        return UniPoly(q), UniPoly(rem)
-
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
-
-    def __mod__(self, other):
-        return self.divmod(other)[1]
+        # s*A = Q*B + R on the numerators: self = Q*den_B/(s*den_A) * other + R/(s*den_A)
+        q, r, s = _divmod_ints(self.nums, other.nums)
+        den = s * self.den
+        return UniPoly.from_ints([c * other.den for c in q], den), UniPoly.from_ints(r, den)
 
     def exact_div(self, other: "UniPoly") -> "UniPoly":
         q, r = self.divmod(other)
@@ -170,37 +182,30 @@ class UniPoly:
 
     # -- calculus / evaluation -----------------------------------------
     def derivative(self) -> "UniPoly":
-        return UniPoly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return UniPoly.from_ints([i * c for i, c in enumerate(self.nums)][1:], self.den)
 
     def __call__(self, x) -> Fraction:
+        """The value at x = a/b: sum n_i a^i b^(deg - i) over den * b^deg (Horner)."""
         x = rat(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def compose(self, inner: "UniPoly") -> "UniPoly":
-        acc = UniPoly.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + UniPoly.const(c)
-        return acc
-
-    def shift(self, a) -> "UniPoly":
-        """p(x + a)."""
-        return self.compose(UniPoly([rat(a), 1]))
+        a, b = x.numerator, x.denominator
+        acc, bpow = 0, 1
+        for c in reversed(self.nums):
+            acc = acc * a + c * bpow
+            bpow *= b
+        return Fraction(acc, self.den * b ** max(self.degree, 0))
 
     # -- gcd / roots ----------------------------------------------------
     def monic(self) -> "UniPoly":
         if self.is_zero():
             return self
-        inv = 1 / self.lc
-        return self * inv
+        return UniPoly.from_ints(self.nums, self.nums[-1])
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
-        a, b = self, self._coerce(other)
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
+        """The monic gcd, by a primitive remainder sequence on the numerators."""
+        a, b = _primitive(self.nums), _primitive(self._coerce(other).nums)
+        while b:
+            a, b = b, _primitive(_divmod_ints(a, b)[1])
+        return UniPoly.from_ints(a, a[-1]) if a else UniPoly.zero()
 
     def is_squarefree(self) -> bool:
         if self.degree <= 0:
@@ -211,22 +216,19 @@ class UniPoly:
         """Largest m with (x - r)^m dividing self, by exact repeated division."""
         if self.is_zero():
             raise PreconditionError("zero polynomial")
-        r = rat(r)
-        lin = UniPoly([-r, 1])
-        m, p = 0, self
+        lin, m, p = UniPoly([-rat(r), 1]), 0, self
         while p.degree >= 1:
-            q, rem = p.divmod(lin)
-            if not rem.is_zero():
+            p, rem = p.divmod(lin)
+            if rem:
                 break
             m += 1
-            p = q
         return m
 
     def rational_roots(self) -> List[Tuple[Fraction, int]]:
         """All rational roots with multiplicities, by q-adic Newton lifting.
 
-        A root u/v of the squarefree part, cleared to integer coefficients a,
-        has u | a0 and v | lc, so lc*u/v is an integer of size at most
+        A root u/v of the squarefree part, as a primitive integer polynomial
+        a, has u | a0 and v | lc, so lc*u/v is an integer of size at most
         |a0*lc|.  Mod the smallest prime q not dividing lc at which every
         root of a is simple, u/v is one of those roots; Newton lifting past
         2|a0*lc| recovers lc*u/v as a symmetric residue (von zur Gathen and
@@ -236,20 +238,14 @@ class UniPoly:
         if self.is_zero():
             raise PreconditionError("zero polynomial")
         roots: List[Tuple[Fraction, int]] = []
-        p = self
-        # strip x^k
-        k = 0
-        while p.coeff(0) == 0 and p.degree >= 1:
-            p = p.exact_div(UniPoly.x())
-            k += 1
+        # strip x^k; the denominator does not move the roots
+        k = next(i for i, c in enumerate(self.nums) if c)
         if k:
             roots.append((Fraction(0), k))
+        p = UniPoly.from_ints(self.nums[k:])
         if p.degree < 1:
             return roots
-        # squarefree part, cleared to integer coefficients
-        s = p.exact_div(p.gcd(p.derivative()))
-        den = lcm(*(c.denominator for c in s.coeffs))
-        a = [int(c * den) for c in s.coeffs]
+        a = _primitive(p.exact_div(p.gcd(p.derivative())).nums)
         da = [i * c for i, c in enumerate(a)][1:]
         lc, bound = a[-1], 2 * abs(a[0] * a[-1])
         q = 1
@@ -276,53 +272,22 @@ class UniPoly:
     def resultant(self, other: "UniPoly") -> Fraction:
         """Res(self, other), exact.
 
-        Euclidean descent over the field Q; cross-checked against the
-        Sylvester determinant in the test-suite.
+        The subresultant remainder sequence on the numerators, over the
+        denominators' powers once; cross-checked against the Sylvester
+        determinant in the test-suite.
         """
-        f, g = self, self._coerce(other)
-        if f.is_zero() or g.is_zero():
+        other = self._coerce(other)
+        a, b = self.nums, other.nums
+        if not a or not b:
             return Fraction(0)
-        acc = Fraction(1)
-        while True:
-            m, n = f.degree, g.degree
-            if n == 0:
-                return acc * g.coeffs[0] ** m
-            if m < n:
-                if (m * n) % 2 == 1:
-                    acc = -acc
-                f, g = g, f
-                continue
-            r = f % g
-            if r.is_zero():
-                return Fraction(0)
-            if (m * n) % 2 == 1:
-                acc = -acc
-            acc *= g.lc ** (m - r.degree)
-            f, g = g, r
+        return Fraction(_int_resultant(a, b), self.den ** (len(b) - 1) * other.den ** (len(a) - 1))
 
     def sylvester_resultant(self, other: "UniPoly") -> Fraction:
         """Res via the Sylvester determinant (independent small-degree route)."""
-        from .linalg import bareiss_det
-
         f, g = self, self._coerce(other)
-        m, n = f.degree, g.degree
-        if m < 0 or n < 0:
+        if f.is_zero() or g.is_zero():
             return Fraction(0)
-        if m == 0 and n == 0:
-            return Fraction(1)
-        size = m + n
-        rows = []
-        for i in range(n):
-            row = [Fraction(0)] * size
-            for j, c in enumerate(reversed(f.coeffs)):
-                row[i + j] = c
-            rows.append(row)
-        for i in range(m):
-            row = [Fraction(0)] * size
-            for j, c in enumerate(reversed(g.coeffs)):
-                row[i + j] = c
-            rows.append(row)
-        return bareiss_det(rows)
+        return bareiss_det(sylvester_matrix(f.coeffs, g.coeffs, Fraction(0)))
 
     def discriminant(self) -> Fraction:
         """disc(p) = (-1)^(n(n-1)/2) Res(p, p') / lc(p); requires deg >= 1."""
@@ -338,26 +303,10 @@ class UniPoly:
         return f"UniPoly({list(self.coeffs)})"
 
     def pretty(self, var: str = "x") -> str:
-        from .rationals import rat_str
+        """The canonical text form of ``BiPoly``, in the variable `var`."""
+        from .bipoly import BiPoly  # bipoly imports this module
 
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeff(i)
-            if c == 0:
-                continue
-            mono = "" if i == 0 else (var if i == 1 else f"{var}^{i}")
-            if i == 0:
-                body = rat_str(abs(c))
-            elif abs(c) == 1:
-                body = mono
-            else:
-                cs = rat_str(abs(c))
-                body = f"({cs})*{mono}" if "/" in cs else f"{cs}*{mono}"
-            parts.append(("- " if c < 0 else "+ ") + body)
-        out = " ".join(parts)
-        return out[2:] if out.startswith("+ ") else ("-" + out[2:])
+        return BiPoly.from_unipoly(self).canonical(var)
 
 
 def _eval_mod(coeffs: Sequence[int], x: int, m: int) -> int:
@@ -366,3 +315,72 @@ def _eval_mod(coeffs: Sequence[int], x: int, m: int) -> int:
     for c in reversed(coeffs):
         acc = (acc * x + c) % m
     return acc
+
+
+def _primitive(nums: Sequence[int]) -> List[int]:
+    """The coefficients divided by their gcd (the content)."""
+    g = gcd(*nums)
+    return [c // g for c in nums] if g > 1 else list(nums)
+
+
+def _divmod_ints(a: Sequence[int], b: Sequence[int]) -> Tuple[List[int], List[int], int]:
+    """(q, r, s) with s*a = q*b + r over Z and deg r < deg b; b nonzero.
+
+    A step scales by |lc(b)|/g only when lc(b) does not divide the leading
+    coefficient t (g = gcd(t, lc(b))), so s > 0 divides
+    |lc(b)|^(deg a - deg b + 1), and an exact division in Z[x] has s = 1.
+    """
+    lc, db = b[-1], len(b) - 1
+    r = list(a)
+    q = [0] * max(len(a) - db, 0)
+    s = 1
+    for k in range(len(q) - 1, -1, -1):
+        t = r.pop()
+        if not t:
+            continue
+        if t % lc:
+            m = abs(lc) // gcd(t, lc)
+            r = [c * m for c in r]
+            q = [c * m for c in q]
+            s *= m
+            t *= m
+        f = t // lc
+        q[k] = f
+        for i in range(db):
+            r[k + i] -= f * b[i]
+    while r and not r[-1]:
+        r.pop()
+    return q, r, s
+
+
+def _int_resultant(a: Sequence[int], b: Sequence[int]) -> int:
+    """Res(a, b) of two nonzero integer polynomials (ascending coefficients).
+
+    The subresultant remainder sequence (Collins, JACM 1967; Cohen, *A
+    Course in Computational Algebraic Number Theory*, alg. 3.3.7): each
+    pseudo-remainder lc(B)^(delta+1) A mod B, with delta = deg A - deg B,
+    is divided exactly by g * h^delta, where g is the previous leading
+    coefficient and h = g^delta / h^(delta-1) tracks the subresultant
+    scale.  Every division is exact over Z.
+    """
+    sign = 1
+    if len(a) < len(b):
+        a, b = b, a
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            sign = -1
+    g = h = 1
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            sign = -sign
+        _, r, s = _divmod_ints(a, b)
+        if not r:
+            return 0
+        # r * scale is the pseudo-remainder; div = g * h^delta divides it
+        scale, div = b[-1] ** (delta + 1) // s, g * h**delta
+        a, b = b, [c * scale // div for c in r]
+        g = a[-1]
+        if delta:
+            h = g**delta // h ** (delta - 1)
+    da = len(a) - 1
+    return sign * b[0] ** da // h ** (da - 1) if da else sign

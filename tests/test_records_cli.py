@@ -12,7 +12,8 @@ import pytest
 
 from k2forge import cli, families as fam
 from k2forge.cli import main
-from k2forge.errors import InsufficientPrecisionError, VerificationError
+from k2forge.errors import InsufficientPrecisionError, PreconditionError, VerificationError
+from k2forge.plotting import PlotSpec
 from k2forge.records import (record_from_json, record_to_json, params_hash)
 from k2forge.symbols import SymbolEngine, verify_k2t
 from test_acceptance import SMOKE_TUPLES
@@ -253,6 +254,25 @@ def test_cli_plot_out_of_range_values_exit_0(quartic_t0_record, tmp_path, capsys
     assert capsys.readouterr().err == ""
     body = out.read_text()
     assert "<path " not in body and ">O</text>" not in body and ">P</text>" in body
+
+
+def test_cli_plot_grid_above_the_maximum_exits_2_at_once(quartic_t0_record, tmp_path):
+    out = tmp_path / "big.svg"
+    done = subprocess.run([sys.executable, "-m", "k2forge.cli", "plot", str(quartic_t0_record),
+                           "--grid", "20000", "--out", str(out)],
+                          env=_package_env(), capture_output=True, text=True, timeout=30)
+    assert done.returncode == 2
+    assert done.stderr == "bad plot spec: grid must be 16 to 2048 cells per axis\n"
+    assert "Traceback" not in done.stderr and not out.exists()
+
+
+def test_plot_spec_grid_bounds():
+    window = (-1.0, 1.0, -1.0, 1.0)
+    assert PlotSpec(window=window, grid=2048).grid == 2048
+    assert PlotSpec(window=window, grid=16).grid == 16
+    for grid in (15, 2049):
+        with pytest.raises(PreconditionError, match="grid must be 16 to 2048"):
+            PlotSpec(window=window, grid=grid)
 
 
 @pytest.mark.parametrize("command", ["gen", "plot"])
