@@ -7,7 +7,7 @@ torsion and contact constructions, and machine verification of every
 finitely checkable claim about the generated families.
 """
 
-from .bipoly import BiPoly, TriPoly
+from .bipoly import BiPoly
 from .curves import (Conic, CurvePoint, Line, PlaneCurve, SmoothnessReport,
                      intersection_multiplicity, is_on_curve, smoothness_check,
                      tangent_line)

@@ -1,4 +1,4 @@
-"""Sparse bivariate (and ternary homogeneous) polynomials over Q.
+"""Sparse bivariate polynomials over Q, with their projective charts.
 
 A BiPoly stores integer numerators ``nums``, a map from exponent pairs
 (i, j) for x^i*y^j to nonzero ints, over one positive common
@@ -12,14 +12,20 @@ n * a^i * b^(dx-i) * c^j * d^(dy-j).  ``eval_x``, ``eval_y`` and
 ``as_poly_in`` hand integer numerators to ``UniPoly``, which keeps the
 same form, and ``resultant`` runs its Sylvester determinant on integer
 polynomials.  ``Fraction`` is built only at the edges: ``coeff``, the
-read-only ``terms`` view, the value ``__call__`` returns,
-``homogenize`` and the text form.
-TriPoly is the homogeneous companion used for projective charts,
-transforms and smoothness checks.
+read-only ``terms`` view, the values ``__call__`` and ``top_value``
+return, and the text forms.
+
+The projective closure needs no second type.  With d the total degree,
+F^hom = sum n/den X^i Y^j Z^(d-i-j), so a chart is a map of exponents on
+the same numerators: ``chart("Y")`` is F^hom(u, 1, w), exponent (i, d-i-j),
+and ``chart("X")`` is F^hom(1, v, w), exponent (j, d-i-j).  ``top_value``
+is F^hom(X, Y, 0), the top-degree form at (X, Y).
 
 The canonical text form sorts monomials by total degree (descending),
 then y-degree (descending), prints x before y, and parenthesizes
 fractional coefficients: "y^3 + (3/4)*x*y^2 - 2*x + 1/4".
+``projective_canonical`` writes F^hom in X, Y, Z with the same term
+rules, sorted by Y-degree, then X-degree, both descending.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from .errors import PreconditionError
 from .linalg import bareiss_det, sylvester_matrix
@@ -334,55 +340,54 @@ class BiPoly:
         return det * Fraction(1, self.den**n * other.den**m)
 
     def divides(self, other: "BiPoly") -> bool:
-        """Exact divisibility self | other, by long division in y.
+        """Exact divisibility self | other, by long division in y over Q[x].
 
-        False whenever self's leading coefficient in y is not a constant;
-        the curve polynomials this is used with are monic in y.
+        Each step's quotient coefficient must divide exactly in Q[x]: when
+        self divides other, the leading y-coefficient of what is left is
+        lc_y(self) times that of the remaining quotient.
         """
         if self.is_zero() or other.is_zero():
             return other.is_zero()
         b = self.as_poly_in("y")
-        if b[-1].degree > 0:
-            return False
-        rem, inv = other.as_poly_in("y"), 1 / b[-1].lc
+        rem = other.as_poly_in("y")
         for k in range(len(rem) - len(b), -1, -1):
-            f = rem[k + len(b) - 1] * inv
+            f, r = rem[k + len(b) - 1].divmod(b[-1])
+            if not r.is_zero():
+                return False
             for i, c in enumerate(b):
                 rem[k + i] = rem[k + i] - f * c
         return all(r.is_zero() for r in rem[: len(b) - 1])
 
     # -- projective ----------------------------------------------------------
-    def homogenize(self, degree: int = None) -> "TriPoly":
-        d = self.total_degree if degree is None else degree
-        if d < self.total_degree:
-            raise PreconditionError("homogenization degree below total degree")
-        return TriPoly({(i, j, d - i - j): Fraction(c, self.den) for (i, j), c in self.nums.items()})
+    def chart(self, name: str) -> "BiPoly":
+        """F^hom in the chart Y=1, as (u, w) = (X, Z), or X=1, as (v, w) = (Y, Z)."""
+        d, first = self.total_degree, 0 if name == "Y" else 1
+        return BiPoly.from_ints({(k[first], d - k[0] - k[1]): c for k, c in self.nums.items()},
+                                self.den)
+
+    def top_value(self, X, Y) -> Fraction:
+        """F^hom(X, Y, 0): the top-degree form at (X, Y)."""
+        X, Y, d = rat(X), rat(Y), self.total_degree
+        if d < 0:
+            return Fraction(0)
+        xs = _cleared_powers(X.numerator, X.denominator, d)
+        ys = _cleared_powers(Y.numerator, Y.denominator, d)
+        total = sum(c * xs[i] * ys[j] for (i, j), c in self.nums.items() if i + j == d)
+        return Fraction(total, self.den * (X.denominator * Y.denominator) ** d)
 
     # -- text form -------------------------------------------------------------
     def canonical(self, xname: str = "x", yname: str = "y") -> str:
-        if self.is_zero():
-            return "0"
         keys = sorted(self.nums, key=lambda k: (-(k[0] + k[1]), -k[1]))
-        parts = []
-        for i, j in keys:
-            c = self.coeff(i, j)
-            factors = []
-            if i:
-                factors.append(xname if i == 1 else f"{xname}^{i}")
-            if j:
-                factors.append(yname if j == 1 else f"{yname}^{j}")
-            mono = "*".join(factors)
-            a = abs(c)
-            if not mono:
-                body = rat_str(a)
-            elif a == 1:
-                body = mono
-            else:
-                cs = rat_str(a)
-                body = (f"({cs})*" if a.denominator != 1 else f"{cs}*") + mono
-            parts.append(("- " if c < 0 else "+ ") + body)
-        out = " ".join(parts)
-        return out[2:] if out.startswith("+ ") else "-" + out[2:]
+        return _signed_sum([(self.coeff(i, j), _monomial((xname, i), (yname, j)))
+                            for i, j in keys])
+
+    def projective_canonical(self) -> str:
+        """F^hom in X, Y, Z, with "1" for the constant monomial."""
+        d = self.total_degree
+        keys = sorted(self.nums, key=lambda k: (-k[1], -k[0]))
+        return _signed_sum([(self.coeff(i, j),
+                             _monomial(("X", i), ("Y", j), ("Z", d - i - j)) or "1")
+                            for i, j in keys])
 
     @staticmethod
     def parse(text: str, xname: str = "x", yname: str = "y") -> "BiPoly":
@@ -443,107 +448,25 @@ class BiPoly:
         return f"BiPoly({self.canonical()})"
 
 
-class TriPoly:
-    """Homogeneous ternary polynomial in X, Y, Z over Q."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Dict[Tuple[int, int, int], object] = None):
-        self.terms = {k: rat(v) for k, v in (terms or {}).items() if rat(v) != 0}
-        degs = {sum(k) for k in self.terms}
-        if len(degs) > 1:
-            raise PreconditionError("TriPoly must be homogeneous")
-
-    @property
-    def degree(self) -> int:
-        return next((sum(k) for k in self.terms), -1)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __call__(self, X, Y, Z) -> Fraction:
-        X, Y, Z = rat(X), rat(Y), rat(Z)
-        return sum((c * X**i * Y**j * Z**k for (i, j, k), c in self.terms.items()), Fraction(0))
-
-    def partial(self, var: str) -> "TriPoly":
-        idx = {"X": 0, "Y": 1, "Z": 2}[var]
-        out: Dict[Tuple[int, int, int], Fraction] = {}
-        for key, c in self.terms.items():
-            e = key[idx]
-            if e:
-                nk = list(key)
-                nk[idx] -= 1
-                out[tuple(nk)] = out.get(tuple(nk), Fraction(0)) + c * e
-        return TriPoly(out)
-
-    def dehomogenize(self, chart: str) -> BiPoly:
-        """Set one coordinate to 1.
-
-        chart "Z": (x, y) = (X, Y); chart "Y": (u, w) = (X, Z);
-        chart "X": (v, w) = (Y, Z).
-        """
-        pick = {"Z": (0, 1), "Y": (0, 2), "X": (1, 2)}[chart]
-        out: Dict[Term, Fraction] = {}
-        for key, c in self.terms.items():
-            k = (key[pick[0]], key[pick[1]])
-            out[k] = out.get(k, Fraction(0)) + c
-        return BiPoly(out)
-
-    def substitute_linear(self, m: Sequence[Sequence]) -> "TriPoly":
-        """Apply (X,Y,Z) -> M*(X,Y,Z) with a 3x3 exact matrix M."""
-        mrat = [[rat(v) for v in row] for row in m]
-        lin = [
-            TriPoly({(1, 0, 0): mrat[r][0], (0, 1, 0): mrat[r][1], (0, 0, 1): mrat[r][2]})
-            for r in range(3)
-        ]
-        acc: Dict[Tuple[int, int, int], Fraction] = {}
-        for (i, j, k), c in self.terms.items():
-            part = _tri_mul(_tri_pow(lin[0], i), _tri_mul(_tri_pow(lin[1], j), _tri_pow(lin[2], k)))
-            for key, v in part.terms.items():
-                acc[key] = acc.get(key, Fraction(0)) + c * v
-        return TriPoly(acc)
-
-    def scaled(self, c) -> "TriPoly":
-        c = rat(c)
-        return TriPoly({k: v * c for k, v in self.terms.items()})
-
-    def canonical(self) -> str:
-        if self.is_zero():
-            return "0"
-        keys = sorted(self.terms, key=lambda k: (-k[1], -k[0]))
-        parts = []
-        for key in keys:
-            c = self.terms[key]
-            factors = []
-            for name, e in zip(("X", "Y", "Z"), key):
-                if e:
-                    factors.append(name if e == 1 else f"{name}^{e}")
-            mono = "*".join(factors) or "1"
-            a = abs(c)
-            body = mono if a == 1 else (f"({rat_str(a)})*" if a.denominator != 1 else f"{rat_str(a)}*") + mono
-            parts.append(("- " if c < 0 else "+ ") + body)
-        out = " ".join(parts)
-        return out[2:] if out.startswith("+ ") else "-" + out[2:]
-
-    def __repr__(self):
-        return f"TriPoly({self.canonical()})"
+def _monomial(*powers: Tuple[str, int]) -> str:
+    return "*".join(name if e == 1 else f"{name}^{e}" for name, e in powers if e)
 
 
-def _tri_mul(a: TriPoly, b: TriPoly) -> TriPoly:
-    out: Dict[Tuple[int, int, int], Fraction] = {}
-    for k1, v1 in a.terms.items():
-        for k2, v2 in b.terms.items():
-            k = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2])
-            out[k] = out.get(k, Fraction(0)) + v1 * v2
-    return TriPoly(out)
-
-
-def _tri_pow(a: TriPoly, n: int) -> TriPoly:
-    result = TriPoly({(0, 0, 0): 1})
-    base = a
-    while n:
-        if n & 1:
-            result = _tri_mul(result, base)
-        base = _tri_mul(base, base)
-        n >>= 1
-    return result
+def _signed_sum(terms: List[Tuple[Fraction, str]]) -> str:
+    """c1*m1 + c2*m2 - ...: an empty monomial prints the bare coefficient,
+    a unit coefficient is left out and a fractional one is parenthesized."""
+    if not terms:
+        return "0"
+    parts = []
+    for c, mono in terms:
+        a = abs(c)
+        if not mono:
+            body = rat_str(a)
+        elif a == 1:
+            body = mono
+        else:
+            cs = rat_str(a)
+            body = (f"({cs})*" if a.denominator != 1 else f"{cs}*") + mono
+        parts.append(("- " if c < 0 else "+ ") + body)
+    out = " ".join(parts)
+    return out[2:] if out.startswith("+ ") else "-" + out[2:]

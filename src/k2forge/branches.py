@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .bipoly import BiPoly
-from .curves import CurvePoint, PlaneCurve
+from .curves import CurvePoint, PlaneCurve, infinity_chart
 from .errors import (NonRationalSupportError, PreconditionError,
                      VerificationError)
 from .series import PowerSeries
@@ -291,17 +291,10 @@ def branches_at_infinity(curve: PlaneCurve) -> List[Branch]:
         raise NonRationalSupportError("non-rational branch: irrational point at infinity")
     out: List[Branch] = []
     for (X, Y) in pts:
-        if Y != 0:
-            chart = curve.chart("Y")  # variables (u, w) = (X/Y, Z/Y)
-            u0 = X / Y
-            shifted = chart.shift(u0, 0)
-            places = _polygon_places(shifted)
-            kind = "inf-Y"
-        else:
-            chart = curve.chart("X")  # variables (v, w) = (Y/X, Z/X)
-            u0 = Fraction(0)
-            places = _polygon_places(chart)
-            kind = "inf-X"
+        # chart Y has variables (u, w) = (X/Y, Z/Y), chart X (v, w) = (Y/X, Z/X)
+        name, u0, shifted = infinity_chart(curve.affine, X, Y)
+        places = _polygon_places(shifted)
+        kind = "inf-" + name
         probe = 2 * curve.degree + 6
         keyed = []
         for pl in places:

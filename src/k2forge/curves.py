@@ -6,8 +6,10 @@ translate the point to the origin with one exact Taylor shift
 leading terms of the restrictions to y=0 fraction-free (g <- a*g -
 b*x^s*f, then divide out the content) and split off factors of y.  It
 terminates for curves with no common component and agrees with the
-local-ring definition.  Points at infinity are handled by moving to the
-chart Y=1 or X=1 where they become affine.
+local-ring definition.  A point at infinity is moved to the origin of
+the chart Y=1 or X=1 by one rule, `infinity_chart`, which intersection
+multiplicities, branches at infinity, the contact check of the
+construction and the singular-point search all use.
 
 Projective smoothness is decided exactly through the resultant of the
 three partial derivatives, after one fixed coordinate change applied over
@@ -23,10 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import gcd, lcm
+from math import gcd
 from typing import Dict, List, Optional, Tuple, Union
 
-from .bipoly import BiPoly, IntTerms, TriPoly
+from .bipoly import BiPoly, IntTerms
 from .errors import PreconditionError, VerificationError
 from .linalg import bareiss_det, vandermonde_solve
 from .rationals import rat, rat_str
@@ -169,31 +171,24 @@ def _poly_of(c: CurveLike) -> BiPoly:
 class PlaneCurve:
     """A plane curve over Q, given by its affine polynomial F(x, y).
 
-    The homogeneous form is derived by homogenizing to the total degree.
-    The affine polynomial must be squarefree; this is decided exactly
-    through a family of parallel line sections (`_is_squarefree`).
+    Its projective closure F^hom is read from the same numerators through
+    `BiPoly.chart` and `BiPoly.top_value`.  The affine polynomial must be
+    squarefree; this is decided exactly through a family of parallel line
+    sections (`_is_squarefree`).
     """
 
-    __slots__ = ("affine", "hom", "degree")
+    __slots__ = ("affine", "degree")
 
     def __init__(self, affine: BiPoly, check_squarefree: bool = True):
         if affine.is_zero() or affine.total_degree < 1:
             raise PreconditionError("curve polynomial must be non-constant")
         self.affine = affine
         self.degree = affine.total_degree
-        self.hom = affine.homogenize()
         if check_squarefree and not _is_squarefree(affine):
             raise PreconditionError("curve polynomial has a repeated factor")
 
-    def chart(self, name: str) -> BiPoly:
-        """Dehomogenized polynomial in the chart Z=1, Y=1 or X=1."""
-        return self.hom.dehomogenize(name)
-
     def contains(self, p: CurvePoint) -> bool:
-        if p.is_affine:
-            return self.affine(p.x, p.y) == 0
-        X, Y, Z = p.projective()
-        return self.hom(X, Y, Z) == 0
+        return is_on_curve(self.affine, p)
 
     def rational_infinity_points(self) -> Tuple[List[Tuple[Fraction, Fraction]], bool]:
         """Rational projective points (X:Y:0) on the curve.
@@ -201,7 +196,7 @@ class PlaneCurve:
         Returns (points, complete); `complete` is False when the binary
         form F(X, Y, 0) also has non-rational roots.
         """
-        p = self.hom.dehomogenize("Y").eval_y(0)  # F(X,1,0) as UniPoly in X
+        p = self.affine.chart("Y").eval_y(0)  # F(X,1,0) as UniPoly in X
         pts: List[Tuple[Fraction, Fraction]] = []
         found_deg = 0
         if p.is_zero():
@@ -314,29 +309,29 @@ def intersection_multiplicity(c1: CurveLike, c2: CurveLike, p: CurvePoint) -> in
         if f1(p.x, p.y) != 0 or f2(p.x, p.y) != 0:
             raise PreconditionError(f"empty intersection at point {p.label()}")
         return fulton_multiplicity(f1.shift(p.x, p.y), f2.shift(p.x, p.y), bound)
-    # at infinity: move to the chart where p is affine
-    X, Y, _ = p.projective()
-    h1 = f1.homogenize()
-    h2 = f2.homogenize()
-    if Y != 0:
-        g1, g2 = h1.dehomogenize("Y"), h2.dehomogenize("Y")
-        u0 = X / Y
-    else:
-        g1, g2 = h1.dehomogenize("X"), h2.dehomogenize("X")
-        u0 = Y / X  # = 0
-    if g1(u0, 0) != 0 or g2(u0, 0) != 0:
+    _, _, g1 = infinity_chart(f1, p.x, p.y)
+    _, _, g2 = infinity_chart(f2, p.x, p.y)
+    if g1.coeff(0, 0) != 0 or g2.coeff(0, 0) != 0:
         raise PreconditionError(f"empty intersection at point {p.label()}")
-    return fulton_multiplicity(g1.shift(u0, 0), g2.shift(u0, 0), bound)
+    return fulton_multiplicity(g1, g2, bound)
+
+
+def infinity_chart(f: BiPoly, X, Y) -> Tuple[str, Fraction, BiPoly]:
+    """Where the point (X : Y : 0) is affine: chart Y at u0 = X/Y when
+    Y != 0, else chart X at u0 = 0.
+
+    Returns the chart name, u0 and f's chart polynomial shifted so that
+    the point is the origin.
+    """
+    name, u0 = ("Y", rat(X) / rat(Y)) if Y != 0 else ("X", Fraction(0))
+    return name, u0, f.chart(name).shift(u0, 0)
 
 
 def is_on_curve(c: CurveLike, p: CurvePoint) -> bool:
-    if isinstance(c, PlaneCurve):
-        return c.contains(p)
     poly = _poly_of(c)
     if p.is_affine:
         return poly(p.x, p.y) == 0
-    X, Y, Z = p.projective()
-    return poly.homogenize()(X, Y, Z) == 0
+    return poly.top_value(p.x, p.y) == 0
 
 
 def tangent_line(c: CurveLike, p: CurvePoint) -> Line:
@@ -387,23 +382,24 @@ def _form_mul(a: Form, b: Form) -> Form:
     return out
 
 
-def _changed_form(hom: TriPoly) -> Form:
-    """hom(A*(X, Y, Z)) for A = _COORDINATE_CHANGE, over the integers.
+def _changed_form(f: BiPoly) -> Form:
+    """F^hom(A*(X, Y, Z)) for A = _COORDINATE_CHANGE, over the integers.
 
-    hom is first scaled by the lcm of its denominators.
+    F^hom is taken on f's numerators, the monomial (i, j, d-i-j) for each
+    x^i*y^j, d the total degree.
     """
-    den = lcm(*(c.denominator for c in hom.terms.values()))
+    d = f.total_degree
     powers = []
     for a, b, c in _COORDINATE_CHANGE:
         lin = {(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c}
         pw = [{(0, 0, 0): 1}]
-        for _ in range(hom.degree):
+        for _ in range(d):
             pw.append(_form_mul(pw[-1], lin))
         powers.append(pw)
     out: Form = {}
-    for (i, j, k), c in hom.terms.items():
-        c = c.numerator * (den // c.denominator)
-        for key, v in _form_mul(_form_mul(powers[0][i], powers[1][j]), powers[2][k]).items():
+    for (i, j), c in f.nums.items():
+        term = _form_mul(_form_mul(powers[0][i], powers[1][j]), powers[2][d - i - j])
+        for key, v in term.items():
             out[key] = out.get(key, 0) + c * v
     return out
 
@@ -529,11 +525,13 @@ def _rational_singular_point(curve: PlaneCurve) -> Optional[CurvePoint]:
            if f(x0, y0) == 0 and fx(x0, y0) == 0 and fy(x0, y0) == 0]
     if pts:
         return CurvePoint.affine(*pts[0])
-    # rational points at infinity
+    # rational points at infinity: the chart polynomial, moved to the
+    # point, has no constant or linear term there (by Euler's identity
+    # that is F_X = F_Y = F_Z = 0)
     inf_pts, _ = curve.rational_infinity_points()
-    FX, FY, FZ = (curve.hom.partial(v) for v in "XYZ")
     for (X, Y) in inf_pts:
-        if FX(X, Y, 0) == 0 and FY(X, Y, 0) == 0 and FZ(X, Y, 0) == 0:
+        _, _, g = infinity_chart(f, X, Y)
+        if not any(g.nums.get(k) for k in ((0, 0), (1, 0), (0, 1))):
             return CurvePoint.at_infinity(X, Y)
     return None
 
@@ -579,7 +577,7 @@ def smoothness_check(curve: PlaneCurve) -> SmoothnessReport:
     """Exact smooth/singular verdict for the projective plane curve."""
     if curve.degree == 1:
         return SmoothnessReport(True)
-    form = _changed_form(curve.hom)
+    form = _changed_form(curve.affine)
     if macaulay_nonzero(form):
         return SmoothnessReport(True)
     # a zero residue decides nothing: look for a rational singular point,

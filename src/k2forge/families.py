@@ -466,20 +466,18 @@ def _thm53_polys(a, b, c) -> Tuple[UniPoly, UniPoly]:
 
 
 def swapped_quartic_model(curve: PlaneCurve, a, b) -> BiPoly:
-    """The model with the roles of O and infinity exchanged.
+    """The model with the roles of O and infinity exchanged (a, b nonzero).
 
-    Pull back along (X:Y:Z) -> (a^2 b^2 X : a^2 b^2 Z : Y) and normalize;
-    the result has the same shape z^3 + g2(w) z^2 + g1(w) z + w^4.
+    F^hom(s*w, s, z) with s = a^2 b^2, normalized by its z^3 coefficient;
+    that is the chart Y=1 with z replaced by z/s.  The result has the same
+    shape z^3 + g2(w) z^2 + g1(w) z + w^4.
     """
-    a, b = rat(a), rat(b)
-    s = a * a * b * b
-    m = [[s, 0, 0], [0, 0, s], [0, 1, 0]]
-    hom = curve.hom.substitute_linear(m)
-    lead = hom.terms.get((0, 3, 1))
+    s = rat(a) ** 2 * rat(b) ** 2
+    g = curve.affine.chart("Y").substitute(BiPoly.x(), BiPoly.y() * (1 / s))
+    lead = g.coeff(0, 3)
     if not lead:
         raise VerificationError("swapped model lost its cubic term")
-    hom = hom.scaled(1 / lead)
-    g = hom.dehomogenize("Z")
+    g = g * (1 / lead)
     if g.coeff(4, 0) != 1:
         raise VerificationError("swapped model is not monic in w^4")
     return g
@@ -665,8 +663,7 @@ def _conic_record(family_id: str, params: dict, conic: Conic,
     if conic.is_degenerate():
         notes = (notes or []) + ["auxiliary conic is reducible"]
     # Bezout bookkeeping: the conic must avoid the point at infinity
-    X, Y, _ = inf.projective()
-    if conic.poly().homogenize()(X, Y, 0) == 0:
+    if conic.poly().top_value(inf.x, inf.y) == 0:
         raise VerificationError("conic passes through the point at infinity")
     points = {"inf": inf, "O": O, "R": R}
     aux_lines = [{"label": "L_O", "coeffs": ["0", "1", "0"]}]

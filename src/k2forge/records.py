@@ -205,7 +205,7 @@ def record_jsonable(rec: CurveRecord) -> dict:
         "params": {k: _param_jsonable(v) for k, v in rec.params.items()},
         "curve": {
             "affine": rec.curve.canonical(),
-            "projective": rec.curve.hom.canonical(),
+            "projective": rec.curve.affine.projective_canonical(),
             "degree": rec.curve.degree,
             "model": rec.model,
         },

@@ -30,8 +30,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .bipoly import BiPoly
 from .branches import (Branch, _eval_series, branch_at_affine,
                        branches_at_infinity)
-from .curves import (CurvePoint, PlaneCurve, fulton_multiplicity, intersection_multiplicity,
-                     rational_common_zeros)
+from .curves import (CurvePoint, PlaneCurve, fulton_multiplicity, infinity_chart,
+                     intersection_multiplicity, rational_common_zeros)
 from .errors import (NonRationalSupportError, PreconditionError,
                      VerificationError)
 from .rationals import rat, rat_str
@@ -205,9 +205,6 @@ def _vanishes_on_curve(curve: PlaneCurve, p: BiPoly) -> bool:
     if p.is_zero():
         return True
     if p.total_degree < curve.degree:
-        return False
-    if p.degree_in("y") < curve.affine.degree_in("y"):
-        # the curve polynomial is monic in y in every model used here
         return False
     return curve.affine.divides(p)
 
@@ -647,10 +644,8 @@ def nekovar_element(curve: PlaneCurve,
     if not complete or len(inf_pts) != 1:
         raise PreconditionError("maximal contact hypothesis fails: "
                                 "line at infinity must meet the curve in one rational point")
-    X0, Y0 = inf_pts[0]
-    chart = curve.chart("Y") if Y0 != 0 else curve.chart("X")
-    u0 = X0 / Y0 if Y0 != 0 else Fraction(0)
-    contact = fulton_multiplicity(chart.shift(u0, 0), BiPoly.y(), bound=d)
+    _, _, local = infinity_chart(curve.affine, *inf_pts[0])
+    contact = fulton_multiplicity(local, BiPoly.y(), bound=d)
     if contact != d:
         raise PreconditionError(
             f"maximal contact hypothesis fails: contact {contact} != degree {d}")
@@ -721,13 +716,9 @@ def _full_affine_intersection(eng: SymbolEngine, poly: BiPoly):
         total += mult
     # intersections at infinity, counted through the homogeneous forms
     inf_total = 0
-    ph = poly.homogenize()
     for p in eng.infinity_points():
-        if p.branch != 0:
-            continue
-        X, Y, _ = p.projective()
-        if ph(X, Y, 0) == 0:
-            inf_total += intersection_multiplicity(curve, poly, CurvePoint.at_infinity(X, Y))
+        if p.branch == 0 and poly.top_value(p.x, p.y) == 0:
+            inf_total += intersection_multiplicity(curve, poly, p)
     expected = curve.degree * poly.total_degree
     if total + inf_total != expected:
         raise NonRationalSupportError(

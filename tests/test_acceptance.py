@@ -11,6 +11,7 @@ back to asserting a record once tame symbols at closed points of higher
 degree exist.
 """
 
+import hashlib
 import random
 import time
 from fractions import Fraction as F
@@ -558,3 +559,52 @@ def test_criterion_9c_figure_reproduction(tmp_path):
             assert f">{label}</text>" in body, (name, label)
     report("9c (five figure configurations as deterministic labeled SVGs)",
            True, time.time() - t0, 15.0)
+
+
+# ---------------------------------------------------------------------------
+# byte identity of the record corpus
+# ---------------------------------------------------------------------------
+
+# sha256 of record_to_json for each distinct record of SMOKE_TUPLES and
+# FIGURES, keyed "family flags"; a change that moves one byte of a record
+# fails here
+RECORD_DIGESTS = {
+    "hyp-odd --genus 2 --a 1,1/2,1/4":
+        "b0a88f64d6938d0d6bd199a3da0ec825ca0145be1531c7718e6d2a0ed7015eae",
+    "hyp-even --genus 1 --a 1,2 --eps 1,1":
+        "53d8ab2dd4bec14a95593937e3ab1aebb17208008fdb3b98484757482dab2685",
+    "hyp-partial --genus 2 --d 5 --constraints 1:1 --free 0,0":
+        "d6997f0fc3c0b15bdd18f42a6aef806caa28c62d4e52974007bef683de383893",
+    "quartic-lines --a 1 --b 2 --c 1":
+        "f27b3d83537c8e2444c1f34ad20d44089a807ad177732ac8847609e4e4e781a8",
+    "quartic-ct --t 2":
+        "45b9297e53b901d66b1fd6b209cab6b7e5a191f5fe7e91f552126ec1e4392699",
+    "quartic-conic --d1 1 --d2 2 --d3 1 --d4 1":
+        "a62f38a382e01ecc61a7c4aaaf250f75f253753eb805ca16411843777c3576eb",
+    "quartic-conic-1t --a 1 --d1 0 --d4 0":
+        "afb17627e0d48fdf76acffefab6ab4efe19f3e5214b18dd7febbc8ef834e738a",
+    "quartic-conic-2t --a1 1 --a2 2":
+        "4110111ff4b1486e089f377ea957bd2ce5ce004f7dcc7db7881e053fdfdbc453",
+    "quartic-conic-pq --a 1/2 --b -1":
+        "024dae14ca9a1735eee02ef9ccaded7385e7bb4637f024b3c9e2d49ffdda2afa",
+    "nekovar-3tor --r 2":
+        "bf745ffbef8636afff36ba1e91deba577ff54922f9fec530004c7208b0ac7079",
+    "nekovar-g2 --r 1/2":
+        "f5999c80638214d708c134c6c6123f4ffa3592271b8a3f33ef4b33608c7f9d7c",
+    "quartic-ct --t 0":
+        "21ef264936309dae79f91e20f9079a742fce53d642ac5efde3fbec9164cb0ba4",
+    "quartic-lines --a 1/2 --b -1 --c 0":
+        "2f4e33036b714e3f7fd45d9c6332cceac20ecca1beb9faa2f6a83384faab73bf",
+}
+
+
+def test_corpus_records_are_byte_identical(tmp_path):
+    corpus = dict.fromkeys([(f, tuple(flags)) for f, flags in SMOKE_TUPLES]
+                           + [(f, tuple(flags)) for _, f, flags, _, _ in FIGURES])
+    digests = {}
+    for family, flags in corpus:
+        out = tmp_path / "record.json"
+        assert main(["gen", family, *flags, "--out", str(out)]) == 0
+        text = out.read_text(encoding="utf-8").removesuffix("\n")  # gen adds one newline
+        digests[f"{family} {' '.join(flags)}"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digests == RECORD_DIGESTS

@@ -85,11 +85,16 @@ def test_elliptic_smooth_matches_disc_oracle():
     assert smoothness_check(c).smooth
 
 
-def test_singular_witness_rational():
+@pytest.mark.parametrize("poly, witness", [
     # nodal cubic y^2 = x^3 + x^2 has the rational singular point (0,0)
-    c = PlaneCurve(BiPoly.parse("y^2 - x^3 - x^2"))
-    rep = smoothness_check(c)
-    assert not rep.smooth and rep.witness == CurvePoint.affine(0, 0)
+    pytest.param("y^2 - x^3 - x^2", CurvePoint.affine(0, 0), id="y^2 - x^3 - x^2"),
+    # singular points at infinity, found in the charts Y=1 and X=1
+    pytest.param("y^2 - x^5 - 1", CurvePoint.at_infinity(0, 1), id="y^2 - x^5 - 1"),
+    pytest.param("x^2 - y^5 - 1", CurvePoint.at_infinity(1, 0), id="x^2 - y^5 - 1"),
+])
+def test_singular_witness_rational(poly, witness):
+    rep = smoothness_check(PlaneCurve(BiPoly.parse(poly)))
+    assert not rep.smooth and rep.witness == witness
 
 
 @pytest.mark.parametrize("poly, witnesses", [
@@ -476,3 +481,71 @@ def test_singular_point_has_no_tangent():
     c = PlaneCurve(BiPoly.parse("y^2 - x^3 - x^2"))
     with pytest.raises(PreconditionError, match="no unique tangent"):
         tangent_line(c, CurvePoint.affine(0, 0))
+
+
+# ---------------------------------------------------------------------------
+# projective charts against sympy's homogenization
+# ---------------------------------------------------------------------------
+
+HX, HY, HZ = sympy.symbols("X Y Z")  # projective coordinates
+
+
+def _q(v) -> sympy.Rational:
+    v = F(v)
+    return sympy.Rational(v.numerator, v.denominator)
+
+
+def _sym(f: BiPoly, u, v):
+    """f as a sympy expression, with u for x and v for y."""
+    return sum((_q(c) * u**i * v**j for (i, j), c in f.terms.items()), sympy.Integer(0))
+
+
+def _hom(f: BiPoly):
+    """F^hom(X, Y, Z) by sympy's Poly.homogenize."""
+    return sympy.Poly(_sym(f, HX, HY), HX, HY).homogenize(HZ).as_expr()
+
+
+chart_coeffs = st.builds(F, st.integers(-6, 6).filter(bool), st.integers(1, 5))
+chart_polys = (st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)), chart_coeffs,
+                               min_size=1, max_size=6)
+               .map(BiPoly).filter(lambda f: f.total_degree >= 1))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(chart_polys, coords, coords)
+def test_charts_match_sympy_homogenize(f, a, b):
+    h = _hom(f)
+    assert sympy.expand(_sym(f.chart("Y"), HX, HZ) - h.subs(HY, 1)) == 0
+    assert sympy.expand(_sym(f.chart("X"), HY, HZ) - h.subs(HX, 1)) == 0
+    assert _q(f.top_value(a, b)) == h.subs({HX: _q(a), HY: _q(b), HZ: 0})
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(chart_polys)
+@example(BiPoly.parse("x^2 - 2*y^2 + y"))  # two conjugate points
+@example(BiPoly.parse("x*y^3 - (3/2)*y^4 + x"))  # (0:1:0) and (3/2:1:0)
+@example(BiPoly.parse("x^3 - 5*x*y^2 + y"))  # (1:0:0) is not on it
+def test_rational_infinity_points_match_sympy(f):
+    d = f.total_degree
+    on_y1 = sympy.Poly(_hom(f).subs({HZ: 0, HY: 1}), HX)  # F^hom(X, 1, 0)
+    roots = on_y1.ground_roots()
+    expected = {(F(int(r.p), int(r.q)), F(1)) for r in roots}
+    at_y0 = d - on_y1.degree()  # the multiplicity of (1:0:0)
+    if at_y0:
+        expected.add((F(1), F(0)))
+    pts, complete = PlaneCurve(f, check_squarefree=False).rational_infinity_points()
+    assert len(pts) == len(expected) and set(pts) == expected
+    assert complete == (sum(roots.values()) + at_y0 == d)
+
+
+@pytest.mark.parametrize("abc", ["1,2,1", "1/2,-1,0", "2,-1/3,0", "-1,1,3/2"])
+def test_swapped_quartic_model_matches_sympy(abc):
+    from k2forge.families import swapped_quartic_model
+    a, b, c = (F(v) for v in abc.split(","))
+    curve = thm53_curve(a, b, c)
+    w, z = sympy.symbols("w z")
+    s = _q(F(a) ** 2 * F(b) ** 2)
+    image = {HX: s * w, HY: s, HZ: z}
+    pulled = sympy.Poly(_hom(curve.affine).subs(image, simultaneous=True), w, z)
+    expected = pulled.as_expr() / pulled.coeff_monomial(z**3)
+    assert sympy.expand(_sym(swapped_quartic_model(curve, a, b), w, z) - expected) == 0

@@ -618,6 +618,48 @@ def test_bipoly_resultant_matches_sympy(tp, tq, dp, dq, tc):
 
 
 # ---------------------------------------------------------------------------
+# divisibility
+# ---------------------------------------------------------------------------
+
+def test_divides_with_a_divisor_not_monic_in_y():
+    c = BiPoly.parse("x*y^2 + y - x^3 - 1")
+    assert c.divides(c * (BiPoly.x() + 1))
+    assert c.divides(c * BiPoly.parse("x*y - 2/3"))
+    assert not c.divides(c * (BiPoly.x() + 1) + BiPoly.y())
+    assert not c.divides(BiPoly.parse("x*y + 1"))
+    # the first step leaves the remainder 1 of 1 divided by x
+    assert not c.divides(BiPoly.y(2))
+
+
+# the leading coefficient in y has positive degree in x, so the divisor is
+# never monic in y
+lead_terms = st.dictionaries(st.integers(1, 2), nonzero_fractions, min_size=1, max_size=2)
+lower_terms = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 1)), small_fractions,
+                              max_size=3)
+# content factors in x: a constant, x + 1, or a quadratic without rational roots
+contents = st.sampled_from(["3/2", "x + 1", "2*x^2 + 3"]).map(BiPoly.parse)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(lead_terms, lower_terms, contents, small_bipolys, lower_terms)
+def test_divides_matches_sympy(lead, lower, content, quotient, rest):
+    b = (BiPoly({(i, 2): c for i, c in lead.items()}) + BiPoly(lower)) * content
+    q = BiPoly(quotient)
+    x, y = sympy.symbols("x y")
+
+    def to_sympy(f):
+        return sum(sympy.Rational(c.numerator, c.denominator) * x**i * y**j
+                   for (i, j), c in f.terms.items())
+
+    assert b.divides(b * q)
+    a = b * q + BiPoly(rest)
+    # one divisor is a Groebner basis of its ideal, so a zero remainder
+    # of multivariate division is exactly divisibility
+    _, r = sympy.div(to_sympy(a), to_sympy(b), x, y, domain=sympy.QQ)
+    assert b.divides(a) == (r == 0)
+
+
+# ---------------------------------------------------------------------------
 # canonical strings
 # ---------------------------------------------------------------------------
 

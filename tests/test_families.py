@@ -512,7 +512,7 @@ def test_bezout_bookkeeping_over_declared_support():
                     on_aux = poly(p.x, p.y) == 0
                 else:
                     X, Y, _ = p.projective()
-                    on_aux = poly.homogenize()(X, Y, 0) == 0
+                    on_aux = poly.top_value(X, Y) == 0
                 if on_curve and on_aux:
                     total += intersection_multiplicity(curve, poly, p)
             assert total == curve.degree * deg, (rec.family_id, poly.canonical())

@@ -96,6 +96,17 @@ def test_zero_function_rejected(quartic):
         FnElt.poly(curve, curve.affine * BiPoly.x())
 
 
+def test_zero_function_rejected_on_a_curve_not_monic_in_y():
+    # the leading coefficient of C in y is x, so the test that C divides
+    # the numerator has to divide by x at every step of the long division
+    curve = PlaneCurve(BiPoly.parse("x*y^2 + y - x^3 - 1"))
+    with pytest.raises(PreconditionError, match="zero function"):
+        FnElt(curve, curve.affine)
+    with pytest.raises(PreconditionError, match="zero function"):
+        FnElt.poly(curve, curve.affine * (BiPoly.x() + 1))
+    assert FnElt.poly(curve, curve.affine + 1).num == curve.affine + 1
+
+
 def test_divisor_of_vertical_line(quartic):
     curve, eng, pts = quartic
     f = FnElt.poly(curve, BiPoly.parse("x - 1/8"))
