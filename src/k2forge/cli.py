@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import itertools
 import json
 import sys
@@ -261,7 +262,10 @@ def cmd_plot(ns) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    call; parse_args keeps no state between calls."""
     ap = argparse.ArgumentParser(
         prog="k2forge",
         description="Construct plane curves over Q with certified elements "

@@ -13,7 +13,8 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional
+from json.encoder import encode_basestring_ascii
+from typing import Callable, Dict, List, Optional
 
 from .bipoly import BiPoly
 from .curves import CurvePoint, PlaneCurve
@@ -132,8 +133,12 @@ def rats_field(d, key: str, n: int) -> List[Fraction]:
 
 def poly_field(d, key: str) -> BiPoly:
     """d[key] parsed as a polynomial string."""
+    return _parse_poly(key, json_field(d, key, str))
+
+
+def _parse_poly(key: str, text: str) -> BiPoly:
     try:
-        return BiPoly.parse(json_field(d, key, str))
+        return BiPoly.parse(text)
     except PreconditionError as e:
         raise RecordFormatError(f"{key!r}: {e}") from None
 
@@ -162,12 +167,12 @@ def _fnelt_jsonable(f: FnElt) -> dict:
     }
 
 
-def _fnelt_from_json(curve: PlaneCurve, d: dict) -> FnElt:
+def _fnelt_from_json(curve: PlaneCurve, d: dict, factor: Dict[str, FnElt]) -> FnElt:
+    """`factor` maps a factor's polynomial string to FnElt(curve, poly)."""
     if "factors" in json_object(d):
         out = FnElt.constant(curve, rat_field(d, "scalar", "1"))
         for fd in json_field(d, "factors", list):
-            poly = poly_field(fd, "poly")
-            out = out * FnElt(curve, poly) ** int_field(fd, "exp")
+            out = out * factor[json_field(fd, "poly", str)] ** int_field(fd, "exp")
         return out
     return FnElt(curve, poly_field(d, "num"), poly_field(d, "den"))
 
@@ -219,7 +224,31 @@ def record_jsonable(rec: CurveRecord) -> dict:
 
 
 def record_to_json(rec: CurveRecord) -> str:
-    return json.dumps(record_jsonable(rec), indent=1, sort_keys=False)
+    return json_text(record_jsonable(rec))
+
+
+def json_text(v, nl: str = "\n") -> str:
+    """json.dumps(v, indent=1), byte for byte, for the plain types a record
+    holds; any other type is a TypeError.  json.dumps serves `indent` with
+    its pure-Python encoder, so strings and keys go to the C string encoder
+    here.  `nl` is a newline plus the indent of v's own line."""
+    t = type(v)
+    if t is str:
+        return encode_basestring_ascii(v)
+    if t is int:
+        return int.__repr__(v)
+    if t is dict or t is list or t is tuple:
+        if not v:
+            return "{}" if t is dict else "[]"
+        inner = nl + " "
+        if t is dict:
+            items = [encode_basestring_ascii(k) + ": " + json_text(x, inner)
+                     for k, x in v.items()]
+            return "{" + inner + ("," + inner).join(items) + nl + "}"
+        return "[" + inner + ("," + inner).join([json_text(x, inner) for x in v]) + nl + "]"
+    if v is None or t is bool or t is float:
+        return json.dumps(v)
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------
@@ -243,15 +272,51 @@ class LoadedRecord:
     raw: dict
 
 
+class _Memo(dict):
+    """decode(key), computed on the first lookup of each distinct key."""
+
+    def __init__(self, decode: Callable):
+        super().__init__()
+        self.decode = decode
+
+    def __missing__(self, key):
+        value = self[key] = self.decode(key)
+        return value
+
+
+def _point_reader() -> Callable[[dict], CurvePoint]:
+    """point_from_json, run once per distinct raw point.  The key holds each
+    field's type, so that 1, 1.0 and true stay apart."""
+    memo = _Memo(lambda key: point_from_json({k: v for k, _, v in key}))
+
+    def read(d) -> CurvePoint:
+        try:
+            return memo[tuple((k, type(v), v) for k, v in json_object(d).items())]
+        except TypeError:  # a field holds a list or an object
+            return point_from_json(d)
+    return read
+
+
 def record_from_json(text: str) -> LoadedRecord:
     """Decode a stored record.  Raises RecordFormatError when the JSON does
     not have the record's shape, PreconditionError for an unsupported
-    schema or a marked point off the stored curve."""
+    schema or a marked point off the stored curve.
+
+    Each distinct factor string becomes one FnElt, and each distinct raw
+    point one CurvePoint, within this call."""
     data = json.loads(text)
     if json_object(data).get("k2forge_schema") != SCHEMA_VERSION:
         raise PreconditionError("unsupported record schema")
-    curve = PlaneCurve(poly_field(json_field(data, "curve", dict), "affine"))
-    points = {name: point_from_json(d) for name, d in json_field(data, "points", dict).items()}
+    curve_data = json_field(data, "curve", dict)
+    affine = poly_field(curve_data, "affine")
+    degree = json_field(curve_data, "degree", int)
+    if degree != affine.total_degree:  # before PlaneCurve's squarefree test
+        raise RecordFormatError(f"'degree' is {degree}, but the curve has degree "
+                                f"{affine.total_degree}")
+    curve = PlaneCurve(affine)
+    factor = _Memo(lambda poly: FnElt(curve, _parse_poly("poly", poly)))
+    read_point = _point_reader()
+    points = {name: read_point(d) for name, d in json_field(data, "points", dict).items()}
     for name, p in points.items():
         if not curve.contains(p):
             raise PreconditionError(f"point {name} does not lie on the stored curve")
@@ -262,13 +327,13 @@ def record_from_json(text: str) -> LoadedRecord:
         for sd in json_field(ed, "symbols", list):
             pairs = [
                 SymbolPair(
-                    _fnelt_from_json(curve, json_field(pd, "f", dict)),
-                    _fnelt_from_json(curve, json_field(pd, "h", dict)),
+                    _fnelt_from_json(curve, json_field(pd, "f", dict), factor),
+                    _fnelt_from_json(curve, json_field(pd, "h", dict), factor),
                     int_field(pd, "coefficient"),
                 )
                 for pd in json_field(sd, "pairs", list)
             ]
-            support = [point_from_json(pt) for pt in json_field(sd, "support", list)]
+            support = [read_point(pt) for pt in json_field(sd, "support", list)]
             symbols.append(K2Element(pairs, support, name=name))
         verdicts = [json_field(cd, "verdict", str) for cd in json_field(ed, "certificates", list)]
         elements.append(LoadedElement(name, json_field(ed, "kind", str), symbols, verdicts))

@@ -494,15 +494,12 @@ def verify_k2t(curve: PlaneCurve, elem: K2Element,
     product of all point totals, which reciprocity forces to 1.
     """
     eng = engine or SymbolEngine(curve)
-    # support completeness per constituent function
-    seen = []
-    for pair in elem.terms:
-        for f in (pair.f, pair.h):
-            if any(f is g for g in seen):
-                continue
-            seen.append(f)
-            if not f.is_constant():
-                eng.divisor(f, elem.declared_support)
+    # support completeness, once per distinct constituent function (the
+    # check depends only on its value)
+    distinct = {(f.scalar, f.factors): f for pair in elem.terms for f in (pair.f, pair.h)}
+    for f in distinct.values():
+        if not f.is_constant():
+            eng.divisor(f, elem.declared_support)
     rows: List[CertificateRow] = []
     totals: Dict[CurvePoint, Fraction] = {}
     for p in elem.declared_support:

@@ -1,5 +1,8 @@
 """Record serialization, CLI exit codes, catalogs and figure output."""
 
+import contextlib
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -9,14 +12,15 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from k2forge import cli, families as fam
+from k2forge import cli, families as fam, records
 from k2forge.cli import main
 from k2forge.errors import InsufficientPrecisionError, PreconditionError, VerificationError
 from k2forge.plotting import PlotSpec
-from k2forge.records import (record_from_json, record_to_json, params_hash)
+from k2forge.records import (json_text, record_from_json, record_to_json, params_hash)
 from k2forge.symbols import SymbolEngine, verify_k2t
-from test_acceptance import SMOKE_TUPLES
+from test_acceptance import FIGURES, SMOKE_TUPLES
 
 
 @pytest.fixture(scope="module")
@@ -368,3 +372,176 @@ def test_cli_catalog_keeps_entries_written_before_a_verification_failure(
     (logged,) = (tmp_path / "cat.jsonl.errors.txt").read_text().splitlines()
     assert json.loads(logged) == {"family": "nekovar-3tor", "params": {"r": "3"},
                                   "exit": 3, "error": "injected"}
+
+
+# ---------------------------------------------------------------------------
+# decoding: one decode per distinct factor and point, every check kept
+# ---------------------------------------------------------------------------
+
+# sha256 of `verify`'s stdout for each distinct record of SMOKE_TUPLES and
+# FIGURES, keyed "family flags"
+VERIFY_DIGESTS = {
+    "hyp-odd --genus 2 --a 1,1/2,1/4":
+        "a2d295f826e7f64e1d68b610944b33e9e129197a7845f61630d9c9a788be7d0c",
+    "hyp-even --genus 1 --a 1,2 --eps 1,1":
+        "5d710f51a60c20ab4e48864ccf856f440081279e88e8ce3d1111a88cf753ccf2",
+    "hyp-partial --genus 2 --d 5 --constraints 1:1 --free 0,0":
+        "860f3ab862148a9696304267f537a6670472f431b67b3433a4470aff029daa36",
+    "quartic-lines --a 1 --b 2 --c 1":
+        "bedd693faca30224ab535b77496890683d5c446ca916ac9760c91d72e179c90e",
+    "quartic-ct --t 2":
+        "6cdcdea4d128532a96e03bb94837412cce5923a81b65e4549faaa8bbab8e3d73",
+    "quartic-conic --d1 1 --d2 2 --d3 1 --d4 1":
+        "421cb4540fd3b8b8fa789b01218ab6209e6559b3d24a6cf8f930fc5f42836b73",
+    "quartic-conic-1t --a 1 --d1 0 --d4 0":
+        "673b4b0cf7013e9ddbb233a42e9293212a95c59351e73d086efb48b7dc22d7d5",
+    "quartic-conic-2t --a1 1 --a2 2":
+        "7966970520c31d794bc3d32a322b9cd750a65d0f3ceac90f49176db0eeda8564",
+    "quartic-conic-pq --a 1/2 --b -1":
+        "c00defe445fef42920335cec19043b5e0433130eeb1272f121bb645935af6077",
+    "nekovar-3tor --r 2":
+        "9ca7cfd0592e132f7120e3ef76e8e5406c5b9ca718e0a145bf040f851013c932",
+    "nekovar-g2 --r 1/2":
+        "4d6a52ed5872ddb5b232fcce4729fc5ea3a09181b27455a798026744a0d6651c",
+    "quartic-ct --t 0":
+        "17d197de68663d1b51cba27ca2541950b4e4a40524389984c00d3d316fb07ef5",
+    "quartic-lines --a 1/2 --b -1 --c 0":
+        "aae1a3fd5132503a5d047964b4167abc634c0f9debb12648b6800ffaab0364ac",
+}
+
+
+def test_verify_output_of_the_corpus_is_unchanged(tmp_path, capsys):
+    corpus = dict.fromkeys([(f, tuple(flags)) for f, flags in SMOKE_TUPLES]
+                           + [(f, tuple(flags)) for _, f, flags, _, _ in FIGURES])
+    digests = {}
+    for family, flags in corpus:
+        out = tmp_path / "record.json"
+        assert main(["gen", family, *flags, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 0
+        text = capsys.readouterr().out
+        digests[f"{family} {' '.join(flags)}"] = hashlib.sha256(text.encode()).hexdigest()
+    assert digests == VERIFY_DIGESTS
+
+
+def _pairs(data: dict):
+    for elem in data["elements"]:
+        for sym in elem["symbols"]:
+            yield from sym["pairs"]
+
+
+def test_record_decodes_each_distinct_factor_and_point_once(hyp_record_json, monkeypatch):
+    data = json.loads(hyp_record_json)
+    factors = {fd["poly"] for pd in _pairs(data) for f in "fh" for fd in pd[f]["factors"]}
+    raw_points = list(data["points"].values()) + [
+        pt for elem in data["elements"] for sym in elem["symbols"] for pt in sym["support"]]
+    assert len(raw_points) > len({json.dumps(pt) for pt in raw_points})  # some repeat
+    parsed, decoded = [], []
+
+    def parse(key, text):
+        parsed.append(text)
+        return real_parse(key, text)
+
+    def point(d):
+        decoded.append(d)
+        return real_point(d)
+
+    real_parse, real_point = records._parse_poly, records.point_from_json
+    monkeypatch.setattr(records, "_parse_poly", parse)
+    monkeypatch.setattr(records, "point_from_json", point)
+    loaded = record_from_json(hyp_record_json)
+    assert sorted(parsed) == sorted(factors | {data["curve"]["affine"]})
+    assert sorted(map(json.dumps, decoded)) == sorted({json.dumps(pt) for pt in raw_points})
+    eng = SymbolEngine(loaded.curve)
+    assert all(verify_k2t(loaded.curve, sym, engine=eng).passed
+               for elem in loaded.elements for sym in elem.symbols)
+
+
+def test_points_that_differ_in_a_field_type_decode_apart(hyp_record_json):
+    """1 and 1.0 hash alike, but a float coordinate is not a record value."""
+    data = json.loads(hyp_record_json)
+    support = data["elements"][0]["symbols"][0]["support"]
+    support[:0] = [{"kind": "affine", "x": 1, "y": 0}, {"kind": "affine", "x": 1.0, "y": 0}]
+    with pytest.raises(records.RecordFormatError, match="'x' has type float"):
+        record_from_json(json.dumps(data))
+
+
+def test_a_vanishing_factor_is_rejected_wherever_it_repeats(hyp_record_json, tmp_path, capsys):
+    data = json.loads(hyp_record_json)
+    zero = {"poly": data["curve"]["affine"], "exp": 1}
+    first, second = list(_pairs(data))[:2]
+    first["f"]["factors"].append(zero)
+    second["h"]["factors"].append(zero)
+    with pytest.raises(PreconditionError, match="zero function"):
+        record_from_json(json.dumps(data))
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", str(path)]) == 3
+    assert capsys.readouterr().err == "verification failure: zero function\n"
+
+
+def test_a_curve_that_disagrees_with_its_degree_exits_1_at_once(tmp_path):
+    """The stored degree bounds the curve before its squarefree test runs."""
+    data = json.loads(record_to_json(fam.gen_quartic_ct(2)))
+    data["curve"]["affine"] = "x^99999999999 + y"
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    done = subprocess.run([sys.executable, "-m", "k2forge.cli", "verify", str(path)],
+                          env=_package_env(), capture_output=True, text=True, timeout=1)
+    assert done.returncode == 1
+    assert done.stderr == ("cannot read record: 'degree' is 4, but the curve has "
+                           "degree 99999999999\n")
+
+
+# ---------------------------------------------------------------------------
+# dispatch and encoding
+# ---------------------------------------------------------------------------
+
+def _session(workdir: Path, monkeypatch) -> list:
+    """(exit code, stdout, stderr) of five commands run in turn in one process."""
+    monkeypatch.chdir(workdir)
+    results = []
+    for argv in (["gen", "quartic-ct", "--t", "0", "--out", "rec.json"],
+                 ["verify", "rec.json"],
+                 ["gen", "quartic-ct", "--no-such-flag", "1"],
+                 ["plot", "rec.json", "--grid", "16", "--out", "fig.svg"],
+                 ["catalog", "quartic-ct", "--t", "0,2", "--db", "cat.jsonl"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        results.append((code, out.getvalue(), err.getvalue()))
+    return results
+
+
+def test_one_parser_serves_every_command_as_a_fresh_one_would(tmp_path, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    (tmp_path / "once").mkdir()
+    (tmp_path / "fresh").mkdir()
+    once = _session(tmp_path / "once", monkeypatch)
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = _session(tmp_path / "fresh", monkeypatch)
+    assert once == fresh
+    assert [code for code, _, _ in once] == [0, 0, 1, 0, 0]
+    code, out, err = once[2]
+    assert out == "" and err.startswith("usage: k2forge ")
+    assert err.endswith("error: unrecognized arguments: --no-such-flag 1\n")
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64, max_value=2**200)
+    | st.floats() | st.text(),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=20)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(json_values)
+def test_json_text_is_json_dumps_with_indent_1(value):
+    assert json_text(value) == json.dumps(value, indent=1)
+
+
+@pytest.mark.parametrize("value", [F(1, 2), {1: "a"}, [{"a": {3}}]], ids=["fraction", "int-key", "set"])
+def test_json_text_refuses_what_a_record_does_not_hold(value):
+    with pytest.raises(TypeError):
+        json_text(value)

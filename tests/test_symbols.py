@@ -134,6 +134,18 @@ def test_incomplete_support_rejected(quartic):
         eng.divisor(f, [pts["P"]])
 
 
+@pytest.mark.parametrize("fP_first", [False, True])
+def test_verify_k2t_checks_the_support_of_every_distinct_function(quartic, fP_first):
+    """fP shares its scalar with fO, which closes over the declared support;
+    fP does not, and must still be checked, before or after fO."""
+    curve, eng, pts = quartic
+    fO, fP, _ = blocks_of(curve, pts)
+    pair = SymbolPair(fP, fO) if fP_first else SymbolPair(fO, fP)
+    elem = K2Element([SymbolPair(fO, fO), pair], [pts["O"], pts["inf"]])
+    with pytest.raises(NonRationalSupportError, match="support incomplete"):
+        verify_k2t(curve, elem, engine=eng)
+
+
 def test_ord_is_a_valuation(quartic):
     curve, eng, pts = quartic
     fO, fP, fQ = blocks_of(curve, pts)
