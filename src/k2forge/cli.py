@@ -148,7 +148,7 @@ def cmd_verify(ns) -> int:
         with open(ns.path, "r", encoding="utf-8") as fh:
             text = fh.read()
         loaded = record_from_json(text)
-    except (OSError, json.JSONDecodeError, RecordFormatError) as e:
+    except (OSError, ValueError, RecordFormatError) as e:  # ValueError: bad JSON
         print(f"cannot read record: {e}", file=sys.stderr)
         return 1
     except PreconditionError as e:
@@ -240,7 +240,7 @@ def cmd_plot(ns) -> int:
     try:
         with open(ns.path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # ValueError: bad JSON
         print(f"cannot read record: {e}", file=sys.stderr)
         return 1
     if isinstance(data, dict) and "record" in data:  # catalog entry

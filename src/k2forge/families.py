@@ -28,7 +28,7 @@ from .errors import (NonRationalSupportError, PreconditionError,
                      SingularModelError, VerificationError)
 from .linalg import solve_underdetermined, vandermonde_solve
 from .rationals import is_integer, rat, rat_str
-from .records import CurveRecord, NamedElement
+from .records import RECORD_LIMIT, CurveRecord, NamedElement
 from .symbols import (FnElt, K2Element, SymbolEngine, TorsionFunction,
                       construction_torsion, nekovar_element, verify_k2t)
 from .unipoly import UniPoly
@@ -55,25 +55,15 @@ class EpsilonVector:
 # model builders
 # ---------------------------------------------------------------------------
 
-def hyperelliptic_curve(g: int, d: int,
-                        f1: UniPoly) -> Tuple[PlaneCurve, UniPoly, Fraction]:
+def _y2_model(f1: UniPoly, d: int) -> Tuple[PlaneCurve, UniPoly, Fraction]:
     """Curve y^2 + f1*y + x^d, its two-torsion polynomial -4x^d + f1^2 and
     that polynomial's discriminant.
 
-    Rejects singular members (vanishing discriminant) and degenerate
-    interpolants (wrong degree shape).
+    The curve is (2y + f1)^2 = -4x^d + f1^2, so a repeated root, or a
+    degree below d - 1, makes it singular (SingularModelError).
     """
-    if d not in (2 * g + 1, 2 * g + 2):
-        raise PreconditionError("degree must be 2g+1 or 2g+2")
-    if d == 2 * g + 1 and f1.degree > g:
-        raise PreconditionError("f1 degree exceeds g for the odd model")
-    if d == 2 * g + 2:
-        if f1.degree != g + 1 or f1.lc != 2:
-            raise PreconditionError("even model needs leading term 2x^(g+1)")
     tpoly = f1 * f1 - UniPoly.x(d) * 4
-    if tpoly.is_zero() or tpoly.degree < 1:
-        raise SingularModelError("discriminant vanishes: two-torsion polynomial degenerates")
-    if d == 2 * g + 2 and tpoly.degree != 2 * g + 1:
+    if tpoly.degree < d - 1:
         raise SingularModelError("discriminant vanishes: two-torsion polynomial drops degree")
     disc = tpoly.discriminant()
     if disc == 0:
@@ -83,26 +73,48 @@ def hyperelliptic_curve(g: int, d: int,
     return curve, tpoly, disc
 
 
+def hyperelliptic_curve(g: int, d: int,
+                        f1: UniPoly) -> Tuple[PlaneCurve, UniPoly, Fraction]:
+    """The model y^2 + f1*y + x^d of genus g (see _y2_model).
+
+    Rejects degenerate interpolants (wrong degree shape) and degrees past
+    the record format limit.
+    """
+    if d not in (2 * g + 1, 2 * g + 2):
+        raise PreconditionError("degree must be 2g+1 or 2g+2")
+    if d > RECORD_LIMIT:
+        raise PreconditionError(f"degree {d} is past the record format limit of {RECORD_LIMIT}")
+    if d == 2 * g + 1 and f1.degree > g:
+        raise PreconditionError("f1 degree exceeds g for the odd model")
+    if d == 2 * g + 2:
+        if f1.degree != g + 1 or f1.lc != 2:
+            raise PreconditionError("even model needs leading term 2x^(g+1)")
+    return _y2_model(f1, d)
+
+
+def _quartic_poly(f1: UniPoly, f2: UniPoly) -> BiPoly:
+    return (BiPoly.y(3) + BiPoly.from_unipoly(f2) * BiPoly.y(2)
+            + BiPoly.from_unipoly(f1) * BiPoly.y() + BiPoly.x(4))
+
+
+def _smooth_quartic(poly: BiPoly) -> PlaneCurve:
+    curve = PlaneCurve(poly)
+    report = smoothness_check(curve)
+    if not report.smooth:
+        raise SingularModelError(f"singular quartic (witness: {report.witness})")
+    return curve
+
+
 def quartic_curve(f1: UniPoly, f2: UniPoly) -> PlaneCurve:
     """Smooth plane quartic y^3 + f2*y^2 + f1*y + x^4 (smoothness enforced)."""
     if f1.degree > 2 or f2.degree > 1:
         raise PreconditionError("quartic model needs deg f1 <= 2 and deg f2 <= 1")
-    curve = PlaneCurve(
-        BiPoly.y(3) + BiPoly.from_unipoly(f2) * BiPoly.y(2)
-        + BiPoly.from_unipoly(f1) * BiPoly.y() + BiPoly.x(4))
-    report = smoothness_check(curve)
-    if not report.smooth:
-        raise SingularModelError(f"singular quartic (witness: {report.witness})")
-    return curve
+    return _smooth_quartic(_quartic_poly(f1, f2))
 
 
 def conic_quartic_curve(conic: Conic) -> PlaneCurve:
     """Quartic with maximal conic contact: D(x,y)*y + x^4."""
-    curve = PlaneCurve(conic.poly() * BiPoly.y() + BiPoly.x(4))
-    report = smoothness_check(curve)
-    if not report.smooth:
-        raise SingularModelError(f"singular quartic (witness: {report.witness})")
-    return curve
+    return _smooth_quartic(conic.poly() * BiPoly.y() + BiPoly.x(4))
 
 
 # ---------------------------------------------------------------------------
@@ -156,28 +168,81 @@ def _pair_function(a: Block, b: Block) -> Tuple[FnElt, int]:
     return a.fn ** (l // a.order) / b.fn ** (l // b.order), l
 
 
-def make_triple_element(curve: PlaneCurve, eng: SymbolEngine, name: str,
-                        inf: CurvePoint, a: Block, b: Block,
-                        extra_support: Sequence[CurvePoint] = ()) -> NamedElement:
-    """Element for the point triple (infinity, A, B) from two blocks.
+class _Marks:
+    """The named points of a triple family with their auxiliary lines and
+    torsion blocks, and the elements built from them, in record order:
+    inf, then O with block y (divisor deg C * (O - inf)), then each point
+    added."""
 
-    Builds h_1, h_2, h_3 with the cyclic divisor pattern, forms the three
-    symbols S_i, verifies each against the tame kernel and refuses to
-    return anything that does not certify.
-    """
-    h1_fn, l1 = _pair_function(a, b)
-    t1 = TorsionFunction(h1_fn, plus=a.point, minus=b.point, order=l1)
-    t2 = TorsionFunction(b.fn, plus=b.point, minus=inf, order=b.order)
-    t3 = TorsionFunction(a.fn.inverse(), plus=inf, minus=a.point, order=a.order)
-    symbols = construction_torsion(curve, t1, t2, t3, engine=eng,
-                                   extra_support=extra_support)
-    certs = [verify_k2t(curve, s, engine=eng) for s in symbols]
-    if not all(c.passed for c in certs):
-        raise VerificationError(f"element {name} failed tame verification")
-    orders = [l1, b.order, a.order]
-    return NamedElement(name=name, kind="triple", symbols=symbols,
-                        certificates=certs, orders=orders,
-                        lcm=lcm(*orders))
+    def __init__(self, curve: PlaneCurve, eng: SymbolEngine):
+        self.curve, self.eng = curve, eng
+        O = CurvePoint.affine(0, 0)
+        self.points = {"inf": eng.infinity_points()[0], "O": O}
+        self.aux_lines = [{"label": "L_O", "coeffs": ["0", "1", "0"]}]
+        self.blocks = {"O": Block(FnElt.poly(curve, BiPoly.y()), O, curve.degree)}
+        self.elements: List[NamedElement] = []
+
+    def add(self, name: str, block: Block, line: Optional[List[str]] = None) -> None:
+        """Mark block.point as `name`, with aux line L_name when given."""
+        if not self.curve.contains(block.point):
+            raise VerificationError(f"marked point {name} does not lie on the curve")
+        self.points[name] = block.point
+        self.blocks[name] = block
+        if line is not None:
+            self.aux_lines.append({"label": f"L_{name}", "coeffs": line})
+
+    def vertical(self, name: str, alpha: Fraction, beta: Fraction, contact: int) -> None:
+        """(alpha, beta), where x = alpha has the given contact: block x - alpha."""
+        verify_vertical_tangency(self.curve, alpha, beta, contact, self.eng)
+        fn = FnElt.poly(self.curve, BiPoly.x() - BiPoly.const(alpha))
+        self.add(name, Block(fn, CurvePoint.affine(alpha, beta), contact),
+                 ["1", "0", rat_str(-alpha)])
+
+    def through_origin(self, name: str, slope: Fraction, q: CurvePoint) -> None:
+        """q, whose tangent y = slope*x passes through O.
+
+        div(y - slope*x) = 3(q) + (O) - 4(inf), so (y - slope*x)^4 / y has
+        divisor 12(q) - 12(inf).
+        """
+        line = BiPoly.y() - BiPoly.x() * slope
+        iq = intersection_multiplicity(self.curve, line, q)
+        io = intersection_multiplicity(self.curve, line, self.points["O"])
+        if (iq, io) != (3, 1):
+            raise VerificationError(
+                f"tangent through O has contact pattern ({iq},{io}), expected (3,1)")
+        fn = FnElt.poly(self.curve, line)**4 / self.blocks["O"].fn
+        self.add(name, Block(fn, q, 12), [rat_str(-slope), "1", "0"])
+
+    def element(self, a_name: str, b_name: str, extra: Sequence[str] = ()) -> None:
+        """The element {inf,A,B}, with the points named in `extra` declared too.
+
+        Builds h_1, h_2, h_3 with the cyclic divisor pattern, forms the three
+        symbols S_i, verifies each against the tame kernel and refuses to
+        keep anything that does not certify.
+        """
+        name = f"{{inf,{a_name},{b_name}}}"
+        inf, a, b = self.points["inf"], self.blocks[a_name], self.blocks[b_name]
+        h1_fn, l1 = _pair_function(a, b)
+        t1 = TorsionFunction(h1_fn, plus=a.point, minus=b.point, order=l1)
+        t2 = TorsionFunction(b.fn, plus=b.point, minus=inf, order=b.order)
+        t3 = TorsionFunction(a.fn.inverse(), plus=inf, minus=a.point, order=a.order)
+        symbols = construction_torsion(self.curve, t1, t2, t3, engine=self.eng,
+                                       extra_support=[self.points[n] for n in extra])
+        certs = [verify_k2t(self.curve, s, engine=self.eng) for s in symbols]
+        if not all(c.passed for c in certs):
+            raise VerificationError(f"element {name} failed tame verification")
+        orders = [l1, b.order, a.order]
+        self.elements.append(NamedElement(name=name, kind="triple", symbols=symbols,
+                                          certificates=certs, orders=orders,
+                                          lcm=lcm(*orders)))
+
+    def record(self, family_id: str, params: dict, model: dict, **fields) -> CurveRecord:
+        """The record of these marks, with its integrality flags."""
+        rec = CurveRecord(family_id=family_id, params=params, curve=self.curve,
+                          model=model, points=self.points, elements=self.elements,
+                          aux_lines=self.aux_lines, **fields)
+        rec.integrality_flags = integrality_flags(rec)
+        return rec
 
 
 # ---------------------------------------------------------------------------
@@ -186,31 +251,17 @@ def make_triple_element(curve: PlaneCurve, eng: SymbolEngine, name: str,
 
 def _hyp_record(family_id: str, params: dict, g: int, d: int, f1: UniPoly,
                 marked: List[Tuple[Fraction, Fraction]],
-                notes: List[str] = None) -> CurveRecord:
+                notes: Sequence[str] = ()) -> CurveRecord:
     """Common path: model, tangency verification, elements, flags."""
     curve, tpoly, disc = hyperelliptic_curve(g, d, f1)
     eng = SymbolEngine(curve)
     if len(eng.infinity_points()) != 1:
         raise VerificationError("hyperelliptic model must have one place at infinity")
-    inf = eng.infinity_points()[0]
-    O = CurvePoint.affine(0, 0)
-    points = {"inf": inf, "O": O}
-    aux_lines = [{"label": "L_O", "coeffs": ["0", "1", "0"]}]
+    marks = _Marks(curve, eng)
     for i, (alpha, beta) in enumerate(marked, start=1):
-        p = CurvePoint.affine(alpha, beta)
-        if not curve.contains(p):
-            raise VerificationError("marked point does not lie on the curve")
-        verify_vertical_tangency(curve, alpha, beta, 2, eng)
-        points[f"P{i}"] = p
-        aux_lines.append({"label": f"L_P{i}",
-                          "coeffs": ["1", "0", rat_str(-alpha)]})
-    block_O = Block(FnElt.poly(curve, BiPoly.y()), O, d)
-    elements = []
-    for i, (alpha, beta) in enumerate(marked, start=1):
-        block_P = Block(FnElt.poly(curve, BiPoly.x() - BiPoly.const(alpha)),
-                        points[f"P{i}"], 2)
-        elements.append(make_triple_element(
-            curve, eng, f"{{inf,O,P{i}}}", inf, block_O, block_P))
+        marks.vertical(f"P{i}", alpha, beta, 2)
+    for i in range(1, len(marked) + 1):
+        marks.element("O", f"P{i}")
     model = {
         "type": "hyperelliptic",
         "genus": g,
@@ -222,19 +273,20 @@ def _hyp_record(family_id: str, params: dict, g: int, d: int, f1: UniPoly,
         "disc_two_torsion": rat_str(disc),
     }
     if d == 2 * g + 2:
-        half = f1 * Fraction(1, 2)
-        first = half - UniPoly.x(g + 1)
-        second = half + UniPoly.x(g + 1)
+        first, second = _t_split(f1, g)
         extras["t_split"] = {
             "first_factor": [rat_str(c) for c in first.coeffs],
             "second_factor": [rat_str(c) for c in second.coeffs],
         }
-    rec = CurveRecord(family_id=family_id, params=params, curve=curve,
-                      model=model, points=points, elements=elements,
-                      aux_lines=aux_lines, notes=notes or [], extras=extras)
-    rec.integrality_flags = integrality_flags(rec)
+    rec = marks.record(family_id, params, model, notes=list(notes), extras=extras)
     _attach_integral_model(rec, g, d, f1)
     return rec
+
+
+def _t_split(f1: UniPoly, g: int) -> Tuple[UniPoly, UniPoly]:
+    """The factors f1/2 - x^(g+1) and f1/2 + x^(g+1) of -(-4x^d + f1^2)/4."""
+    half = f1 * Fraction(1, 2)
+    return half - UniPoly.x(g + 1), half + UniPoly.x(g + 1)
 
 
 def gen_hyp_odd(g: int, a: Sequence) -> CurveRecord:
@@ -276,15 +328,13 @@ def gen_hyp_even(g: int, a: Sequence, eps: Sequence[int]) -> CurveRecord:
              "one linear relation in the tame kernel modulo torsion"]
     rec = _hyp_record("hyp-even", {"genus": g, "a": a, "eps": list(ev.entries)},
                       g, d, f1, marked, notes=notes)
-    _check_t_split_sides(rec, a, ev.entries, f1, g)
+    _check_t_split_sides(a, ev.entries, f1, g)
     return rec
 
 
-def _check_t_split_sides(rec: CurveRecord, a, eps, f1: UniPoly, g: int) -> None:
+def _check_t_split_sides(a, eps, f1: UniPoly, g: int) -> None:
     """eps_i = -1 nodes are roots of f1/2 - x^(g+1); eps_i = +1 of f1/2 + x^(g+1)."""
-    half = f1 * Fraction(1, 2)
-    first = half - UniPoly.x(g + 1)
-    second = half + UniPoly.x(g + 1)
+    first, second = _t_split(f1, g)
     for x, e in zip(a, eps):
         poly = first if e == -1 else second
         if poly(x) != 0:
@@ -493,23 +543,6 @@ def _verify_swapped_tangency(curve: PlaneCurve, a, b, w0, z0) -> None:
         raise VerificationError("swapped-chart root multiplicity is not 3")
 
 
-def _quartic_line_block(curve: PlaneCurve, eng: SymbolEngine, slope,
-                        q_point: CurvePoint, o_point: CurvePoint) -> Block:
-    """Block for a point Q whose tangent y = slope*x passes through O.
-
-    div(y - slope*x) = 3(Q) + (O) - 4(inf), so (y - slope*x)^4 / y has
-    divisor 12(Q) - 12(inf).
-    """
-    line = BiPoly.y() - BiPoly.x() * slope
-    iq = intersection_multiplicity(curve, line, q_point)
-    io = intersection_multiplicity(curve, line, o_point)
-    if (iq, io) != (3, 1):
-        raise VerificationError(
-            f"tangent through O has contact pattern ({iq},{io}), expected (3,1)")
-    fn = FnElt.poly(curve, line)**4 / FnElt.poly(curve, BiPoly.y())
-    return Block(fn, q_point, 12)
-
-
 def gen_quartic_lines(a, b, c) -> CurveRecord:
     """Quartic with hyperflexes at O and infinity plus two 3-contact tangents."""
     a, b, c = rat(a), rat(b), rat(c)
@@ -532,76 +565,34 @@ def gen_quartic_lines(a, b, c) -> CurveRecord:
         # the printed product must agree with the smoothness verdict
         raise VerificationError(
             "printed discriminant vanishes on a smooth member: cross-check failed")
-    eng = SymbolEngine(curve)
-    inf = eng.infinity_points()[0]
-    O = CurvePoint.affine(0, 0)
-    P = CurvePoint.affine(a**3, -a**4)
-    Q = CurvePoint.affine(-a**2 * b**3, -a**2 * b**6)
-    for p in (P, Q):
-        if not curve.contains(p):
-            raise VerificationError("marked point does not lie on the curve")
-    verify_vertical_tangency(curve, a**3, -a**4, 3, eng)
+    marks = _Marks(curve, SymbolEngine(curve))
+    marks.vertical("P", a**3, -a**4, 3)
     _verify_swapped_tangency(curve, a, b, 1 / b**3, -1 / b**4)
-    points = {"inf": inf, "O": O, "P": P, "Q": Q}
-    aux_lines = [
-        {"label": "L_O", "coeffs": ["0", "1", "0"]},
-        {"label": "L_P", "coeffs": ["1", "0", rat_str(-a**3)]},
-        {"label": "L_Q", "coeffs": [rat_str(-b**3), "1", "0"]},
-    ]
-    block_O = Block(FnElt.poly(curve, BiPoly.y()), O, 4)
-    block_P = Block(FnElt.poly(curve, BiPoly.x() - BiPoly.const(a**3)), P, 3)
-    block_Q = _quartic_line_block(curve, eng, b**3, Q, O)
-    elements = [
-        make_triple_element(curve, eng, "{inf,O,P}", inf, block_O, block_P,
-                            extra_support=[Q]),
-        make_triple_element(curve, eng, "{inf,O,Q}", inf, block_O, block_Q,
-                            extra_support=[P]),
-        make_triple_element(curve, eng, "{inf,P,Q}", inf, block_P, block_Q,
-                            extra_support=[O]),
-    ]
+    marks.through_origin("Q", b**3, CurvePoint.affine(-a**2 * b**3, -a**2 * b**6))
+    marks.element("O", "P", ["Q"])
+    marks.element("O", "Q", ["P"])
+    marks.element("P", "Q", ["O"])
     notes = []
     if c == 0:
-        Pp = CurvePoint.affine(-a**3, -a**4)
-        Qp = CurvePoint.affine(a**2 * b**3, -a**2 * b**6)
-        verify_vertical_tangency(curve, -a**3, -a**4, 3, eng)
+        marks.vertical("P'", -a**3, -a**4, 3)
         _verify_swapped_tangency(curve, a, b, -1 / b**3, -1 / b**4)
-        points["P'"] = Pp
-        points["Q'"] = Qp
-        aux_lines += [
-            {"label": "L_P'", "coeffs": ["1", "0", rat_str(a**3)]},
-            {"label": "L_Q'", "coeffs": [rat_str(b**3), "1", "0"]},
-        ]
-        block_Pp = Block(FnElt.poly(curve, BiPoly.x() + BiPoly.const(a**3)), Pp, 3)
-        block_Qp = _quartic_line_block(curve, eng, -b**3, Qp, O)
-        elements += [
-            make_triple_element(curve, eng, "{inf,O,P'}", inf, block_O, block_Pp),
-            make_triple_element(curve, eng, "{inf,O,Q'}", inf, block_O, block_Qp),
-            make_triple_element(curve, eng, "{inf,P',Q'}", inf, block_Pp, block_Qp),
-            make_triple_element(curve, eng, "{inf,P,Q'}", inf, block_P, block_Qp),
-            make_triple_element(curve, eng, "{inf,P',Q}", inf, block_Pp, block_Q),
-        ]
+        marks.through_origin("Q'", -b**3, CurvePoint.affine(a**2 * b**3, -a**2 * b**6))
+        for pair in (("O", "P'"), ("O", "Q'"), ("P'", "Q'"), ("P", "Q'"), ("P'", "Q")):
+            marks.element(*pair)
         notes.append("the published c=0 list names one further element with an "
                      "ambiguous first entry; it is omitted here and logged")
-    rec = CurveRecord(
-        family_id="quartic-lines",
-        params={"a": a, "b": b, "c": c},
-        curve=curve,
-        model={"type": "quartic", "f1": [rat_str(x) for x in f1.coeffs],
-               "f2": [rat_str(x) for x in f2.coeffs]},
-        points=points, elements=elements, aux_lines=aux_lines, notes=notes,
-        extras={"disc_printed": rat_str(printed)},
-    )
-    rec.integrality_flags = integrality_flags(rec)
-    return rec
+    return marks.record(
+        "quartic-lines", {"a": a, "b": b, "c": c},
+        {"type": "quartic", "f1": [rat_str(x) for x in f1.coeffs],
+         "f2": [rat_str(x) for x in f2.coeffs]},
+        notes=notes, extras={"disc_printed": rat_str(printed)})
 
 
 def ct_equation(t) -> BiPoly:
     """The printed one-parameter quartic family C_t."""
     t = rat(t)
-    f1 = UniPoly([Fraction(1, 64), -t / 8, -(t + Fraction(1, 4))])
-    f2 = UniPoly([t / 8 + Fraction(3, 16), t])
-    return (BiPoly.y(3) + BiPoly.from_unipoly(f2) * BiPoly.y(2)
-            + BiPoly.from_unipoly(f1) * BiPoly.y() + BiPoly.x(4))
+    return _quartic_poly(UniPoly([Fraction(1, 64), -t / 8, -(t + Fraction(1, 4))]),
+                         UniPoly([t / 8 + Fraction(3, 16), t]))
 
 
 def gen_quartic_ct(t) -> CurveRecord:
@@ -614,11 +605,7 @@ def gen_quartic_ct(t) -> CurveRecord:
     printed = disc_ct_printed(t)
     if printed == 0:
         raise SingularModelError("singular member: printed discriminant vanishes")
-    eq = ct_equation(t)
-    spec_f1, spec_f2 = _thm53_polys(Fraction(-1, 2), Fraction(1), t)
-    direct = (BiPoly.y(3) + BiPoly.from_unipoly(spec_f2) * BiPoly.y(2)
-              + BiPoly.from_unipoly(spec_f1) * BiPoly.y() + BiPoly.x(4))
-    if eq != direct:
+    if ct_equation(t) != _quartic_poly(*_thm53_polys(Fraction(-1, 2), Fraction(1), t)):
         raise VerificationError(
             "printed C_t equation disagrees with the line-family specialization")
     rec = gen_quartic_lines(Fraction(-1, 2), Fraction(1), t)
@@ -635,73 +622,43 @@ def gen_quartic_ct(t) -> CurveRecord:
 # ---------------------------------------------------------------------------
 
 def _conic_record(family_id: str, params: dict, conic: Conic,
-                  vertical_points: List[Tuple[Fraction, Fraction]],
-                  q_slope_point=None,
-                  element_plan: List[Tuple[str, str]] = None,
-                  notes: List[str] = None) -> CurveRecord:
+                  verticals: List[Tuple[Fraction, Fraction]],
+                  pairs: List[Tuple[str, str]],
+                  q_slope_point: Optional[Tuple[Fraction, CurvePoint]] = None) -> CurveRecord:
     """Common path for the conic-contact quartics.
 
-    `vertical_points` are (alpha, beta) with vertical 3-contact tangents;
-    `q_slope_point` optionally gives (slope, Q) for a tangent through O;
-    `element_plan` lists (name, "A,B") pairs over point names
-    {"O", "R", "P", "P1", "P2", "Q"}.
+    `verticals` are (alpha, beta) with vertical 3-contact tangents, named P
+    (or P1, P2); `q_slope_point` optionally gives (slope, Q) for a tangent
+    through O; `pairs` names the points A, B of each element {inf,A,B},
+    which declares every other marked point too.
     """
     if conic.d2 == 0 or conic.d3 == 0:
         raise SingularModelError(
             "singular member: the conic families need d2 != 0 and d3 != 0",
             vanished="d2" if conic.d2 == 0 else "d3")
     curve = conic_quartic_curve(conic)
-    eng = SymbolEngine(curve)
-    inf = eng.infinity_points()[0]
-    O = CurvePoint.affine(0, 0)
+    marks = _Marks(curve, SymbolEngine(curve))
     R = CurvePoint.affine(0, -conic.d2)
-    if not curve.contains(R):
-        raise VerificationError("conic contact point is not on the curve")
+    marks.add("R", Block(FnElt.poly(curve, conic.poly()), R, 8))
     i_r = intersection_multiplicity(curve, conic, R)
     if i_r != 8:
         raise VerificationError(f"conic contact multiplicity is {i_r}, expected 8")
-    if conic.is_degenerate():
-        notes = (notes or []) + ["auxiliary conic is reducible"]
     # Bezout bookkeeping: the conic must avoid the point at infinity
+    inf = marks.points["inf"]
     if conic.poly().top_value(inf.x, inf.y) == 0:
         raise VerificationError("conic passes through the point at infinity")
-    points = {"inf": inf, "O": O, "R": R}
-    aux_lines = [{"label": "L_O", "coeffs": ["0", "1", "0"]}]
-    aux_conics = [{"label": "D", "coeffs": [rat_str(conic.d1), rat_str(conic.d2),
-                                            rat_str(conic.d3), rat_str(conic.d4)]}]
-    blocks = {
-        "O": Block(FnElt.poly(curve, BiPoly.y()), O, 4),
-        "R": Block(FnElt.poly(curve, conic.poly()), R, 8),
-    }
-    for i, (alpha, beta) in enumerate(vertical_points, start=1):
-        name = "P" if len(vertical_points) == 1 else f"P{i}"
-        p = CurvePoint.affine(alpha, beta)
-        verify_vertical_tangency(curve, alpha, beta, 3, eng)
-        points[name] = p
-        aux_lines.append({"label": f"L_{name}", "coeffs": ["1", "0", rat_str(-alpha)]})
-        blocks[name] = Block(FnElt.poly(curve, BiPoly.x() - BiPoly.const(alpha)), p, 3)
+    for i, (alpha, beta) in enumerate(verticals, start=1):
+        marks.vertical("P" if len(verticals) == 1 else f"P{i}", alpha, beta, 3)
     if q_slope_point is not None:
-        slope, Q = q_slope_point
-        points["Q"] = Q
-        aux_lines.append({"label": "L_Q", "coeffs": [rat_str(-slope), "1", "0"]})
-        blocks["Q"] = _quartic_line_block(curve, eng, slope, Q, O)
-    elements = []
-    for name, spec in element_plan:
-        a_name, b_name = spec.split(",")
-        extra = [p for nm, p in points.items()
-                 if nm not in ("inf", a_name, b_name)]
-        elements.append(make_triple_element(
-            curve, eng, name, inf, blocks[a_name], blocks[b_name],
-            extra_support=extra))
-    rec = CurveRecord(
-        family_id=family_id, params=params, curve=curve,
-        model={"type": "conic-quartic",
-               "d": [rat_str(conic.d1), rat_str(conic.d2),
-                     rat_str(conic.d3), rat_str(conic.d4)]},
-        points=points, elements=elements,
-        aux_lines=aux_lines, aux_conics=aux_conics, notes=notes or [],
-    )
-    return rec
+        marks.through_origin("Q", *q_slope_point)
+    for a_name, b_name in pairs:
+        marks.element(a_name, b_name,
+                      [n for n in marks.points if n not in ("inf", a_name, b_name)])
+    d = [rat_str(conic.d1), rat_str(conic.d2), rat_str(conic.d3), rat_str(conic.d4)]
+    return marks.record(
+        family_id, params, {"type": "conic-quartic", "d": d},
+        aux_conics=[{"label": "D", "coeffs": d}],
+        notes=["auxiliary conic is reducible"] if conic.is_degenerate() else [])
 
 
 def gen_quartic_conic(d1, d2, d3, d4) -> CurveRecord:
@@ -710,7 +667,7 @@ def gen_quartic_conic(d1, d2, d3, d4) -> CurveRecord:
     return _conic_record(
         "quartic-conic",
         {"d1": conic.d1, "d2": conic.d2, "d3": conic.d3, "d4": conic.d4},
-        conic, [], element_plan=[("{inf,O,R}", "O,R")])
+        conic, [], [("O", "R")])
 
 
 def gen_quartic_conic_1tangent(a, d1, d4) -> CurveRecord:
@@ -725,18 +682,13 @@ def gen_quartic_conic_1tangent(a, d1, d4) -> CurveRecord:
     conic = Conic.make(d1, d2, d3, d4)
     return _conic_record(
         "quartic-conic-1t", {"a": a, "d1": d1, "d4": d4}, conic,
-        [(a**3, -a**4)],
-        element_plan=[("{inf,O,P}", "O,P"), ("{inf,O,R}", "O,R"),
-                      ("{inf,P,R}", "P,R")])
+        [(a**3, -a**4)], [("O", "P"), ("O", "R"), ("P", "R")])
 
 
 def gen_quartic_conic_2tangent(a1, a2) -> CurveRecord:
     """Conic contact plus two vertical 3-contact tangents."""
     a1, a2 = rat(a1), rat(a2)
-    for name, v in disc_ex63_factors(a1, a2):
-        if v == 0:
-            raise SingularModelError(f"singular member: factor {name} vanishes",
-                                     vanished=name)
+    _gate_on_factors(disc_ex63_factors(a1, a2), "the two-tangent conic family")
     d = a1**2 + a1 * a2 + a2**2
     d1 = Fraction(3, 2) / d * (a1**3 + a1**2 * a2 + a1 * a2**2 + a2**3)
     d2 = -Fraction(3, 2) / d * a1**3 * a2**3
@@ -747,9 +699,7 @@ def gen_quartic_conic_2tangent(a1, a2) -> CurveRecord:
     rec = _conic_record(
         "quartic-conic-2t", {"a1": a1, "a2": a2}, conic,
         [(a1**3, -a1**4), (a2**3, -a2**4)],
-        element_plan=[("{inf,O,P1}", "O,P1"), ("{inf,O,R}", "O,R"),
-                      ("{inf,R,P1}", "R,P1"), ("{inf,O,P2}", "O,P2"),
-                      ("{inf,R,P2}", "R,P2")])
+        [("O", "P1"), ("O", "R"), ("R", "P1"), ("O", "P2"), ("R", "P2")])
     rec.extras["disc_printed"] = rat_str(disc_ex63_printed(a1, a2))
     return rec
 
@@ -768,14 +718,11 @@ def gen_quartic_conic_pq(a, b) -> CurveRecord:
     d3 = 2 * a**3 * (2 * b**3 + 3 * a) * b**3
     d4 = -4 * b**6 - 6 * a * b**3 + Fraction(3, 4) * a**2
     conic = Conic.make(d1, d2, d3, d4)
-    Q = CurvePoint.affine(-a**2 * b**3, -a**2 * b**6)
     rec = _conic_record(
         "quartic-conic-pq", {"a": a, "b": b}, conic,
         [(a**3, -a**4)],
-        q_slope_point=(b**3, Q),
-        element_plan=[("{inf,O,P}", "O,P"), ("{inf,O,R}", "O,R"),
-                      ("{inf,R,P}", "R,P"), ("{inf,O,Q}", "O,Q"),
-                      ("{inf,R,Q}", "R,Q"), ("{inf,P,Q}", "P,Q")])
+        [("O", "P"), ("O", "R"), ("R", "P"), ("O", "Q"), ("R", "Q"), ("P", "Q")],
+        q_slope_point=(b**3, CurvePoint.affine(-a**2 * b**3, -a**2 * b**6)))
     rec.extras["disc_printed"] = rat_str(printed)
     return rec
 
@@ -867,44 +814,17 @@ def nekovar_3tor_curve(r) -> Tuple[PlaneCurve, BiPoly]:
     if r in (Fraction(0), Fraction(-1), Fraction(1, 8)):
         raise SingularModelError(
             f"singular member: r = {rat_str(r)} is excluded (r must avoid 0, -1, 1/8)")
-    f1 = UniPoly([r, -(4 * r + 1)])
-    tpoly = f1 * f1 - UniPoly.x(3) * 4
-    if tpoly.discriminant() == 0:
-        raise SingularModelError("singular member: discriminant vanishes")
-    curve = PlaneCurve(
-        BiPoly.y(2) + BiPoly.from_unipoly(f1) * BiPoly.y() + BiPoly.x(3))
-    h_line = BiPoly.y() - BiPoly.x() + BiPoly.const(r)
-    return curve, h_line
+    curve, _, _ = _y2_model(UniPoly([r, -(4 * r + 1)]), 3)
+    return curve, BiPoly.y() - BiPoly.x() + BiPoly.const(r)
 
 
 def gen_nekovar_3tor(r) -> CurveRecord:
     """Elliptic family whose origin is a 3-torsion point (tangent line y=0)."""
     r = rat(r)
     curve, h_line = nekovar_3tor_curve(r)
-    eng = SymbolEngine(curve)
-    O = CurvePoint.affine(0, 0)
-    # y = 0 meets the curve only at the origin: F(x, 0) = x^3
-    sec = curve.affine.eval_y(0)
-    if sec != UniPoly.x(3):
-        raise VerificationError("the line y=0 does not have maximal contact at the origin")
-    q1 = CurvePoint.affine(0, -r)
-    q2 = CurvePoint.affine(2 * r, r)
-    for q in (q1, q2):
-        if not curve.contains(q):
-            raise VerificationError("contact point is not on the curve")
-    tf = TorsionFunction(FnElt.poly(curve, BiPoly.y()), plus=O,
-                         minus=eng.infinity_points()[0], order=3)
-    elem, info = nekovar_element(curve, BiPoly.y(), h_line, [tf],
-                                 kappa=r, engine=eng)
-    if info["h_pattern"] != [1, 2]:
-        raise VerificationError(f"contact pattern {info['h_pattern']} != [1, 2]")
-    cert = verify_k2t(curve, elem, engine=eng)
-    if not cert.passed:
-        raise VerificationError("combination element failed tame verification")
-    rec = _nekovar_record("nekovar-3tor", {"r": r}, curve, eng, elem, info, cert,
-                          {"O": O, "Q1": q1, "Q2": q2}, h_line)
-    rec.model = {"type": "nekovar-3tor", "f1": [rat_str(r), rat_str(-(4 * r + 1))]}
-    return rec
+    return _contact_record(
+        "nekovar-3tor", r, curve, h_line, places=1, h_pattern=[1, 2],
+        model={"type": "nekovar-3tor", "f1": [rat_str(r), rat_str(-(4 * r + 1))]})
 
 
 def nekovar_genus2_curve(r) -> Tuple[PlaneCurve, BiPoly]:
@@ -912,56 +832,66 @@ def nekovar_genus2_curve(r) -> Tuple[PlaneCurve, BiPoly]:
     if r in (Fraction(0), Fraction(1, 3)):
         raise SingularModelError(
             f"singular member: r = {rat_str(r)} is excluded (r must avoid 0, 1/3)")
-    f1 = UniPoly([r, -1, 0, -4 * r])
-    tpoly = f1 * f1 - UniPoly.x(5) * 4
-    if tpoly.discriminant() == 0:
-        raise SingularModelError("singular member: discriminant vanishes")
-    curve = PlaneCurve(
-        BiPoly.y(2) + BiPoly.from_unipoly(f1) * BiPoly.y() + BiPoly.x(5))
-    h_line = BiPoly.y() - BiPoly.x() + BiPoly.const(r)
-    return curve, h_line
+    curve, _, _ = _y2_model(UniPoly([r, -1, 0, -4 * r]), 5)
+    return curve, BiPoly.y() - BiPoly.x() + BiPoly.const(r)
 
 
 def gen_nekovar_genus2(r) -> CurveRecord:
     """Genus-2 family with two places at infinity and a 5-contact origin."""
     r = rat(r)
     curve, h_line = nekovar_genus2_curve(r)
-    eng = SymbolEngine(curve)
-    branches = eng.infinity_points()
-    if len(branches) != 2:
-        raise VerificationError(
-            f"model must have two places at infinity, found {len(branches)}")
-    O = CurvePoint.affine(0, 0)
-    if curve.affine.eval_y(0) != UniPoly.x(5):
-        raise VerificationError("the line y=0 does not have maximal contact at the origin")
-    y_fn = FnElt.poly(curve, BiPoly.y())
-    if eng.ord(y_fn, O) != 5:
-        raise VerificationError("ord_O(y) != 5")
-    q1 = CurvePoint.affine(0, -r)
-    q2 = CurvePoint.affine(2 * r, r)
-    for q in (q1, q2):
-        if not curve.contains(q):
-            raise VerificationError("contact point is not on the curve")
-    tf = TorsionFunction(y_fn, plus=O, minus=None, order=5)
-    elem, info = nekovar_element(curve, BiPoly.y(), h_line, [tf],
-                                 kappa=r, h_scale=1 / r, engine=eng)
-    if sorted(info["h_pattern"]) != [2, 3]:
-        raise VerificationError(f"contact pattern {info['h_pattern']} != (3,2)")
-    cert = verify_k2t(curve, elem, engine=eng)
-    if not cert.passed:
-        raise VerificationError("combination element failed tame verification")
-    rec = _nekovar_record("nekovar-g2", {"r": r}, curve, eng, elem, info, cert,
-                          {"O": O, "Q1": q1, "Q2": q2}, h_line)
-    rec.model = {"type": "nekovar-g2",
-                 "f1": [rat_str(c) for c in UniPoly([r, -1, 0, -4 * r]).coeffs]}
+    rec = _contact_record(
+        "nekovar-g2", r, curve, h_line, places=2, h_pattern=[2, 3], h_scale=1 / r,
+        model={"type": "nekovar-g2",
+               "f1": [rat_str(c) for c in UniPoly([r, -1, 0, -4 * r]).coeffs]})
     rec.notes.append("h is scaled by 1/r so the tame symbols at both places "
                      "at infinity are trivial")
     return rec
 
 
+def _contact_record(family_id: str, r: Fraction, curve: PlaneCurve, h_line: BiPoly,
+                    places: int, h_pattern: List[int], model: dict,
+                    h_scale: Fraction = Fraction(1)) -> CurveRecord:
+    """Common path for the contact families: G = {y = 0} meets the curve of
+    degree d only at O, with contact d, so y is a d-torsion function, and
+    H = h_line meets it at Q1 = (0, -r) and Q2 = (2r, r) with the
+    multiplicities `h_pattern`, on a model with `places` places at
+    infinity."""
+    eng = SymbolEngine(curve)
+    d = curve.degree
+    found = len(eng.infinity_points())
+    if found != places:
+        raise VerificationError(
+            f"model must have {places} place(s) at infinity, found {found}")
+    O = CurvePoint.affine(0, 0)
+    if curve.affine.eval_y(0) != UniPoly.x(d):
+        raise VerificationError("the line y=0 does not have maximal contact at the origin")
+    y_fn = FnElt.poly(curve, BiPoly.y())
+    if eng.ord(y_fn, O) != d:
+        raise VerificationError(f"ord_O(y) != {d}")
+    q1 = CurvePoint.affine(0, -r)
+    q2 = CurvePoint.affine(2 * r, r)
+    for q in (q1, q2):
+        if not curve.contains(q):
+            raise VerificationError("contact point is not on the curve")
+    # with several places at infinity the poles of y split over them
+    minus = eng.infinity_points()[0] if places == 1 else None
+    tf = TorsionFunction(y_fn, plus=O, minus=minus, order=d)
+    elem, info = nekovar_element(curve, BiPoly.y(), h_line, [tf],
+                                 kappa=r, h_scale=h_scale, engine=eng)
+    if info["h_pattern"] != h_pattern:
+        raise VerificationError(f"contact pattern {info['h_pattern']} != {h_pattern}")
+    cert = verify_k2t(curve, elem, engine=eng)
+    if not cert.passed:
+        raise VerificationError("combination element failed tame verification")
+    return _nekovar_record(family_id, {"r": r}, curve, eng, elem, info, cert,
+                           {"O": O, "Q1": q1, "Q2": q2}, h_line, model)
+
+
 def _nekovar_record(family_id: str, params: dict, curve: PlaneCurve,
                     eng: SymbolEngine, elem: K2Element, info: dict,
-                    cert, named_points: dict, h_line: BiPoly) -> CurveRecord:
+                    cert, named_points: dict, h_line: BiPoly,
+                    model: Optional[dict] = None) -> CurveRecord:
     points = dict(named_points)
     for p in eng.infinity_points():
         points[f"inf{p.branch}" if len(eng.infinity_points()) > 1 else "inf"] = p
@@ -971,16 +901,15 @@ def _nekovar_record(family_id: str, params: dict, curve: PlaneCurve,
         meta={"m": info["m"], "power_adjusted": info["power_adjusted"],
               "kappa": info["kappa"],
               "h_pattern": info["h_pattern"]})
-    rec = CurveRecord(
+    return CurveRecord(
         family_id=family_id, params=params, curve=curve,
-        model={"type": family_id},
+        model=model or {"type": family_id},
         points=points, elements=[named],
         aux_lines=[{"label": "H", "coeffs": _line_coeffs(h_line)},
                    {"label": "G", "coeffs": ["0", "1", "0"]}],
         notes=["power adjustment applied to g (sign mix on H-contact values)"]
         if info["power_adjusted"] else [],
     )
-    return rec
 
 
 def _line_coeffs(line: BiPoly) -> List[str]:
@@ -1009,30 +938,27 @@ def integrality_flags(rec: CurveRecord) -> List[dict]:
                 "hypothesis": f"1/a_{i} in Z (after integral rescaling of the model)",
                 "satisfied": ok,
             })
-    elif rec.family_id in ("quartic-lines", "quartic-ct"):
-        if rec.family_id == "quartic-ct":
-            t = rat(rec.params["t"])
-            ok_int = is_integer(t) and t not in (Fraction(1), Fraction(-3))
-            for name in ("{inf,O,P}", "{inf,O,Q}"):
-                flags.append({"element": name, "criterion": "integer-parameter",
-                              "hypothesis": "t in Z \\ {1, -3}", "satisfied": ok_int})
-            flags.append({"element": "2*{inf,P,Q}", "criterion": "integer-parameter",
+    elif rec.family_id == "quartic-ct":
+        t = rat(rec.params["t"])
+        ok_int = is_integer(t) and t not in (Fraction(1), Fraction(-3))
+        for name in ("{inf,O,P}", "{inf,O,Q}", "2*{inf,P,Q}"):
+            flags.append({"element": name, "criterion": "integer-parameter",
                           "hypothesis": "t in Z \\ {1, -3}", "satisfied": ok_int})
-        else:
-            a, b, c = (rat(rec.params["a"]), rat(rec.params["b"]),
-                       rat(rec.params["c"]))
-            ok_i = is_integer(1 / a) and is_integer(b) and is_integer(c)
-            for name in ("{inf,O,P}", "{inf,O,Q}"):
-                flags.append({"element": name,
-                              "criterion": "unit-fraction-a-integral-b-c",
-                              "hypothesis": "1/a, b, c in Z", "satisfied": ok_i})
-            ok_ii = (is_integer(c)
-                     and ((a == Fraction(1, 2) and b == Fraction(-1))
-                          or (a == Fraction(-1, 2) and b == Fraction(1))))
-            flags.append({"element": "2*{inf,P,Q}",
-                          "criterion": "half-integer-pair",
-                          "hypothesis": "a = +-1/2, b = -+1, c in Z",
-                          "satisfied": ok_ii})
+    elif rec.family_id == "quartic-lines":
+        a, b, c = (rat(rec.params["a"]), rat(rec.params["b"]),
+                   rat(rec.params["c"]))
+        ok_i = is_integer(1 / a) and is_integer(b) and is_integer(c)
+        for name in ("{inf,O,P}", "{inf,O,Q}"):
+            flags.append({"element": name,
+                          "criterion": "unit-fraction-a-integral-b-c",
+                          "hypothesis": "1/a, b, c in Z", "satisfied": ok_i})
+        ok_ii = (is_integer(c)
+                 and ((a == Fraction(1, 2) and b == Fraction(-1))
+                      or (a == Fraction(-1, 2) and b == Fraction(1))))
+        flags.append({"element": "2*{inf,P,Q}",
+                      "criterion": "half-integer-pair",
+                      "hypothesis": "a = +-1/2, b = -+1, c in Z",
+                      "satisfied": ok_ii})
     return flags
 
 

@@ -25,6 +25,14 @@ from .symbols import Certificate, FnElt, K2Element, SymbolPair
 SCHEMA_VERSION = 1
 TOOL_VERSION = "0.1.0"
 
+# The record format limit: the most a record's curve degree, a factor's
+# total degree, an |exp| or a |coefficient| may be.  The squarefree test,
+# Fulton's reduction, the series and powers take time that grows with
+# these, so a record past the limit is malformed.  `gen` stays well inside
+# it (at most degree 15, factor degree 2, |exp| 15 and |coefficient| 5),
+# and hyperelliptic_curve refuses a degree past it.
+RECORD_LIMIT = 64
+
 
 @dataclass
 class NamedElement:
@@ -131,6 +139,14 @@ def rats_field(d, key: str, n: int) -> List[Fraction]:
     return [_as_rat(key, v) for v in values]
 
 
+def within_limit(what: str, value: int) -> int:
+    """value, which must not exceed RECORD_LIMIT in absolute value."""
+    if abs(value) > RECORD_LIMIT:
+        raise RecordFormatError(
+            f"{what} is {value}, past the record format limit of {RECORD_LIMIT}")
+    return value
+
+
 def poly_field(d, key: str) -> BiPoly:
     """d[key] parsed as a polynomial string."""
     return _parse_poly(key, json_field(d, key, str))
@@ -168,13 +184,20 @@ def _fnelt_jsonable(f: FnElt) -> dict:
 
 
 def _fnelt_from_json(curve: PlaneCurve, d: dict, factor: Dict[str, FnElt]) -> FnElt:
-    """`factor` maps a factor's polynomial string to FnElt(curve, poly)."""
-    if "factors" in json_object(d):
-        out = FnElt.constant(curve, rat_field(d, "scalar", "1"))
-        for fd in json_field(d, "factors", list):
-            out = out * factor[json_field(fd, "poly", str)] ** int_field(fd, "exp")
-        return out
-    return FnElt(curve, poly_field(d, "num"), poly_field(d, "den"))
+    """The function of d's "scalar" and "factors" (its "num" and "den" are
+    not read); `factor` maps a factor's polynomial string to
+    FnElt(curve, poly)."""
+    out = FnElt.constant(curve, rat_field(d, "scalar", "1"))
+    for fd in json_field(d, "factors", list):
+        exp = within_limit("'exp'", int_field(fd, "exp"))
+        out = out * factor[json_field(fd, "poly", str)] ** exp
+    return out
+
+
+def _factor_from_json(curve: PlaneCurve, text: str) -> FnElt:
+    poly = _parse_poly("poly", text)
+    within_limit("the degree of factor 'poly'", poly.total_degree)
+    return FnElt(curve, poly)
 
 
 def _element_jsonable(e: NamedElement) -> dict:
@@ -299,8 +322,9 @@ def _point_reader() -> Callable[[dict], CurvePoint]:
 
 def record_from_json(text: str) -> LoadedRecord:
     """Decode a stored record.  Raises RecordFormatError when the JSON does
-    not have the record's shape, PreconditionError for an unsupported
-    schema or a marked point off the stored curve.
+    not have the record's shape or a value is past RECORD_LIMIT,
+    PreconditionError for an unsupported schema or a marked point off the
+    stored curve.
 
     Each distinct factor string becomes one FnElt, and each distinct raw
     point one CurvePoint, within this call."""
@@ -309,12 +333,12 @@ def record_from_json(text: str) -> LoadedRecord:
         raise PreconditionError("unsupported record schema")
     curve_data = json_field(data, "curve", dict)
     affine = poly_field(curve_data, "affine")
-    degree = json_field(curve_data, "degree", int)
+    degree = within_limit("'degree'", json_field(curve_data, "degree", int))
     if degree != affine.total_degree:  # before PlaneCurve's squarefree test
         raise RecordFormatError(f"'degree' is {degree}, but the curve has degree "
                                 f"{affine.total_degree}")
     curve = PlaneCurve(affine)
-    factor = _Memo(lambda poly: FnElt(curve, _parse_poly("poly", poly)))
+    factor = _Memo(lambda text: _factor_from_json(curve, text))
     read_point = _point_reader()
     points = {name: read_point(d) for name, d in json_field(data, "points", dict).items()}
     for name, p in points.items():
@@ -329,7 +353,7 @@ def record_from_json(text: str) -> LoadedRecord:
                 SymbolPair(
                     _fnelt_from_json(curve, json_field(pd, "f", dict), factor),
                     _fnelt_from_json(curve, json_field(pd, "h", dict), factor),
-                    int_field(pd, "coefficient"),
+                    within_limit("'coefficient'", int_field(pd, "coefficient")),
                 )
                 for pd in json_field(sd, "pairs", list)
             ]

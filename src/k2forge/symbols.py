@@ -217,9 +217,6 @@ def _vanishes_on_curve(curve: PlaneCurve, p: BiPoly) -> bool:
 class Divisor:
     entries: Dict[CurvePoint, int] = field(default_factory=dict)
 
-    def degree(self) -> int:
-        return sum(self.entries.values())
-
     def nonzero(self) -> Dict[CurvePoint, int]:
         return {p: v for p, v in self.entries.items() if v}
 
@@ -315,10 +312,13 @@ class SymbolEngine:
         self._zeros_cache: Dict[BiPoly, Optional[Tuple[Tuple[Fraction, Fraction], ...]]] = {}
 
     # -- branches -----------------------------------------------------
-    def infinity_branches(self) -> List[Branch]:
+    def _infinity_places(self) -> Dict[CurvePoint, Branch]:
+        """The branch at each place at infinity, in point order."""
         if self._infinity is None:
-            self._infinity = {b.point: b for b in branches_at_infinity(self.curve)}
-        return list(self._infinity.values())
+            brs = sorted(branches_at_infinity(self.curve),
+                         key=lambda b: (b.point.x, b.point.y, b.point.branch))
+            self._infinity = {b.point: b for b in brs}
+        return self._infinity
 
     def branch(self, p: CurvePoint) -> Branch:
         if p.is_affine:
@@ -327,15 +327,13 @@ class SymbolEngine:
                 br = branch_at_affine(self.curve, p)
                 self._affine[p] = br
             return br
-        self.infinity_branches()
-        br = self._infinity.get(p)
+        br = self._infinity_places().get(p)
         if br is None:
             raise PreconditionError(f"no rational branch {p.label()} on this curve")
         return br
 
     def infinity_points(self) -> List[CurvePoint]:
-        return sorted((b.point for b in self.infinity_branches()),
-                      key=lambda p: (p.x, p.y, p.branch))
+        return list(self._infinity_places())
 
     # -- rational intersection with the curve ---------------------------
     def affine_zeros(self, poly: BiPoly) -> Optional[Tuple[Tuple[Fraction, Fraction], ...]]:
@@ -449,17 +447,42 @@ class SymbolEngine:
         return value
 
     # -- divisors ----------------------------------------------------------
-    def divisor(self, f: FnElt, candidates: Sequence[CurvePoint]) -> Divisor:
-        entries: Dict[CurvePoint, int] = {}
-        for p in candidates:
-            entries[p] = self.ord(f, p)
-        div = Divisor(entries)
-        if div.degree() != 0:
-            raise NonRationalSupportError(
-                f"support incomplete: divisor degree {div.degree()} over candidate points",
-                details={"divisor": div.pretty()},
-            )
-        return div
+    def with_infinity(self, points: Sequence[CurvePoint]) -> List[CurvePoint]:
+        """`points` without repeats, then each place at infinity not among them."""
+        return list(dict.fromkeys([*points, *self._infinity_places()]))
+
+    def closure(self, poly: BiPoly,
+                places: Sequence[CurvePoint]) -> Tuple[List[int], int]:
+        """ord_p(poly) at each of `places`, which must include every place
+        at infinity, and the degree of poly's zeros elsewhere, rational or
+        not.  A principal divisor has degree 0, and a polynomial has its
+        poles at infinity only, so that degree is minus the sum of the
+        orders."""
+        orders = [self.ord_poly(poly, p) for p in places]
+        return orders, -sum(orders)
+
+    def divisor(self, f: FnElt, support: Sequence[CurvePoint]) -> Divisor:
+        """div(f) on `support`.
+
+        NonRationalSupportError ("support incomplete") unless `support`
+        holds every zero of each factor of f (see closure) and every place
+        at infinity where f has a nonzero order.
+        """
+        declared = dict.fromkeys(support)
+        places = self.with_infinity(declared)
+        total = [0] * len(places)
+        for poly, e in f.factors:
+            orders, missing = self.closure(poly, places)
+            if missing:
+                raise NonRationalSupportError(
+                    f"support incomplete: {poly.canonical()} has a zero off the "
+                    "declared support")
+            total = [t + e * v for t, v in zip(total, orders)]
+        for p, v in zip(places[len(declared):], total[len(declared):]):
+            if v:
+                raise NonRationalSupportError(
+                    f"support incomplete: order {v} at {p.label()}, which is not declared")
+        return Divisor(dict(zip(declared, total)))
 
     def support_candidates(self, fns: Sequence[FnElt],
                            extra: Sequence[CurvePoint] = ()) -> List[CurvePoint]:
@@ -478,28 +501,23 @@ class SymbolEngine:
                     if p not in seen:
                         seen.add(p)
                         pts.append(p)
-        for p in self.infinity_points():
-            if p not in seen:
-                seen.add(p)
-                pts.append(p)
-        return pts
+        return self.with_infinity(pts)
 
 
 def verify_k2t(curve: PlaneCurve, elem: K2Element,
                engine: SymbolEngine = None) -> Certificate:
     """Certify that every tame symbol of `elem` over its declared support is 1.
 
-    Also re-checks support completeness (each constituent function must
-    have a degree-zero divisor over the declared points) and reports the
-    product of all point totals, which reciprocity forces to 1.
+    Also re-checks that the declared points hold the whole support (see
+    SymbolEngine.divisor) and reports the product of all point totals,
+    which reciprocity forces to 1.
     """
     eng = engine or SymbolEngine(curve)
     # support completeness, once per distinct constituent function (the
     # check depends only on its value)
     distinct = {(f.scalar, f.factors): f for pair in elem.terms for f in (pair.f, pair.h)}
     for f in distinct.values():
-        if not f.is_constant():
-            eng.divisor(f, elem.declared_support)
+        eng.divisor(f, elem.declared_support)
     rows: List[CertificateRow] = []
     totals: Dict[CurvePoint, Fraction] = {}
     for p in elem.declared_support:
@@ -590,23 +608,9 @@ def steinberg_values(curve: PlaneCurve, f: FnElt,
     values are returned for the caller to assert."""
     eng = engine or SymbolEngine(curve)
     one_minus = FnElt.constant(curve, 1) - f
-    pts: List[CurvePoint] = list(points)
-    seen = set(pts)
-    for g in (f, one_minus):
-        for poly, _ in g.factors:
-            if poly.total_degree == 0:
-                continue
-            for (x0, y0) in eng.affine_zeros(poly) or ():
-                p = CurvePoint.affine(x0, y0)
-                if p not in seen:
-                    seen.add(p)
-                    pts.append(p)
-    for p in eng.infinity_points():
-        if p not in seen:
-            pts.append(p)
-            seen.add(p)
     pair = SymbolPair(f, one_minus, 1)
-    return [(p, eng.tame(pair, p)) for p in pts]
+    return [(p, eng.tame(pair, p))
+            for p in eng.support_candidates([f, one_minus], extra=points)]
 
 
 def nekovar_element(curve: PlaneCurve,
@@ -699,26 +703,14 @@ def nekovar_element(curve: PlaneCurve,
 
 def _full_affine_intersection(eng: SymbolEngine, poly: BiPoly):
     """All affine intersection points of poly=0 with the curve, with
-    multiplicities; raises when irrational points must exist (Bezout gap)."""
-    curve = eng.curve
+    multiplicities; raises when irrational points must exist."""
     zs = eng.affine_zeros(poly)
     if zs is None:
         raise VerificationError("auxiliary curve shares a component with the curve")
-    out = []
-    total = 0
-    for (x0, y0) in zs:
-        p = CurvePoint.affine(x0, y0)
-        mult = intersection_multiplicity(curve, poly, p)
-        out.append((p, mult))
-        total += mult
-    # intersections at infinity, counted through the homogeneous forms
-    inf_total = 0
-    for p in eng.infinity_points():
-        if p.branch == 0 and poly.top_value(p.x, p.y) == 0:
-            inf_total += intersection_multiplicity(curve, poly, p)
-    expected = curve.degree * poly.total_degree
-    if total + inf_total != expected:
+    points = [CurvePoint.affine(x0, y0) for (x0, y0) in zs]
+    orders, missing = eng.closure(poly, eng.with_infinity(points))
+    if missing:
         raise NonRationalSupportError(
             "rational support required: intersection has non-rational points "
-            f"(found {total + inf_total} of {expected})")
-    return out
+            f"(of degree {missing} in all)")
+    return list(zip(points, orders))

@@ -15,9 +15,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from k2forge import cli, families as fam, records
+from k2forge.bipoly import BiPoly
 from k2forge.cli import main
 from k2forge.errors import InsufficientPrecisionError, PreconditionError, VerificationError
 from k2forge.plotting import PlotSpec
+from k2forge.rationals import rat, rat_str
 from k2forge.records import (json_text, record_from_json, record_to_json, params_hash)
 from k2forge.symbols import SymbolEngine, verify_k2t
 from test_acceptance import FIGURES, SMOKE_TUPLES
@@ -491,6 +493,176 @@ def test_a_curve_that_disagrees_with_its_degree_exits_1_at_once(tmp_path):
     assert done.returncode == 1
     assert done.stderr == ("cannot read record: 'degree' is 4, but the curve has "
                            "degree 99999999999\n")
+
+
+# ---------------------------------------------------------------------------
+# what verify re-derives: the support, and the record format limit
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def ct_record() -> dict:
+    return json.loads(record_to_json(fam.gen_quartic_ct(2)))
+
+
+def _verify(data: dict, path: Path):
+    """verify's (exit code, stdout, stderr) on data, in this process."""
+    path.write_text(json.dumps(data))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_an_emptied_support_no_longer_hides_a_tampered_scalar(ct_record, tmp_path):
+    """With one scalar changed and every support emptied, each function's
+    divisor still had degree 0 over the (empty) declared points."""
+    data = json.loads(json.dumps(ct_record))
+    next(_pairs(data))["f"]["scalar"] = "5"
+    for elem in data["elements"]:
+        for sym in elem["symbols"]:
+            sym["support"] = []
+    code, out, _ = _verify(data, tmp_path / "r.json")
+    assert code == 3
+    assert "ERROR support incomplete: y has a zero off the declared support" in out
+
+
+def _set_huge(where: str, data: dict) -> None:
+    huge = 99999999999
+    pair = next(_pairs(data))
+    if where == "curve degree":
+        data["curve"].update(affine=f"x^{huge} + y", degree=huge)
+    elif where == "factor polynomial":
+        pair["f"]["factors"][0]["poly"] = f"x^{huge} + y"
+    elif where == "exp":
+        pair["f"]["factors"][0]["exp"] = huge
+    elif where == "constant factor":
+        pair["f"]["factors"].append({"poly": "5", "exp": huge})
+    else:
+        pair["coefficient"] = huge
+
+
+@pytest.mark.parametrize("where", ["curve degree", "factor polynomial", "exp",
+                                   "constant factor", "coefficient"])
+def test_a_value_past_the_format_limit_exits_1_at_once(where, ct_record, tmp_path):
+    data = json.loads(json.dumps(ct_record))
+    _set_huge(where, data)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    done = subprocess.run([sys.executable, "-m", "k2forge.cli", "verify", str(path)],
+                          env=_package_env(), capture_output=True, text=True, timeout=1)
+    assert done.returncode == 1
+    assert done.stderr.startswith("cannot read record: ")
+    assert done.stderr.endswith(
+        f" is 99999999999, past the record format limit of {records.RECORD_LIMIT}\n")
+    assert len(done.stderr.splitlines()) == 1
+
+
+def test_gen_refuses_a_hyperelliptic_degree_past_the_format_limit(capsys):
+    g = records.RECORD_LIMIT // 2
+    a = ",".join(str(k) for k in range(1, g + 2))
+    assert main(["gen", "hyp-odd", "--genus", str(g), "--a", a]) == 2
+    assert capsys.readouterr().err == (f"precondition error: degree {2 * g + 1} is past "
+                                       f"the record format limit of {records.RECORD_LIMIT}\n")
+
+
+def test_an_integer_too_long_to_decode_exits_1(ct_record, tmp_path):
+    text = json.dumps(ct_record).replace('"coefficient": 1', '"coefficient": 1' + "0" * 5000, 1)
+    path = tmp_path / "long.json"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(["verify", str(path)]) == 1
+    assert err.getvalue().startswith("cannot read record: ")
+    assert len(err.getvalue().splitlines()) == 1
+
+
+def test_a_function_without_factors_exits_1(ct_record, tmp_path):
+    """"num" and "den" are only a readable form: a function is read from
+    its factors alone."""
+    data = json.loads(json.dumps(ct_record))
+    del next(_pairs(data))["f"]["factors"]
+    code, _, err = _verify(data, tmp_path / "r.json")
+    assert (code, err) == (1, "cannot read record: missing key 'factors'\n")
+
+
+@pytest.fixture(scope="module")
+def family_records(tmp_path_factory) -> dict:
+    """The record text of each attainable family."""
+    texts = {}
+    for family, flags in SMOKE_TUPLES:
+        out = tmp_path_factory.mktemp("families") / "r.json"
+        assert main(["gen", family, *flags, "--out", str(out)]) == 0
+        texts[family] = out.read_text()
+    return texts
+
+
+MUTATIONS = ["drop", "duplicate", "swap", "empty", "negate", "perturb", "inflate", "move"]
+
+
+def _mutate(data: dict, kind: str, draw) -> bool:
+    """Apply one mutation to data; True when verify must not accept the result."""
+    elements = data["elements"]
+    elem = elements[draw(st.integers(0, len(elements) - 1))]
+    k = draw(st.integers(0, len(elem["symbols"]) - 1))
+    support = elem["symbols"][k]["support"]
+    i, j = (draw(st.integers(0, len(support) - 1)) for _ in "ij")
+    if kind == "drop":
+        label = elem["certificates"][k]["entries"]
+        dropped = support.pop(i)
+        name = records.point_from_json(dropped).label()
+        return any(row["point"] == name and (row["ord_f"] or row["ord_h"]) for row in label)
+    if kind == "duplicate":
+        support.insert(j, support[i])
+    elif kind == "swap":
+        support[i], support[j] = support[j], support[i]
+    elif kind == "empty":
+        support.clear()
+        return True
+    elif kind == "negate":
+        fn = draw(st.sampled_from(list(_pairs(data))))[draw(st.sampled_from("fh"))]
+        fn["scalar"] = rat_str(-rat(fn["scalar"]))
+    elif kind == "perturb":
+        curve = BiPoly.parse(data["curve"]["affine"])
+        terms = dict(curve.terms)
+        term = draw(st.sampled_from(sorted(terms)))
+        terms[term] += draw(st.sampled_from([F(-1), F(1, 2), F(3)]))
+        data["curve"]["affine"] = BiPoly(terms).canonical()
+    elif kind == "inflate":
+        factor = draw(st.sampled_from([fd for pd in _pairs(data) for f in "fh"
+                                       for fd in pd[f]["factors"]]))
+        factor["exp"] = draw(st.sampled_from([-1, 1])) * (
+            records.RECORD_LIMIT + draw(st.integers(1, 10**12)))
+        return True
+    else:  # move a marked point off the curve
+        name = draw(st.sampled_from(sorted(n for n, p in data["points"].items()
+                                           if p["kind"] == "affine")))
+        p = data["points"][name]
+        curve = BiPoly.parse(data["curve"]["affine"])
+        x, y = rat(p["x"]), rat(p["y"])
+        p["y"] = rat_str(next(y + s for s in (1, 2, 3) if curve(x, y + s) != 0))
+        return True
+    return False
+
+
+@pytest.mark.parametrize("kind", MUTATIONS)
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(family=st.sampled_from([f for f, _ in SMOKE_TUPLES]), data=st.data())
+def test_verify_survives_mutated_records(family_records, tmp_path_factory, kind, family, data):
+    """Every mutant of a real record exits 0, 1 or 3 with no traceback; one
+    that must fail never exits 0, and one that exits 0 re-verifies in
+    process."""
+    record = json.loads(family_records[family])
+    must_fail = _mutate(record, kind, data.draw)
+    code, out, err = _verify(record, tmp_path_factory.mktemp("mutant") / "r.json")
+    assert code in (0, 1, 3), (code, err)
+    assert "Traceback" not in err
+    if must_fail:
+        assert code != 0, (kind, out)
+    if code == 0:
+        loaded = record_from_json(json.dumps(record))
+        eng = SymbolEngine(loaded.curve)
+        assert all(verify_k2t(loaded.curve, sym, engine=eng).passed
+                   for elem in loaded.elements for sym in elem.symbols)
 
 
 # ---------------------------------------------------------------------------
