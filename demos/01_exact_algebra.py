@@ -60,5 +60,6 @@ print(f"s * 1/s = {s * s.invert()}")
 
 laurent = PowerSeries.t_power(-2, 6) + PowerSeries.const(3, 6)
 print(f"\nLaurent example: t^-2 + 3 -> {laurent}")
-print(f"square:          {laurent**2}")
-print(f"valuation of the square: {(laurent**2).valuation()}")
+square = laurent * laurent
+print(f"square:          {square}")
+print(f"valuation of the square: {square.valuation()}")

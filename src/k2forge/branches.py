@@ -15,7 +15,8 @@ truncated Laurent series with rational coefficients:
   root is irrational raises NonRationalSupportError ("non-rational
   branch"), matching the engine's rational-support contract.
 
-Branch indices at one projective point follow the deterministic order
+No expansion has a default truncation or probe: each caller asks for the
+terms it needs.  Branch indices at one projective point follow the order
 (valuation of y, valuation of x, leading coefficients).
 """
 
@@ -225,6 +226,19 @@ class Branch:
         self._kind = kind  # "affine-y" | "affine-x" | "inf-Y" | "inf-X"
         self._data = data
         self._cached: Optional[Tuple[PowerSeries, PowerSeries]] = None
+        self._chart: Optional[Tuple[PowerSeries, PowerSeries]] = None
+
+    @property
+    def w_val(self) -> int:
+        """At a place at infinity: val(w), w = Z/Y (inf-Y) or Z/X (inf-X)."""
+        return self._data[0].val
+
+    def chart_series(self, prec: int) -> Tuple[PowerSeries, PowerSeries]:
+        """At a place at infinity: (s, w) with chart point (u0 + s, w), both
+        known mod t^prec at least and without poles; kept, extended on demand."""
+        if self._chart is None or self._chart[1].prec < prec:
+            self._chart = self._data[0].sv_series(prec)
+        return self._chart
 
     def xy(self, prec: int) -> Tuple[PowerSeries, PowerSeries]:
         """Affine coordinate series (x(t), y(t)), both known mod t^prec at least."""
@@ -240,17 +254,19 @@ class Branch:
             if self._kind == "affine-y":
                 return (t + PowerSeries.const(px, v.prec), v + PowerSeries.const(py, v.prec))
             return (v + PowerSeries.const(px, v.prec), t + PowerSeries.const(py, v.prec))
-        place, u0 = self._data
-        # the chart's w = Z/Y (inf-Y) or Z/X (inf-X) has valuation place.val,
-        # so 1/w and u/w are known to 2*place.val fewer terms than w
-        s, w = place.sv_series(prec + 2 * place.val)
-        w_inv = w.invert()
-        u_w = (s + PowerSeries.const(u0, s.prec)) * w_inv
-        if self._kind == "inf-Y":  # (u, w) = (X/Y, Z/Y)
-            x, y = u_w, w_inv
-        else:  # inf-X: (v, w) = (Y/X, Z/X)
-            x, y = w_inv, u_w
+        # w has valuation w_val, so 1/w and u/w are known to 2*w_val fewer
+        # terms than w
+        x, y = self._chart_xy(prec + 2 * self.w_val)
         return x.truncate(prec), y.truncate(prec)
+
+    def _chart_xy(self, prec: int) -> Tuple[PowerSeries, PowerSeries]:
+        """(x, y) from the chart series to prec terms: (u/w, 1/w) in chart Y,
+        where (u, w) = (X/Y, Z/Y), and (1/w, v/w) in chart X, where
+        (v, w) = (Y/X, Z/X)."""
+        s, w = self.chart_series(prec)
+        w_inv = w.invert()
+        u_w = (s + PowerSeries.const(self._data[1], s.prec)) * w_inv
+        return (u_w, w_inv) if self._kind == "inf-Y" else (w_inv, u_w)
 
     def residual_ok(self, prec: int = None) -> bool:
         """Check F(x(t), y(t)) = 0 to the working truncation."""
@@ -258,6 +274,12 @@ class Branch:
         x, y = self.xy(prec)
         val = _eval_series(self.curve.affine, x, y, min(x.prec, y.prec))
         return val.is_zero()
+
+    def _order_key(self) -> Tuple[int, int, Fraction, Fraction]:
+        """(val y, val x, lead y, lead x) at a place at infinity: w_val + 1
+        chart terms fix them, since s = lam * t^e and val(s) >= 1."""
+        x, y = self._chart_xy(self.w_val + 1)
+        return y.val, x.val, y.leading(), x.leading()
 
     def __repr__(self):
         return f"Branch({self.point.label()})"
@@ -293,17 +315,11 @@ def branches_at_infinity(curve: PlaneCurve) -> List[Branch]:
     for (X, Y) in pts:
         # chart Y has variables (u, w) = (X/Y, Z/Y), chart X (v, w) = (Y/X, Z/X)
         name, u0, shifted = infinity_chart(curve.affine, X, Y)
-        places = _polygon_places(shifted)
-        kind = "inf-" + name
-        probe = 2 * curve.degree + 6
-        keyed = []
-        for pl in places:
-            br = Branch(curve, CurvePoint.at_infinity(X, Y, 0), kind, (pl, u0))
-            x, y = br.xy(probe)
-            keyed.append(((y.val, x.val, y.leading(), x.leading()), br))
-        keyed.sort(key=lambda kv: kv[0])
-        # the probe branches are returned with their series cached
-        for idx, (_, br) in enumerate(keyed):
+        brs = [Branch(curve, CurvePoint.at_infinity(X, Y, 0), "inf-" + name, (pl, u0))
+               for pl in _polygon_places(shifted)]
+        if len(brs) > 1:
+            brs.sort(key=Branch._order_key)
+        for idx, br in enumerate(brs):
             br.point = CurvePoint.at_infinity(X, Y, idx)
             out.append(br)
     out.sort(key=lambda b: (b.point.x, b.point.y, b.point.branch))

@@ -322,7 +322,8 @@ def _point_reader() -> Callable[[dict], CurvePoint]:
 
 def record_from_json(text: str) -> LoadedRecord:
     """Decode a stored record.  Raises RecordFormatError when the JSON does
-    not have the record's shape or a value is past RECORD_LIMIT,
+    not have the record's shape, a value is past RECORD_LIMIT or a symbol
+    repeats a support point,
     PreconditionError for an unsupported schema or a marked point off the
     stored curve.
 
@@ -348,7 +349,7 @@ def record_from_json(text: str) -> LoadedRecord:
     for ed in json_field(data, "elements", list):
         name = json_field(ed, "name", str)
         symbols = []
-        for sd in json_field(ed, "symbols", list):
+        for k, sd in enumerate(json_field(ed, "symbols", list)):
             pairs = [
                 SymbolPair(
                     _fnelt_from_json(curve, json_field(pd, "f", dict), factor),
@@ -358,6 +359,10 @@ def record_from_json(text: str) -> LoadedRecord:
                 for pd in json_field(sd, "pairs", list)
             ]
             support = [read_point(pt) for pt in json_field(sd, "support", list)]
+            if len(set(support)) < len(support):
+                dup = next(p for i, p in enumerate(support) if p in support[:i])
+                raise RecordFormatError(f"symbol {k} of element {name!r} lists the support "
+                                        f"point {dup.label()} twice")
             symbols.append(K2Element(pairs, support, name=name))
         verdicts = [json_field(cd, "verdict", str) for cd in json_field(ed, "certificates", list)]
         elements.append(LoadedElement(name, json_field(ed, "kind", str), symbols, verdicts))

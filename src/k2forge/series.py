@@ -2,8 +2,9 @@
 
 A series knows its leading valuation, its coefficients from that
 valuation upward, and the (exclusive) truncation order: it represents
-sum c_k t^k for val <= k < prec, plus O(t^prec).  Branch expansions at
-infinity produce these, and tame-symbol evaluation consumes them.
+sum c_k t^k for val <= k < prec, plus O(t^prec).  Branch expansions
+produce these, and tame-symbol evaluation consumes them.  There is no
+default truncation: every caller states the precision it needs.
 
 The coefficients are stored as integer numerators ``nums`` over one
 positive common denominator ``den``, kept reduced (gcd(den, *nums) = 1),
@@ -25,15 +26,8 @@ from math import gcd, lcm
 from operator import mul
 from typing import Optional, Sequence, Tuple
 
-from .errors import InsufficientPrecisionError, PreconditionError
+from .errors import InsufficientPrecisionError
 from .rationals import lowest_terms, rat
-
-_DEFAULT_EXTRA = 4
-
-
-def default_order(max_pole_order: int) -> int:
-    """Default truncation: 2 * (max pole order at the point) + 4."""
-    return 2 * max(max_pole_order, 1) + _DEFAULT_EXTRA
 
 
 class PowerSeries:
@@ -108,8 +102,6 @@ class PowerSeries:
     # -- arithmetic -----------------------------------------------------------
     def _combine(self, other, sign: int) -> "PowerSeries":
         """self + sign * other over the lcm of the two denominators."""
-        if isinstance(other, (int, Fraction)):
-            other = PowerSeries.const(other, self.prec)
         prec = min(self.prec, other.prec)
         lo = min(self.val, other.val, prec)
         den = lcm(self.den, other.den)
@@ -143,7 +135,6 @@ class PowerSeries:
         return PowerSeries.from_ints(val, out, self.den * other.den, prec)
 
     __rmul__ = __mul__
-    __radd__ = __add__
 
     def __rsub__(self, other):
         return PowerSeries.const(other, self.prec) - self
@@ -169,49 +160,12 @@ class PowerSeries:
             beta.append(num * (q // den))
         return PowerSeries.from_ints(-self.val, [b * self.den for b in beta], q, n - self.val)
 
-    def __truediv__(self, other: "PowerSeries") -> "PowerSeries":
-        if isinstance(other, (int, Fraction)):
-            return self * (1 / rat(other))
-        return self * other.invert()
-
-    def __pow__(self, n: int) -> "PowerSeries":
-        if n == 0:
-            rel = self.prec - self.val if not self.is_zero() else self.prec
-            return PowerSeries.const(1, max(rel, 1))
-        base = self if n > 0 else self.invert()
-        result = base
-        for _ in range(abs(n) - 1):
-            result = result * base
-        return result
-
-    def compose(self, inner: "PowerSeries") -> "PowerSeries":
-        """self(inner(t)); requires val(self) >= 0.
-
-        With val(inner) = 0 the composition is only faithful when self is
-        known exactly (a polynomial series); that is the caller's contract.
-        """
-        if self.val < 0:
-            raise PreconditionError("cannot compose a Laurent tail")
-        prec = inner.prec
-        acc = PowerSeries.zero(prec)
-        for c in reversed(self.nums):
-            acc = acc * inner + PowerSeries.const(c, prec)
-        if self.val > 0:
-            acc = acc * inner**self.val
-        return acc * Fraction(1, self.den)
-
     def truncate(self, prec: int) -> "PowerSeries":
         if prec >= self.prec:
             return self
         return PowerSeries.from_ints(self.val, self.nums, self.den, prec)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = rat(other)
-            if q == 0:
-                return self.is_zero()
-            return (self.val == 0 and self.nums == (q.numerator,)
-                    and self.den == q.denominator)
         if isinstance(other, PowerSeries):
             return (self.val == other.val and self.nums == other.nums
                     and self.den == other.den and self.prec == other.prec)

@@ -9,10 +9,12 @@ ord-zero quotient at the place equals the ratio of leading series
 coefficients, one branch expansion per constituent polynomial is all
 the evaluation ever needs.
 
-Orders of vanishing at affine points are computed twice on purpose:
-through the intersection-multiplicity reduction and through the series
-valuation; a mismatch raises VerificationError, because it would mean
-the ord bookkeeping (and so the certificate) is wrong.
+Orders of vanishing are computed twice on purpose: through the
+intersection-multiplicity reduction and through the series valuation
+(at infinity in the point's chart: ord g = val g_P(s, w) - deg g val w,
+Fulton, *Algebraic Curves*, chs. 3 and 7); a mismatch raises
+VerificationError, because it would mean the ord bookkeeping (and so
+the certificate) is wrong.
 
 An element of K2 of the function field is an integer combination of
 symbol pairs; `verify_k2t` certifies membership in the tame kernel over
@@ -35,7 +37,6 @@ from .curves import (CurvePoint, PlaneCurve, fulton_multiplicity, infinity_chart
 from .errors import (NonRationalSupportError, PreconditionError,
                      VerificationError)
 from .rationals import rat, rat_str
-from .series import default_order
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +202,16 @@ class FnElt:
         return f"FnElt(({self.num.canonical()}) / ({self.den.canonical()}))"
 
 
+def _two_routes_agree(p: CurvePoint, m: int, sers) -> None:
+    """VerificationError unless every series is nonzero to its m + 1 terms
+    and their valuations, one per place over p's projective point, sum to
+    the intersection number m there."""
+    if any(s.is_zero() for s in sers) or sum(s.val for s in sers) != m:
+        got = " + ".join(f"> {m}" if s.is_zero() else str(s.val) for s in sers)
+        raise VerificationError(
+            f"ord bookkeeping wrong at {p.label()}: reduction gives {m}, series gives {got}")
+
+
 def _vanishes_on_curve(curve: PlaneCurve, p: BiPoly) -> bool:
     if p.is_zero():
         return True
@@ -308,6 +319,7 @@ class SymbolEngine:
         self.curve = curve
         self._affine: Dict[CurvePoint, Branch] = {}
         self._infinity: Optional[Dict[CurvePoint, Branch]] = None
+        self._charts: Dict[Tuple[Fraction, Fraction], tuple] = {}
         self._val_lead_cache: Dict[Tuple[BiPoly, CurvePoint], Tuple[int, Fraction]] = {}
         self._zeros_cache: Dict[BiPoly, Optional[Tuple[Tuple[Fraction, Fraction], ...]]] = {}
 
@@ -335,6 +347,17 @@ class SymbolEngine:
     def infinity_points(self) -> List[CurvePoint]:
         return list(self._infinity_places())
 
+    def _chart_at(self, p: CurvePoint) -> Tuple[str, Fraction, BiPoly, List[Branch]]:
+        """Chart name, u0, the curve's shifted chart polynomial (infinity_chart)
+        and the places over p's projective point, once per point."""
+        key = (p.x, p.y)
+        hit = self._charts.get(key)
+        if hit is None:
+            name, u0, local = infinity_chart(self.curve.affine, p.x, p.y)
+            places = [b for q, b in self._infinity_places().items() if (q.x, q.y) == key]
+            hit = self._charts[key] = (name, u0, local, places)
+        return hit
+
     # -- rational intersection with the curve ---------------------------
     def affine_zeros(self, poly: BiPoly) -> Optional[Tuple[Tuple[Fraction, Fraction], ...]]:
         """Rational affine common zeros of the curve and poly, computed once
@@ -348,9 +371,8 @@ class SymbolEngine:
     def val_lead(self, poly: BiPoly, p: CurvePoint) -> Tuple[int, Fraction]:
         """Valuation and leading coefficient of poly along the branch at p.
 
-        At an affine point the valuation comes twice, from the intersection
-        reduction and from the series, and a mismatch raises
-        VerificationError.
+        The valuation comes twice, from the intersection reduction and from
+        the series, and a mismatch raises VerificationError.
         """
         if poly.is_zero():
             raise PreconditionError("zero function")
@@ -371,27 +393,25 @@ class SymbolEngine:
             if c != 0:
                 return 0, c
             # the valuation is the intersection multiplicity m, so m + 1
-            # terms of the series decide it; the two routes must agree
+            # terms of the series decide it
             m = intersection_multiplicity(self.curve, poly, p)
             x, y = br.xy(m + 1)
             ser = _eval_series(poly, x, y, m + 1)
-            if ser.valuation() != m:
-                got = f"> {m}" if ser.is_zero() else ser.val
-                raise VerificationError(
-                    f"ord bookkeeping wrong at {p.label()}: reduction gives {m}, series gives {got}")
+            _two_routes_agree(p, m, [ser])
             return m, ser.leading()
-        d = self.curve.degree
-        bound = poly.total_degree * d + d + 2
-        prec = default_order(max(d, poly.total_degree))
-        while True:
-            x, y = br.xy(prec)
-            ser = _eval_series(poly, x, y, min(x.prec, y.prec))
-            if not ser.is_zero():
-                return ser.val, ser.leading()
-            if prec > 8 * bound + 64:
-                raise VerificationError(
-                    "series vanished beyond the Bezout bound: function is zero on a branch")
-            prec = 2 * prec + 4
+        # g(x, y) = g_P(s, w) / w^deg g on the chart series (s, w), which have
+        # no pole; the valuations of g_P over the places at P sum to
+        # I = I_P(C, g^hom), so I + 1 terms decide each of them
+        name, u0, local, places = self._chart_at(p)
+        g_p, deg = poly.chart(name).shift(u0, 0), poly.total_degree
+        i = fulton_multiplicity(local, g_p, self.curve.degree * deg) if g_p.coeff(0, 0) == 0 else 0
+        charts = [br.chart_series(max(i, br.w_val) + 1) for br in places]
+        sers = [_eval_series(g_p, s, w, i + 1) for s, w in charts]
+        _two_routes_agree(p, i, sers)
+        for br, (_, w), ser in zip(places, charts, sers):
+            self._val_lead_cache[(poly, br.point)] = (ser.val - deg * br.w_val,
+                                                      ser.leading() / w.leading()**deg)
+        return self._val_lead_cache[(poly, p)]
 
     # -- orders ----------------------------------------------------------
     def ord_poly(self, poly: BiPoly, p: CurvePoint) -> int:

@@ -565,9 +565,15 @@ def test_criterion_9c_figure_reproduction(tmp_path):
 # byte identity of the record corpus
 # ---------------------------------------------------------------------------
 
-# sha256 of record_to_json for each distinct record of SMOKE_TUPLES and
-# FIGURES, keyed "family flags"; a change that moves one byte of a record
-# fails here
+# hyp-odd genus g with --a the first g + 1 of one list; genus 7 has the
+# deepest place at infinity of any pinned record, val(w) = 15
+_DEEP_A = "1,-1/2,3/4,-1/3,4/3,2/5,-3/2,5/3".split(",")
+HYP_ODD_DEEP = [("hyp-odd", ("--genus", str(g), "--a", ",".join(_DEEP_A[:g + 1])))
+                for g in (3, 4, 5, 7)]
+
+# sha256 of record_to_json for each distinct record of SMOKE_TUPLES,
+# FIGURES and HYP_ODD_DEEP, keyed "family flags"; a change that moves one
+# byte of a record fails here
 RECORD_DIGESTS = {
     "hyp-odd --genus 2 --a 1,1/2,1/4":
         "b0a88f64d6938d0d6bd199a3da0ec825ca0145be1531c7718e6d2a0ed7015eae",
@@ -595,12 +601,21 @@ RECORD_DIGESTS = {
         "21ef264936309dae79f91e20f9079a742fce53d642ac5efde3fbec9164cb0ba4",
     "quartic-lines --a 1/2 --b -1 --c 0":
         "2f4e33036b714e3f7fd45d9c6332cceac20ecca1beb9faa2f6a83384faab73bf",
+    "hyp-odd --genus 3 --a 1,-1/2,3/4,-1/3":
+        "81fa6f96a2bedd3dbc8877e8654ab7f6b1d8727f0a12ccabd4b7b2b31b0f792a",
+    "hyp-odd --genus 4 --a 1,-1/2,3/4,-1/3,4/3":
+        "ce46a8472aba5b45fbdff0301ad713a7c6ff9a4faea7af7910d58148eaf552ba",
+    "hyp-odd --genus 5 --a 1,-1/2,3/4,-1/3,4/3,2/5":
+        "35bbecafdbebb1e56393eef6ca52698fc40506a8622b4a6c3ffb203f78078a59",
+    "hyp-odd --genus 7 --a 1,-1/2,3/4,-1/3,4/3,2/5,-3/2,5/3":
+        "7157ff09fa74f7c7e24522376217fc2298e90e12e35356010b48a49622ef3c1b",
 }
 
 
 def test_corpus_records_are_byte_identical(tmp_path):
     corpus = dict.fromkeys([(f, tuple(flags)) for f, flags in SMOKE_TUPLES]
-                           + [(f, tuple(flags)) for _, f, flags, _, _ in FIGURES])
+                           + [(f, tuple(flags)) for _, f, flags, _, _ in FIGURES]
+                           + HYP_ODD_DEEP)
     digests = {}
     for family, flags in corpus:
         out = tmp_path / "record.json"

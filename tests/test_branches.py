@@ -9,10 +9,11 @@ from k2forge import branches
 from k2forge.bipoly import BiPoly
 from k2forge.branches import (Branch, _eval_series, _newton_series,
                               branch_at_affine, branches_at_infinity)
-from k2forge.curves import CurvePoint, PlaneCurve
-from k2forge.errors import NonRationalSupportError
+from k2forge.curves import CurvePoint, PlaneCurve, intersection_multiplicity
+from k2forge.errors import NonRationalSupportError, PreconditionError
 from k2forge.linalg import vandermonde_solve
 from k2forge.series import PowerSeries
+from k2forge.symbols import SymbolEngine
 from k2forge.unipoly import UniPoly
 
 
@@ -178,6 +179,8 @@ def _plan_curves():
     # (1:0:0) and (1:1:0)
     for poly in ("y^2 - x^3 - x - 1", "x*y^2 + y - x^2 + 1", "x*y^2 - x^2*y + y + 1"):
         out.append(PlaneCurve(BiPoly.parse(poly)))
+    # two places over (0:1:0) with equal valuations, told apart by lead y
+    out.append(PlaneCurve(BiPoly.parse("y^2 - x^4 - 1")))
     return out
 
 
@@ -195,11 +198,52 @@ def test_xy_reaches_requested_precision_in_one_run(monkeypatch):
                 assert fresh.residual_ok(prec), (c, br, prec)
 
 
-def test_infinity_branches_keep_their_probe_series(monkeypatch):
+def _same_point(a, b):
+    return (a.point.x, a.point.y) == (b.point.x, b.point.y)
+
+
+def test_only_places_that_share_a_point_run_newton_to_be_ordered(monkeypatch):
+    """A point with one place needs no series; places that share a point
+    run Newton once each, and their order is the one the (val y, val x,
+    lead y, lead x) of their coordinate series give."""
     calls = _counting_newton(monkeypatch)
+    n_shared = 0
     for c in _plan_curves():
-        brs = branches_at_infinity(c)
         calls.clear()
-        for br in brs:
-            br.xy(2 * c.degree + 6)
-        assert calls == [], c
+        brs = branches_at_infinity(c)
+        shared = [br for br in brs if sum(_same_point(br, b) for b in brs) > 1]
+        assert len(calls) == len(shared), c
+        n_shared += len(shared)
+        for br in shared:
+            keys = []
+            for b in brs:
+                if _same_point(br, b):
+                    x, y = b.xy(2 * c.degree + 6)
+                    keys.append((y.val, x.val, y.leading(), x.leading()))
+            assert keys == sorted(keys), c
+    assert n_shared > 0
+
+
+def test_val_lead_at_infinity_asks_for_max_of_i_and_val_w_plus_one_terms(monkeypatch):
+    asked = []
+    real = Branch.chart_series
+
+    def counted(self, prec):
+        asked.append((self.point, prec))
+        return real(self, prec)
+
+    monkeypatch.setattr(Branch, "chart_series", counted)
+    polys = [BiPoly.parse(s) for s in ("x", "y", "x + y", "y - x^2", "x*y - 1", "x^2 + 2*y")]
+    for c in _plan_curves():
+        for poly in polys:
+            for p in SymbolEngine(c).infinity_points():
+                eng = SymbolEngine(c)
+                places = [br for br in (eng.branch(q) for q in eng.infinity_points())
+                          if _same_point(br, eng.branch(p))]
+                try:
+                    i = intersection_multiplicity(c, poly, p)
+                except PreconditionError:  # poly^hom does not pass through p
+                    i = 0
+                asked.clear()
+                eng.val_lead(poly, p)
+                assert asked == [(br.point, max(i, br.w_val) + 1) for br in places], (c, poly, p)

@@ -22,7 +22,7 @@ from k2forge.plotting import PlotSpec
 from k2forge.rationals import rat, rat_str
 from k2forge.records import (json_text, record_from_json, record_to_json, params_hash)
 from k2forge.symbols import SymbolEngine, verify_k2t
-from test_acceptance import FIGURES, SMOKE_TUPLES
+from test_acceptance import FIGURES, HYP_ODD_DEEP, SMOKE_TUPLES
 
 
 @pytest.fixture(scope="module")
@@ -381,7 +381,7 @@ def test_cli_catalog_keeps_entries_written_before_a_verification_failure(
 # ---------------------------------------------------------------------------
 
 # sha256 of `verify`'s stdout for each distinct record of SMOKE_TUPLES and
-# FIGURES, keyed "family flags"
+# FIGURES and HYP_ODD_DEEP, keyed "family flags"
 VERIFY_DIGESTS = {
     "hyp-odd --genus 2 --a 1,1/2,1/4":
         "a2d295f826e7f64e1d68b610944b33e9e129197a7845f61630d9c9a788be7d0c",
@@ -409,12 +409,21 @@ VERIFY_DIGESTS = {
         "17d197de68663d1b51cba27ca2541950b4e4a40524389984c00d3d316fb07ef5",
     "quartic-lines --a 1/2 --b -1 --c 0":
         "aae1a3fd5132503a5d047964b4167abc634c0f9debb12648b6800ffaab0364ac",
+    "hyp-odd --genus 3 --a 1,-1/2,3/4,-1/3":
+        "44c97fe25ccc94eb0d1b05bbc8007c680f37ec906b4923fbaaca9d98cbc261b0",
+    "hyp-odd --genus 4 --a 1,-1/2,3/4,-1/3,4/3":
+        "7ec24209187334ba52939cb9f7209f86b8e65f21e392aafabfc14973a84efe9d",
+    "hyp-odd --genus 5 --a 1,-1/2,3/4,-1/3,4/3,2/5":
+        "2dc37d0432e6e07acc389cd4a7fbf27bdbea21c516d160ca9fcc7a4b06108e24",
+    "hyp-odd --genus 7 --a 1,-1/2,3/4,-1/3,4/3,2/5,-3/2,5/3":
+        "01d805cca63fadfb71c9296f1fe8be7386402faf612334e701fda59bda2a43b1",
 }
 
 
 def test_verify_output_of_the_corpus_is_unchanged(tmp_path, capsys):
     corpus = dict.fromkeys([(f, tuple(flags)) for f, flags in SMOKE_TUPLES]
-                           + [(f, tuple(flags)) for _, f, flags, _, _ in FIGURES])
+                           + [(f, tuple(flags)) for _, f, flags, _, _ in FIGURES]
+                           + HYP_ODD_DEEP)
     digests = {}
     for family, flags in corpus:
         out = tmp_path / "record.json"
@@ -576,6 +585,19 @@ def test_an_integer_too_long_to_decode_exits_1(ct_record, tmp_path):
     assert len(err.getvalue().splitlines()) == 1
 
 
+def test_a_repeated_support_point_exits_1_naming_symbol_and_point(ct_record, tmp_path):
+    """A repeated point would put its certificate rows in twice under one
+    point total."""
+    data = json.loads(json.dumps(ct_record))
+    elem = data["elements"][-1]
+    support = elem["symbols"][1]["support"]
+    support.append(support[0])
+    label = records.point_from_json(support[0]).label()
+    code, _, err = _verify(data, tmp_path / "r.json")
+    assert (code, err) == (1, f"cannot read record: symbol 1 of element {elem['name']!r} "
+                              f"lists the support point {label} twice\n")
+
+
 def test_a_function_without_factors_exits_1(ct_record, tmp_path):
     """"num" and "den" are only a readable form: a function is read from
     its factors alone."""
@@ -613,7 +635,8 @@ def _mutate(data: dict, kind: str, draw) -> bool:
         return any(row["point"] == name and (row["ord_f"] or row["ord_h"]) for row in label)
     if kind == "duplicate":
         support.insert(j, support[i])
-    elif kind == "swap":
+        return True
+    if kind == "swap":
         support[i], support[j] = support[j], support[i]
     elif kind == "empty":
         support.clear()

@@ -5,17 +5,22 @@ from fractions import Fraction as F
 from math import lcm
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from k2forge.bipoly import BiPoly
+from k2forge.branches import _eval_series, branches_at_infinity
 from k2forge.curves import CurvePoint, PlaneCurve
 from k2forge.errors import (NonRationalSupportError, PreconditionError,
                             VerificationError)
 from k2forge import symbols
 from k2forge.families import _thm53_polys, gen_nekovar_3tor, gen_quartic_ct
 from k2forge.records import record_to_json
+from k2forge.series import PowerSeries
 from k2forge.symbols import (FnElt, K2Element, SymbolEngine, SymbolPair,
                              TorsionFunction, construction_torsion,
                              nekovar_element, steinberg_values, verify_k2t)
+
+from test_branches import _plan_curves
 
 rng = random.Random(777)
 
@@ -349,3 +354,66 @@ def test_nekovar_constancy_hypothesis_enforced():
     bad_line = BiPoly.y() - BiPoly.x() * F(17, 2) + BiPoly.const(2)
     with pytest.raises(PreconditionError, match="constancy hypothesis"):
         nekovar_element(curve, BiPoly.y(), bad_line, [tf], kappa=r, engine=eng)
+
+
+# ---------------------------------------------------------------------------
+# places at infinity: chart intersection number against chart series
+# ---------------------------------------------------------------------------
+
+PLAN = _plan_curves()
+
+
+@pytest.mark.parametrize("index, poly", [(0, "x"), (0, "y"), (5, "x"), (5, "y")])
+def test_a_chart_valuation_shifted_by_one_is_caught(monkeypatch, index, poly):
+    """Curve 0 has one place over (0:1:0), curve 5 two; the first chart
+    series evaluated comes back with its valuation one too high."""
+    eng = SymbolEngine(PLAN[index])
+    p = eng.infinity_points()[0]
+    real, calls = symbols._eval_series, []
+
+    def shifted(g, s, w, prec):
+        ser = real(g, s, w, prec)
+        calls.append(prec)
+        if len(calls) > 1:
+            return ser
+        return PowerSeries.from_ints(ser.val + 1, ser.nums, ser.den, ser.prec + 1)
+
+    monkeypatch.setattr(symbols, "_eval_series", shifted)
+    with pytest.raises(VerificationError,
+                       match=r"ord bookkeeping wrong at \(0:1:0\)#0: reduction gives \d+, "
+                             r"series gives"):
+        eng.val_lead(BiPoly.parse(poly), p)
+
+
+def _doubling_val_lead(br, poly):
+    """The rule val_lead used at infinity before its series were sized from
+    the chart intersection number: evaluate poly on (x(t), y(t)) and double
+    the truncation from 2 max(d, deg poly) + 4 until the result is nonzero."""
+    d = br.curve.degree
+    prec = 2 * max(d, poly.total_degree) + 4
+    while True:
+        x, y = br.xy(prec)
+        ser = _eval_series(poly, x, y, min(x.prec, y.prec))
+        if not ser.is_zero():
+            return ser.val, ser.leading()
+        assert prec <= 8 * (poly.total_degree * d + d + 2) + 64
+        prec = 2 * prec + 4
+
+
+REFERENCE = [branches_at_infinity(c) for c in PLAN]
+_CUBIC_TERMS = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda k: sum(k) <= 3),
+    st.integers(-3, 3).filter(bool), min_size=1, max_size=5)
+
+
+@pytest.mark.parametrize("index", range(len(PLAN)))
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(terms=_CUBIC_TERMS)
+def test_chart_rule_matches_the_doubling_rule_at_infinity(index, terms):
+    """Ramified places, two places over one point, frame-less places and
+    the points (1:0:0) and (1:1:0) are all among the plan curves."""
+    curve, poly = PLAN[index], BiPoly(terms)
+    assume(poly.total_degree > 0 and not curve.affine.divides(poly))
+    eng = SymbolEngine(curve)
+    for br in REFERENCE[index]:
+        assert eng.val_lead(poly, br.point) == _doubling_val_lead(br, poly), br
