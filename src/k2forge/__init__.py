@@ -16,12 +16,11 @@ from .errors import (InsufficientPrecisionError, K2ForgeError,
                      NonRationalSupportError, PreconditionError,
                      RecordFormatError, SingularModelError,
                      VerificationError)
-from .families import (GENERATORS, EpsilonVector, gen_hyp_even, gen_hyp_odd,
-                       gen_hyp_partial, gen_nekovar_2tor, gen_nekovar_3tor,
-                       gen_nekovar_genus2, gen_quartic_conic,
-                       gen_quartic_conic_1tangent, gen_quartic_conic_2tangent,
-                       gen_quartic_conic_pq, gen_quartic_ct,
-                       gen_quartic_lines, integrality_flags)
+from .families import (GENERATORS, gen_hyp_even, gen_hyp_odd, gen_hyp_partial,
+                       gen_nekovar_2tor, gen_nekovar_3tor, gen_nekovar_genus2,
+                       gen_quartic_conic, gen_quartic_conic_1tangent,
+                       gen_quartic_conic_2tangent, gen_quartic_conic_pq,
+                       gen_quartic_ct, gen_quartic_lines, integrality_flags)
 from .linalg import vandermonde_solve
 from .rationals import rat, rat_str
 from .records import (CurveRecord, NamedElement, record_from_json,

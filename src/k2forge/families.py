@@ -18,37 +18,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import List, Optional, Sequence, Tuple
+from math import lcm, prod
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bipoly import BiPoly
 from .curves import (Conic, CurvePoint, Line, PlaneCurve,
                      intersection_multiplicity, smoothness_check, tangent_line)
 from .errors import (NonRationalSupportError, PreconditionError,
                      SingularModelError, VerificationError)
-from .linalg import solve_underdetermined, vandermonde_solve
+from .linalg import vandermonde_solve
 from .rationals import is_integer, rat, rat_str
 from .records import RECORD_LIMIT, CurveRecord, NamedElement
 from .symbols import (FnElt, K2Element, SymbolEngine, TorsionFunction,
                       construction_torsion, nekovar_element, verify_k2t)
 from .unipoly import UniPoly
-
-
-@dataclass(frozen=True)
-class EpsilonVector:
-    """Sign vector of length g+1; not all entries may be -1."""
-
-    entries: Tuple[int, ...]
-
-    @staticmethod
-    def make(entries: Sequence[int]) -> "EpsilonVector":
-        es = tuple(int(e) for e in entries)
-        if any(e not in (1, -1) for e in es):
-            raise PreconditionError("epsilon entries must be +1 or -1")
-        if all(e == -1 for e in es):
-            raise PreconditionError(
-                "f1 would be zero: all epsilon entries equal -1")
-        return EpsilonVector(es)
 
 
 # ---------------------------------------------------------------------------
@@ -153,41 +136,37 @@ def verify_vertical_tangency(curve: PlaneCurve, alpha: Fraction, beta: Fraction,
 # torsion blocks and triples
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Block:
-    """A function with divisor order*(point) - order*(infinity)."""
-
-    fn: FnElt
-    point: CurvePoint
-    order: int
-
-
-def _pair_function(a: Block, b: Block) -> Tuple[FnElt, int]:
+def _pair_function(a: TorsionFunction, b: TorsionFunction) -> TorsionFunction:
     """Function with divisor l*(A) - l*(B), l = lcm of the block orders."""
     l = lcm(a.order, b.order)
-    return a.fn ** (l // a.order) / b.fn ** (l // b.order), l
+    return TorsionFunction(a.fn ** (l // a.order) / b.fn ** (l // b.order),
+                           plus=a.plus, minus=b.plus, order=l)
 
 
 class _Marks:
     """The named points of a triple family with their auxiliary lines and
     torsion blocks, and the elements built from them, in record order:
     inf, then O with block y (divisor deg C * (O - inf)), then each point
-    added."""
+    added.  A block is a torsion function from its point to inf."""
 
     def __init__(self, curve: PlaneCurve, eng: SymbolEngine):
         self.curve, self.eng = curve, eng
-        O = CurvePoint.affine(0, 0)
-        self.points = {"inf": eng.infinity_points()[0], "O": O}
-        self.aux_lines = [{"label": "L_O", "coeffs": ["0", "1", "0"]}]
-        self.blocks = {"O": Block(FnElt.poly(curve, BiPoly.y()), O, curve.degree)}
+        self.points = {"inf": eng.infinity_points()[0]}
+        self.aux_lines: List[dict] = []
+        self.blocks: Dict[str, TorsionFunction] = {}
         self.elements: List[NamedElement] = []
+        self.add("O", CurvePoint.affine(0, 0), FnElt.poly(curve, BiPoly.y()),
+                 curve.degree, ["0", "1", "0"])
 
-    def add(self, name: str, block: Block, line: Optional[List[str]] = None) -> None:
-        """Mark block.point as `name`, with aux line L_name when given."""
-        if not self.curve.contains(block.point):
+    def add(self, name: str, point: CurvePoint, fn: FnElt, order: int,
+            line: Optional[List[str]] = None) -> None:
+        """Mark `point` as `name` with block fn, of divisor order*(point -
+        inf), and aux line L_name when given."""
+        if not self.curve.contains(point):
             raise VerificationError(f"marked point {name} does not lie on the curve")
-        self.points[name] = block.point
-        self.blocks[name] = block
+        self.points[name] = point
+        self.blocks[name] = TorsionFunction(fn, plus=point, minus=self.points["inf"],
+                                            order=order)
         if line is not None:
             self.aux_lines.append({"label": f"L_{name}", "coeffs": line})
 
@@ -195,7 +174,7 @@ class _Marks:
         """(alpha, beta), where x = alpha has the given contact: block x - alpha."""
         verify_vertical_tangency(self.curve, alpha, beta, contact, self.eng)
         fn = FnElt.poly(self.curve, BiPoly.x() - BiPoly.const(alpha))
-        self.add(name, Block(fn, CurvePoint.affine(alpha, beta), contact),
+        self.add(name, CurvePoint.affine(alpha, beta), fn, contact,
                  ["1", "0", rat_str(-alpha)])
 
     def through_origin(self, name: str, slope: Fraction, q: CurvePoint) -> None:
@@ -211,27 +190,25 @@ class _Marks:
             raise VerificationError(
                 f"tangent through O has contact pattern ({iq},{io}), expected (3,1)")
         fn = FnElt.poly(self.curve, line)**4 / self.blocks["O"].fn
-        self.add(name, Block(fn, q, 12), [rat_str(-slope), "1", "0"])
+        self.add(name, q, fn, 12, [rat_str(-slope), "1", "0"])
 
     def element(self, a_name: str, b_name: str, extra: Sequence[str] = ()) -> None:
         """The element {inf,A,B}, with the points named in `extra` declared too.
 
-        Builds h_1, h_2, h_3 with the cyclic divisor pattern, forms the three
-        symbols S_i, verifies each against the tame kernel and refuses to
-        keep anything that does not certify.
+        Builds h_1, h_2, h_3 with the cyclic divisor pattern (h_2 is the
+        block of B), forms the three symbols S_i, verifies each against the
+        tame kernel and refuses to keep anything that does not certify.
         """
         name = f"{{inf,{a_name},{b_name}}}"
-        inf, a, b = self.points["inf"], self.blocks[a_name], self.blocks[b_name]
-        h1_fn, l1 = _pair_function(a, b)
-        t1 = TorsionFunction(h1_fn, plus=a.point, minus=b.point, order=l1)
-        t2 = TorsionFunction(b.fn, plus=b.point, minus=inf, order=b.order)
-        t3 = TorsionFunction(a.fn.inverse(), plus=inf, minus=a.point, order=a.order)
-        symbols = construction_torsion(self.curve, t1, t2, t3, engine=self.eng,
+        a, b = self.blocks[a_name], self.blocks[b_name]
+        t1 = _pair_function(a, b)
+        t3 = TorsionFunction(a.fn.inverse(), plus=a.minus, minus=a.plus, order=a.order)
+        symbols = construction_torsion(self.curve, t1, b, t3, engine=self.eng,
                                        extra_support=[self.points[n] for n in extra])
         certs = [verify_k2t(self.curve, s, engine=self.eng) for s in symbols]
         if not all(c.passed for c in certs):
             raise VerificationError(f"element {name} failed tame verification")
-        orders = [l1, b.order, a.order]
+        orders = [t1.order, b.order, a.order]
         self.elements.append(NamedElement(name=name, kind="triple", symbols=symbols,
                                           certificates=certs, orders=orders,
                                           lcm=lcm(*orders)))
@@ -289,49 +266,6 @@ def _t_split(f1: UniPoly, g: int) -> Tuple[UniPoly, UniPoly]:
     return half - UniPoly.x(g + 1), half + UniPoly.x(g + 1)
 
 
-def gen_hyp_odd(g: int, a: Sequence) -> CurveRecord:
-    """Odd-degree family: interpolate f1 through (a_i^2, -2 a_i^(2g+1))."""
-    a = [rat(x) for x in a]
-    if len(a) != g + 1:
-        raise PreconditionError("need exactly g+1 parameters")
-    if any(x == 0 for x in a):
-        raise PreconditionError("parameters must be nonzero")
-    nodes = [x * x for x in a]
-    if len(set(nodes)) != len(nodes):
-        raise PreconditionError("singular Vandermonde: squares of parameters collide")
-    d = 2 * g + 1
-    targets = [-2 * x**d for x in a]
-    f1 = UniPoly(vandermonde_solve(nodes, targets))
-    marked = [(x * x, x**d) for x in a]
-    return _hyp_record("hyp-odd", {"genus": g, "a": a}, g, d, f1, marked)
-
-
-def gen_hyp_even(g: int, a: Sequence, eps: Sequence[int]) -> CurveRecord:
-    """Even-degree family with sign choices eps_i: f1(a_i) = -2 eps_i a_i^(g+1)."""
-    a = [rat(x) for x in a]
-    ev = EpsilonVector.make(eps)
-    if len(a) != g + 1 or len(ev.entries) != g + 1:
-        raise PreconditionError("need g+1 parameters and g+1 signs")
-    if any(x == 0 for x in a):
-        raise PreconditionError("parameters must be nonzero")
-    if len(set(a)) != len(a):
-        raise PreconditionError("singular Vandermonde: repeated parameters")
-    d = 2 * g + 2
-    targets = [-2 * x**(g + 1) - 2 * e * x**(g + 1) for x, e in zip(a, ev.entries)]
-    interp = UniPoly(vandermonde_solve(a, targets))
-    f1 = interp + UniPoly.x(g + 1) * 2
-    for x, e in zip(a, ev.entries):
-        if f1(x) != -2 * e * x**(g + 1):
-            raise VerificationError("interpolation postcondition failed")
-    marked = [(x, e * x**(g + 1)) for x, e in zip(a, ev.entries)]
-    notes = ["universal relation: the g+2 classes from this model satisfy "
-             "one linear relation in the tame kernel modulo torsion"]
-    rec = _hyp_record("hyp-even", {"genus": g, "a": a, "eps": list(ev.entries)},
-                      g, d, f1, marked, notes=notes)
-    _check_t_split_sides(a, ev.entries, f1, g)
-    return rec
-
-
 def _check_t_split_sides(a, eps, f1: UniPoly, g: int) -> None:
     """eps_i = -1 nodes are roots of f1/2 - x^(g+1); eps_i = +1 of f1/2 + x^(g+1)."""
     first, second = _t_split(f1, g)
@@ -341,16 +275,71 @@ def _check_t_split_sides(a, eps, f1: UniPoly, g: int) -> None:
             raise VerificationError("two-torsion factor side does not match the sign choice")
 
 
-def gen_hyp_partial(g: int, d: int, constraints: Sequence[Tuple[object, int]],
-                    free_params: Sequence) -> CurveRecord:
-    """Underdetermined family: m <= g prescribed vertical tangents.
+def _hyp_family(family_id: str, params: dict, g: int, d: int,
+                constraints: Sequence[Tuple[Fraction, int]], free: Sequence[Fraction],
+                notes: Sequence[str] = ()) -> CurveRecord:
+    """The construction all three hyperelliptic families share.
 
-    `constraints` pairs (a_i, eps_i); the remaining g+1-m interpolation
-    coefficients are filled from `free_params` along the kernel basis of
-    the linear system (pivoting on the lowest-degree columns).
+    Each constraint (a, eps) asks for a vertical tangent at (a^2, eps a^d)
+    when d is odd, at (a, eps a^(g+1)) when d is even: f1(node) = -2 beta.
+    With m constraints, f1 = H + V(nodes, -2 beta - H(nodes)), where
+    H = sum_k free_k x^(m+k) (plus 2x^(g+1) when d is even) and V is the
+    interpolant of degree < m.
     """
+    if g < 1:
+        raise PreconditionError(f"genus must be at least 1, got {g}")
     if d not in (2 * g + 1, 2 * g + 2):
         raise PreconditionError("degree must be 2g+1 or 2g+2")
+    if any(e not in (1, -1) for _, e in constraints):
+        raise PreconditionError("epsilon entries must be +1 or -1")
+    if any(x == 0 for x, _ in constraints):
+        raise PreconditionError("parameters must be nonzero")
+    odd = d % 2 == 1
+    nodes = [x * x if odd else x for x, _ in constraints]
+    if len(set(nodes)) != len(nodes):
+        raise PreconditionError("singular Vandermonde: " + (
+            "squares of parameters collide" if odd else "repeated parameters"))
+    marked = [(node, e * x**(d if odd else g + 1))
+              for node, (x, e) in zip(nodes, constraints)]
+    h = UniPoly([0] * len(nodes) + list(free))
+    if not odd:
+        h = h + UniPoly.x(g + 1) * 2
+    targets = [-2 * beta - h(node) for node, beta in marked]
+    f1 = h + UniPoly(vandermonde_solve(nodes, targets))
+    if any(f1(node) != -2 * beta for node, beta in marked):
+        raise VerificationError("interpolation postcondition failed")
+    if not odd:
+        _check_t_split_sides(nodes, [e for _, e in constraints], f1, g)
+    return _hyp_record(family_id, params, g, d, f1, marked, notes)
+
+
+def gen_hyp_odd(g: int, a: Sequence) -> CurveRecord:
+    """Odd-degree family: interpolate f1 through (a_i^2, -2 a_i^(2g+1))."""
+    a = [rat(x) for x in a]
+    if len(a) != g + 1:
+        raise PreconditionError("need exactly g+1 parameters")
+    return _hyp_family("hyp-odd", {"genus": g, "a": a}, g, 2 * g + 1,
+                       [(x, 1) for x in a], [])
+
+
+def gen_hyp_even(g: int, a: Sequence, eps: Sequence[int]) -> CurveRecord:
+    """Even-degree family with sign choices eps_i: f1(a_i) = -2 eps_i a_i^(g+1)."""
+    a, eps = [rat(x) for x in a], [int(e) for e in eps]
+    if len(a) != g + 1 or len(eps) != g + 1:
+        raise PreconditionError("need g+1 parameters and g+1 signs")
+    if g >= 1 and all(e == -1 for e in eps):  # _hyp_family refuses g < 1 first
+        raise PreconditionError("f1 would be zero: all epsilon entries equal -1")
+    notes = ["universal relation: the g+2 classes from this model satisfy "
+             "one linear relation in the tame kernel modulo torsion"]
+    return _hyp_family("hyp-even", {"genus": g, "a": a, "eps": eps}, g, 2 * g + 2,
+                       list(zip(a, eps)), [], notes)
+
+
+def gen_hyp_partial(g: int, d: int, constraints: Sequence[Tuple[object, int]],
+                    free_params: Sequence) -> CurveRecord:
+    """Underdetermined family: m <= g+1 prescribed vertical tangents, and
+    the g+1-m remaining coefficients of f1, those of x^m .. x^g, from
+    `free_params` (see _hyp_family)."""
     cons = [(rat(x), int(e)) for (x, e) in constraints]
     free = [rat(v) for v in free_params]
     m = len(cons)
@@ -358,42 +347,10 @@ def gen_hyp_partial(g: int, d: int, constraints: Sequence[Tuple[object, int]],
         raise PreconditionError("more constraints than coefficients")
     if len(free) != g + 1 - m:
         raise PreconditionError("free parameter count must be g+1-m")
-    if any(e not in (1, -1) for _, e in cons):
-        raise PreconditionError("epsilon entries must be +1 or -1")
-    odd = d == 2 * g + 1
-    rows, rhs, marked = [], [], []
-    nodes_seen = set()
-    for (x, e) in cons:
-        if x == 0:
-            raise PreconditionError("parameters must be nonzero")
-        node = x * x if odd else x
-        if node in nodes_seen:
-            raise PreconditionError("singular Vandermonde: repeated nodes")
-        nodes_seen.add(node)
-        rows.append([node**j for j in range(g + 1)])
-        if odd:
-            rhs.append(-2 * e * x**d)
-            marked.append((node, e * x**d))
-        else:
-            rhs.append(-2 * x**(g + 1) - 2 * e * x**(g + 1))
-            marked.append((node, e * x**(g + 1)))
-    if rows:
-        particular, basis, _ = solve_underdetermined(rows, rhs)
-    else:
-        particular = [Fraction(0)] * (g + 1)
-        basis = [[Fraction(1) if j == i else Fraction(0) for j in range(g + 1)]
-                 for i in range(g + 1)]
-    coeffs = list(particular)
-    for vec, t in zip(basis, free):
-        coeffs = [c + t * v for c, v in zip(coeffs, vec)]
-    f1 = UniPoly(coeffs)
-    if not odd:
-        f1 = f1 + UniPoly.x(g + 1) * 2
-    fam = "hyp-partial"
     params = {"genus": g, "d": d,
               "a": [x for (x, _) in cons], "eps": [e for (_, e) in cons],
               "free": free}
-    return _hyp_record(fam, params, g, d, f1, marked)
+    return _hyp_family("hyp-partial", params, g, d, cons, free)
 
 
 # ---------------------------------------------------------------------------
@@ -424,10 +381,7 @@ def disc_thm53_factors(a, b, c) -> List[Tuple[str, Fraction]]:
 
 
 def disc_thm53_printed(a, b, c) -> Fraction:
-    prod = Fraction(1)
-    for _, v in disc_thm53_factors(a, b, c):
-        prod *= v
-    return prod
+    return prod(v for _, v in disc_thm53_factors(a, b, c))
 
 
 def ct_cubic_printed(t) -> Fraction:
@@ -451,13 +405,8 @@ def disc_ex63_printed(a1, a2) -> Fraction:
     d = a1**2 + a1 * a2 + a2**2
     if d == 0:
         return Fraction(0)
-    return (-Fraction(43046721, 67108864) * a1**42 * a2**42 / d**22
-            * (4 * a1**3 + 8 * a1**2 * a2 + 12 * a1 * a2**2 + 3 * a2**3)**3
-            * (a1 - a2)**4 * (a2 + a1)**2
-            * (a1**8 + 22 * a1**7 * a2 + 67 * a1**6 * a2**2 + 140 * a1**5 * a2**3
-               + 161 * a1**4 * a2**4 + 140 * a1**3 * a2**5 + 67 * a1**2 * a2**6
-               + 22 * a1 * a2**7 + a2**8)
-            * (3 * a1**3 + 12 * a1**2 * a2 + 8 * a1 * a2**2 + 4 * a2**3)**3)
+    return prod((v for _, v in disc_ex63_factors(a1, a2)),
+                start=-Fraction(43046721, 67108864) / d**22)
 
 
 def disc_ex63_factors(a1, a2) -> List[Tuple[str, Fraction]]:
@@ -639,7 +588,7 @@ def _conic_record(family_id: str, params: dict, conic: Conic,
     curve = conic_quartic_curve(conic)
     marks = _Marks(curve, SymbolEngine(curve))
     R = CurvePoint.affine(0, -conic.d2)
-    marks.add("R", Block(FnElt.poly(curve, conic.poly()), R, 8))
+    marks.add("R", R, FnElt.poly(curve, conic.poly()), 8)
     i_r = intersection_multiplicity(curve, conic, R)
     if i_r != 8:
         raise VerificationError(f"conic contact multiplicity is {i_r}, expected 8")

@@ -19,51 +19,6 @@ from .errors import PreconditionError
 Matrix = List[List]
 
 
-def solve_underdetermined(a: Matrix, b: Sequence):
-    """Row-reduce the (possibly non-square) system a*x = b.
-
-    Returns (particular, basis, free_cols) where `particular` has zeros in
-    all free columns and `basis` spans the kernel (one vector per free
-    column, with a 1 in that column).  Raises if the system is
-    inconsistent.
-    """
-    rows, cols = len(a), len(a[0]) if a else 0
-    m = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a, b)]
-    pivots = []  # (row, col)
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [v - f * w for v, w in zip(m[i], m[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if m[i][cols] != 0:
-            raise PreconditionError("inconsistent linear system")
-    pivot_cols = [c for _, c in pivots]
-    free_cols = [c for c in range(cols) if c not in pivot_cols]
-    particular = [Fraction(0)] * cols
-    for (pr, pc) in pivots:
-        particular[pc] = m[pr][cols]
-    basis = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * cols
-        vec[fc] = Fraction(1)
-        for (pr, pc) in pivots:
-            vec[pc] = -m[pr][fc]
-        basis.append(vec)
-    return particular, basis, free_cols
-
-
 def bareiss_det(matrix: Matrix, exact_div: Callable = None):
     """Fraction-free determinant (Bareiss); exact over any integral domain.
 
@@ -110,7 +65,8 @@ def sylvester_matrix(a: Sequence, b: Sequence, zero) -> Matrix:
 def vandermonde_solve(nodes: Sequence[Fraction], values: Sequence[Fraction]) -> List[Fraction]:
     """Coefficients (b_0..b_{n-1}) of the unique poly of degree < n through (node_i, value_i).
 
-    Newton divided differences, fully exact.  Repeated nodes are rejected.
+    Newton divided differences, fully exact.  Repeated nodes are rejected;
+    no nodes give the zero polynomial, [].
     """
     nodes = [Fraction(x) for x in nodes]
     values = [Fraction(y) for y in values]
@@ -119,6 +75,8 @@ def vandermonde_solve(nodes: Sequence[Fraction], values: Sequence[Fraction]) -> 
         raise PreconditionError("nodes and values must have equal length")
     if len(set(nodes)) != n:
         raise PreconditionError("singular Vandermonde: repeated nodes")
+    if not n:
+        return []
     # divided-difference table
     dd = list(values)
     for level in range(1, n):

@@ -170,6 +170,7 @@ def render_record_svg(record_data: dict, spec: PlotSpec) -> str:
     def fmt(v):
         return f"{v:.2f}"
 
+    from .curves import Conic
     from .records import json_field, poly_field, rat_field, rats_field
     curve_terms = poly_field(json_field(record_data, "curve", dict), "affine").terms
     aux = json_field(record_data, "aux", dict, {})
@@ -210,11 +211,7 @@ def render_record_svg(record_data: dict, spec: PlotSpec) -> str:
         out.append(f'<line x1="{fmt(pa[0])}" y1="{fmt(pa[1])}" x2="{fmt(pb[0])}" '
                    f'y2="{fmt(pb[1])}" stroke="#888888" stroke-width="1"/>')
     for conic in json_field(aux, "conics", list, []):
-        d1, d2, d3, d4 = rats_field(conic, "coeffs", 4)
-        inner = {(0, 1): Fraction(1), (1, 0): d1, (0, 0): d2}
-        from .bipoly import BiPoly as BP
-        cp = BP(inner)
-        conic_poly = cp * cp + BP.x() * d3 + BP.x(2) * d4
+        conic_poly = Conic.make(*rats_field(conic, "coeffs", 4)).poly()
         contour_path(conic_poly.terms, "#2a7f2a", 1.2, dash="6 3")
     contour_path(curve_terms, "#1f3d99", 1.8)
 

@@ -571,9 +571,20 @@ _DEEP_A = "1,-1/2,3/4,-1/3,4/3,2/5,-3/2,5/3".split(",")
 HYP_ODD_DEEP = [("hyp-odd", ("--genus", str(g), "--a", ",".join(_DEEP_A[:g + 1])))
                 for g in (3, 4, 5, 7)]
 
+# the interpolation rule the three hyperelliptic families share: hyp-partial
+# with nonzero free values at m < g + 1 constraints (odd and even d) and at
+# m = 0, and hyp-even with mixed signs
+HYP_INTERPOLATION = [
+    ("hyp-partial", ("--genus", "3", "--d", "7", "--constraints", "1:-1,1/2:-1",
+                     "--free", "2/3,-5")),
+    ("hyp-partial", ("--genus", "2", "--d", "6", "--constraints=-1/2:1", "--free", "3,1/7")),
+    ("hyp-partial", ("--genus", "1", "--d", "3", "--free", "1,2")),
+    ("hyp-even", ("--genus", "2", "--a", "1/2,-1,3", "--eps=-1,1,1")),
+]
+
 # sha256 of record_to_json for each distinct record of SMOKE_TUPLES,
-# FIGURES and HYP_ODD_DEEP, keyed "family flags"; a change that moves one
-# byte of a record fails here
+# FIGURES, HYP_ODD_DEEP and HYP_INTERPOLATION, keyed "family flags"; a
+# change that moves one byte of a record fails here
 RECORD_DIGESTS = {
     "hyp-odd --genus 2 --a 1,1/2,1/4":
         "b0a88f64d6938d0d6bd199a3da0ec825ca0145be1531c7718e6d2a0ed7015eae",
@@ -609,13 +620,21 @@ RECORD_DIGESTS = {
         "35bbecafdbebb1e56393eef6ca52698fc40506a8622b4a6c3ffb203f78078a59",
     "hyp-odd --genus 7 --a 1,-1/2,3/4,-1/3,4/3,2/5,-3/2,5/3":
         "7157ff09fa74f7c7e24522376217fc2298e90e12e35356010b48a49622ef3c1b",
+    "hyp-partial --genus 3 --d 7 --constraints 1:-1,1/2:-1 --free 2/3,-5":
+        "b919bec7c4bc5e4bba91b0a02db7b644b45e8cb2524b1d523fb5a38ce2a1a0cb",
+    "hyp-partial --genus 2 --d 6 --constraints=-1/2:1 --free 3,1/7":
+        "d96324975389d1d46a71b621effa9436508096c14478379d25c309e36046334d",
+    "hyp-partial --genus 1 --d 3 --free 1,2":
+        "6b982cfe1764ba167c6c876957ed903eabdd5fb43fe3f3736c1c9d60e84d5732",
+    "hyp-even --genus 2 --a 1/2,-1,3 --eps=-1,1,1":
+        "2b4e2e6a7cd01c87b984c86098b8da1dc7214a992d89087565e01a44c060bed7",
 }
 
 
 def test_corpus_records_are_byte_identical(tmp_path):
     corpus = dict.fromkeys([(f, tuple(flags)) for f, flags in SMOKE_TUPLES]
                            + [(f, tuple(flags)) for _, f, flags, _, _ in FIGURES]
-                           + HYP_ODD_DEEP)
+                           + HYP_ODD_DEEP + HYP_INTERPOLATION)
     digests = {}
     for family, flags in corpus:
         out = tmp_path / "record.json"

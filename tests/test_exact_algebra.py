@@ -147,6 +147,10 @@ def test_vandermonde_constant():
     assert vandermonde_solve([F(0)], [F(5)]) == [F(5)]
 
 
+def test_vandermonde_no_nodes():
+    assert vandermonde_solve([], []) == []
+
+
 def test_vandermonde_identity():
     assert vandermonde_solve([F(1), F(2)], [F(1), F(2)]) == [F(0), F(1)]
 

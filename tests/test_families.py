@@ -9,8 +9,9 @@ from k2forge import families as fam
 from k2forge.bipoly import BiPoly
 from k2forge.curves import PlaneCurve, smoothness_check
 from k2forge.errors import (NonRationalSupportError, PreconditionError,
-                            SingularModelError)
+                            SingularModelError, VerificationError)
 from k2forge.linalg import vandermonde_solve
+from k2forge.records import record_jsonable
 from k2forge.unipoly import UniPoly
 
 rng = random.Random(31337)
@@ -125,9 +126,43 @@ def test_hyp_partial_no_constraints():
 
 
 def test_hyp_partial_full_rank_matches_direct_generator():
-    rec1 = fam.gen_hyp_partial(1, 3, [(1, 1), (2, 1)], [])
-    rec2 = fam.gen_hyp_odd(1, [1, 2])
-    assert rec1.curve.affine == rec2.curve.affine
+    """With g+1 constraints and no free value, hyp-partial writes the record
+    of hyp-odd (odd d) or hyp-even (even d), apart from its family, params
+    and notes."""
+    def body(rec):
+        return {k: v for k, v in record_jsonable(rec).items()
+                if k not in ("family_id", "params", "notes")}
+
+    assert (body(fam.gen_hyp_partial(1, 3, [(1, 1), (2, 1)], []))
+            == body(fam.gen_hyp_odd(1, [1, 2])))
+    r = random.Random(1905)
+    done = {True: 0, False: 0}
+    while min(done.values()) < 3:
+        odd, g = r.random() < 0.5, r.choice([1, 2])
+        a = [F(r.randint(-6, 6), r.randint(1, 3)) for _ in range(g + 1)]
+        eps = [1 if odd else r.choice([1, -1]) for _ in a]
+        try:
+            direct = fam.gen_hyp_odd(g, a) if odd else fam.gen_hyp_even(g, a, eps)
+        except PreconditionError:
+            continue
+        partial = fam.gen_hyp_partial(g, 2 * g + (1 if odd else 2), list(zip(a, eps)), [])
+        assert body(partial) == body(direct), (g, a, eps)
+        done[odd] += 1
+
+
+@pytest.mark.parametrize("family", ["hyp-odd", "hyp-even", "hyp-partial"])
+def test_hyp_interpolation_postcondition_covers_every_family(monkeypatch, family):
+    """f1(node) = -2 beta is re-checked after the interpolation, whichever
+    hyperelliptic family asked for it."""
+    def off_by_one(nodes, values):
+        return vandermonde_solve(nodes, [v + 1 for v in values])
+
+    monkeypatch.setattr(fam, "vandermonde_solve", off_by_one)
+    args = {"hyp-odd": (2, [1, F(1, 2), F(1, 4)]),
+            "hyp-even": (1, [1, 2], [1, 1]),
+            "hyp-partial": (2, 5, [(1, 1)], [0, 0])}[family]
+    with pytest.raises(VerificationError, match="interpolation postcondition failed"):
+        fam.GENERATORS[family](*args)
 
 
 def test_integrality_flag_negative_case():

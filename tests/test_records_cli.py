@@ -22,7 +22,7 @@ from k2forge.plotting import PlotSpec
 from k2forge.rationals import rat, rat_str
 from k2forge.records import (json_text, record_from_json, record_to_json, params_hash)
 from k2forge.symbols import SymbolEngine, verify_k2t
-from test_acceptance import FIGURES, HYP_ODD_DEEP, SMOKE_TUPLES
+from test_acceptance import FIGURES, HYP_INTERPOLATION, HYP_ODD_DEEP, SMOKE_TUPLES
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +89,23 @@ def test_cli_runs_without_numpy(tmp_path):
                               capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
     assert ">O</text>" in svg.read_text()
+
+
+@pytest.mark.parametrize("genus", [-1, 0])
+def test_cli_gen_hyperelliptic_genus_below_one_exits_2(genus):
+    """Each hyperelliptic family refuses genus < 1 with one line; hyp-even
+    does so before its all-minus sign check."""
+    n = max(genus + 1, 0)
+    flags = {"hyp-odd": ["--a=" + ",".join(["1"] * n)],
+             "hyp-even": ["--a=" + ",".join(["1"] * n), "--eps=" + ",".join(["-1"] * n)],
+             "hyp-partial": [f"--d={2 * genus + 1}", "--free=" + ",".join(["1"] * n)]}
+    for family, extra in flags.items():
+        done = subprocess.run([sys.executable, "-m", "k2forge.cli", "gen", family,
+                               f"--genus={genus}", *extra],
+                              env=_package_env(), capture_output=True, text=True)
+        assert done.returncode == 2, (family, done.stderr)
+        assert done.stderr == f"precondition error: genus must be at least 1, got {genus}\n"
+        assert done.stdout == ""
 
 
 def test_cli_gen_excluded_value_exits_2(capsys):
@@ -380,8 +397,8 @@ def test_cli_catalog_keeps_entries_written_before_a_verification_failure(
 # decoding: one decode per distinct factor and point, every check kept
 # ---------------------------------------------------------------------------
 
-# sha256 of `verify`'s stdout for each distinct record of SMOKE_TUPLES and
-# FIGURES and HYP_ODD_DEEP, keyed "family flags"
+# sha256 of `verify`'s stdout for each distinct record of SMOKE_TUPLES,
+# FIGURES, HYP_ODD_DEEP and HYP_INTERPOLATION, keyed "family flags"
 VERIFY_DIGESTS = {
     "hyp-odd --genus 2 --a 1,1/2,1/4":
         "a2d295f826e7f64e1d68b610944b33e9e129197a7845f61630d9c9a788be7d0c",
@@ -417,13 +434,21 @@ VERIFY_DIGESTS = {
         "2dc37d0432e6e07acc389cd4a7fbf27bdbea21c516d160ca9fcc7a4b06108e24",
     "hyp-odd --genus 7 --a 1,-1/2,3/4,-1/3,4/3,2/5,-3/2,5/3":
         "01d805cca63fadfb71c9296f1fe8be7386402faf612334e701fda59bda2a43b1",
+    "hyp-partial --genus 3 --d 7 --constraints 1:-1,1/2:-1 --free 2/3,-5":
+        "3919506d0ec560948e3c3511345e5869b3bb5b0d70b962d05fcded0e9975968e",
+    "hyp-partial --genus 2 --d 6 --constraints=-1/2:1 --free 3,1/7":
+        "93fcd3a71f075225ae5655cc47676f87be046a301e11efeccf1d531ca9ed5713",
+    "hyp-partial --genus 1 --d 3 --free 1,2":
+        "34f09409327cce04045636cceec4076c92fdabd50840a083f8b5abe31c27dd64",
+    "hyp-even --genus 2 --a 1/2,-1,3 --eps=-1,1,1":
+        "9b4b2550d12034979b74cf55113e88a0cdce58eaf828dd93d20094298a733993",
 }
 
 
 def test_verify_output_of_the_corpus_is_unchanged(tmp_path, capsys):
     corpus = dict.fromkeys([(f, tuple(flags)) for f, flags in SMOKE_TUPLES]
                            + [(f, tuple(flags)) for _, f, flags, _, _ in FIGURES]
-                           + HYP_ODD_DEEP)
+                           + HYP_ODD_DEEP + HYP_INTERPOLATION)
     digests = {}
     for family, flags in corpus:
         out = tmp_path / "record.json"
