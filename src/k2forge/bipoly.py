@@ -65,7 +65,7 @@ def _mul_ints(a: IntTerms, b: IntTerms) -> IntTerms:
 class BiPoly:
     """Exact polynomial in x and y: integer numerators over one denominator."""
 
-    __slots__ = ("nums", "den", "total_degree", "_hash")
+    __slots__ = ("nums", "den", "total_degree", "_hash", "_canonical")
 
     def __init__(self, terms: Dict[Term, object] = None):
         cs = {k: rat(v) for k, v in (terms or {}).items()}
@@ -79,7 +79,7 @@ class BiPoly:
         self.nums = nums = dict(zip(keys, vals))
         # total_degree is max i + j over the stored terms; -1 for zero
         self.total_degree = max((i + j for i, j in nums), default=-1)
-        self._hash = None
+        self._hash = self._canonical = None
 
     # -- constructors --------------------------------------------------
     @staticmethod
@@ -377,9 +377,15 @@ class BiPoly:
 
     # -- text form -------------------------------------------------------------
     def canonical(self, xname: str = "x", yname: str = "y") -> str:
+        default = (xname, yname) == ("x", "y")  # memoized, like the hash
+        if default and self._canonical is not None:
+            return self._canonical
         keys = sorted(self.nums, key=lambda k: (-(k[0] + k[1]), -k[1]))
-        return _signed_sum([(self.coeff(i, j), _monomial((xname, i), (yname, j)))
-                            for i, j in keys])
+        out = _signed_sum([(self.coeff(i, j), _monomial((xname, i), (yname, j)))
+                           for i, j in keys])
+        if default:
+            self._canonical = out
+        return out
 
     def projective_canonical(self) -> str:
         """F^hom in X, Y, Z, with "1" for the constant monomial."""

@@ -114,15 +114,25 @@ def _extend(a: PowerSeries, prec: int) -> PowerSeries:
     return PowerSeries.from_ints(a.val, a.nums, a.den, prec)
 
 
+def _live_rows(v: PowerSeries, prec: int, pole_free: bool = True) -> Optional[int]:
+    """Rows of a Horner sum in v that reach t^(prec-1): ceil(prec / val v),
+    since v^j = O(t^prec) beyond, when val v > 0, v is known mod t^prec and
+    no row coefficient has a pole; else None, which keeps every row."""
+    return -(-prec // v.val) if pole_free and 0 < v.val and v.prec >= prec else None
+
+
 def _eval_in_t(rows: List[List[int]], den: int, v: PowerSeries, prec: int) -> PowerSeries:
     """sum_j (rows[j](t) / den) * v(t)^j truncated to prec."""
-    return _horner([PowerSeries.from_ints(0, r, den, prec) for r in rows], v, prec)
+    return _horner([PowerSeries.from_ints(0, r, den, prec)
+                    for r in rows[:_live_rows(v, prec)]], v, prec)
 
 
 def _eval_series(p: BiPoly, s: PowerSeries, v: PowerSeries, prec: int) -> PowerSeries:
-    """p(s(t), v(t)) truncated to prec."""
-    return _horner([_horner([PowerSeries.from_ints(0, (a,), p.den, prec) for a in r], s, prec)
-                    for r in p.rows_in("y")], v, prec)
+    """p(s(t), v(t)) truncated to prec; the rows in v have no pole when s has none."""
+    cut = _live_rows(s, prec)
+    return _horner([_horner([PowerSeries.from_ints(0, (a,), p.den, prec) for a in r[:cut]],
+                            s, prec)
+                    for r in p.rows_in("y")[:_live_rows(v, prec, s.val >= 0)]], v, prec)
 
 
 def _horner(coeffs: List[PowerSeries], v: PowerSeries, prec: int) -> PowerSeries:

@@ -22,8 +22,7 @@ from math import lcm, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bipoly import BiPoly
-from .curves import (Conic, CurvePoint, Line, PlaneCurve,
-                     intersection_multiplicity, smoothness_check, tangent_line)
+from .curves import Conic, CurvePoint, Line, PlaneCurve, smoothness_check, tangent_line
 from .errors import (NonRationalSupportError, PreconditionError,
                      SingularModelError, VerificationError)
 from .linalg import vandermonde_solve
@@ -122,12 +121,10 @@ def verify_vertical_tangency(curve: PlaneCurve, alpha: Fraction, beta: Fraction,
     line = Line.vertical(alpha)
     if tangent_line(curve, p) != line:
         raise VerificationError(f"tangent at {p.label()} is not the vertical line")
-    i_p = intersection_multiplicity(curve, line.poly(), p)
+    i_p = eng.intersection(line.poly(), p)
     if i_p != contact:
         raise VerificationError(f"contact multiplicity {i_p} != {contact} at {p.label()}")
-    inf = eng.infinity_points()[0]
-    i_inf = intersection_multiplicity(curve, line.poly(),
-                                      CurvePoint.at_infinity(inf.x, inf.y))
+    i_inf = eng.intersection(line.poly(), eng.infinity_points()[0])
     if i_p + i_inf != d:
         raise VerificationError("Bezout bookkeeping fails for a vertical tangent")
 
@@ -184,8 +181,8 @@ class _Marks:
         divisor 12(q) - 12(inf).
         """
         line = BiPoly.y() - BiPoly.x() * slope
-        iq = intersection_multiplicity(self.curve, line, q)
-        io = intersection_multiplicity(self.curve, line, self.points["O"])
+        iq = self.eng.intersection(line, q)
+        io = self.eng.intersection(line, self.points["O"])
         if (iq, io) != (3, 1):
             raise VerificationError(
                 f"tangent through O has contact pattern ({iq},{io}), expected (3,1)")
@@ -589,7 +586,7 @@ def _conic_record(family_id: str, params: dict, conic: Conic,
     marks = _Marks(curve, SymbolEngine(curve))
     R = CurvePoint.affine(0, -conic.d2)
     marks.add("R", R, FnElt.poly(curve, conic.poly()), 8)
-    i_r = intersection_multiplicity(curve, conic, R)
+    i_r = marks.eng.intersection(conic.poly(), R)
     if i_r != 8:
         raise VerificationError(f"conic contact multiplicity is {i_r}, expected 8")
     # Bezout bookkeeping: the conic must avoid the point at infinity
@@ -729,8 +726,8 @@ def gen_nekovar_2tor(r) -> CurveRecord:
     for q in (q1, q2):
         if not curve.contains(q):
             raise VerificationError("contact point is not on the curve")
-    m1 = intersection_multiplicity(curve, data["h_line"], q1)
-    m2 = intersection_multiplicity(curve, data["h_line"], q2)
+    m1 = eng.intersection(data["h_line"], q1)
+    m2 = eng.intersection(data["h_line"], q2)
     if (m1, m2) != (1, 2):
         raise VerificationError(f"contact pattern ({m1},{m2}) != (1,2)")
     if abs(q1.y) != abs(r) or abs(q2.y) != abs(r):

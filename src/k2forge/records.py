@@ -187,11 +187,15 @@ def _fnelt_from_json(curve: PlaneCurve, d: dict, factor: Dict[str, FnElt]) -> Fn
     """The function of d's "scalar" and "factors" (its "num" and "den" are
     not read); `factor` maps a factor's polynomial string to
     FnElt(curve, poly)."""
-    out = FnElt.constant(curve, rat_field(d, "scalar", "1"))
+    scalar = FnElt.constant(curve, rat_field(d, "scalar", "1")).scalar
+    exps: Dict[BiPoly, int] = {}  # summed, in order of first appearance
     for fd in json_field(d, "factors", list):
         exp = within_limit("'exp'", int_field(fd, "exp"))
-        out = out * factor[json_field(fd, "poly", str)] ** exp
-    return out
+        fn = factor[json_field(fd, "poly", str)]
+        scalar *= fn.scalar ** exp
+        for poly, e in fn.factors:
+            exps[poly] = exps.get(poly, 0) + e * exp
+    return FnElt._make(curve, scalar, exps.items())
 
 
 def _factor_from_json(curve: PlaneCurve, text: str) -> FnElt:

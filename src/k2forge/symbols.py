@@ -4,17 +4,20 @@ The tame symbol of {f, h} at a rational place P is the unit
 
     T_P({f,h}) = (-1)^(ord f * ord h) * (f^(ord h) / h^(ord f))(P),
 
-an exact nonzero rational at rational places.  Since the value of an
-ord-zero quotient at the place equals the ratio of leading series
-coefficients, one branch expansion per constituent polynomial is all
-the evaluation ever needs.
+an exact nonzero rational at rational places.  It is exactly 1 where
+both orders are 0.  Elsewhere the value of the ord-zero quotient is a
+ratio of leading series coefficients, taken only for a function whose
+partner's order is nonzero.
 
 Orders of vanishing are computed twice on purpose: through the
-intersection-multiplicity reduction and through the series valuation
-(at infinity in the point's chart: ord g = val g_P(s, w) - deg g val w,
-Fulton, *Algebraic Curves*, chs. 3 and 7); a mismatch raises
+intersection-multiplicity reduction, which the engine keeps once per
+(factor, point) for the families' contact checks too, and through the
+series valuation (at an affine point on the local series (x - x0,
+y - y0), at infinity in the point's chart: ord g = val g_P(s, w) - deg g
+val w, Fulton, *Algebraic Curves*, chs. 3 and 7); a mismatch raises
 VerificationError, because it would mean the ord bookkeeping (and so
-the certificate) is wrong.
+the certificate) is wrong.  Each Horner pass stops at the last row that
+survives mod t^prec.
 
 An element of K2 of the function field is an integer combination of
 symbol pairs; `verify_k2t` certifies membership in the tame kernel over
@@ -37,6 +40,7 @@ from .curves import (CurvePoint, PlaneCurve, fulton_multiplicity, infinity_chart
 from .errors import (NonRationalSupportError, PreconditionError,
                      VerificationError)
 from .rationals import rat, rat_str
+from .series import PowerSeries
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +325,7 @@ class SymbolEngine:
         self._infinity: Optional[Dict[CurvePoint, Branch]] = None
         self._charts: Dict[Tuple[Fraction, Fraction], tuple] = {}
         self._val_lead_cache: Dict[Tuple[BiPoly, CurvePoint], Tuple[int, Fraction]] = {}
+        self._meets: Dict[tuple, Tuple[int, BiPoly]] = {}
         self._zeros_cache: Dict[BiPoly, Optional[Tuple[Tuple[Fraction, Fraction], ...]]] = {}
 
     # -- branches -----------------------------------------------------
@@ -393,18 +398,18 @@ class SymbolEngine:
             if c != 0:
                 return 0, c
             # the valuation is the intersection multiplicity m, so m + 1
-            # terms of the series decide it
-            m = intersection_multiplicity(self.curve, poly, p)
+            # terms of the local series (x - x0, y - y0) decide it
+            m, local = self._meet(poly, p)
             x, y = br.xy(m + 1)
-            ser = _eval_series(poly, x, y, m + 1)
+            ser = _eval_series(local, x - PowerSeries.const(p.x, x.prec),
+                               y - PowerSeries.const(p.y, y.prec), m + 1)
             _two_routes_agree(p, m, [ser])
             return m, ser.leading()
         # g(x, y) = g_P(s, w) / w^deg g on the chart series (s, w), which have
         # no pole; the valuations of g_P over the places at P sum to
         # I = I_P(C, g^hom), so I + 1 terms decide each of them
-        name, u0, local, places = self._chart_at(p)
-        g_p, deg = poly.chart(name).shift(u0, 0), poly.total_degree
-        i = fulton_multiplicity(local, g_p, self.curve.degree * deg) if g_p.coeff(0, 0) == 0 else 0
+        i, g_p = self._meet(poly, p)
+        deg, places = poly.total_degree, self._chart_at(p)[3]
         charts = [br.chart_series(max(i, br.w_val) + 1) for br in places]
         sers = [_eval_series(g_p, s, w, i + 1) for s, w in charts]
         _two_routes_agree(p, i, sers)
@@ -413,12 +418,28 @@ class SymbolEngine:
                                                       ser.leading() / w.leading()**deg)
         return self._val_lead_cache[(poly, p)]
 
+    def intersection(self, poly: BiPoly, p: CurvePoint) -> int:
+        """I_P(C, poly) at p, or at p's projective point; reduced once each."""
+        return self._meet(poly, p)[0]
+
+    def _meet(self, poly: BiPoly, p: CurvePoint) -> Tuple[int, BiPoly]:
+        """(I_P(C, poly), poly expanded about P): intersection_multiplicity at
+        an affine P, fulton_multiplicity in the branches' chart at infinity."""
+        key = (poly, p) if p.is_affine else (poly, p.x, p.y)
+        if key not in self._meets:
+            if p.is_affine:
+                local = poly.shift(p.x, p.y)
+                i = intersection_multiplicity(self.curve, poly, p)
+            else:
+                name, u0, chart, _ = self._chart_at(p)
+                local = poly.chart(name).shift(u0, 0)
+                i = (fulton_multiplicity(chart, local, self.curve.degree * poly.total_degree)
+                     if local.coeff(0, 0) == 0 else 0)
+            self._meets[key] = (i, local)
+        return self._meets[key]
+
     # -- orders ----------------------------------------------------------
     def ord_poly(self, poly: BiPoly, p: CurvePoint) -> int:
-        if poly.total_degree == 0:
-            if poly.is_zero():
-                raise PreconditionError("zero function")
-            return 0
         return self.val_lead(poly, p)[0]
 
     def ord(self, f: FnElt, p: CurvePoint) -> int:
@@ -450,18 +471,20 @@ class SymbolEngine:
         return lead
 
     # -- tame symbols -----------------------------------------------------
-    def tame(self, pair: SymbolPair, p: CurvePoint) -> Fraction:
-        """T_P({f, h}), exact.
+    def tame(self, pair: SymbolPair, p: CurvePoint,
+             ords: Optional[Tuple[int, int]] = None) -> Fraction:
+        """T_P({f, h}), exact, given (ord_P f, ord_P h) or from self.ord.
 
-        At affine points the orders come from the reduction algorithm and
-        the leading coefficients from the branch series; the two routes
-        are reconciled factor by factor inside val_lead, so a mismatch
-        surfaces as a VerificationError rather than a wrong certificate.
+        val_lead reconciles the orders' two routes, so a mismatch raises
+        VerificationError.  T_P is 1 where both orders are 0, and a leading
+        coefficient is taken only where the partner's order is nonzero.
         """
-        m, lead_f = self.fn_val_lead(pair.f, p)
-        n, lead_h = self.fn_val_lead(pair.h, p)
-        sign = -1 if (m * n) % 2 else 1
-        value = sign * lead_f**n / lead_h**m
+        m, n = ords or (self.ord(pair.f, p), self.ord(pair.h, p))
+        if not (m or n):
+            return Fraction(1)
+        lead_f = self.fn_val_lead(pair.f, p)[1] if n else 1
+        lead_h = self.fn_val_lead(pair.h, p)[1] if m else 1
+        value = (-1 if (m * n) % 2 else 1) * lead_f**n / lead_h**m
         if value == 0:
             raise VerificationError("tame symbol evaluated to zero: contract violation")
         return value
@@ -536,16 +559,14 @@ def verify_k2t(curve: PlaneCurve, elem: K2Element,
     # support completeness, once per distinct constituent function (the
     # check depends only on its value)
     distinct = {(f.scalar, f.factors): f for pair in elem.terms for f in (pair.f, pair.h)}
-    for f in distinct.values():
-        eng.divisor(f, elem.declared_support)
+    divs = {key: eng.divisor(f, elem.declared_support).entries for key, f in distinct.items()}
     rows: List[CertificateRow] = []
     totals: Dict[CurvePoint, Fraction] = {}
     for p in elem.declared_support:
         total = Fraction(1)
         for idx, pair in enumerate(elem.terms):
-            mf = eng.ord(pair.f, p)
-            mh = eng.ord(pair.h, p)
-            val = eng.tame(pair, p) ** pair.coefficient
+            mf, mh = (divs[(f.scalar, f.factors)][p] for f in (pair.f, pair.h))
+            val = eng.tame(pair, p, (mf, mh)) ** pair.coefficient
             rows.append(CertificateRow(p, idx, pair.coefficient, mf, mh, val))
             total *= val
         totals[p] = total

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from k2forge import branches
 from k2forge.bipoly import BiPoly
-from k2forge.branches import (Branch, _eval_series, _newton_series,
+from k2forge.branches import (Branch, _eval_in_t, _eval_series, _newton_series,
                               branch_at_affine, branches_at_infinity)
 from k2forge.curves import CurvePoint, PlaneCurve, intersection_multiplicity
 from k2forge.errors import NonRationalSupportError, PreconditionError
@@ -247,3 +247,111 @@ def test_val_lead_at_infinity_asks_for_max_of_i_and_val_w_plus_one_terms(monkeyp
                 asked.clear()
                 eng.val_lead(poly, p)
                 assert asked == [(br.point, max(i, br.w_val) + 1) for br in places], (c, poly, p)
+
+
+# ---------------------------------------------------------------------------
+# Horner row cut and local-coordinate evaluation against full Horner
+# ---------------------------------------------------------------------------
+
+def _full_horner(coeffs, v, prec):
+    """sum_j coeffs[j] * v^j truncated to prec, every row evaluated."""
+    acc = PowerSeries.zero(prec)
+    for c in reversed(coeffs):
+        acc = (acc * v + c).truncate(prec)
+    return acc
+
+
+def _full_eval_series(p, s, v, prec):
+    return _full_horner([_full_horner([PowerSeries.from_ints(0, (a,), p.den, prec) for a in r],
+                                      s, prec)
+                         for r in p.rows_in("y")], v, prec)
+
+
+@st.composite
+def _series(draw, vals=st.integers(-2, 3)):
+    """A Laurent series of any valuation (0, positive, a pole, or zero to
+    its truncation), known to a random number of terms."""
+    val = draw(vals)
+    prec = val + draw(st.integers(0, 8))
+    nums = draw(st.lists(st.integers(-4, 4), max_size=prec - val))
+    return PowerSeries.from_ints(val, nums, draw(st.integers(1, 4)), prec)
+
+
+_ROWS = st.lists(st.lists(st.integers(-5, 5), max_size=5), min_size=1, max_size=6)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(rows=_ROWS, den=st.integers(1, 6), v=_series(), prec=st.integers(1, 9))
+def test_eval_in_t_row_cut_matches_full_horner(rows, den, v, prec):
+    """Equal as series, precision included, whether or not v has positive
+    valuation or is known to prec terms."""
+    full = _full_horner([PowerSeries.from_ints(0, r, den, prec) for r in rows], v, prec)
+    assert _eval_in_t(rows, den, v, prec) == full
+
+
+_CUBIC = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda k: sum(k) <= 3),
+    st.builds(F, st.integers(-4, 4), st.integers(1, 3)), min_size=1, max_size=6)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(terms=_CUBIC, s=_series(), v=_series(), prec=st.integers(1, 9))
+def test_eval_series_row_cut_matches_full_horner(terms, s, v, prec):
+    """Including Laurent s or v, where a row coefficient has a pole and
+    the outer rows must not be cut."""
+    p = BiPoly(terms)
+    assert _eval_series(p, s, v, prec) == _full_eval_series(p, s, v, prec)
+
+
+def test_residual_with_laurent_coordinates_is_not_cut():
+    """residual_ok at infinity evaluates on Laurent (x, y), x with a pole."""
+    c = PlaneCurve(BiPoly.parse("x*y^2 - x^2*y + y + 1"))
+    (br,) = [b for b in branches_at_infinity(c) if (b.point.x, b.point.y) == (1, 0)]
+    for prec in (1, 2, 5, 2 * c.degree + 6, 2 * c.degree + 7):
+        x, y = br.xy(prec)
+        assert x.val < 0
+        n = min(x.prec, y.prec)
+        got = _eval_series(c.affine, x, y, n)
+        assert got == _full_eval_series(c.affine, x, y, n) and got.is_zero()
+
+
+def _smooth_affine_points():
+    """(curve, point) for the smooth affine points of the plan curves with
+    a small x, sorted by branch kind."""
+    xs = sorted({F(p, q) for p in range(-6, 7) for q in range(1, 5)})
+    out = {"affine-y": [], "affine-x": []}
+    for c in _plan_curves():
+        for x0 in xs:
+            for y0, _ in c.affine.eval_x(x0).rational_roots():
+                p = CurvePoint.affine(x0, y0)
+                if c.gradient_at(p) != (0, 0):
+                    out[branch_at_affine(c, p)._kind].append((c, p))
+    return out
+
+
+SMOOTH_POINTS = _smooth_affine_points()
+
+
+_CUBIC_TERMS = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda k: sum(k) <= 3),
+    st.integers(-3, 3).filter(bool), min_size=1, max_size=5)
+
+
+@pytest.mark.parametrize("kind", ["affine-y", "affine-x"])
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(data=st.data(), terms=_CUBIC_TERMS, k=st.integers(0, 2))
+def test_local_coordinates_give_the_series_val_lead(kind, data, terms, k):
+    """val_lead evaluates the factor expanded about P on (x - x0, y - y0);
+    that must give what the factor itself gives on (x, y), also where the
+    expansion changes the denominator.  Tangent powers raise the order."""
+    curve, p = data.draw(st.sampled_from(SMOOTH_POINTS[kind]))
+    fx, fy = curve.gradient_at(p)
+    tangent = BiPoly({(1, 0): fx, (0, 1): fy, (0, 0): -fx * p.x - fy * p.y})
+    poly = BiPoly(terms) * tangent**k
+    poly = poly - BiPoly.const(poly(p.x, p.y))
+    assume(not poly.is_zero() and poly.total_degree > 0 and not curve.affine.divides(poly))
+    assume(poly.shift(p.x, p.y).den != poly.den)
+    m = intersection_multiplicity(curve, poly, p)
+    x, y = branch_at_affine(curve, p).xy(m + 1)
+    ser = _eval_series(poly, x, y, m + 1)
+    assert SymbolEngine(curve).val_lead(poly, p) == (ser.val, ser.leading()) == (m, ser.leading())

@@ -13,14 +13,16 @@ from k2forge.curves import CurvePoint, PlaneCurve
 from k2forge.errors import (NonRationalSupportError, PreconditionError,
                             VerificationError)
 from k2forge import symbols
-from k2forge.families import _thm53_polys, gen_nekovar_3tor, gen_quartic_ct
+from k2forge import curves
+from k2forge.cli import main
+from k2forge.families import _thm53_polys, gen_hyp_odd, gen_nekovar_3tor, gen_quartic_ct
 from k2forge.records import record_to_json
 from k2forge.series import PowerSeries
 from k2forge.symbols import (FnElt, K2Element, SymbolEngine, SymbolPair,
                              TorsionFunction, construction_torsion,
                              nekovar_element, steinberg_values, verify_k2t)
 
-from test_branches import _plan_curves
+from test_branches import _CUBIC_TERMS, _plan_curves
 
 rng = random.Random(777)
 
@@ -401,9 +403,6 @@ def _doubling_val_lead(br, poly):
 
 
 REFERENCE = [branches_at_infinity(c) for c in PLAN]
-_CUBIC_TERMS = st.dictionaries(
-    st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda k: sum(k) <= 3),
-    st.integers(-3, 3).filter(bool), min_size=1, max_size=5)
 
 
 @pytest.mark.parametrize("index", range(len(PLAN)))
@@ -417,3 +416,60 @@ def test_chart_rule_matches_the_doubling_rule_at_infinity(index, terms):
     eng = SymbolEngine(curve)
     for br in REFERENCE[index]:
         assert eng.val_lead(poly, br.point) == _doubling_val_lead(br, poly), br
+
+
+# ---------------------------------------------------------------------------
+# the engine's intersection table: both routes kept, each reduction once
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("index", range(len(PLAN)))
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(f_terms=_CUBIC_TERMS, h_terms=_CUBIC_TERMS)
+def test_tame_is_the_leading_coefficient_formula(index, f_terms, h_terms):
+    """T_P = (-1)^(mn) lead_f^n / lead_h^m at every support point, also
+    where both orders are 0 and no leading coefficient is taken."""
+    curve = PLAN[index]
+    polys = [BiPoly(t) for t in (f_terms, h_terms)]
+    assume(all(p.total_degree > 0 and not curve.affine.divides(p) for p in polys))
+    f, h = (FnElt.poly(curve, p) for p in polys)
+    eng = SymbolEngine(curve)
+    for p in eng.support_candidates([f, h]):
+        m, lead_f = eng.fn_val_lead(f, p)
+        n, lead_h = eng.fn_val_lead(h, p)
+        want = F(-1) ** (m * n) * lead_f**n / lead_h**m
+        for ords in (None, (m, n)):
+            got = SymbolEngine(curve).tame(SymbolPair(f, h), p, ords)
+            assert type(got) is F and got == want, (p, m, n)
+
+
+HYP_G4 = ["gen", "hyp-odd", "--genus", "4", "--a=1,-1/2,3/4,-1/3,4/3"]
+
+
+def test_gen_hyp_odd_reduces_each_factor_once_per_point(monkeypatch, tmp_path):
+    """Fulton's reduction runs at most once per (factor, projective point):
+    the contact checks and the divisors share the engine's number."""
+    runs = []
+    real = curves.fulton_multiplicity
+
+    def counting(f, g, bound):
+        runs.append((f, g))
+        return real(f, g, bound)
+
+    monkeypatch.setattr(curves, "fulton_multiplicity", counting)
+    monkeypatch.setattr(symbols, "fulton_multiplicity", counting)
+    assert main(HYP_G4 + ["--out", str(tmp_path / "g4.json")]) == 0
+    assert runs and len(runs) == len(set(runs))
+
+
+def test_a_wrong_stored_intersection_number_is_caught(monkeypatch):
+    """One more at an affine point no contact check reads: only the series
+    route can disagree, and it must."""
+    real, origin = SymbolEngine._meet, CurvePoint.affine(0, 0)
+
+    def bumped(self, poly, p):
+        i, local = real(self, poly, p)
+        return (i + 1 if p == origin else i), local
+
+    monkeypatch.setattr(SymbolEngine, "_meet", bumped)
+    with pytest.raises(VerificationError, match=r"ord bookkeeping wrong at \(0, 0\)"):
+        gen_hyp_odd(4, [1, F(-1, 2), F(3, 4), F(-1, 3), F(4, 3)])
