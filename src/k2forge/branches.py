@@ -167,22 +167,9 @@ def _polygon_places(h: BiPoly, depth: int = 0) -> List[_ChartPlace]:
     if h.partial("y")(0, 0) != 0:
         return [_ChartPlace([], h)]
     places: List[_ChartPlace] = []
-    slopes = set()
-    for (i1, j1) in support:
-        for (i2, j2) in support:
-            if j1 == j2:
-                continue
-            mu = Fraction(i2 - i1, j1 - j2)
-            if mu > 0:
-                slopes.add(mu)
-    for mu in sorted(slopes):
-        nu = min(Fraction(i) + mu * j for i, j in support)
-        edge = [(i, j) for (i, j) in support if Fraction(i) + mu * j == nu]
-        jvals = sorted({j for _, j in edge})
-        if len(jvals) < 2:
-            continue
+    for mu, edge in _polygon_edges(support):
         e, q = mu.denominator, mu.numerator
-        j0 = jvals[0]
+        j0 = min(j for _, j in edge)
         psi_terms = {}
         for (i, j) in edge:
             k = (j - j0) // e
@@ -212,6 +199,29 @@ def _polygon_places(h: BiPoly, depth: int = 0) -> List[_ChartPlace]:
                 for sub in _polygon_places(h1, depth + 1):
                     places.append(_ChartPlace([frame] + sub.frames, sub.final))
     return places
+
+
+def _polygon_edges(support: List[Tuple[int, int]]) -> List[Tuple[Fraction, List[Tuple[int, int]]]]:
+    """(mu, edge), in increasing mu > 0, for each edge of the Newton polygon:
+    the exponents (i, j) of `support`, in support order, at which i + mu*j
+    is least, when they hold two or more values of j.  These are the
+    falling edges of the lower convex hull of the points (j, i), walked once.
+    """
+    hull: List[Tuple[int, int]] = []  # (j, i), j increasing
+    for j2, i2 in sorted((j, i) for i, j in support):
+        while len(hull) >= 2:
+            (j0, i0), (j1, i1) = hull[-2:]
+            if (j1 - j0) * (i2 - i0) > (i1 - i0) * (j2 - j0):  # a left turn
+                break
+            hull.pop()
+        hull.append((j2, i2))
+    edges = []
+    for (j1, i1), (j2, i2) in zip(hull, hull[1:]):
+        if i2 >= i1:  # hull slopes only rise from here, so mu <= 0
+            break
+        mu = Fraction(i1 - i2, j2 - j1)
+        edges.append((mu, [(i, j) for (i, j) in support if i + mu * j == i1 + mu * j1]))
+    return edges[::-1]
 
 
 def _shift_frame(h: BiPoly, e: int, q: int, lam: Fraction, m: Fraction) -> BiPoly:

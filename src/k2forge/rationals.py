@@ -16,9 +16,12 @@ needs (the "p/q" wire format, integrality tests, `lowest_terms`).
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd
 from typing import Sequence, Tuple
+
+from .errors import PreconditionError
 
 
 def rat(value, den=None) -> Fraction:
@@ -35,12 +38,17 @@ def rat(value, den=None) -> Fraction:
 
 
 def rat_str(q: Fraction) -> str:
-    """Serialize as "p" or "p/q" (never a float)."""
+    """Serialize as "p" or "p/q" (never a float); PreconditionError past
+    CPython's digit limit for integer text (`sys.get_int_max_str_digits`)."""
     if not isinstance(q, Fraction):
         q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:  # raised only where the limit, and so its getter, exists
+        raise PreconditionError("number too large to write: past CPython's limit of "
+                                f"{sys.get_int_max_str_digits()} digits for integer text") from None
 
 
 def is_integer(q: Fraction) -> bool:

@@ -355,3 +355,25 @@ def test_local_coordinates_give_the_series_val_lead(kind, data, terms, k):
     x, y = branch_at_affine(curve, p).xy(m + 1)
     ser = _eval_series(poly, x, y, m + 1)
     assert SymbolEngine(curve).val_lead(poly, p) == (ser.val, ser.leading()) == (m, ser.leading())
+
+
+def _all_pairs_edges(support):
+    """The Newton polygon's edges by their definition: every slope mu > 0
+    through two exponents, kept where the minimum of i + mu*j over the
+    support is taken at two or more values of j."""
+    slopes = {F(i2 - i1, j1 - j2) for (i1, j1) in support for (i2, j2) in support
+              if j1 != j2 and F(i2 - i1, j1 - j2) > 0}
+    edges = []
+    for mu in sorted(slopes):
+        nu = min(i + mu * j for i, j in support)
+        edge = [(i, j) for (i, j) in support if i + mu * j == nu]
+        if len({j for _, j in edge}) >= 2:
+            edges.append((mu, edge))
+    return edges
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=1, max_size=14,
+                unique=True))
+def test_polygon_hull_walk_matches_all_pairs_edges(support):
+    assert branches._polygon_edges(support) == _all_pairs_edges(support)

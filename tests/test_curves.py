@@ -536,16 +536,3 @@ def test_rational_infinity_points_match_sympy(f):
     pts, complete = PlaneCurve(f, check_squarefree=False).rational_infinity_points()
     assert len(pts) == len(expected) and set(pts) == expected
     assert complete == (sum(roots.values()) + at_y0 == d)
-
-
-@pytest.mark.parametrize("abc", ["1,2,1", "1/2,-1,0", "2,-1/3,0", "-1,1,3/2"])
-def test_swapped_quartic_model_matches_sympy(abc):
-    from k2forge.families import swapped_quartic_model
-    a, b, c = (F(v) for v in abc.split(","))
-    curve = thm53_curve(a, b, c)
-    w, z = sympy.symbols("w z")
-    s = _q(F(a) ** 2 * F(b) ** 2)
-    image = {HX: s * w, HY: s, HZ: z}
-    pulled = sympy.Poly(_hom(curve.affine).subs(image, simultaneous=True), w, z)
-    expected = pulled.as_expr() / pulled.coeff_monomial(z**3)
-    assert sympy.expand(_sym(swapped_quartic_model(curve, a, b), w, z) - expected) == 0

@@ -7,6 +7,7 @@ import pytest
 
 from k2forge import families as fam
 from k2forge.bipoly import BiPoly
+from k2forge.cli import main
 from k2forge.curves import PlaneCurve, smoothness_check
 from k2forge.errors import (NonRationalSupportError, PreconditionError,
                             SingularModelError, VerificationError)
@@ -576,3 +577,56 @@ def test_every_record_has_pass_certificates():
             for cert in elem.certificates:
                 assert cert.verdict == "PASS"
                 assert cert.product == 1
+
+
+# ---------------------------------------------------------------------------
+# each construction claim is proved once, by its block's divisor
+# ---------------------------------------------------------------------------
+
+def _wrong_contact(monkeypatch):
+    real = fam._Marks.vertical
+    monkeypatch.setattr(fam._Marks, "vertical", lambda self, name, alpha, beta, contact:
+                        real(self, name, alpha, beta, contact + 1))
+
+
+def _doubled_slope(monkeypatch):
+    real = fam._Marks.through_origin
+    monkeypatch.setattr(fam._Marks, "through_origin", lambda self, name, slope, q:
+                        real(self, name, 2 * slope, q))
+
+
+def _conic_order_7(monkeypatch):
+    real = fam._Marks.add
+    monkeypatch.setattr(fam._Marks, "add", lambda self, name, point, fn, order, line=None:
+                        real(self, name, point, fn, 7 if name == "R" else order, line))
+
+
+def _wrong_y_order(monkeypatch):
+    real = fam.TorsionFunction  # _contact_record builds only the y block
+    monkeypatch.setattr(fam, "TorsionFunction", lambda fn, plus, minus, order:
+                        real(fn, plus=plus, minus=minus, order=order + 1))
+
+
+@pytest.mark.parametrize("family, flags, mutate, element", [
+    ("hyp-odd", ["--genus", "2", "--a", "1,1/2,1/4"], _wrong_contact, "{inf,O,P1}"),
+    ("quartic-lines", ["--a", "1", "--b", "2", "--c", "1"], _wrong_contact, "{inf,O,P}"),
+    ("quartic-lines", ["--a", "1", "--b", "2", "--c", "1"], _doubled_slope, "{inf,O,Q}"),
+    ("quartic-conic", ["--d1", "1", "--d2", "2", "--d3", "1", "--d4", "1"], _conic_order_7,
+     "{inf,O,R}"),
+    ("nekovar-3tor", ["--r", "2"], _wrong_y_order, "nekovar"),
+    ("nekovar-g2", ["--r", "1/2"], _wrong_y_order, "nekovar"),
+], ids=["hyp-odd-contact", "quartic-lines-contact", "through-origin-slope",
+        "conic-order", "3tor-y-order", "g2-y-order"])
+def test_broken_construction_claim_is_a_verification_failure(
+        monkeypatch, capsys, tmp_path, family, flags, mutate, element):
+    """A mark whose claim is false (wrong contact, slope or block order)
+    fails its block's divisor check: gen exits 3 with one line naming the
+    element and writes nothing."""
+    mutate(monkeypatch)
+    out = tmp_path / "r.json"
+    code = main(["gen", family, *flags, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert err.splitlines() == [err.strip()], err
+    assert err.startswith(f"verification failure: element {element}: "), err
+    assert not out.exists()

@@ -289,6 +289,23 @@ def test_cli_plot_grid_above_the_maximum_exits_2_at_once(quartic_t0_record, tmp_
     assert "Traceback" not in done.stderr and not out.exists()
 
 
+# hyp-odd at genus 16: its two-torsion discriminant has 8,454 digits
+G16_A = "1,2,1/2,3/2,5/2,1/3,2/3,4/3,5/3,7/3,8/3,1/4,3/4,5/4,7/4,9/4,11/4"
+
+
+def test_cli_gen_past_the_digit_limit_exits_2(tmp_path):
+    """A record number past CPython's int-to-text digit limit ends `gen`
+    with exit 2 and one line naming the limit, not a traceback."""
+    out = tmp_path / "g16.json"
+    done = subprocess.run([sys.executable, "-m", "k2forge.cli", "gen", "hyp-odd", "--genus", "16",
+                           f"--a={G16_A}", "--out", str(out)],
+                          env=_package_env(), capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == ("precondition error: number too large to write: past CPython's "
+                           f"limit of {sys.get_int_max_str_digits()} digits for integer text\n")
+    assert "Traceback" not in done.stderr and not out.exists()
+
+
 def test_plot_spec_grid_bounds():
     window = (-1.0, 1.0, -1.0, 1.0)
     assert PlotSpec(window=window, grid=2048).grid == 2048
