@@ -265,7 +265,7 @@ class BiPoly:
         Shifting x by p/q uses the rows (p + q*x)^i * q^(d - i), d the
         x-degree, which are (x + p/q)^i over the common denominator q^d.
         """
-        if not self.nums:
+        if not self.nums or (x0 == 0 and y0 == 0):
             return self
         acc, den = self.nums, self.den
         for axis, a in enumerate((rat(x0), rat(y0))):

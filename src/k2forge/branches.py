@@ -16,21 +16,23 @@ truncated Laurent series with rational coefficients:
   branch"), matching the engine's rational-support contract.
 
 No expansion has a default truncation or probe: each caller asks for the
-terms it needs.  Branch indices at one projective point follow the order
-(valuation of y, valuation of x, leading coefficients).
+terms it needs.  A polynomial is evaluated on series by Horner's rule on
+integer rows over one denominator, reduced once at the end.  Branch
+indices at one projective point follow the order (valuation of y,
+valuation of x, leading coefficients).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .bipoly import BiPoly
 from .curves import CurvePoint, PlaneCurve, infinity_chart
 from .errors import (NonRationalSupportError, PreconditionError,
                      VerificationError)
-from .series import PowerSeries
+from .series import PowerSeries, mul_nums
 from .unipoly import UniPoly
 
 
@@ -89,21 +91,21 @@ def _newton_series(h: BiPoly, prec: int) -> PowerSeries:
     precision, h_v only at the old one, and g is carried from step to
     step by the Newton update g <- g * (2 - h_v * g).
     """
-    hv = h.partial("y")
-    if h(0, 0) != 0 or hv(0, 0) == 0:
+    if h.coeff(0, 0) != 0 or h.coeff(0, 1) == 0:
         raise VerificationError("internal: Newton iteration needs a regular root")
-    h_rows, hv_rows = h.rows_in("y"), hv.rows_in("y")
+    h_rows = h.rows_in("y")
+    hv_rows = [[j * c for c in r] for j, r in enumerate(h_rows)][1:]  # h_v, over h.den
     plan = []  # prec, ceil(prec/2), ... down to 2
     while prec > 1:
         plan.append(prec)
         prec = (prec + 1) // 2
     v = PowerSeries.zero(1)
-    g = PowerSeries.const(1 / hv(0, 0), 1)
+    g = PowerSeries.const(1 / h.coeff(0, 1), 1)
     for n in reversed(plan):
         k = v.prec
         if g.prec < k:
             g = _extend(g, k)
-            g = (g + g * (1 - _eval_in_t(hv_rows, hv.den, v, k) * g)).truncate(k)
+            g = (g + g * (1 - _eval_in_t(hv_rows, h.den, v, k) * g)).truncate(k)
         v = _extend(v, n)
         v = (v - _eval_in_t(h_rows, h.den, v, n) * g).truncate(n)
     return v
@@ -123,24 +125,44 @@ def _live_rows(v: PowerSeries, prec: int, pole_free: bool = True) -> Optional[in
 
 def _eval_in_t(rows: List[List[int]], den: int, v: PowerSeries, prec: int) -> PowerSeries:
     """sum_j (rows[j](t) / den) * v(t)^j truncated to prec."""
-    return _horner([PowerSeries.from_ints(0, r, den, prec)
-                    for r in rows[:_live_rows(v, prec)]], v, prec)
+    val, nums, top, k = _horner([(0, r, prec) for r in rows[:_live_rows(v, prec)]], v, prec)
+    return PowerSeries.from_ints(val, nums, den * k, top)
 
 
 def _eval_series(p: BiPoly, s: PowerSeries, v: PowerSeries, prec: int) -> PowerSeries:
     """p(s(t), v(t)) truncated to prec; the rows in v have no pole when s has none."""
     cut = _live_rows(s, prec)
-    return _horner([_horner([PowerSeries.from_ints(0, (a,), p.den, prec) for a in r[:cut]],
-                            s, prec)
-                    for r in p.rows_in("y")[:_live_rows(v, prec, s.val >= 0)]], v, prec)
+    rows = [_horner([(0, (a,), prec) for a in r[:cut]], s, prec)
+            for r in p.rows_in("y")[:_live_rows(v, prec, s.val >= 0)]]
+    # row j is over p.den * k_j, k_j a power of s.den: bring all over the largest
+    k_max = max((k for *_, k in rows), default=1)
+    val, nums, top, k = _horner([(cv, [c * (k_max // k) for c in cn], cp)
+                                 for cv, cn, cp, k in rows], v, prec)
+    return PowerSeries.from_ints(val, nums, p.den * k_max * k, top)
 
 
-def _horner(coeffs: List[PowerSeries], v: PowerSeries, prec: int) -> PowerSeries:
-    """sum_j coeffs[j] * v^j truncated to prec."""
-    acc = PowerSeries.zero(prec)
-    for c in reversed(coeffs):
-        acc = (acc * v + c).truncate(prec)
-    return acc
+def _horner(coeffs: List[Tuple[int, Sequence[int], int]], v: PowerSeries,
+            prec: int) -> Tuple[int, List[int], int, int]:
+    """sum_j c_j * v^j as (val, nums, prec, k), meaning nums / (d * k) t^val +
+    O(t^prec), where c_j = nums_j / d t^val_j + O(t^prec_j) is given as
+    (val_j, nums_j, prec_j).  Each step acc <- (acc * v + c_j).truncate(prec)
+    follows PowerSeries' rules, leading zeros stripped, without reducing."""
+    val, acc, top, k = prec, [], prec, 1  # the zero series O(t^prec)
+    for step, (cv, cn, cp) in enumerate(reversed(coeffs)):
+        if step:
+            k *= v.den  # acc * v is over d * k, so c_j is scaled by k
+        mv, mp = val + v.val, min(top + v.val, v.prec + val)
+        prod = mul_nums(acc, v.nums, mp - mv) if acc else ()
+        p2 = min(mp, cp, prec)
+        lo = min(mv, cv, p2)
+        out = [0] * (p2 - lo)
+        for i, c in enumerate(prod[:max(p2 - mv, 0)], mv - lo):
+            out[i] = c
+        for i, c in enumerate(cn[:max(p2 - cv, 0)], cv - lo):
+            out[i] += c * k
+        first = next((i for i, c in enumerate(out) if c), None)
+        val, acc, top = (p2, [], p2) if first is None else (lo + first, out[first:], p2)
+    return val, acc, top, k
 
 
 def _divide_out_x_power(p: BiPoly, k: int) -> BiPoly:
@@ -305,18 +327,19 @@ class Branch:
         return f"Branch({self.point.label()})"
 
 
-def branch_at_affine(curve: PlaneCurve, p: CurvePoint) -> Branch:
-    """Local parametrization at a smooth affine rational point."""
+def branch_at_affine(curve: PlaneCurve, p: CurvePoint, local: BiPoly = None) -> Branch:
+    """Local parametrization at a smooth affine rational point; `local`, when
+    given, is the curve shifted to p, whose constant and linear terms are
+    F(p) and the gradient."""
     if not p.is_affine:
         raise PreconditionError("branch_at_affine needs an affine point")
-    if not curve.contains(p):
+    local = curve.affine.shift(p.x, p.y) if local is None else local
+    if local.coeff(0, 0) != 0:
         raise PreconditionError("point does not lie on the curve")
-    fx, fy = curve.gradient_at(p)
-    shifted = curve.affine.shift(p.x, p.y)
-    if fy != 0:
-        return Branch(curve, p, "affine-y", (shifted, p.x, p.y))
-    if fx != 0:
-        swapped = shifted.substitute(BiPoly.y(), BiPoly.x())
+    if local.coeff(0, 1) != 0:
+        return Branch(curve, p, "affine-y", (local, p.x, p.y))
+    if local.coeff(1, 0) != 0:
+        swapped = local.substitute(BiPoly.y(), BiPoly.x())
         return Branch(curve, p, "affine-x", (swapped, p.x, p.y))
     raise PreconditionError(f"point {p.label()} is singular; no unique branch")
 

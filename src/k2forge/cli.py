@@ -19,7 +19,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from .errors import (InsufficientPrecisionError, PreconditionError, RecordFormatError,
                      VerificationError)
 from .families import GENERATORS, PARAMS, Param
-from .plotting import PlotSpec, render_record_svg
 from .rationals import rat, rat_str
 from .records import (_param_jsonable, catalog_entry_jsonable, params_hash,
                       record_from_json, record_to_json)
@@ -249,6 +248,7 @@ def cmd_plot(ns) -> int:
         window = tuple(float(x) for x in ns.window.split(","))
         if len(window) != 4:
             raise ValueError
+        from .plotting import PlotSpec, render_record_svg  # only `plot` pays for it
         spec = PlotSpec(window=window, grid=ns.grid)
         svg = render_record_svg(data, spec)
     except RecordFormatError as e:

@@ -210,11 +210,6 @@ class PlaneCurve:
             found_deg += self.degree - p.degree
         return pts, found_deg == self.degree
 
-    def gradient_at(self, p: CurvePoint) -> Tuple[Fraction, Fraction]:
-        if not p.is_affine:
-            raise PreconditionError("gradient only at affine points")
-        return (self.affine.partial("x")(p.x, p.y), self.affine.partial("y")(p.x, p.y))
-
     def canonical(self) -> str:
         return self.affine.canonical()
 

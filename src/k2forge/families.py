@@ -653,8 +653,6 @@ def gen_nekovar_2tor(r) -> CurveRecord:
     m2 = eng.intersection(data["h_line"], q2)
     if (m1, m2) != (1, 2):
         raise VerificationError(f"contact pattern ({m1},{m2}) != (1,2)")
-    if abs(q1.y) != abs(r) or abs(q2.y) != abs(r):
-        raise VerificationError("contact points do not satisfy |y| = |r|")
     roots = data["cubic"].rational_roots()
     torsion = []
     for x0, _ in roots:

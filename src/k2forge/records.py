@@ -9,7 +9,6 @@ through JSON; re-verification never trusts the stored certificate.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -378,6 +377,7 @@ def record_from_json(text: str) -> LoadedRecord:
 # ---------------------------------------------------------------------------
 
 def params_hash(family_id: str, params: Dict[str, object]) -> str:
+    import hashlib  # only the catalog path hashes
     canon = json.dumps({"family": family_id,
                         "params": {k: _param_jsonable(v) for k, v in sorted(params.items())}},
                        sort_keys=True)

@@ -24,10 +24,19 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import InsufficientPrecisionError
 from .rationals import lowest_terms, rat
+
+
+def mul_nums(a: Sequence[int], b: Sequence[int], n: int) -> List[int]:
+    """The first n coefficients of a * b, schoolbook."""
+    rb = b[::-1]
+    lb = len(rb)
+    # out[k] = sum a[i] * b[k - i], and rb[lb - 1 - k + i] is b[k - i]
+    return [sum(map(mul, a[max(0, k - lb + 1): k + 1], rb[max(lb - 1 - k, 0):]))
+            for k in range(n)]
 
 
 class PowerSeries:
@@ -127,12 +136,8 @@ class PowerSeries:
         # a zero series O(t^prec) has val = prec, so one rule covers it
         prec = min(self.prec + other.val, other.prec + self.val)
         val = self.val + other.val
-        a, rb = self.nums, other.nums[::-1]
-        lb = len(rb)
-        # schoolbook: out[k] = sum a[i] * b[k - i]; rb[lb - 1 - k + i] is b[k - i]
-        out = [sum(map(mul, a[max(0, k - lb + 1): k + 1], rb[max(lb - 1 - k, 0):]))
-               for k in range(prec - val)]
-        return PowerSeries.from_ints(val, out, self.den * other.den, prec)
+        return PowerSeries.from_ints(val, mul_nums(self.nums, other.nums, prec - val),
+                                     self.den * other.den, prec)
 
     __rmul__ = __mul__
 

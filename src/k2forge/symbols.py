@@ -16,7 +16,9 @@ series valuation (at an affine point on the local series (x - x0,
 y - y0), at infinity in the point's chart: ord g = val g_P(s, w) - deg g
 val w, Fulton, *Algebraic Curves*, chs. 3 and 7); a mismatch raises
 VerificationError, because it would mean the ord bookkeeping (and so
-the certificate) is wrong.  Each Horner pass stops at the last row that
+the certificate) is wrong.  At an affine point both run on the curve
+shifted once per point, and a factor that does not vanish there gets
+order 0 without a branch.  Each Horner pass stops at the last row that
 survives mod t^prec.
 
 An element of K2 of the function field is an integer combination of
@@ -319,6 +321,8 @@ class TorsionFunction:
 class SymbolEngine:
     """Order/tame-symbol evaluator with cached branch expansions."""
 
+    _origin = CurvePoint.affine(0, 0)
+
     def __init__(self, curve: PlaneCurve):
         self.curve = curve
         self._affine: Dict[CurvePoint, Branch] = {}
@@ -326,6 +330,7 @@ class SymbolEngine:
         self._charts: Dict[Tuple[Fraction, Fraction], tuple] = {}
         self._val_lead_cache: Dict[Tuple[BiPoly, CurvePoint], Tuple[int, Fraction]] = {}
         self._meets: Dict[tuple, Tuple[int, BiPoly]] = {}
+        self._local: Dict[CurvePoint, BiPoly] = {}
         self._zeros_cache: Dict[BiPoly, Optional[Tuple[Tuple[Fraction, Fraction], ...]]] = {}
 
     # -- branches -----------------------------------------------------
@@ -341,13 +346,19 @@ class SymbolEngine:
         if p.is_affine:
             br = self._affine.get(p)
             if br is None:
-                br = branch_at_affine(self.curve, p)
+                br = branch_at_affine(self.curve, p, self._local_curve(p))
                 self._affine[p] = br
             return br
         br = self._infinity_places().get(p)
         if br is None:
             raise PreconditionError(f"no rational branch {p.label()} on this curve")
         return br
+
+    def _local_curve(self, p: CurvePoint) -> BiPoly:
+        """The curve shifted to the affine point p, for its branch and Fulton."""
+        if p not in self._local:
+            self._local[p] = self.curve.affine.shift(p.x, p.y)
+        return self._local[p]
 
     def infinity_points(self) -> List[CurvePoint]:
         return list(self._infinity_places())
@@ -392,13 +403,13 @@ class SymbolEngine:
         return out
 
     def _val_lead_uncached(self, poly: BiPoly, p: CurvePoint) -> Tuple[int, Fraction]:
-        br = self.branch(p)
         if p.is_affine:
             c = poly(p.x, p.y)
             if c != 0:
                 return 0, c
             # the valuation is the intersection multiplicity m, so m + 1
             # terms of the local series (x - x0, y - y0) decide it
+            br = self.branch(p)
             m, local = self._meet(poly, p)
             x, y = br.xy(m + 1)
             ser = _eval_series(local, x - PowerSeries.const(p.x, x.prec),
@@ -408,6 +419,7 @@ class SymbolEngine:
         # g(x, y) = g_P(s, w) / w^deg g on the chart series (s, w), which have
         # no pole; the valuations of g_P over the places at P sum to
         # I = I_P(C, g^hom), so I + 1 terms decide each of them
+        self.branch(p)  # PreconditionError unless p is a place at infinity
         i, g_p = self._meet(poly, p)
         deg, places = poly.total_degree, self._chart_at(p)[3]
         charts = [br.chart_series(max(i, br.w_val) + 1) for br in places]
@@ -423,13 +435,16 @@ class SymbolEngine:
         return self._meet(poly, p)[0]
 
     def _meet(self, poly: BiPoly, p: CurvePoint) -> Tuple[int, BiPoly]:
-        """(I_P(C, poly), poly expanded about P): intersection_multiplicity at
-        an affine P, fulton_multiplicity in the branches' chart at infinity."""
+        """(I_P(C, poly), poly expanded about P): intersection_multiplicity of the
+        curve and poly both shifted to an affine P, fulton_multiplicity in P's chart."""
         key = (poly, p) if p.is_affine else (poly, p.x, p.y)
         if key not in self._meets:
             if p.is_affine:
                 local = poly.shift(p.x, p.y)
-                i = intersection_multiplicity(self.curve, poly, p)
+                curve = self._local_curve(p)
+                if local.coeff(0, 0) != 0 or curve.coeff(0, 0) != 0:
+                    raise PreconditionError(f"empty intersection at point {p.label()}")
+                i = intersection_multiplicity(curve, local, self._origin)
             else:
                 name, u0, chart, _ = self._chart_at(p)
                 local = poly.chart(name).shift(u0, 0)

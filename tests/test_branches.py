@@ -1,13 +1,14 @@
 """Branch expansions: valuations at infinity, residuals, rationality."""
 
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from k2forge import branches
 from k2forge.bipoly import BiPoly
-from k2forge.branches import (Branch, _eval_in_t, _eval_series, _newton_series,
+from k2forge.branches import (Branch, _eval_in_t, _eval_series, _horner, _newton_series,
                               branch_at_affine, branches_at_infinity)
 from k2forge.curves import CurvePoint, PlaneCurve, intersection_multiplicity
 from k2forge.errors import NonRationalSupportError, PreconditionError
@@ -303,6 +304,36 @@ def test_eval_series_row_cut_matches_full_horner(terms, s, v, prec):
     assert _eval_series(p, s, v, prec) == _full_eval_series(p, s, v, prec)
 
 
+def _ps(val, nums, den, prec):
+    return PowerSeries.from_ints(val, nums, den, prec)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(coeffs=st.lists(_series(st.integers(0, 10)), max_size=5), v=_series(),
+       prec=st.integers(0, 9), pad=st.integers(0, 2))
+# v of valuation 0, above 0, and with a pole (the Laurent residual_ok case)
+@example(coeffs=[_ps(0, [1, 2], 3, 6), _ps(1, [5], 1, 6)], v=_ps(0, [2, 1], 5, 6), prec=6, pad=0)
+@example(coeffs=[_ps(0, [1], 1, 6), _ps(1, [1], 1, 6)], v=_ps(1, [1], 1, 3), prec=6, pad=1)
+@example(coeffs=[_ps(0, [2, 0, 1], 1, 9), _ps(0, [1, 1], 2, 9), _ps(0, [-3], 1, 9)],
+         v=_ps(-1, [1, 0, 2], 1, 8), prec=9, pad=0)
+# zero coefficients, a zero series v, and v known to fewer terms than prec
+@example(coeffs=[_ps(0, [0, 0, 3], 1, 5), _ps(5, [], 1, 5), _ps(0, [1], 2, 5)],
+         v=_ps(1, [4], 3, 3), prec=5, pad=2)
+@example(coeffs=[_ps(0, [1, 2], 1, 5), _ps(0, [3], 1, 5)], v=_ps(4, [], 1, 4), prec=5, pad=0)
+# prec at or below the valuations of v and of the coefficients
+@example(coeffs=[_ps(3, [1, 1], 2, 9), _ps(4, [1], 1, 9)], v=_ps(3, [1], 1, 8), prec=3, pad=0)
+@example(coeffs=[], v=_ps(1, [1], 1, 5), prec=2, pad=0)
+def test_integer_horner_matches_per_step_power_series(coeffs, v, prec, pad):
+    """The integer Horner gives the PowerSeries steps (acc * v + c).truncate(prec)
+    to the last bit: value, valuation and precision, also when a row starts
+    with `pad` zeros, as integer rows do."""
+    den = lcm(1, *(c.den for c in coeffs))
+    rows = [(c.val - pad, [0] * pad + [n * (den // c.den) for n in c.nums], c.prec)
+            for c in coeffs]
+    val, nums, top, k = _horner(rows, v, prec)
+    assert PowerSeries.from_ints(val, nums, den * k, top) == _full_horner(coeffs, v, prec)
+
+
 def test_residual_with_laurent_coordinates_is_not_cut():
     """residual_ok at infinity evaluates on Laurent (x, y), x with a pole."""
     c = PlaneCurve(BiPoly.parse("x*y^2 - x^2*y + y + 1"))
@@ -315,6 +346,10 @@ def test_residual_with_laurent_coordinates_is_not_cut():
         assert got == _full_eval_series(c.affine, x, y, n) and got.is_zero()
 
 
+def _gradient(c, p):
+    return c.affine.partial("x")(p.x, p.y), c.affine.partial("y")(p.x, p.y)
+
+
 def _smooth_affine_points():
     """(curve, point) for the smooth affine points of the plan curves with
     a small x, sorted by branch kind."""
@@ -324,7 +359,7 @@ def _smooth_affine_points():
         for x0 in xs:
             for y0, _ in c.affine.eval_x(x0).rational_roots():
                 p = CurvePoint.affine(x0, y0)
-                if c.gradient_at(p) != (0, 0):
+                if _gradient(c, p) != (0, 0):
                     out[branch_at_affine(c, p)._kind].append((c, p))
     return out
 
@@ -345,7 +380,7 @@ def test_local_coordinates_give_the_series_val_lead(kind, data, terms, k):
     that must give what the factor itself gives on (x, y), also where the
     expansion changes the denominator.  Tangent powers raise the order."""
     curve, p = data.draw(st.sampled_from(SMOOTH_POINTS[kind]))
-    fx, fy = curve.gradient_at(p)
+    fx, fy = _gradient(curve, p)
     tangent = BiPoly({(1, 0): fx, (0, 1): fy, (0, 0): -fx * p.x - fy * p.y})
     poly = BiPoly(terms) * tangent**k
     poly = poly - BiPoly.const(poly(p.x, p.y))

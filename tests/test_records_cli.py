@@ -91,6 +91,16 @@ def test_cli_runs_without_numpy(tmp_path):
     assert ">O</text>" in svg.read_text()
 
 
+def test_importing_the_cli_leaves_plotting_and_hashlib_unloaded():
+    """Only `plot` needs the plotting module and only the catalog hashes,
+    so neither is paid for at start-up."""
+    script = ("import sys, k2forge.cli\n"
+              "print(sorted({'k2forge.plotting', 'hashlib'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", script], env=_package_env(),
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("genus", [-1, 0])
 def test_cli_gen_hyperelliptic_genus_below_one_exits_2(genus):
     """Each hyperelliptic family refuses genus < 1 with one line; hyp-even

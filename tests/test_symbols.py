@@ -473,3 +473,80 @@ def test_a_wrong_stored_intersection_number_is_caught(monkeypatch):
     monkeypatch.setattr(SymbolEngine, "_meet", bumped)
     with pytest.raises(VerificationError, match=r"ord bookkeeping wrong at \(0, 0\)"):
         gen_hyp_odd(4, [1, F(-1, 2), F(3, 4), F(-1, 3), F(4, 3)])
+
+
+G7 = ["gen", "hyp-odd", "--genus", "7", "--a=1,-1/2,3/4,-1/3,4/3,2/5,-3/2,5/3"]
+
+
+def test_gen_hyp_odd_shifts_the_curve_once_per_affine_point(monkeypatch, tmp_path):
+    """The branch's Newton equation and Fulton's reduction start from one
+    shifted curve: the g=7 record has 8 affine points."""
+    shifts = []
+    real = BiPoly.shift
+
+    def counting(self, x0, y0):
+        if self.total_degree == 15 and (x0, y0) != (0, 0):
+            shifts.append((x0, y0))
+        return real(self, x0, y0)
+
+    monkeypatch.setattr(BiPoly, "shift", counting)
+    assert main(G7 + ["--out", str(tmp_path / "g7.json")]) == 0
+    assert 0 < len(shifts) <= 8
+    assert len(shifts) == len(set(shifts))
+
+
+def test_shift_by_zero_is_the_polynomial_itself():
+    p = BiPoly.parse("x^2*y - 3*x + 1/2")
+    assert p.shift(0, 0) is p
+    assert p.shift(0, 1) == p.substitute(BiPoly.x(), BiPoly.y() + BiPoly.const(1))
+
+
+def test_a_factor_that_does_not_vanish_builds_no_branch(quartic, monkeypatch):
+    """ord 0 and the value come from poly(P) alone."""
+    curve, eng, pts = quartic
+    built = []
+    real = symbols.branch_at_affine
+
+    def recording(c, p, local=None):
+        built.append(p)
+        return real(c, p, local)
+
+    monkeypatch.setattr(symbols, "branch_at_affine", recording)
+    eng = SymbolEngine(curve)
+    p = pts["P"]
+    poly = BiPoly.x() - BiPoly.const(1)
+    assert eng.val_lead(poly, p) == (0, p.x - 1)
+    assert built == [] and p not in eng._affine
+    assert eng.val_lead(BiPoly.x() - BiPoly.const(p.x), p)[0] > 0
+    assert built == [p]
+
+
+# a node at (2, 1), whose branches have tangents y - 1 = +-(x - 2), and a
+# cusp at (-1, 1/2)
+_X, _Y, _C = BiPoly.x(), BiPoly.y(), BiPoly.const
+_U, _V, _W = _X - _C(2), _Y - _C(1), _Y - _C(F(1, 2))
+NODE = PlaneCurve(_V**2 - _U**2 - _U**3)
+CUSP = PlaneCurve(_W**2 - (_X + _C(1))**3)
+
+
+@pytest.mark.parametrize("curve, point, polys", [
+    (NODE, CurvePoint.affine(2, 1), [_U, _V, _V - _U, _V + _U, (_V - _U) * _V, _V**2 - _U**2]),
+    (CUSP, CurvePoint.affine(-1, F(1, 2)), [_X + _C(1), _W, _W * 2 - _X - _C(1),
+                                            CUSP.affine + (_X + _C(F(1, 2))) * _W]),
+])
+def test_engine_intersection_at_a_singular_point(curve, point, polys):
+    """No branch exists there, and the engine's number is still Fulton's."""
+    eng = SymbolEngine(curve)
+    with pytest.raises(PreconditionError, match="singular"):
+        eng.branch(point)
+    for poly in polys:
+        assert eng.intersection(poly, point) == curves.intersection_multiplicity(curve, poly, point)
+
+
+def test_engine_intersection_off_the_curve_names_the_point():
+    eng = SymbolEngine(NODE)
+    off, on = CurvePoint.affine(3, F(-1, 2)), CurvePoint.affine(2, 1)
+    with pytest.raises(PreconditionError, match=r"empty intersection at point \(3, -1/2\)"):
+        eng.intersection(_Y * 2 + _C(1), off)
+    with pytest.raises(PreconditionError, match=r"empty intersection at point \(2, 1\)"):
+        eng.intersection(_X + _Y, on)
