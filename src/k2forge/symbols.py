@@ -17,9 +17,9 @@ y - y0), at infinity in the point's chart: ord g = val g_P(s, w) - deg g
 val w, Fulton, *Algebraic Curves*, chs. 3 and 7); a mismatch raises
 VerificationError, because it would mean the ord bookkeeping (and so
 the certificate) is wrong.  At an affine point both run on the curve
-shifted once per point, and a factor that does not vanish there gets
-order 0 without a branch.  Each Horner pass stops at the last row that
-survives mod t^prec.
+shifted once per point, and a factor nonzero at a point of the curve
+gets order 0 without a branch.  Each Horner pass stops at the last
+row that survives mod t^prec.
 
 An element of K2 of the function field is an integer combination of
 symbol pairs; `verify_k2t` certifies membership in the tame kernel over
@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .bipoly import BiPoly
 from .branches import (Branch, _eval_series, branch_at_affine,
@@ -331,6 +331,7 @@ class SymbolEngine:
         self._val_lead_cache: Dict[Tuple[BiPoly, CurvePoint], Tuple[int, Fraction]] = {}
         self._meets: Dict[tuple, Tuple[int, BiPoly]] = {}
         self._local: Dict[CurvePoint, BiPoly] = {}
+        self._on_curve: Set[CurvePoint] = set()  # affine points found on the curve
         self._zeros_cache: Dict[BiPoly, Optional[Tuple[Tuple[Fraction, Fraction], ...]]] = {}
 
     # -- branches -----------------------------------------------------
@@ -404,6 +405,9 @@ class SymbolEngine:
 
     def _val_lead_uncached(self, poly: BiPoly, p: CurvePoint) -> Tuple[int, Fraction]:
         if p.is_affine:
+            if p not in self._on_curve and not self.curve.contains(p):  # no branch needed to refuse p
+                raise PreconditionError("point does not lie on the curve")
+            self._on_curve.add(p)
             c = poly(p.x, p.y)
             if c != 0:
                 return 0, c

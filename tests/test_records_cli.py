@@ -670,7 +670,8 @@ def family_records(tmp_path_factory) -> dict:
     return texts
 
 
-MUTATIONS = ["drop", "duplicate", "swap", "empty", "negate", "perturb", "inflate", "move"]
+MUTATIONS = ["drop", "duplicate", "swap", "empty", "negate", "perturb", "inflate", "move",
+             "offsupport"]
 
 
 def _mutate(data: dict, kind: str, draw) -> bool:
@@ -707,6 +708,12 @@ def _mutate(data: dict, kind: str, draw) -> bool:
                                        for fd in pd[f]["factors"]]))
         factor["exp"] = draw(st.sampled_from([-1, 1])) * (
             records.RECORD_LIMIT + draw(st.integers(1, 10**12)))
+        return True
+    elif kind == "offsupport":  # add an affine support point off the curve
+        curve = BiPoly.parse(data["curve"]["affine"])
+        x, y = (draw(st.fractions(-3, 3, max_denominator=4)) for _ in "xy")
+        y = next(y + s for s in range(4) if curve(x, y + s) != 0)
+        support.insert(j, {"kind": "affine", "x": rat_str(x), "y": rat_str(y)})
         return True
     else:  # move a marked point off the curve
         name = draw(st.sampled_from(sorted(n for n, p in data["points"].items()

@@ -550,3 +550,24 @@ def test_engine_intersection_off_the_curve_names_the_point():
         eng.intersection(_Y * 2 + _C(1), off)
     with pytest.raises(PreconditionError, match=r"empty intersection at point \(2, 1\)"):
         eng.intersection(_X + _Y, on)
+
+
+def test_val_lead_refuses_an_off_curve_point_where_the_factor_does_not_vanish():
+    """Order 0 needs no branch, but the point must still lie on the curve,
+    as it must where the factor vanishes."""
+    eng = SymbolEngine(NODE)
+    off, poly = CurvePoint.affine(3, F(-1, 2)), _X + _Y + _C(7)
+    assert poly(off.x, off.y) != 0
+    for _ in range(2):  # the check is not skipped once it has run
+        with pytest.raises(PreconditionError, match="does not lie on the curve"):
+            eng.val_lead(poly, off)
+    assert not eng._affine
+
+
+def test_val_lead_at_a_singular_point_needs_a_branch_only_where_the_factor_vanishes():
+    """A factor nonzero at the node is a unit there, of order 0 at every
+    place over it; one that vanishes needs the branch, which does not exist."""
+    eng, node = SymbolEngine(NODE), CurvePoint.affine(2, 1)
+    assert eng.val_lead(_X + _Y + _C(7), node) == (0, 10)
+    with pytest.raises(PreconditionError, match=r"point \(2, 1\) is singular"):
+        eng.val_lead(_U, node)
