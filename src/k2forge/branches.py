@@ -262,13 +262,15 @@ def _shift_frame(h: BiPoly, e: int, q: int, lam: Fraction, m: Fraction) -> BiPol
 class Branch:
     """Parametrized place of a plane curve with exact series coordinates."""
 
-    def __init__(self, curve: PlaneCurve, point: CurvePoint, kind: str, data):
+    def __init__(self, curve: PlaneCurve, point: CurvePoint, kind: str, data,
+                 chart: Optional[Tuple[str, Fraction, BiPoly]] = None):
         self.curve = curve
         self.point = point
         self._kind = kind  # "affine-y" | "affine-x" | "inf-Y" | "inf-X"
         self._data = data
+        self.chart = chart  # at infinity: (name, u0, shifted chart polynomial)
         self._cached: Optional[Tuple[PowerSeries, PowerSeries]] = None
-        self._chart: Optional[Tuple[PowerSeries, PowerSeries]] = None
+        self._sw: Optional[Tuple[PowerSeries, PowerSeries]] = None
 
     @property
     def w_val(self) -> int:
@@ -278,9 +280,9 @@ class Branch:
     def chart_series(self, prec: int) -> Tuple[PowerSeries, PowerSeries]:
         """At a place at infinity: (s, w) with chart point (u0 + s, w), both
         known mod t^prec at least and without poles; kept, extended on demand."""
-        if self._chart is None or self._chart[1].prec < prec:
-            self._chart = self._data[0].sv_series(prec)
-        return self._chart
+        if self._sw is None or self._sw[1].prec < prec:
+            self._sw = self._data[0].sv_series(prec)
+        return self._sw
 
     def xy(self, prec: int) -> Tuple[PowerSeries, PowerSeries]:
         """Affine coordinate series (x(t), y(t)), both known mod t^prec at least."""
@@ -357,8 +359,9 @@ def branches_at_infinity(curve: PlaneCurve) -> List[Branch]:
     out: List[Branch] = []
     for (X, Y) in pts:
         # chart Y has variables (u, w) = (X/Y, Z/Y), chart X (v, w) = (Y/X, Z/X)
-        name, u0, shifted = infinity_chart(curve.affine, X, Y)
-        brs = [Branch(curve, CurvePoint.at_infinity(X, Y, 0), "inf-" + name, (pl, u0))
+        chart = infinity_chart(curve.affine, X, Y)
+        name, u0, shifted = chart
+        brs = [Branch(curve, CurvePoint.at_infinity(X, Y, 0), "inf-" + name, (pl, u0), chart)
                for pl in _polygon_places(shifted)]
         if len(brs) > 1:
             brs.sort(key=Branch._order_key)

@@ -33,8 +33,8 @@ from .errors import (NonRationalSupportError, PreconditionError,
 from .linalg import vandermonde_solve
 from .rationals import is_integer, rat, rat_str
 from .records import RECORD_LIMIT, CurveRecord, NamedElement
-from .symbols import (FnElt, K2Element, SymbolEngine, TorsionFunction,
-                      construction_torsion, nekovar_element, verify_k2t)
+from .symbols import (FnElt, SymbolEngine, TorsionFunction, construction_torsion,
+                      nekovar_element, verify_k2t)
 from .unipoly import UniPoly
 
 
@@ -198,15 +198,12 @@ class _Marks:
 def _hyp_record(family_id: str, params: dict, g: int, d: int, f1: UniPoly,
                 marked: List[Tuple[Fraction, Fraction]],
                 notes: Sequence[str] = ()) -> CurveRecord:
-    """Common path: model, elements, flags.  The divisor of each block
-    x - alpha, 2(alpha, beta) - 2(inf), proves the vertical tangent and
-    the one place at infinity (a second would hold stray poles)."""
+    """Common path: model and extras first, so that a number past the digit
+    limit refuses before any symbol work, then elements and flags.  The
+    divisor of each block x - alpha, 2(alpha, beta) - 2(inf), proves the
+    vertical tangent and the one place at infinity (a second would hold
+    stray poles)."""
     curve, tpoly, disc = hyperelliptic_curve(g, d, f1)
-    marks = _Marks(curve, SymbolEngine(curve))
-    for i, (alpha, beta) in enumerate(marked, start=1):
-        marks.vertical(f"P{i}", alpha, beta, 2)
-    for i in range(1, len(marked) + 1):
-        marks.element("O", f"P{i}")
     model = {
         "type": "hyperelliptic",
         "genus": g,
@@ -223,9 +220,13 @@ def _hyp_record(family_id: str, params: dict, g: int, d: int, f1: UniPoly,
             "first_factor": [rat_str(c) for c in first.coeffs],
             "second_factor": [rat_str(c) for c in second.coeffs],
         }
-    rec = marks.record(family_id, params, model, notes=list(notes), extras=extras)
-    _attach_integral_model(rec, g, d, f1)
-    return rec
+    extras["integral_model"] = _integral_model(d, f1)
+    marks = _Marks(curve, SymbolEngine(curve))
+    for i, (alpha, beta) in enumerate(marked, start=1):
+        marks.vertical(f"P{i}", alpha, beta, 2)
+    for i in range(1, len(marked) + 1):
+        marks.element("O", f"P{i}")
+    return marks.record(family_id, params, model, notes=list(notes), extras=extras)
 
 
 def _t_split(f1: UniPoly, g: int) -> Tuple[UniPoly, UniPoly]:
@@ -428,18 +429,23 @@ def gen_quartic_lines(a, b, c) -> CurveRecord:
         raise PreconditionError("a and b must be nonzero")
     if a == b:
         raise PreconditionError("parameters must satisfy a != b")
-    factors = disc_thm53_factors(a, b, c)
-    printed = disc_thm53_printed(a, b, c)
+    return _lines_record("quartic-lines", {"a": a, "b": b, "c": c}, a, b, c,
+                         {"disc_printed": rat_str(disc_thm53_printed(a, b, c))})
+
+
+def _lines_record(family_id: str, params: dict, a: Fraction, b: Fraction, c: Fraction,
+                  extras: dict) -> CurveRecord:
+    """The line construction on the quartic of (a, b, c): marks, elements, record."""
     f1, f2 = _thm53_polys(a, b, c)
+    vanished = [n for n, v in disc_thm53_factors(a, b, c) if v == 0]
     try:
         curve = quartic_curve(f1, f2)
     except SingularModelError:
-        vanished = [n for n, v in factors if v == 0]
         raise SingularModelError(
             "singular member: " + (f"factor {vanished[0]} vanishes" if vanished
                                    else "smoothness check failed"),
             vanished=vanished[0] if vanished else None)
-    if printed == 0:
+    if vanished:
         # the printed product must agree with the smoothness verdict
         raise VerificationError(
             "printed discriminant vanishes on a smooth member: cross-check failed")
@@ -458,10 +464,10 @@ def gen_quartic_lines(a, b, c) -> CurveRecord:
         notes.append("the published c=0 list names one further element with an "
                      "ambiguous first entry; it is omitted here and logged")
     return marks.record(
-        "quartic-lines", {"a": a, "b": b, "c": c},
+        family_id, params,
         {"type": "quartic", "f1": [rat_str(x) for x in f1.coeffs],
          "f2": [rat_str(x) for x in f2.coeffs]},
-        notes=notes, extras={"disc_printed": rat_str(printed)})
+        notes=notes, extras=extras)
 
 
 def ct_equation(t) -> BiPoly:
@@ -472,7 +478,8 @@ def ct_equation(t) -> BiPoly:
 
 
 def gen_quartic_ct(t) -> CurveRecord:
-    """The integral one-parameter family specializing the line construction."""
+    """The integral one-parameter family: the line construction at
+    (a, b, c) = (-1/2, 1, t)."""
     t = rat(t)
     if t in (Fraction(1), Fraction(-3), Fraction(-5, 2), Fraction(-7, 2)):
         raise SingularModelError(
@@ -484,13 +491,8 @@ def gen_quartic_ct(t) -> CurveRecord:
     if ct_equation(t) != _quartic_poly(*_thm53_polys(Fraction(-1, 2), Fraction(1), t)):
         raise VerificationError(
             "printed C_t equation disagrees with the line-family specialization")
-    rec = gen_quartic_lines(Fraction(-1, 2), Fraction(1), t)
-    rec.family_id = "quartic-ct"
-    rec.params = {"t": t}
-    rec.extras["disc_printed"] = rat_str(printed)
-    rec.extras["i3"] = rat_str(i3_ct_printed(t))
-    rec.integrality_flags = integrality_flags(rec)
-    return rec
+    return _lines_record("quartic-ct", {"t": t}, Fraction(-1, 2), Fraction(1), t,
+                         {"disc_printed": rat_str(printed), "i3": rat_str(i3_ct_printed(t))})
 
 
 # ---------------------------------------------------------------------------
@@ -667,13 +669,8 @@ def gen_nekovar_2tor(r) -> CurveRecord:
             details={"h_pattern": [m1, m2], "rational_roots": [str(x) for x, _ in roots],
                      "cubic": [rat_str(c) for c in data["cubic"].coeffs]})
     # the full element; unreachable over Q if the docstring's assertion holds
-    elem, info = nekovar_element(curve, BiPoly.y(), data["h_line"], torsion,
-                                 kappa=r, engine=eng)
-    cert = verify_k2t(curve, elem, engine=eng)
-    if not cert.passed:
-        raise VerificationError("combination element failed tame verification")
-    return _nekovar_record("nekovar-2tor", {"r": r}, curve, eng, elem, info, cert,
-                           {"Q1": q1, "Q2": q2}, data["h_line"])
+    return _nekovar_record("nekovar-2tor", r, curve, eng, data["h_line"], torsion,
+                           [1, 2], {"Q1": q1, "Q2": q2})
 
 
 def nekovar_3tor_curve(r) -> Tuple[PlaneCurve, BiPoly]:
@@ -740,24 +737,27 @@ def _contact_record(family_id: str, r: Fraction, curve: PlaneCurve, h_line: BiPo
     # with several places at infinity the poles of y split over them
     minus = eng.infinity_points()[0] if places == 1 else None
     tf = TorsionFunction(y_fn, plus=O, minus=minus, order=d)
+    return _nekovar_record(family_id, r, curve, eng, h_line, [tf], h_pattern,
+                           {"O": O, "Q1": q1, "Q2": q2}, model, h_scale)
+
+
+def _nekovar_record(family_id: str, r: Fraction, curve: PlaneCurve, eng: SymbolEngine,
+                    h_line: BiPoly, torsion: List[TorsionFunction], h_pattern: List[int],
+                    named_points: dict, model: Optional[dict] = None,
+                    h_scale: Fraction = Fraction(1)) -> CurveRecord:
+    """The tail of the contact families: the element on G = {y = 0} and H =
+    h_line with kappa = r from the torsion blocks on G, its H-contact
+    pattern, its certificate and the record."""
     try:
-        elem, info = nekovar_element(curve, BiPoly.y(), h_line, [tf],
+        elem, info = nekovar_element(curve, BiPoly.y(), h_line, torsion,
                                      kappa=r, h_scale=h_scale, engine=eng)
-    except PreconditionError as e:  # the y block, or a contact hypothesis, fails
+    except PreconditionError as e:  # a block, or a contact hypothesis, fails
         raise VerificationError(f"element nekovar: {e}") from e
     if info["h_pattern"] != h_pattern:
         raise VerificationError(f"contact pattern {info['h_pattern']} != {h_pattern}")
     cert = verify_k2t(curve, elem, engine=eng)
     if not cert.passed:
         raise VerificationError("combination element failed tame verification")
-    return _nekovar_record(family_id, {"r": r}, curve, eng, elem, info, cert,
-                           {"O": O, "Q1": q1, "Q2": q2}, h_line, model)
-
-
-def _nekovar_record(family_id: str, params: dict, curve: PlaneCurve,
-                    eng: SymbolEngine, elem: K2Element, info: dict,
-                    cert, named_points: dict, h_line: BiPoly,
-                    model: Optional[dict] = None) -> CurveRecord:
     points = dict(named_points)
     for p in eng.infinity_points():
         points[f"inf{p.branch}" if len(eng.infinity_points()) > 1 else "inf"] = p
@@ -768,7 +768,7 @@ def _nekovar_record(family_id: str, params: dict, curve: PlaneCurve,
               "kappa": info["kappa"],
               "h_pattern": info["h_pattern"]})
     return CurveRecord(
-        family_id=family_id, params=params, curve=curve,
+        family_id=family_id, params={"r": r}, curve=curve,
         model=model or {"type": family_id},
         points=points, elements=[named],
         aux_lines=[{"label": "H", "coeffs": _line_coeffs(h_line)},
@@ -828,17 +828,17 @@ def integrality_flags(rec: CurveRecord) -> List[dict]:
     return flags
 
 
-def _attach_integral_model(rec: CurveRecord, g: int, d: int, f1: UniPoly) -> None:
-    """Store the rescaled integral model used by the integrality criterion.
+def _integral_model(d: int, f1: UniPoly) -> dict:
+    """The rescaled integral model used by the integrality criterion.
 
     (x, y) -> (x/v^2, y/v^d) turns f1 into v^d f1(x/v^2) with coefficients
-    b_j v^(d-2j); v = lcm of the coefficient denominators clears them all.
+    b_j v^(d-2j); v = lcm of the coefficient denominators clears them all,
+    since d - 2j >= 1 wherever b_j may be fractional (the even model's
+    x^(g+1) coefficient is 2).
     """
     v = f1.den
     scaled = UniPoly([c * Fraction(v)**(d - 2 * j) for j, c in enumerate(f1.coeffs)])
-    if scaled.den != 1:
-        raise VerificationError("integral rescaling failed to clear denominators")
-    rec.extras["integral_model"] = {
+    return {
         "v": str(v),
         "f1": [rat_str(c) for c in scaled.coeffs],
         "map": "(x, y) -> (x/v^2, y/v^d)",

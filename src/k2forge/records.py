@@ -295,7 +295,6 @@ class LoadedRecord:
     curve: PlaneCurve
     points: Dict[str, CurvePoint]
     elements: List[LoadedElement]
-    raw: dict
 
 
 class _Memo(dict):
@@ -369,7 +368,7 @@ def record_from_json(text: str) -> LoadedRecord:
             symbols.append(K2Element(pairs, support, name=name))
         verdicts = [json_field(cd, "verdict", str) for cd in json_field(ed, "certificates", list)]
         elements.append(LoadedElement(name, json_field(ed, "kind", str), symbols, verdicts))
-    return LoadedRecord(json_field(data, "family_id", str), curve, points, elements, data)
+    return LoadedRecord(json_field(data, "family_id", str), curve, points, elements)
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,10 @@ ratio of leading series coefficients, taken only for a function whose
 partner's order is nonzero.
 
 Orders of vanishing are computed twice on purpose: through the
-intersection-multiplicity reduction, which the engine keeps once per
-(factor, point) for the families' contact checks too, and through the
-series valuation (at an affine point on the local series (x - x0,
-y - y0), at infinity in the point's chart: ord g = val g_P(s, w) - deg g
-val w, Fulton, *Algebraic Curves*, chs. 3 and 7); a mismatch raises
+intersection-multiplicity reduction and through the series valuation
+(at an affine point on the local series (x - x0, y - y0), at infinity
+in the chart its places keep: ord g = val g_P(s, w) - deg g val w,
+Fulton, *Algebraic Curves*, chs. 3 and 7); a mismatch raises
 VerificationError, because it would mean the ord bookkeeping (and so
 the certificate) is wrong.  At an affine point both run on the curve
 shifted once per point, and a factor nonzero at a point of the curve
@@ -327,9 +326,7 @@ class SymbolEngine:
         self.curve = curve
         self._affine: Dict[CurvePoint, Branch] = {}
         self._infinity: Optional[Dict[CurvePoint, Branch]] = None
-        self._charts: Dict[Tuple[Fraction, Fraction], tuple] = {}
         self._val_lead_cache: Dict[Tuple[BiPoly, CurvePoint], Tuple[int, Fraction]] = {}
-        self._meets: Dict[tuple, Tuple[int, BiPoly]] = {}
         self._local: Dict[CurvePoint, BiPoly] = {}
         self._on_curve: Set[CurvePoint] = set()  # affine points found on the curve
         self._zeros_cache: Dict[BiPoly, Optional[Tuple[Tuple[Fraction, Fraction], ...]]] = {}
@@ -364,16 +361,9 @@ class SymbolEngine:
     def infinity_points(self) -> List[CurvePoint]:
         return list(self._infinity_places())
 
-    def _chart_at(self, p: CurvePoint) -> Tuple[str, Fraction, BiPoly, List[Branch]]:
-        """Chart name, u0, the curve's shifted chart polynomial (infinity_chart)
-        and the places over p's projective point, once per point."""
-        key = (p.x, p.y)
-        hit = self._charts.get(key)
-        if hit is None:
-            name, u0, local = infinity_chart(self.curve.affine, p.x, p.y)
-            places = [b for q, b in self._infinity_places().items() if (q.x, q.y) == key]
-            hit = self._charts[key] = (name, u0, local, places)
-        return hit
+    def _places_over(self, p: CurvePoint) -> List[Branch]:
+        """The places at infinity over p's projective point."""
+        return [b for q, b in self._infinity_places().items() if (q.x, q.y) == (p.x, p.y)]
 
     # -- rational intersection with the curve ---------------------------
     def affine_zeros(self, poly: BiPoly) -> Optional[Tuple[Tuple[Fraction, Fraction], ...]]:
@@ -425,7 +415,7 @@ class SymbolEngine:
         # I = I_P(C, g^hom), so I + 1 terms decide each of them
         self.branch(p)  # PreconditionError unless p is a place at infinity
         i, g_p = self._meet(poly, p)
-        deg, places = poly.total_degree, self._chart_at(p)[3]
+        deg, places = poly.total_degree, self._places_over(p)
         charts = [br.chart_series(max(i, br.w_val) + 1) for br in places]
         sers = [_eval_series(g_p, s, w, i + 1) for s, w in charts]
         _two_routes_agree(p, i, sers)
@@ -435,27 +425,27 @@ class SymbolEngine:
         return self._val_lead_cache[(poly, p)]
 
     def intersection(self, poly: BiPoly, p: CurvePoint) -> int:
-        """I_P(C, poly) at p, or at p's projective point; reduced once each."""
+        """I_P(C, poly) at p, or at p's projective point."""
         return self._meet(poly, p)[0]
 
-    def _meet(self, poly: BiPoly, p: CurvePoint) -> Tuple[int, BiPoly]:
+    def _meet(self, poly: BiPoly, p: CurvePoint) -> Tuple[int, Optional[BiPoly]]:
         """(I_P(C, poly), poly expanded about P): intersection_multiplicity of the
-        curve and poly both shifted to an affine P, fulton_multiplicity in P's chart."""
-        key = (poly, p) if p.is_affine else (poly, p.x, p.y)
-        if key not in self._meets:
-            if p.is_affine:
-                local = poly.shift(p.x, p.y)
-                curve = self._local_curve(p)
-                if local.coeff(0, 0) != 0 or curve.coeff(0, 0) != 0:
-                    raise PreconditionError(f"empty intersection at point {p.label()}")
-                i = intersection_multiplicity(curve, local, self._origin)
-            else:
-                name, u0, chart, _ = self._chart_at(p)
-                local = poly.chart(name).shift(u0, 0)
-                i = (fulton_multiplicity(chart, local, self.curve.degree * poly.total_degree)
-                     if local.coeff(0, 0) == 0 else 0)
-            self._meets[key] = (i, local)
-        return self._meets[key]
+        curve and poly both shifted to an affine P, fulton_multiplicity in the
+        chart its places at infinity keep (I = 0 and no expansion without one)."""
+        if p.is_affine:
+            local = poly.shift(p.x, p.y)
+            curve = self._local_curve(p)
+            if local.coeff(0, 0) != 0 or curve.coeff(0, 0) != 0:
+                raise PreconditionError(f"empty intersection at point {p.label()}")
+            return intersection_multiplicity(curve, local, self._origin), local
+        places = self._places_over(p)
+        if not places:  # off the curve: each rational point on it has a place
+            return 0, None
+        name, u0, chart = places[0].chart
+        local = poly.chart(name).shift(u0, 0)
+        i = (fulton_multiplicity(chart, local, self.curve.degree * poly.total_degree)
+             if local.coeff(0, 0) == 0 else 0)
+        return i, local
 
     # -- orders ----------------------------------------------------------
     def ord_poly(self, poly: BiPoly, p: CurvePoint) -> int:
@@ -475,15 +465,6 @@ class SymbolEngine:
 
     def value(self, f: FnElt, p: CurvePoint) -> Fraction:
         """Value of f at p; requires ord_p(f) = 0 (unit)."""
-        if p.is_affine:
-            fast = f.scalar
-            for poly, e in f.factors:
-                v = poly(p.x, p.y)
-                if v == 0:
-                    break
-                fast *= v**e
-            else:
-                return fast
         v, lead = self.fn_val_lead(f, p)
         if v != 0:
             raise PreconditionError(f"function is not a unit at {p.label()}")

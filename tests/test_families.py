@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from k2forge import families as fam
 from k2forge.bipoly import BiPoly
@@ -172,6 +173,46 @@ def test_integrality_flag_negative_case():
     assert sats == [True, False]  # 1/(3/2) is not an integer
 
 
+_RAT = st.builds(F, st.integers(-6, 6).filter(bool), st.integers(1, 6))
+
+
+@st.composite
+def _hyp_args(draw):
+    """(family, generator arguments) for a small hyperelliptic member."""
+    family = draw(st.sampled_from(["hyp-odd", "hyp-even", "hyp-partial"]))
+    g = draw(st.integers(1, 2))
+    if family == "hyp-partial":
+        d = draw(st.sampled_from([2 * g + 1, 2 * g + 2]))
+        m = draw(st.integers(0, g + 1))
+        cons = draw(st.lists(st.tuples(_RAT, st.sampled_from([1, -1])), min_size=m, max_size=m))
+        return family, (g, d, cons, draw(st.lists(_RAT, min_size=g + 1 - m, max_size=g + 1 - m)))
+    a = draw(st.lists(_RAT, min_size=g + 1, max_size=g + 1))
+    if family == "hyp-odd":
+        return family, (g, a)
+    return family, (g, a, draw(st.lists(st.sampled_from([1, -1]), min_size=g + 1,
+                                        max_size=g + 1)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_hyp_args())
+def test_integral_model_is_the_stored_rescaling(args):
+    """extras.integral_model holds integers v and F1 = v^d f1(x/v^2): the
+    map (x, y) -> (x/v^2, y/v^d) carries the stored curve to
+    y^2 + F1*y + x^d, up to the factor v^(-2d)."""
+    family, params = args
+    try:
+        rec = fam.GENERATORS[family](*params)
+    except PreconditionError:  # singular members and bad parameter sets
+        assume(False)
+    stored = rec.extras["integral_model"]
+    v, f1_int = F(stored["v"]), [F(c) for c in stored["f1"]]
+    assert v.denominator == 1 and v >= 1
+    assert all(c.denominator == 1 for c in f1_int)
+    d, x, y = rec.model["d"], BiPoly.x(), BiPoly.y()
+    mapped = rec.curve.affine.substitute(x * (1 / v**2), y * (1 / v**d)) * v**(2 * d)
+    assert mapped == y**2 + BiPoly.from_unipoly(UniPoly(f1_int)) * y + x**d
+
+
 def test_hyp_tangency_identity_random_100():
     done = 0
     while done < 100:
@@ -255,6 +296,19 @@ def test_quartic_ct_reference_values():
     assert F(rec.extras["i3"]) == F(-15, 128)
     assert rec.points["P"].x == F(-1, 8) and rec.points["P"].y == F(-1, 16)
     assert rec.points["Q"].x == F(-1, 4) and rec.points["Q"].y == F(-1, 4)
+
+
+def test_quartic_ct_is_a_parameter_map_onto_the_line_construction(monkeypatch):
+    """quartic-ct runs the line construction at (-1/2, 1, t) under its own
+    family id: no quartic-lines record is built and then patched."""
+    lines, flags = [], []
+    real_flags = fam.integrality_flags
+    monkeypatch.setattr(fam, "gen_quartic_lines", lambda *a: lines.append(a))
+    monkeypatch.setattr(fam, "integrality_flags", lambda rec: flags.append(rec.family_id)
+                        or real_flags(rec))
+    rec = fam.gen_quartic_ct(2)
+    assert lines == [] and flags == ["quartic-ct"]
+    assert rec.params == {"t": 2} and list(rec.extras) == ["disc_printed", "i3"]
 
 
 @pytest.mark.parametrize("t", [1, -3, F(-5, 2), F(-7, 2)])

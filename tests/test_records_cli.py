@@ -316,6 +316,18 @@ def test_cli_gen_past_the_digit_limit_exits_2(tmp_path):
     assert "Traceback" not in done.stderr and not out.exists()
 
 
+def test_gen_past_the_digit_limit_refuses_before_any_symbol_work(monkeypatch, capsys):
+    """The record's numbers are written out right after the curve, so the
+    refusal builds no torsion symbol."""
+    built = []
+    real = fam.construction_torsion
+    monkeypatch.setattr(fam, "construction_torsion", lambda *a, **k: built.append(a)
+                        or real(*a, **k))
+    assert main(["gen", "hyp-odd", "--genus", "16", f"--a={G16_A}"]) == 2
+    assert "number too large to write" in capsys.readouterr().err
+    assert built == []
+
+
 def test_plot_spec_grid_bounds():
     window = (-1.0, 1.0, -1.0, 1.0)
     assert PlotSpec(window=window, grid=2048).grid == 2048

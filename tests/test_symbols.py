@@ -12,8 +12,7 @@ from k2forge.branches import _eval_series, branches_at_infinity
 from k2forge.curves import CurvePoint, PlaneCurve
 from k2forge.errors import (NonRationalSupportError, PreconditionError,
                             VerificationError)
-from k2forge import symbols
-from k2forge import curves
+from k2forge import branches, curves, symbols
 from k2forge.cli import main
 from k2forge.families import _thm53_polys, gen_hyp_odd, gen_nekovar_3tor, gen_quartic_ct
 from k2forge.records import record_to_json
@@ -493,6 +492,33 @@ def test_gen_hyp_odd_shifts_the_curve_once_per_affine_point(monkeypatch, tmp_pat
     assert main(G7 + ["--out", str(tmp_path / "g7.json")]) == 0
     assert 0 < len(shifts) <= 8
     assert len(shifts) == len(set(shifts))
+
+
+def test_gen_hyp_odd_builds_the_chart_at_infinity_once(monkeypatch, tmp_path):
+    """The engine reads the chart its places at infinity keep: the g=7
+    curve has one point at infinity, and its chart is built once."""
+    charts = []
+    real = curves.infinity_chart
+
+    def counting(f, X, Y):
+        charts.append((X, Y))
+        return real(f, X, Y)
+
+    for module in (curves, branches, symbols):
+        monkeypatch.setattr(module, "infinity_chart", counting)
+    assert main(G7 + ["--out", str(tmp_path / "g7.json")]) == 0
+    assert charts == [(0, 1)]
+
+
+def test_value_refuses_an_affine_point_off_the_curve():
+    """value has no evaluation of its own: off the curve it refuses, as
+    val_lead does, even where every factor is nonzero."""
+    curve = PlaneCurve(BiPoly.parse("y^2 - x^3 - 1"))
+    f = FnElt.poly(curve, BiPoly.parse("x + 1"))
+    eng = SymbolEngine(curve)
+    with pytest.raises(PreconditionError, match="point does not lie on the curve"):
+        eng.value(f, CurvePoint.affine(1, 1))
+    assert eng.value(f, CurvePoint.affine(2, 3)) == 3
 
 
 def test_shift_by_zero_is_the_polynomial_itself():
