@@ -376,16 +376,14 @@ class BiPoly:
         return Fraction(total, self.den * (X.denominator * Y.denominator) ** d)
 
     # -- text form -------------------------------------------------------------
-    def canonical(self, xname: str = "x", yname: str = "y") -> str:
-        default = (xname, yname) == ("x", "y")  # memoized, like the hash
-        if default and self._canonical is not None:
-            return self._canonical
-        keys = sorted(self.nums, key=lambda k: (-(k[0] + k[1]), -k[1]))
-        out = _signed_sum([(self.coeff(i, j), _monomial((xname, i), (yname, j)))
-                           for i, j in keys])
-        if default:
-            self._canonical = out
-        return out
+    def canonical(self) -> str:
+        """The text form in x and y (see the module docstring), memoized
+        like the hash."""
+        if self._canonical is None:
+            keys = sorted(self.nums, key=lambda k: (-(k[0] + k[1]), -k[1]))
+            self._canonical = _signed_sum([(self.coeff(i, j), _monomial(("x", i), ("y", j)))
+                                           for i, j in keys])
+        return self._canonical
 
     def projective_canonical(self) -> str:
         """F^hom in X, Y, Z, with "1" for the constant monomial."""
@@ -396,12 +394,12 @@ class BiPoly:
                             for i, j in keys])
 
     @staticmethod
-    def parse(text: str, xname: str = "x", yname: str = "y") -> "BiPoly":
+    def parse(text: str) -> "BiPoly":
         """Inverse of canonical(); tolerant about whitespace.
 
         A term is a product of rationals, each optionally in parentheses,
-        and powers xname^e, yname^e with e a non-negative integer.  Any
-        other term raises PreconditionError naming it.
+        and powers x^e, y^e with e a non-negative integer.  Any other
+        term raises PreconditionError naming it.
         """
         s = text.replace(" ", "")
         if s in ("", "0"):
@@ -436,9 +434,9 @@ class BiPoly:
             for factor in chunk.split("*"):
                 f = factor[1:-1] if factor[:1] == "(" and factor[-1:] == ")" else factor
                 name, caret, exp = f.partition("^")
-                if name in (xname, yname) and (not caret or exp.isascii() and exp.isdigit()):
+                if name in ("x", "y") and (not caret or exp.isascii() and exp.isdigit()):
                     e = int(exp) if caret else 1
-                    if name == xname:
+                    if name == "x":
                         ex += e
                     else:
                         ey += e

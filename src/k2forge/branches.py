@@ -198,19 +198,16 @@ def _polygon_places(h: BiPoly, depth: int = 0) -> List[_ChartPlace]:
             if (j - j0) % e != 0:
                 raise VerificationError("internal: edge exponents not in arithmetic progression")
             psi_terms[k] = h.coeff(i, j)
+        # psi(0) is h's coefficient at the edge's lowest j, so 0 is no root
         psi = UniPoly([psi_terms.get(k, Fraction(0)) for k in range(max(psi_terms) + 1)])
         roots = psi.rational_roots()
-        covered = sum(mult for root, mult in roots if root != 0)
-        nonzero_deg = psi.degree - psi.root_multiplicity(Fraction(0)) if psi.coeff(0) == 0 else psi.degree
-        if covered < nonzero_deg:
+        if sum(mult for _, mult in roots) < psi.degree:
             raise NonRationalSupportError(
                 "non-rational branch: polygon edge polynomial has an irrational root",
                 details={"edge_poly": list(psi.coeffs)},
             )
         alpha = -pow(q, -1, e) % e  # q/e is in lowest terms, so q is invertible mod e
-        for rho, mult in roots:
-            if rho == 0:
-                continue
+        for rho, _ in roots:
             lam = rho**alpha
             m = rho ** ((1 + alpha * q) // e)
             h1 = _shift_frame(h, e, q, lam, m)

@@ -147,7 +147,7 @@ def cmd_verify(ns) -> int:
         with open(ns.path, "r", encoding="utf-8") as fh:
             text = fh.read()
         loaded = record_from_json(text)
-    except (OSError, ValueError, RecordFormatError) as e:  # ValueError: bad JSON
+    except (OSError, ValueError, RecursionError, RecordFormatError) as e:  # bad or too deep JSON
         print(f"cannot read record: {e}", file=sys.stderr)
         return 1
     except PreconditionError as e:
@@ -186,7 +186,7 @@ def _db_hashes(path: str) -> Set[str]:
                 if line.strip():
                     try:
                         hashes.add(json.loads(line)["input_hash"])
-                    except (ValueError, TypeError, KeyError) as e:
+                    except (ValueError, RecursionError, TypeError, KeyError) as e:
                         raise InputError(f"cannot read db: line {n}: {e!r}") from None
     except FileNotFoundError:
         pass
@@ -239,7 +239,7 @@ def cmd_plot(ns) -> int:
     try:
         with open(ns.path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, ValueError) as e:  # ValueError: bad JSON
+    except (OSError, ValueError, RecursionError) as e:  # bad or too deep JSON
         print(f"cannot read record: {e}", file=sys.stderr)
         return 1
     if isinstance(data, dict) and "record" in data:  # catalog entry

@@ -8,8 +8,8 @@ b*x^s*f, then divide out the content) and split off factors of y.  It
 terminates for curves with no common component and agrees with the
 local-ring definition.  A point at infinity is moved to the origin of
 the chart Y=1 or X=1 by one rule, `infinity_chart`, which intersection
-multiplicities, branches at infinity, the contact check of the
-construction and the singular-point search all use.
+multiplicities, branches at infinity and the singular-point search all
+use.
 
 Projective smoothness is decided exactly through the resultant of the
 three partial derivatives, after one fixed coordinate change applied over

@@ -24,10 +24,8 @@ from typing import Sequence, Tuple
 from .errors import PreconditionError
 
 
-def rat(value, den=None) -> Fraction:
+def rat(value) -> Fraction:
     """Build a Fraction from ints, strings like "-3/4", or another Fraction."""
-    if den is not None:
-        return Fraction(value, den)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):

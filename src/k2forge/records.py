@@ -225,7 +225,7 @@ def _element_jsonable(e: NamedElement) -> dict:
         ],
         "certificates": [c.to_jsonable() for c in e.certificates],
         "meta": {k: (rat_str(v) if isinstance(v, Fraction) else v)
-                 for k, v in e.meta.items() if k != "kappa_i"},
+                 for k, v in e.meta.items()},
     }
 
 

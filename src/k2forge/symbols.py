@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from .bipoly import BiPoly
 from .branches import (Branch, _eval_series, branch_at_affine,
                        branches_at_infinity)
-from .curves import (CurvePoint, PlaneCurve, fulton_multiplicity, infinity_chart,
+from .curves import (CurvePoint, PlaneCurve, fulton_multiplicity,
                      intersection_multiplicity, rational_common_zeros)
 from .errors import (NonRationalSupportError, PreconditionError,
                      VerificationError)
@@ -64,7 +64,7 @@ class FnElt:
         den = BiPoly.const(1) if den is None else den
         if den.is_zero():
             raise PreconditionError("zero denominator")
-        if num.is_zero() or _vanishes_on_curve(curve, num):
+        if _vanishes_on_curve(curve, num):
             raise PreconditionError("zero function")
         if _vanishes_on_curve(curve, den):
             raise PreconditionError("denominator vanishes on the curve")
@@ -161,7 +161,7 @@ class FnElt:
     def _combine(self, other: "FnElt", sign: int) -> "FnElt":
         """f +- g with the common denominator kept in factored form."""
         new_num = self.num * other.den + other.num * self.den * sign
-        if new_num.is_zero() or _vanishes_on_curve(self.curve, new_num):
+        if _vanishes_on_curve(self.curve, new_num):
             raise PreconditionError("zero function")
         den_factors = tuple((p, e) for p, e in self.factors if e < 0)
         den_factors += tuple((p, e) for p, e in other.factors if e < 0)
@@ -484,10 +484,7 @@ class SymbolEngine:
             return Fraction(1)
         lead_f = self.fn_val_lead(pair.f, p)[1] if n else 1
         lead_h = self.fn_val_lead(pair.h, p)[1] if m else 1
-        value = (-1 if (m * n) % 2 else 1) * lead_f**n / lead_h**m
-        if value == 0:
-            raise VerificationError("tame symbol evaluated to zero: contract violation")
-        return value
+        return (-1 if (m * n) % 2 else 1) * lead_f**n / lead_h**m
 
     # -- divisors ----------------------------------------------------------
     def with_infinity(self, points: Sequence[CurvePoint]) -> List[CurvePoint]:
@@ -591,23 +588,16 @@ def construction_torsion(curve: PlaneCurve,
     eng = engine or SymbolEngine(curve)
     tfs = [t1, t2, t3]
     points = [t3.plus, t1.plus, t2.plus]  # P_1, P_2, P_3
-    # consistency of the cyclic labelling
+    # consistency of the cyclic labelling (each plus point is in `points`
+    # by construction, so only the minus points can be mislabelled)
     for i, tf in enumerate(tfs, start=1):
-        expect_plus = points[i % 3]
-        expect_minus = points[(i - 2) % 3]
-        if tf.plus != expect_plus or (tf.minus is not None and tf.minus != expect_minus):
+        if tf.minus is not None and tf.minus != points[(i - 2) % 3]:
             raise PreconditionError("not a torsion triple: divisor endpoints mislabelled")
     candidates = eng.support_candidates([tf.fn for tf in tfs],
                                         extra=list(points) + list(extra_support))
     for tf in tfs:
         verify_torsion_shape(eng, tf, candidates)
-    normalized = []
-    for i, tf in enumerate(tfs, start=1):
-        own_point = points[i - 1]
-        val = eng.value(tf.fn, own_point)
-        if val == 0:
-            raise PreconditionError("torsion function vanishes at its index point")
-        normalized.append(tf.fn / val)
+    normalized = [tf.fn / eng.value(tf.fn, own_point) for tf, own_point in zip(tfs, points)]
     elements = []
     for i in range(1, 4):
         n_plus = normalized[i % 3]         # h_(i+1)/h_(i+1)(P_(i+1))
@@ -661,7 +651,8 @@ def nekovar_element(curve: PlaneCurve,
                     kappa: Fraction,
                     h_scale: Fraction = Fraction(1),
                     engine: SymbolEngine = None):
-    """Element m*{g/kappa, h} - sum (m/m_i)*{kappa_i, g_i} from contact data.
+    """Element m*{g/kappa, h} - sum (m/m_i)*{k_i, g_i} from contact data,
+    with k_i the tame symbol of {g/kappa, h} at the zero P_i of g_i.
 
     `g_poly` and `h_poly` are the affine polynomials of the auxiliary
     curves G and H; the implicit E is the line at infinity (all families
@@ -669,7 +660,10 @@ def nekovar_element(curve: PlaneCurve,
     point, which is verified).  The three hypotheses checked:
 
     (a) maximal contact of the curve with the line at infinity at a
-        single rational point;
+        single rational point: F(X, Y, 0) has one root, and it is
+        rational.  I_P(C, Z) is the multiplicity of P as a root of
+        F(X, Y, 0) (Fulton, *Algebraic Curves*, sec. 3.3), so the
+        contact there is deg C;
     (b) every intersection point of G with the curve is rational and
         comes with a torsion function (divisor shapes re-verified);
     (c) g takes one constant value (up to sign) at every intersection
@@ -680,17 +674,11 @@ def nekovar_element(curve: PlaneCurve,
     """
     eng = engine or SymbolEngine(curve)
     kappa = rat(kappa)
-    d = curve.degree
     # (a) maximal contact with the line at infinity at one rational point
     inf_pts, complete = curve.rational_infinity_points()
     if not complete or len(inf_pts) != 1:
         raise PreconditionError("maximal contact hypothesis fails: "
                                 "line at infinity must meet the curve in one rational point")
-    _, _, local = infinity_chart(curve.affine, *inf_pts[0])
-    contact = fulton_multiplicity(local, BiPoly.y(), bound=d)
-    if contact != d:
-        raise PreconditionError(
-            f"maximal contact hypothesis fails: contact {contact} != degree {d}")
     g = FnElt.poly(curve, g_poly)
     h = FnElt(curve, h_poly * h_scale)
     # (b) intersection of G with the curve: all rational, all with torsion data
@@ -700,7 +688,6 @@ def nekovar_element(curve: PlaneCurve,
         if pt not in supplied:
             raise NonRationalSupportError(
                 f"rational support required: no torsion function at {pt.label()}")
-    branches = eng.infinity_points()
     candidates = eng.support_candidates(
         [tf.fn for tf in torsion_data] + [g, h],
         extra=[tf.plus for tf in torsion_data])
@@ -728,11 +715,9 @@ def nekovar_element(curve: PlaneCurve,
         "kappa": kappa_eff,
         "m": m,
         "h_pattern": sorted((mult for (_, mult) in h_points), reverse=False),
-        "kappa_i": {},
     }
     for tf in torsion_data:
         k_i = eng.tame(base_pair, tf.plus)
-        info["kappa_i"][tf.plus] = k_i
         terms.append(SymbolPair(FnElt.constant(curve, k_i), tf.fn, -(m // tf.order)))
     support = list(dict.fromkeys(
         [tf.plus for tf in torsion_data]

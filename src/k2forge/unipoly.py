@@ -302,11 +302,11 @@ class UniPoly:
     def __repr__(self):
         return f"UniPoly({list(self.coeffs)})"
 
-    def pretty(self, var: str = "x") -> str:
-        """The canonical text form of ``BiPoly``, in the variable `var`."""
+    def pretty(self) -> str:
+        """The canonical text form of ``BiPoly``, in x."""
         from .bipoly import BiPoly  # bipoly imports this module
 
-        return BiPoly.from_unipoly(self).canonical(var)
+        return BiPoly.from_unipoly(self).canonical()
 
 
 def _eval_mod(coeffs: Sequence[int], x: int, m: int) -> int:

@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from k2forge import curves
 from k2forge.bipoly import BiPoly
 from k2forge.curves import (Conic, CurvePoint, Line, PlaneCurve, fulton_multiplicity,
-                            intersection_multiplicity, is_on_curve,
+                            infinity_chart, intersection_multiplicity, is_on_curve,
                             smoothness_check, tangent_line)
 from k2forge.errors import PreconditionError, VerificationError
 from k2forge.families import ct_equation, _thm53_polys
@@ -536,3 +536,21 @@ def test_rational_infinity_points_match_sympy(f):
     pts, complete = PlaneCurve(f, check_squarefree=False).rational_infinity_points()
     assert len(pts) == len(expected) and set(pts) == expected
     assert complete == (sum(roots.values()) + at_y0 == d)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.integers(1, 6), st.one_of(st.none(), coords), chart_coeffs,
+       st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 5)), chart_coeffs,
+                       max_size=8))
+def test_one_rational_point_at_infinity_has_contact_deg_c(d, u, lc, lower):
+    """Hypothesis (a) of nekovar_element, by the route it no longer takes:
+    where F(X, Y, 0) has one root, and that root is rational, Fulton's
+    reduction of the chart there against w gives I_P(C, Z) = deg C.  The
+    top form is lc*(X - u*Y)^d, with its point (u:1:0), or lc*Y^d, with
+    its point (1:0:0), when u is None."""
+    line = BiPoly.y() if u is None else BiPoly({(1, 0): 1, (0, 1): -u})
+    f = line**d * BiPoly.const(lc) + BiPoly({k: c for k, c in lower.items() if sum(k) < d})
+    pts, complete = PlaneCurve(f, check_squarefree=False).rational_infinity_points()
+    assert complete and pts == [(F(1), F(0)) if u is None else (u, F(1))]
+    _, _, chart = infinity_chart(f, *pts[0])
+    assert fulton_multiplicity(chart, BiPoly.y(), bound=d) == d

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from k2forge import families as fam
@@ -332,6 +333,39 @@ def test_ct_matches_reflected_plus_family():
         assert reflected == fam.ct_equation(t)
 
 
+def test_ct_is_the_line_family_at_minus_half_one_t_for_every_t(monkeypatch):
+    """ct_equation(t) and the line family at (a, b, c) = (-1/2, 1, t) hand
+    _quartic_poly the same two coefficient lists, as polynomials in a
+    symbolic t, so C_t is the specialization at every t."""
+    t = sympy.Symbol("t")
+    monkeypatch.setattr(fam, "rat", lambda v: v)
+    monkeypatch.setattr(fam, "UniPoly", lambda coeffs: [sympy.sympify(c) for c in coeffs])
+    monkeypatch.setattr(fam, "_quartic_poly", lambda f1, f2: (f1, f2))
+    printed = fam.ct_equation(t)
+    specialized = fam._thm53_polys(sympy.Rational(-1, 2), sympy.Integer(1), t)
+    assert [[sympy.expand(c) for c in f] for f in printed] \
+        == [[sympy.expand(c) for c in f] for f in specialized]
+    assert printed[1][1] == t  # the lists do depend on t
+
+
+def test_printed_ct_discriminant_vanishes_only_at_the_excluded_t(monkeypatch):
+    """disc_ct_printed is (t-1)^2 (t+3)^6 (2t+5) (2t+7) / 2^52 times the
+    cubic 32t^3 + 96t^2 - 12t + 5, which has no rational root, so it is
+    nonzero at every t that gen_quartic_ct accepts."""
+    cubic = UniPoly([5, -12, 96, 32])
+    assert cubic.rational_roots() == []
+    t = sympy.Symbol("t")
+    monkeypatch.setattr(fam, "rat", lambda v: v)
+    assert sympy.expand(fam.ct_cubic_printed(t)
+                        - sum(c * t**i for i, c in enumerate(cubic.coeffs))) == 0
+    disc = sympy.Poly(fam.disc_ct_printed(t), t)
+    assert disc.ground_roots() == {1: 2, -3: 6, sympy.Rational(-5, 2): 1, sympy.Rational(-7, 2): 1}
+    monkeypatch.undo()
+    for bad in ("1", "-3", "-5/2", "-7/2"):
+        with pytest.raises(SingularModelError, match="is excluded"):
+            fam.gen_quartic_ct(bad)
+
+
 # ---------------------------------------------------------------------------
 # conic families
 # ---------------------------------------------------------------------------
@@ -572,6 +606,41 @@ def test_nekovar_g2_exclusions():
             except SingularModelError:
                 ok = False
             assert ok == (r not in (F(0), F(1, 3)))
+
+
+def _two_places_at_infinity(monkeypatch):
+    monkeypatch.setattr(fam, "nekovar_3tor_curve", fam.nekovar_genus2_curve)
+
+
+def _model_of_another_r(monkeypatch):
+    real = fam.nekovar_3tor_curve
+    monkeypatch.setattr(fam, "nekovar_3tor_curve", lambda r: real(r + 1))
+
+
+def _h_contact_1_4(monkeypatch):
+    """A smooth degree-5 model through O, Q1 and Q2 on which H meets Q1
+    once and Q2 four times: y^2 + f1*y + x^5 restricted to y = x - r is
+    x*(x - 2r)^4 for this f1."""
+    real = fam.nekovar_genus2_curve
+    monkeypatch.setattr(fam, "nekovar_genus2_curve", lambda r: (
+        fam._y2_model(UniPoly([r, -16 * r**3 - 1, 16 * r**2, -8 * r]), 5)[0], real(r)[1]))
+
+
+@pytest.mark.parametrize("family, r, mutate, message", [
+    ("nekovar-3tor", "2", _two_places_at_infinity,
+     "model must have 1 place(s) at infinity, found 2"),
+    ("nekovar-3tor", "2", _model_of_another_r, "contact point is not on the curve"),
+    ("nekovar-g2", "1/2", _h_contact_1_4, "contact pattern [1, 4] != [2, 3]"),
+], ids=["place-count", "contact-point", "h-pattern"])
+def test_contact_record_checks_its_model(monkeypatch, capsys, tmp_path,
+                                         family, r, mutate, message):
+    """A model that breaks the contact families' postconditions ends gen
+    with exit 3 and one line, and writes nothing."""
+    mutate(monkeypatch)
+    out = tmp_path / "r.json"
+    assert main(["gen", family, "--r", r, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"verification failure: {message}\n"
+    assert not out.exists()
 
 
 def test_bezout_bookkeeping_over_declared_support():

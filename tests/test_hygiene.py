@@ -1,6 +1,7 @@
 """Source hygiene of the package, read with the standard library's `ast`:
-no module imports a name it does not use, and no module-level private
-name goes unused in the package."""
+no module imports a name it does not use, no module-level private name
+goes unused in the package, and no function assigns a local it never
+reads."""
 
 import ast
 from pathlib import Path
@@ -76,3 +77,30 @@ def test_every_module_level_private_name_is_referenced():
     unreferenced = [f"{module}.{name}" for module, tree in MODULES.items()
                     for name in _module_private_names(tree) if name not in used]
     assert not unreferenced, f"private names nothing in src/ references: {unreferenced}"
+
+
+def _unread_locals(fn: ast.FunctionDef):
+    """Names `fn` binds by a plain `name = ...` that nothing in its body,
+    nested functions included, reads; global and nonlocal names are left
+    to the scope that owns them."""
+    shared = {name for node in ast.walk(fn) if isinstance(node, (ast.Global, ast.Nonlocal))
+              for name in node.names}
+    stored = {}
+    for node in ast.walk(fn):
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) and node.value
+                   else [])
+        for t in targets:
+            if isinstance(t, ast.Name) and t.id not in shared:
+                stored.setdefault(t.id, t.lineno)
+    read = {node.id for node in ast.walk(fn)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    return [(name, line) for name, line in stored.items() if name not in read]
+
+
+def test_no_function_assigns_a_local_it_never_reads():
+    unread = [f"{module}.{fn.name}: {name} (line {line})"
+              for module, tree in MODULES.items() for fn in ast.walk(tree)
+              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for name, line in _unread_locals(fn)]
+    assert not unread, f"locals assigned and never read: {unread}"

@@ -407,6 +407,24 @@ def test_cli_catalog_truncated_db_exits_1(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("cannot read db: line 2: ")
 
 
+@pytest.mark.parametrize("command, prefix", [
+    (["verify", "{path}"], "cannot read record: "),
+    (["plot", "{path}", "--out", "{out}"], "cannot read record: "),
+    (["catalog", "quartic-ct", "--t", "0", "--db", "{path}"], "cannot read db: line 1: "),
+], ids=["verify", "plot", "catalog"])
+def test_json_nested_past_the_recursion_limit_exits_1(tmp_path, command, prefix):
+    """100,000 open brackets make the JSON decoder raise RecursionError;
+    each command that reads JSON turns it into its one-line refusal."""
+    path, out = tmp_path / "deep.json", tmp_path / "out.svg"
+    path.write_text("[" * 100_000)
+    argv = [arg.format(path=path, out=out) for arg in command]
+    done = subprocess.run([sys.executable, "-m", "k2forge.cli", *argv],
+                          env=_package_env(), capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.startswith(prefix) and len(done.stderr.splitlines()) == 1, done.stderr
+    assert "Traceback" not in done.stderr and not out.exists()
+
+
 def test_cli_catalog_keeps_entries_written_before_a_verification_failure(
         tmp_path, capsys, monkeypatch):
     db = tmp_path / "cat.jsonl"

@@ -357,6 +357,26 @@ def test_nekovar_constancy_hypothesis_enforced():
         nekovar_element(curve, BiPoly.y(), bad_line, [tf], kappa=r, engine=eng)
 
 
+@pytest.mark.parametrize("poly", ["x^2 - y^2 - 1", "x^3 + y^3 - 1"],
+                         ids=["two-rational-points", "one-of-three-rational"])
+def test_nekovar_maximal_contact_needs_one_rational_point_at_infinity(poly):
+    """The hyperbola meets Z = 0 in (1:1:0) and (1:-1:0); the Fermat cubic
+    in (1:-1:0) and two conjugate points."""
+    curve = PlaneCurve(BiPoly.parse(poly))
+    with pytest.raises(PreconditionError,
+                       match="^maximal contact hypothesis fails: line at infinity must "
+                             "meet the curve in one rational point$"):
+        nekovar_element(curve, BiPoly.y(), BiPoly.x(), [], kappa=1)
+
+
+def test_nekovar_needs_a_torsion_function_at_each_point_of_g():
+    from k2forge.families import nekovar_3tor_curve
+    curve, h_line = nekovar_3tor_curve(F(2))
+    with pytest.raises(NonRationalSupportError,
+                       match=r"^rational support required: no torsion function at \(0, 0\)$"):
+        nekovar_element(curve, BiPoly.y(), h_line, [], kappa=2)
+
+
 # ---------------------------------------------------------------------------
 # places at infinity: chart intersection number against chart series
 # ---------------------------------------------------------------------------
@@ -441,6 +461,25 @@ def test_tame_is_the_leading_coefficient_formula(index, f_terms, h_terms):
             assert type(got) is F and got == want, (p, m, n)
 
 
+@pytest.mark.parametrize("index", range(len(PLAN)))
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(f_terms=_CUBIC_TERMS, h_terms=_CUBIC_TERMS)
+def test_value_and_tame_are_never_zero(index, f_terms, h_terms):
+    """Each leading coefficient is nonzero, so tame returns a unit at every
+    support point, and value one wherever the function is a unit (also
+    where its factors vanish and their orders cancel)."""
+    curve = PLAN[index]
+    polys = [BiPoly(t) for t in (f_terms, h_terms)]
+    assume(all(p.total_degree > 0 and not curve.affine.divides(p) for p in polys))
+    f, h = (FnElt.poly(curve, p) for p in polys)
+    eng = SymbolEngine(curve)
+    for p in eng.support_candidates([f, h]):
+        assert eng.tame(SymbolPair(f, h), p) != 0, p
+        for fn in (f, h, f / h):
+            if eng.ord(fn, p) == 0:
+                assert eng.value(fn, p) != 0, p
+
+
 HYP_G4 = ["gen", "hyp-odd", "--genus", "4", "--a=1,-1/2,3/4,-1/3,4/3"]
 
 
@@ -494,9 +533,14 @@ def test_gen_hyp_odd_shifts_the_curve_once_per_affine_point(monkeypatch, tmp_pat
     assert len(shifts) == len(set(shifts))
 
 
-def test_gen_hyp_odd_builds_the_chart_at_infinity_once(monkeypatch, tmp_path):
-    """The engine reads the chart its places at infinity keep: the g=7
-    curve has one point at infinity, and its chart is built once."""
+@pytest.mark.parametrize("argv", [G7, ["gen", "nekovar-3tor", "--r", "2"],
+                                  ["gen", "nekovar-g2", "--r", "1/2"]],
+                         ids=["hyp-odd-g7", "nekovar-3tor", "nekovar-g2"])
+def test_gen_builds_the_chart_at_infinity_once(monkeypatch, tmp_path, argv):
+    """The engine reads the chart its places at infinity keep: each curve
+    has one point at infinity, (0:1:0), and its chart is built once.
+    `symbols` builds no chart of its own."""
+    assert not hasattr(symbols, "infinity_chart")
     charts = []
     real = curves.infinity_chart
 
@@ -504,9 +548,9 @@ def test_gen_hyp_odd_builds_the_chart_at_infinity_once(monkeypatch, tmp_path):
         charts.append((X, Y))
         return real(f, X, Y)
 
-    for module in (curves, branches, symbols):
+    for module in (curves, branches):
         monkeypatch.setattr(module, "infinity_chart", counting)
-    assert main(G7 + ["--out", str(tmp_path / "g7.json")]) == 0
+    assert main(argv + ["--out", str(tmp_path / "rec.json")]) == 0
     assert charts == [(0, 1)]
 
 
