@@ -91,7 +91,7 @@ def _newton_series(h: BiPoly, prec: int) -> PowerSeries:
     precision, h_v only at the old one, and g is carried from step to
     step by the Newton update g <- g * (2 - h_v * g).
     """
-    if h.coeff(0, 0) != 0 or h.coeff(0, 1) == 0:
+    if h.nums.get((0, 0)) or not h.nums.get((0, 1)):
         raise VerificationError("internal: Newton iteration needs a regular root")
     h_rows = h.rows_in("y")
     hv_rows = [[j * c for c in r] for j, r in enumerate(h_rows)][1:]  # h_v, over h.den
@@ -165,15 +165,6 @@ def _horner(coeffs: List[Tuple[int, Sequence[int], int]], v: PowerSeries,
     return val, acc, top, k
 
 
-def _divide_out_x_power(p: BiPoly, k: int) -> BiPoly:
-    nums = {}
-    for (i, j), c in p.nums.items():
-        if i < k:
-            raise VerificationError("internal: monomial division failed in polygon step")
-        nums[(i - k, j)] = c
-    return BiPoly.from_ints(nums, p.den)
-
-
 def _polygon_places(h: BiPoly, depth: int = 0) -> List[_ChartPlace]:
     """All places of h = 0 at the origin with s not identically zero."""
     if depth > 40:
@@ -193,11 +184,8 @@ def _polygon_places(h: BiPoly, depth: int = 0) -> List[_ChartPlace]:
         e, q = mu.denominator, mu.numerator
         j0 = min(j for _, j in edge)
         psi_terms = {}
-        for (i, j) in edge:
-            k = (j - j0) // e
-            if (j - j0) % e != 0:
-                raise VerificationError("internal: edge exponents not in arithmetic progression")
-            psi_terms[k] = h.coeff(i, j)
+        for (i, j) in edge:  # i + mu*j is constant on the edge, so e divides j - j0
+            psi_terms[(j - j0) // e] = h.coeff(i, j)
         # psi(0) is h's coefficient at the edge's lowest j, so 0 is no root
         psi = UniPoly([psi_terms.get(k, Fraction(0)) for k in range(max(psi_terms) + 1)])
         roots = psi.rational_roots()
@@ -249,7 +237,7 @@ def _shift_frame(h: BiPoly, e: int, q: int, lam: Fraction, m: Fraction) -> BiPol
     v_img = BiPoly({(q, 0): m, (q, 1): Fraction(1)})
     g = h.substitute(s_img, v_img)
     k = min((i for (i, _) in g.nums), default=0)
-    return _divide_out_x_power(g, k)
+    return BiPoly.from_ints({(i - k, j): c for (i, j), c in g.nums.items()}, g.den)
 
 
 # ---------------------------------------------------------------------------
@@ -333,11 +321,11 @@ def branch_at_affine(curve: PlaneCurve, p: CurvePoint, local: BiPoly = None) -> 
     if not p.is_affine:
         raise PreconditionError("branch_at_affine needs an affine point")
     local = curve.affine.shift(p.x, p.y) if local is None else local
-    if local.coeff(0, 0) != 0:
+    if local.nums.get((0, 0)):
         raise PreconditionError("point does not lie on the curve")
-    if local.coeff(0, 1) != 0:
+    if local.nums.get((0, 1)):
         return Branch(curve, p, "affine-y", (local, p.x, p.y))
-    if local.coeff(1, 0) != 0:
+    if local.nums.get((1, 0)):
         swapped = local.substitute(BiPoly.y(), BiPoly.x())
         return Branch(curve, p, "affine-x", (swapped, p.x, p.y))
     raise PreconditionError(f"point {p.label()} is singular; no unique branch")

@@ -10,8 +10,13 @@ polynomial arithmetic, Taylor shifts, substitutions, evaluation at a
 rational point, gcds, rational roots and resultants (subresultant
 sequences, and Bareiss determinants of integer polynomials) run on
 integers.  `curves` runs Fulton's reduction and the smoothness test on
-integer forms.  This module adds the few helpers the rest of the code
-needs (the "p/q" wire format, integrality tests, `lowest_terms`).
+integer forms, and `symbols` forms leading coefficients, tame values and
+certificate totals on integer pairs.  `Fraction` remains the type of
+public scalars (point coordinates, coefficients, function scalars, tame
+values, certificate entries) and of values read from or written to a
+record.  This module adds the few helpers the rest of the code
+needs (the "p/q" wire format, integrality tests, `lowest_terms`,
+`pow_pair`).
 """
 
 from __future__ import annotations
@@ -51,6 +56,11 @@ def rat_str(q: Fraction) -> str:
 
 def is_integer(q: Fraction) -> bool:
     return Fraction(q).denominator == 1
+
+
+def pow_pair(num: int, den: int, e: int) -> Tuple[int, int]:
+    """(num/den)^e as an integer pair, not reduced; a negative e swaps it."""
+    return (num**e, den**e) if e >= 0 else (den**-e, num**-e)
 
 
 def lowest_terms(nums: Sequence[int], den: int) -> Tuple[Tuple[int, ...], int]:

@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Optional
 from .bipoly import BiPoly
 from .curves import CurvePoint, PlaneCurve
 from .errors import PreconditionError, RecordFormatError
-from .rationals import rat, rat_str
+from .rationals import pow_pair, rat, rat_str
 from .symbols import Certificate, FnElt, K2Element, SymbolPair
 
 SCHEMA_VERSION = 1
@@ -187,14 +187,16 @@ def _fnelt_from_json(curve: PlaneCurve, d: dict, factor: Dict[str, FnElt]) -> Fn
     not read); `factor` maps a factor's polynomial string to
     FnElt(curve, poly)."""
     scalar = FnElt.constant(curve, rat_field(d, "scalar", "1")).scalar
+    num, den = scalar.numerator, scalar.denominator
     exps: Dict[BiPoly, int] = {}  # summed, in order of first appearance
     for fd in json_field(d, "factors", list):
         exp = within_limit("'exp'", int_field(fd, "exp"))
         fn = factor[json_field(fd, "poly", str)]
-        scalar *= fn.scalar ** exp
+        a, b = pow_pair(fn.scalar.numerator, fn.scalar.denominator, exp)
+        num, den = num * a, den * b
         for poly, e in fn.factors:
             exps[poly] = exps.get(poly, 0) + e * exp
-    return FnElt._make(curve, scalar, exps.items())
+    return FnElt._make(curve, Fraction(num, den), exps.items())
 
 
 def _factor_from_json(curve: PlaneCurve, text: str) -> FnElt:

@@ -20,6 +20,14 @@ shifted once per point, and a factor nonzero at a point of the curve
 gets order 0 without a branch.  Each Horner pass stops at the last
 row that survives mod t^prec.
 
+Leading coefficients of functions, tame values and certificate totals
+are products of powers, formed on integer (numerator, denominator)
+pairs.  `Fraction` remains where a public value or the record text needs
+one: the cached `val_lead` coefficients and function scalars, the
+returns of `fn_val_lead`, `value` and `tame`, and each certificate row,
+point total and product.  An engine finds each function's divisor on a
+support once, from its factors, which alone determine it.
+
 An element of K2 of the function field is an integer combination of
 symbol pairs; `verify_k2t` certifies membership in the tame kernel over
 the declared (rational) support and reports the product of all tame
@@ -40,7 +48,7 @@ from .curves import (CurvePoint, PlaneCurve, fulton_multiplicity,
                      intersection_multiplicity, rational_common_zeros)
 from .errors import (NonRationalSupportError, PreconditionError,
                      VerificationError)
-from .rationals import rat, rat_str
+from .rationals import pow_pair, rat, rat_str
 from .series import PowerSeries
 
 
@@ -327,6 +335,7 @@ class SymbolEngine:
         self._affine: Dict[CurvePoint, Branch] = {}
         self._infinity: Optional[Dict[CurvePoint, Branch]] = None
         self._val_lead_cache: Dict[Tuple[BiPoly, CurvePoint], Tuple[int, Fraction]] = {}
+        self._divisors: Dict[tuple, Dict[CurvePoint, int]] = {}  # (factors, support) -> div
         self._local: Dict[CurvePoint, BiPoly] = {}
         self._on_curve: Set[CurvePoint] = set()  # affine points found on the curve
         self._zeros_cache: Dict[BiPoly, Optional[Tuple[Tuple[Fraction, Fraction], ...]]] = {}
@@ -381,14 +390,14 @@ class SymbolEngine:
         The valuation comes twice, from the intersection reduction and from
         the series, and a mismatch raises VerificationError.
         """
-        if poly.is_zero():
-            raise PreconditionError("zero function")
-        if poly.total_degree == 0:
-            return 0, poly.coeff(0, 0)
         key = (poly, p)
         hit = self._val_lead_cache.get(key)
         if hit is not None:
             return hit
+        if poly.is_zero():
+            raise PreconditionError("zero function")
+        if poly.total_degree == 0:
+            return 0, poly.coeff(0, 0)
         out = self._val_lead_uncached(poly, p)
         self._val_lead_cache[key] = out
         return out
@@ -435,7 +444,7 @@ class SymbolEngine:
         if p.is_affine:
             local = poly.shift(p.x, p.y)
             curve = self._local_curve(p)
-            if local.coeff(0, 0) != 0 or curve.coeff(0, 0) != 0:
+            if local.nums.get((0, 0)) or curve.nums.get((0, 0)):
                 raise PreconditionError(f"empty intersection at point {p.label()}")
             return intersection_multiplicity(curve, local, self._origin), local
         places = self._places_over(p)
@@ -444,7 +453,7 @@ class SymbolEngine:
         name, u0, chart = places[0].chart
         local = poly.chart(name).shift(u0, 0)
         i = (fulton_multiplicity(chart, local, self.curve.degree * poly.total_degree)
-             if local.coeff(0, 0) == 0 else 0)
+             if not local.nums.get((0, 0)) else 0)
         return i, local
 
     # -- orders ----------------------------------------------------------
@@ -456,12 +465,18 @@ class SymbolEngine:
 
     def fn_val_lead(self, f: FnElt, p: CurvePoint) -> Tuple[int, Fraction]:
         """Series valuation and leading coefficient of f along the branch at p."""
-        val, lead = 0, f.scalar
+        val, num, den = self._val_lead_ints(f, p)
+        return val, Fraction(num, den)
+
+    def _val_lead_ints(self, f: FnElt, p: CurvePoint) -> Tuple[int, int, int]:
+        """fn_val_lead as (val, num, den), the coefficient num/den on ints and
+        not reduced; den is nonzero, of either sign."""
+        val, num, den = 0, f.scalar.numerator, f.scalar.denominator
         for poly, e in f.factors:
             v, l = self.val_lead(poly, p)
-            val += e * v
-            lead *= l**e
-        return val, lead
+            a, b = pow_pair(l.numerator, l.denominator, e)
+            val, num, den = val + e * v, num * a, den * b
+        return val, num, den
 
     def value(self, f: FnElt, p: CurvePoint) -> Fraction:
         """Value of f at p; requires ord_p(f) = 0 (unit)."""
@@ -479,12 +494,17 @@ class SymbolEngine:
         VerificationError.  T_P is 1 where both orders are 0, and a leading
         coefficient is taken only where the partner's order is nonzero.
         """
+        return Fraction(*self._tame_ints(pair, p, ords))
+
+    def _tame_ints(self, pair: SymbolPair, p: CurvePoint,
+                   ords: Optional[Tuple[int, int]] = None) -> Tuple[int, int]:
+        """tame as (num, den) on ints, not reduced."""
         m, n = ords or (self.ord(pair.f, p), self.ord(pair.h, p))
         if not (m or n):
-            return Fraction(1)
-        lead_f = self.fn_val_lead(pair.f, p)[1] if n else 1
-        lead_h = self.fn_val_lead(pair.h, p)[1] if m else 1
-        return (-1 if (m * n) % 2 else 1) * lead_f**n / lead_h**m
+            return 1, 1
+        a, b = pow_pair(*self._val_lead_ints(pair.f, p)[1:], n) if n else (1, 1)  # lead_f^n
+        c, d = pow_pair(*self._val_lead_ints(pair.h, p)[1:], m) if m else (1, 1)  # lead_h^m
+        return (-1 if (m * n) % 2 else 1) * a * d, b * c
 
     # -- divisors ----------------------------------------------------------
     def with_infinity(self, points: Sequence[CurvePoint]) -> List[CurvePoint]:
@@ -524,6 +544,16 @@ class SymbolEngine:
                     f"support incomplete: order {v} at {p.label()}, which is not declared")
         return Divisor(dict(zip(declared, total)))
 
+    def _divisor_entries(self, f: FnElt, support: Tuple[CurvePoint, ...]) -> Dict[CurvePoint, int]:
+        """divisor(f, support).entries, found once per engine for f's factors,
+        on which div(f) alone depends; a refusal is not kept, so it is raised
+        again on every call."""
+        key = (f.factors, support)
+        entries = self._divisors.get(key)
+        if entries is None:
+            entries = self._divisors[key] = self.divisor(f, support).entries
+        return entries
+
     def support_candidates(self, fns: Sequence[FnElt],
                            extra: Sequence[CurvePoint] = ()) -> List[CurvePoint]:
         """Rational zero/pole candidates of the given functions."""
@@ -553,23 +583,24 @@ def verify_k2t(curve: PlaneCurve, elem: K2Element,
     which reciprocity forces to 1.
     """
     eng = engine or SymbolEngine(curve)
-    # support completeness, once per distinct constituent function (the
-    # check depends only on its value)
-    distinct = {(f.scalar, f.factors): f for pair in elem.terms for f in (pair.f, pair.h)}
-    divs = {key: eng.divisor(f, elem.declared_support).entries for key, f in distinct.items()}
+    support = tuple(elem.declared_support)
+    divs = [(eng._divisor_entries(pair.f, support), eng._divisor_entries(pair.h, support))
+            for pair in elem.terms]
+    one = Fraction(1)
     rows: List[CertificateRow] = []
     totals: Dict[CurvePoint, Fraction] = {}
-    for p in elem.declared_support:
-        total = Fraction(1)
-        for idx, pair in enumerate(elem.terms):
-            mf, mh = (divs[(f.scalar, f.factors)][p] for f in (pair.f, pair.h))
-            val = eng.tame(pair, p, (mf, mh)) ** pair.coefficient
+    prod_num = prod_den = 1
+    for p in support:
+        num = den = 1  # the point total, on ints
+        for idx, (pair, (div_f, div_h)) in enumerate(zip(elem.terms, divs)):
+            mf, mh, val = div_f[p], div_h[p], one
+            if mf or mh:
+                a, b = pow_pair(*eng._tame_ints(pair, p, (mf, mh)), pair.coefficient)
+                num, den, val = num * a, den * b, Fraction(a, b)
             rows.append(CertificateRow(p, idx, pair.coefficient, mf, mh, val))
-            total *= val
-        totals[p] = total
-    product = Fraction(1)
-    for v in totals.values():
-        product *= v
+        totals[p] = Fraction(num, den)
+        prod_num, prod_den = prod_num * num, prod_den * den
+    product = Fraction(prod_num, prod_den)
     verdict = "PASS" if all(v == 1 for v in totals.values()) else "FAIL"
     return Certificate(rows, totals, product, verdict)
 

@@ -412,3 +412,31 @@ def _all_pairs_edges(support):
                 unique=True))
 def test_polygon_hull_walk_matches_all_pairs_edges(support):
     assert branches._polygon_edges(support) == _all_pairs_edges(support)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=1, max_size=14,
+                unique=True))
+def test_edge_exponents_step_by_the_slope_denominator(support):
+    """i + mu*j is equal at every point of an edge and mu = q/e in lowest
+    terms, so e divides j - j0: psi's exponents (j - j0)/e are exact."""
+    for mu, edge in branches._polygon_edges(support):
+        j0 = min(j for _, j in edge)
+        assert all((j - j0) % mu.denominator == 0 for _, j in edge), (mu, edge)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(terms=st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 4)),
+                             st.integers(-9, 9).filter(bool), min_size=1, max_size=8),
+       e=st.integers(1, 3), q=st.integers(1, 4),
+       lam=st.fractions(-4, 4, max_denominator=3).filter(bool),
+       m=st.fractions(-4, 4, max_denominator=3).filter(bool))
+def test_shift_frame_divides_out_exactly_the_least_power_of_s(terms, e, q, lam, m):
+    """The substituted polynomial is s^k times the frame's result, which has
+    a term free of s: k is the least s-exponent, so the division is exact."""
+    h = BiPoly(terms)
+    g = h.substitute(BiPoly({(e, 0): lam}), BiPoly({(q, 0): m, (q, 1): F(1)}))
+    h1 = branches._shift_frame(h, e, q, lam, m)
+    k = min(i for i, _ in g.nums)
+    assert h1 * BiPoly.x(k) == g
+    assert min(i for i, _ in h1.nums) == 0

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 from math import lcm
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from k2forge.bipoly import BiPoly
 from k2forge.branches import _eval_series, branches_at_infinity
@@ -641,3 +641,134 @@ def test_val_lead_at_a_singular_point_needs_a_branch_only_where_the_factor_vanis
     assert eng.val_lead(_X + _Y + _C(7), node) == (0, 10)
     with pytest.raises(PreconditionError, match=r"point \(2, 1\) is singular"):
         eng.val_lead(_U, node)
+
+
+# ---------------------------------------------------------------------------
+# certificate arithmetic on integers, against a plain-Fraction reference
+# ---------------------------------------------------------------------------
+
+def _ref_val_lead(eng, f, p):
+    val, lead = 0, f.scalar
+    for poly, e in f.factors:
+        v, l = eng.val_lead(poly, p)
+        val, lead = val + e * v, lead * l**e
+    return val, lead
+
+
+def _ref_tame(eng, pair, p):
+    (m, lead_f), (n, lead_h) = _ref_val_lead(eng, pair.f, p), _ref_val_lead(eng, pair.h, p)
+    return F(-1) ** (m * n) * lead_f**n / lead_h**m
+
+
+@pytest.fixture(scope="module")
+def oracle_curves():
+    """`quartic-lines 1/2,-1,0` and `nekovar-g2 --r 1/2` (two places over
+    (0:1:0)), each with factors whose zeros are all rational, and the
+    support that holds them all, so a drawn function has a complete one."""
+    from k2forge.families import nekovar_genus2_curve, quartic_curve
+    out = []
+    for curve, pool in [(quartic_curve(*_thm53_polys(F(1, 2), F(-1), F(0))),
+                         ["y", "x - 1/8", "y + x", "y - x"]),
+                        (nekovar_genus2_curve(F(1, 2))[0], ["x", "y", "y - x + 1/2", "x - 1"])]:
+        eng = SymbolEngine(curve)
+        pool = [BiPoly.parse(t) for t in pool]
+        support = [CurvePoint.affine(*z) for poly in pool for z in eng.affine_zeros(poly)]
+        out.append((curve, eng, pool, eng.with_infinity(support)))
+    return out
+
+
+_SPEC = st.tuples(st.sampled_from([F(1), F(-1), F(2, 3), F(-5, 4), F(7)]),
+                  st.lists(st.tuples(st.integers(0, 3), st.integers(-3, 3)), max_size=3))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(index=st.integers(0, 1),
+       pairs=st.lists(st.tuples(_SPEC, _SPEC, st.integers(-3, 3)), min_size=1, max_size=3))
+@example(index=0, pairs=[((F(-2, 3), [(0, -1), (2, 1)]), (F(5), [(3, 1)]), -2),
+                         ((F(1), [(1, 2)]), (F(-1), []), 0)])
+@example(index=1, pairs=[((F(-1), [(0, 1)]), (F(2, 3), [(1, -1), (2, 1)]), 3),
+                         ((F(7), [(3, -1)]), (F(-5, 4), [(1, 1), (0, 2)]), -1)])
+def test_integer_certificate_arithmetic_matches_a_fraction_reference(oracle_curves, index, pairs):
+    """fn_val_lead, value, tame and verify_k2t's rows, totals, product and
+    verdict equal plain-Fraction arithmetic on the same val_lead values.
+    The two examples hold negative orders, negative leading coefficients,
+    odd m*n, negative and zero pair coefficients and points where both
+    orders are 0."""
+    curve, eng, pool, support = oracle_curves[index]
+
+    def fn(spec):
+        scalar, factors = spec
+        out = FnElt.constant(curve, scalar)
+        for k, e in factors:
+            out = out * FnElt.poly(curve, pool[k]) ** e
+        return out
+
+    terms = [SymbolPair(fn(f), fn(h), c) for f, h, c in pairs]
+    ref_rows = []
+    for p in support:
+        for idx, pair in enumerate(terms):
+            for f in (pair.f, pair.h):
+                got, want = eng.fn_val_lead(f, p), _ref_val_lead(eng, f, p)
+                assert got == want and type(got[1]) is F, (p, idx)
+                if want[0]:
+                    with pytest.raises(PreconditionError, match="not a unit"):
+                        eng.value(f, p)
+                else:
+                    assert eng.value(f, p) == want[1]
+            value = _ref_tame(eng, pair, p)
+            got = eng.tame(pair, p)
+            assert got == value and type(got) is F, (p, idx)
+            ords = (eng.ord(pair.f, p), eng.ord(pair.h, p))
+            ref_rows.append((p, idx, pair.coefficient, *ords, value**pair.coefficient))
+    cert = verify_k2t(curve, K2Element(terms, support), engine=eng)
+    assert [(r.point, r.pair_index, r.coefficient, r.ord_f, r.ord_h, r.value)
+            for r in cert.rows] == ref_rows
+    assert all(type(r.value) is F for r in cert.rows)
+    ref_totals = {p: F(1) for p in support}
+    for p, *_, value in ref_rows:
+        ref_totals[p] *= value
+    assert cert.point_totals == ref_totals
+    assert all(type(v) is F for v in cert.point_totals.values())
+    product = F(1)
+    for v in ref_totals.values():
+        product *= v
+    assert cert.product == product and type(cert.product) is F
+    assert cert.verdict == ("PASS" if all(v == 1 for v in ref_totals.values()) else "FAIL")
+
+
+def test_a_refused_divisor_is_refused_again_on_the_same_engine(quartic):
+    """The engine keeps divisors it found, not refusals."""
+    curve, eng, pts = quartic
+    elem = K2Element([SymbolPair(FnElt.poly(curve, BiPoly.parse("x - 1/8")),
+                                 FnElt.constant(curve, 2))], [pts["P"]])
+    for _ in range(2):
+        with pytest.raises(NonRationalSupportError, match="support incomplete"):
+            verify_k2t(curve, elem, engine=eng)
+
+
+def test_verify_of_a_quartic_ct_record_counts_its_fractions_and_divisors(monkeypatch, tmp_path):
+    """One `verify` builds a Fraction only where a row, a point total, the
+    product or a public value needs one, and finds each function's divisor
+    once: the record's 24 symbols hold 24 distinct functions, since the
+    three symbols of a triple share theirs."""
+    import fractions
+    path = str(tmp_path / "ct.json")
+    assert main(["gen", "quartic-ct", "--t", "0", "--out", path]) == 0
+    built, divisors = [0], [0]
+    real_new, real_divisor = fractions.Fraction.__new__, SymbolEngine.divisor
+
+    def counting_new(cls, *args, **kwargs):
+        built[0] += 1
+        return real_new(cls, *args, **kwargs)
+
+    def counting_divisor(self, f, support):
+        divisors[0] += 1
+        return real_divisor(self, f, support)
+
+    monkeypatch.setattr(SymbolEngine, "divisor", counting_divisor)
+    monkeypatch.setattr(fractions.Fraction, "__new__", counting_new)
+    code = main(["verify", path])
+    monkeypatch.undo()
+    assert code == 0
+    assert built[0] <= 800
+    assert divisors[0] == 24
