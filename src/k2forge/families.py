@@ -134,8 +134,6 @@ class _Marks:
             line: Optional[List[str]] = None) -> None:
         """Mark `point` as `name` with block fn, of divisor order*(point -
         inf), and aux line L_name when given."""
-        if not self.curve.contains(point):
-            raise VerificationError(f"marked point {name} does not lie on the curve")
         self.points[name] = point
         self.blocks[name] = TorsionFunction(fn, plus=point, minus=self.points["inf"],
                                             order=order)
@@ -244,7 +242,8 @@ def _hyp_family(family_id: str, params: dict, g: int, d: int,
     when d is odd, at (a, eps a^(g+1)) when d is even: f1(node) = -2 beta.
     With m constraints, f1 = H + V(nodes, -2 beta - H(nodes)), where
     H = sum_k free_k x^(m+k) (plus 2x^(g+1) when d is even) and V is the
-    interpolant of degree < m.
+    interpolant of degree < m.  A wrong f1(node) puts the mark off the
+    curve, so its element refuses.
     """
     if g < 1:
         raise PreconditionError(f"genus must be at least 1, got {g}")
@@ -266,8 +265,6 @@ def _hyp_family(family_id: str, params: dict, g: int, d: int,
         h = h + UniPoly.x(g + 1) * 2
     targets = [-2 * beta - h(node) for node, beta in marked]
     f1 = h + UniPoly(vandermonde_solve(nodes, targets))
-    if any(f1(node) != -2 * beta for node, beta in marked):
-        raise VerificationError("interpolation postcondition failed")
     return _hyp_record(family_id, params, g, d, f1, marked, notes)
 
 
@@ -665,7 +662,7 @@ def gen_nekovar_2tor(r) -> CurveRecord:
                      "cubic": [rat_str(c) for c in data["cubic"].coeffs]})
     # the full element; unreachable over Q if the docstring's assertion holds
     return _nekovar_record("nekovar-2tor", r, curve, eng, data["h_line"], torsion,
-                           [1, 2], {"Q1": q1, "Q2": q2})
+                           {"Q1": 1, "Q2": 2}, {"Q1": q1, "Q2": q2})
 
 
 def nekovar_3tor_curve(r) -> Tuple[PlaneCurve, BiPoly]:
@@ -682,7 +679,7 @@ def gen_nekovar_3tor(r) -> CurveRecord:
     r = rat(r)
     curve, h_line = nekovar_3tor_curve(r)
     return _contact_record(
-        "nekovar-3tor", r, curve, h_line, places=1, h_pattern=[1, 2],
+        "nekovar-3tor", r, curve, h_line, places=1, contacts={"Q1": 1, "Q2": 2},
         model={"type": "nekovar-3tor", "f1": [rat_str(r), rat_str(-(4 * r + 1))]})
 
 
@@ -700,7 +697,8 @@ def gen_nekovar_genus2(r) -> CurveRecord:
     r = rat(r)
     curve, h_line = nekovar_genus2_curve(r)
     rec = _contact_record(
-        "nekovar-g2", r, curve, h_line, places=2, h_pattern=[2, 3], h_scale=1 / r,
+        "nekovar-g2", r, curve, h_line, places=2, contacts={"Q1": 3, "Q2": 2},
+        h_scale=1 / r,
         model={"type": "nekovar-g2",
                "f1": [rat_str(c) for c in UniPoly([r, -1, 0, -4 * r]).coeffs]})
     rec.notes.append("h is scaled by 1/r so the tame symbols at both places "
@@ -709,12 +707,12 @@ def gen_nekovar_genus2(r) -> CurveRecord:
 
 
 def _contact_record(family_id: str, r: Fraction, curve: PlaneCurve, h_line: BiPoly,
-                    places: int, h_pattern: List[int], model: dict,
+                    places: int, contacts: Dict[str, int], model: dict,
                     h_scale: Fraction = Fraction(1)) -> CurveRecord:
     """Common path for the contact families: G = {y = 0} meets the curve of
     degree d only at O, with contact d, so y is a d-torsion function, and
-    H = h_line meets it at Q1 = (0, -r) and Q2 = (2r, r) with the
-    multiplicities `h_pattern`, on a model with `places` places at
+    H = h_line meets it at Q1 = (0, -r) and Q2 = (2r, r) only, with the
+    multiplicities `contacts`, on a model with `places` places at
     infinity."""
     eng = SymbolEngine(curve)
     d = curve.degree
@@ -724,32 +722,31 @@ def _contact_record(family_id: str, r: Fraction, curve: PlaneCurve, h_line: BiPo
             f"model must have {places} place(s) at infinity, found {found}")
     O = CurvePoint.affine(0, 0)
     y_fn = FnElt.poly(curve, BiPoly.y())
-    q1 = CurvePoint.affine(0, -r)
-    q2 = CurvePoint.affine(2 * r, r)
-    for q in (q1, q2):
-        if not curve.contains(q):
-            raise VerificationError("contact point is not on the curve")
     # with several places at infinity the poles of y split over them
     minus = eng.infinity_points()[0] if places == 1 else None
     tf = TorsionFunction(y_fn, plus=O, minus=minus, order=d)
-    return _nekovar_record(family_id, r, curve, eng, h_line, [tf], h_pattern,
-                           {"O": O, "Q1": q1, "Q2": q2}, model, h_scale)
+    return _nekovar_record(family_id, r, curve, eng, h_line, [tf], contacts,
+                           {"O": O, "Q1": CurvePoint.affine(0, -r),
+                            "Q2": CurvePoint.affine(2 * r, r)}, model, h_scale)
 
 
 def _nekovar_record(family_id: str, r: Fraction, curve: PlaneCurve, eng: SymbolEngine,
-                    h_line: BiPoly, torsion: List[TorsionFunction], h_pattern: List[int],
+                    h_line: BiPoly, torsion: List[TorsionFunction], contacts: Dict[str, int],
                     named_points: dict, model: Optional[dict] = None,
                     h_scale: Fraction = Fraction(1)) -> CurveRecord:
     """The tail of the contact families: the element on G = {y = 0} and H =
-    h_line with kappa = r from the torsion blocks on G, its H-contact
-    pattern, its certificate and the record."""
+    h_line with kappa = r from the torsion blocks on G, the check that H
+    meets the curve exactly at the named points with the multiplicities
+    `contacts`, the certificate and the record."""
     try:
         elem, info = nekovar_element(curve, BiPoly.y(), h_line, torsion,
                                      kappa=r, h_scale=h_scale, engine=eng)
     except PreconditionError as e:  # a block, or a contact hypothesis, fails
         raise VerificationError(f"element nekovar: {e}") from e
-    if info["h_pattern"] != h_pattern:
-        raise VerificationError(f"contact pattern {info['h_pattern']} != {h_pattern}")
+    names = {p: n for n, p in named_points.items()}
+    met = {names.get(p, p.label()): k for p, k in info["h_points"]}
+    if met != contacts:
+        raise VerificationError(f"contact pattern {met} != {contacts}")
     cert = verify_k2t(curve, elem, engine=eng)
     if not cert.passed:
         raise VerificationError("combination element failed tame verification")

@@ -40,11 +40,10 @@ def bareiss_det(matrix: Matrix, exact_div: Callable = None):
                 return zero  # a zero of the right type
             m[k], m[piv] = m[piv], m[k]
             sign = -sign
-        for i in range(k + 1, n):
+        for i in range(k + 1, n):  # column k below the pivot is never read again
             for j in range(k + 1, n):
                 num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
                 m[i][j] = num if prev is None else div(num, prev)
-            m[i][k] = m[k][k] * 0
         prev = m[k][k]
     det = m[n - 1][n - 1]
     return det if sign == 1 else -det

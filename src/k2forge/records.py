@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Dict, List, Optional
 
@@ -182,7 +183,7 @@ def _fnelt_jsonable(f: FnElt) -> dict:
     }
 
 
-def _fnelt_from_json(curve: PlaneCurve, d: dict, factor: Dict[str, FnElt]) -> FnElt:
+def _fnelt_from_json(curve: PlaneCurve, d: dict, factor: Callable[[str], FnElt]) -> FnElt:
     """The function of d's "scalar" and "factors" (its "num" and "den" are
     not read); `factor` maps a factor's polynomial string to
     FnElt(curve, poly)."""
@@ -191,7 +192,7 @@ def _fnelt_from_json(curve: PlaneCurve, d: dict, factor: Dict[str, FnElt]) -> Fn
     exps: Dict[BiPoly, int] = {}  # summed, in order of first appearance
     for fd in json_field(d, "factors", list):
         exp = within_limit("'exp'", int_field(fd, "exp"))
-        fn = factor[json_field(fd, "poly", str)]
+        fn = factor(json_field(fd, "poly", str))
         a, b = pow_pair(fn.scalar.numerator, fn.scalar.denominator, exp)
         num, den = num * a, den * b
         for poly, e in fn.factors:
@@ -299,26 +300,14 @@ class LoadedRecord:
     elements: List[LoadedElement]
 
 
-class _Memo(dict):
-    """decode(key), computed on the first lookup of each distinct key."""
-
-    def __init__(self, decode: Callable):
-        super().__init__()
-        self.decode = decode
-
-    def __missing__(self, key):
-        value = self[key] = self.decode(key)
-        return value
-
-
 def _point_reader() -> Callable[[dict], CurvePoint]:
     """point_from_json, run once per distinct raw point.  The key holds each
     field's type, so that 1, 1.0 and true stay apart."""
-    memo = _Memo(lambda key: point_from_json({k: v for k, _, v in key}))
+    memo = cache(lambda key: point_from_json({k: v for k, _, v in key}))
 
     def read(d) -> CurvePoint:
         try:
-            return memo[tuple((k, type(v), v) for k, v in json_object(d).items())]
+            return memo(tuple((k, type(v), v) for k, v in json_object(d).items()))
         except TypeError:  # a field holds a list or an object
             return point_from_json(d)
     return read
@@ -343,7 +332,7 @@ def record_from_json(text: str) -> LoadedRecord:
         raise RecordFormatError(f"'degree' is {degree}, but the curve has degree "
                                 f"{affine.total_degree}")
     curve = PlaneCurve(affine)
-    factor = _Memo(lambda text: _factor_from_json(curve, text))
+    factor = cache(lambda text: _factor_from_json(curve, text))
     read_point = _point_reader()
     points = {name: read_point(d) for name, d in json_field(data, "points", dict).items()}
     for name, p in points.items():

@@ -25,8 +25,13 @@ are products of powers, formed on integer (numerator, denominator)
 pairs.  `Fraction` remains where a public value or the record text needs
 one: the cached `val_lead` coefficients and function scalars, the
 returns of `fn_val_lead`, `value` and `tame`, and each certificate row,
-point total and product.  An engine finds each function's divisor on a
-support once, from its factors, which alone determine it.
+point total and product.
+
+The divisor is the proof object of a construction, and it has one path:
+`SymbolEngine.divisor` finds each function's divisor on a support once,
+from its factors, which alone determine it, and keeps it.  The torsion
+shape check compares that divisor with the claimed one, and
+`verify_k2t` reads the same divisor, so each claim is proved once.
 
 An element of K2 of the function field is an integer combination of
 symbol pairs; `verify_k2t` certifies membership in the tame kernel over
@@ -335,7 +340,7 @@ class SymbolEngine:
         self._affine: Dict[CurvePoint, Branch] = {}
         self._infinity: Optional[Dict[CurvePoint, Branch]] = None
         self._val_lead_cache: Dict[Tuple[BiPoly, CurvePoint], Tuple[int, Fraction]] = {}
-        self._divisors: Dict[tuple, Dict[CurvePoint, int]] = {}  # (factors, support) -> div
+        self._divisors: Dict[tuple, Divisor] = {}  # (factors, support) -> div
         self._local: Dict[CurvePoint, BiPoly] = {}
         self._on_curve: Set[CurvePoint] = set()  # affine points found on the curve
         self._zeros_cache: Dict[BiPoly, Optional[Tuple[Tuple[Fraction, Fraction], ...]]] = {}
@@ -344,9 +349,7 @@ class SymbolEngine:
     def _infinity_places(self) -> Dict[CurvePoint, Branch]:
         """The branch at each place at infinity, in point order."""
         if self._infinity is None:
-            brs = sorted(branches_at_infinity(self.curve),
-                         key=lambda b: (b.point.x, b.point.y, b.point.branch))
-            self._infinity = {b.point: b for b in brs}
+            self._infinity = {b.point: b for b in branches_at_infinity(self.curve)}
         return self._infinity
 
     def branch(self, p: CurvePoint) -> Branch:
@@ -486,19 +489,19 @@ class SymbolEngine:
         return lead
 
     # -- tame symbols -----------------------------------------------------
-    def tame(self, pair: SymbolPair, p: CurvePoint,
-             ords: Optional[Tuple[int, int]] = None) -> Fraction:
-        """T_P({f, h}), exact, given (ord_P f, ord_P h) or from self.ord.
+    def tame(self, pair: SymbolPair, p: CurvePoint) -> Fraction:
+        """T_P({f, h}), exact.
 
         val_lead reconciles the orders' two routes, so a mismatch raises
         VerificationError.  T_P is 1 where both orders are 0, and a leading
         coefficient is taken only where the partner's order is nonzero.
         """
-        return Fraction(*self._tame_ints(pair, p, ords))
+        return Fraction(*self._tame_ints(pair, p))
 
     def _tame_ints(self, pair: SymbolPair, p: CurvePoint,
                    ords: Optional[Tuple[int, int]] = None) -> Tuple[int, int]:
-        """tame as (num, den) on ints, not reduced."""
+        """tame as (num, den) on ints, not reduced, given (ord_P f, ord_P h)
+        or from self.ord."""
         m, n = ords or (self.ord(pair.f, p), self.ord(pair.h, p))
         if not (m or n):
             return 1, 1
@@ -522,12 +525,18 @@ class SymbolEngine:
         return orders, -sum(orders)
 
     def divisor(self, f: FnElt, support: Sequence[CurvePoint]) -> Divisor:
-        """div(f) on `support`.
+        """div(f) on `support`, found once per engine for f's factors, on
+        which it alone depends; the same Divisor is returned on every call.
 
         NonRationalSupportError ("support incomplete") unless `support`
         holds every zero of each factor of f (see closure) and every place
-        at infinity where f has a nonzero order.
+        at infinity where f has a nonzero order.  A refusal is not kept,
+        so it is raised again on every call.
         """
+        key = (f.factors, tuple(support))
+        div = self._divisors.get(key)
+        if div is not None:
+            return div
         declared = dict.fromkeys(support)
         places = self.with_infinity(declared)
         total = [0] * len(places)
@@ -542,17 +551,8 @@ class SymbolEngine:
             if v:
                 raise NonRationalSupportError(
                     f"support incomplete: order {v} at {p.label()}, which is not declared")
-        return Divisor(dict(zip(declared, total)))
-
-    def _divisor_entries(self, f: FnElt, support: Tuple[CurvePoint, ...]) -> Dict[CurvePoint, int]:
-        """divisor(f, support).entries, found once per engine for f's factors,
-        on which div(f) alone depends; a refusal is not kept, so it is raised
-        again on every call."""
-        key = (f.factors, support)
-        entries = self._divisors.get(key)
-        if entries is None:
-            entries = self._divisors[key] = self.divisor(f, support).entries
-        return entries
+        div = self._divisors[key] = Divisor(dict(zip(declared, total)))
+        return div
 
     def support_candidates(self, fns: Sequence[FnElt],
                            extra: Sequence[CurvePoint] = ()) -> List[CurvePoint]:
@@ -584,7 +584,7 @@ def verify_k2t(curve: PlaneCurve, elem: K2Element,
     """
     eng = engine or SymbolEngine(curve)
     support = tuple(elem.declared_support)
-    divs = [(eng._divisor_entries(pair.f, support), eng._divisor_entries(pair.h, support))
+    divs = [(eng.divisor(pair.f, support).entries, eng.divisor(pair.h, support).entries)
             for pair in elem.terms]
     one = Fraction(1)
     rows: List[CertificateRow] = []
@@ -640,26 +640,18 @@ def construction_torsion(curve: PlaneCurve,
 
 def verify_torsion_shape(eng: SymbolEngine, tf: TorsionFunction,
                          candidates: Sequence[CurvePoint]):
-    """Check div(fn) = m (plus) - m (minus) exactly (or poles all at infinity)."""
-    div = eng.divisor(tf.fn, candidates)
-    nz = div.nonzero()
-    if nz.get(tf.plus, 0) != tf.order:
-        raise PreconditionError(
-            f"not a torsion triple: zero at {tf.plus.label()} has order "
-            f"{nz.get(tf.plus, 0)}, expected {tf.order}")
-    if tf.minus is not None:
-        if nz.get(tf.minus, 0) != -tf.order:
-            raise PreconditionError(
-                f"not a torsion triple: pole at {tf.minus.label()} has order "
-                f"{nz.get(tf.minus, 0)}, expected {-tf.order}")
-        stray = {p: v for p, v in nz.items() if p not in (tf.plus, tf.minus)}
+    """Check div(fn) = m (plus) - m (minus) exactly; with minus None, poles
+    at infinity are allowed as well."""
+    got = eng.divisor(tf.fn, candidates).nonzero()
+    want = {tf.plus: tf.order}
+    if tf.minus is None:
+        got = {p: v for p, v in got.items() if p.is_affine or v > 0}
     else:
-        stray = {p: v for p, v in nz.items()
-                 if p != tf.plus and not (v < 0 and not p.is_affine)}
-    if stray:
-        raise PreconditionError(
-            "not a torsion triple: unexpected zeros/poles at "
-            + ", ".join(p.label() for p in stray))
+        want[tf.minus] = -tf.order
+    if got != want:
+        raise PreconditionError("not a torsion triple: " + "; ".join(
+            f"order {got.get(p, 0)} at {p.label()}, expected {want.get(p, 0)}"
+            for p in dict.fromkeys([*want, *got]) if got.get(p, 0) != want.get(p, 0)))
 
 
 def steinberg_values(curve: PlaneCurve, f: FnElt,
@@ -701,7 +693,8 @@ def nekovar_element(curve: PlaneCurve,
         point of H with the curve; a sign mix triggers the squaring
         adjustment, which is recorded in the returned metadata.
 
-    Returns (element, info dict).
+    Returns (element, info dict); info["h_points"] lists H cap C as
+    (point, multiplicity) pairs.
     """
     eng = engine or SymbolEngine(curve)
     kappa = rat(kappa)
@@ -746,6 +739,7 @@ def nekovar_element(curve: PlaneCurve,
         "kappa": kappa_eff,
         "m": m,
         "h_pattern": sorted((mult for (_, mult) in h_points), reverse=False),
+        "h_points": h_points,
     }
     for tf in torsion_data:
         k_i = eng.tame(base_pair, tf.plus)

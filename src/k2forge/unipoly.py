@@ -32,7 +32,7 @@ class UniPoly:
     __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Sequence = ()):
-        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        cs = [c if isinstance(c, (int, Fraction)) else rat(c) for c in coeffs]
         den = lcm(*(c.denominator for c in cs))
         self._set([c.numerator * (den // c.denominator) for c in cs], den)
 

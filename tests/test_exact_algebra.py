@@ -31,6 +31,16 @@ def test_poly_eval_square():
     assert p(F(3, 2)) == F(9, 4)
 
 
+def test_polynomials_take_exact_coefficients_only():
+    """A float coefficient is a TypeError in every polynomial and series
+    type; strings and Fractions are read exactly."""
+    for build in (lambda c: UniPoly([1, c]), lambda c: BiPoly({(0, 1): c}),
+                  lambda c: PowerSeries(0, [c], 2)):
+        with pytest.raises(TypeError, match="exact rational"):
+            build(0.5)
+    assert UniPoly(["1/3", F(2, 3), True]) == UniPoly([F(1, 3), F(2, 3), 1])
+
+
 def test_poly_eval_zero_poly():
     assert UniPoly.zero()(F(7, 3)) == 0
     assert BiPoly.zero()(1, 2) == 0

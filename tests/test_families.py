@@ -154,18 +154,28 @@ def test_hyp_partial_full_rank_matches_direct_generator():
 
 
 @pytest.mark.parametrize("family", ["hyp-odd", "hyp-even", "hyp-partial"])
-def test_hyp_interpolation_postcondition_covers_every_family(monkeypatch, family):
-    """f1(node) = -2 beta is re-checked after the interpolation, whichever
-    hyperelliptic family asked for it."""
+def test_hyp_interpolation_postcondition_covers_every_family(monkeypatch, capsys, tmp_path,
+                                                             family):
+    """A wrong interpolant puts the marks off the curve, whichever
+    hyperelliptic family asked for it: the first element's divisor refuses,
+    and gen exits 3 with one line naming it.  (For hyp-even at a = 1, 2
+    the shifted interpolant gives a singular model, which the discriminant
+    gate refuses first, with exit 2; a = 1, 3 gives a smooth one.)"""
     def off_by_one(nodes, values):
         return vandermonde_solve(nodes, [v + 1 for v in values])
 
     monkeypatch.setattr(fam, "vandermonde_solve", off_by_one)
-    args = {"hyp-odd": (2, [1, F(1, 2), F(1, 4)]),
-            "hyp-even": (1, [1, 2], [1, 1]),
-            "hyp-partial": (2, 5, [(1, 1)], [0, 0])}[family]
-    with pytest.raises(VerificationError, match="interpolation postcondition failed"):
-        fam.GENERATORS[family](*args)
+    flags = {"hyp-odd": ["--genus", "2", "--a", "1,1/2,1/4"],
+             "hyp-even": ["--genus", "1", "--a", "1,3", "--eps", "1,1"],
+             "hyp-partial": ["--genus", "2", "--d", "5", "--constraints", "1:1",
+                             "--free", "0,0"]}[family]
+    out = tmp_path / "r.json"
+    code = main(["gen", family, *flags, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert err.splitlines() == [err.strip()], err
+    assert err.startswith("verification failure: element {inf,O,P1}: "), err
+    assert not out.exists()
 
 
 def test_integrality_flag_negative_case():
@@ -626,16 +636,49 @@ def _h_contact_1_4(monkeypatch):
         fam._y2_model(UniPoly([r, -16 * r**3 - 1, 16 * r**2, -8 * r]), 5)[0], real(r)[1]))
 
 
+def _swapped_contacts(monkeypatch):
+    real = fam._contact_record
+    monkeypatch.setattr(fam, "_contact_record", lambda *args, contacts, **kw: real(
+        *args, contacts={"Q1": contacts["Q2"], "Q2": contacts["Q1"]}, **kw))
+
+
+def _swapped_points(monkeypatch):
+    real = fam._nekovar_record  # named_points is its eighth argument
+    monkeypatch.setattr(fam, "_nekovar_record", lambda *args: real(
+        *args[:7], {**args[7], "Q1": args[7]["Q2"], "Q2": args[7]["Q1"]}, *args[8:]))
+
+
+def _third_contact(monkeypatch):
+    real = fam._contact_record
+    monkeypatch.setattr(fam, "_contact_record", lambda *args, contacts, **kw: real(
+        *args, contacts={**contacts, "O": 1}, **kw))
+
+
 @pytest.mark.parametrize("family, r, mutate, message", [
     ("nekovar-3tor", "2", _two_places_at_infinity,
      "model must have 1 place(s) at infinity, found 2"),
-    ("nekovar-3tor", "2", _model_of_another_r, "contact point is not on the curve"),
-    ("nekovar-g2", "1/2", _h_contact_1_4, "contact pattern [1, 4] != [2, 3]"),
-], ids=["place-count", "contact-point", "h-pattern"])
+    ("nekovar-3tor", "2", _model_of_another_r,
+     "element nekovar: constancy hypothesis fails: g is not constant (up to sign) on H"),
+    ("nekovar-g2", "1/2", _h_contact_1_4,
+     "contact pattern {'Q1': 1, 'Q2': 4} != {'Q1': 3, 'Q2': 2}"),
+    ("nekovar-3tor", "2", _swapped_contacts,
+     "contact pattern {'Q1': 1, 'Q2': 2} != {'Q1': 2, 'Q2': 1}"),
+    ("nekovar-g2", "1/2", _swapped_contacts,
+     "contact pattern {'Q1': 3, 'Q2': 2} != {'Q1': 2, 'Q2': 3}"),
+    ("nekovar-3tor", "2", _swapped_points,
+     "contact pattern {'Q2': 1, 'Q1': 2} != {'Q1': 1, 'Q2': 2}"),
+    ("nekovar-g2", "1/2", _swapped_points,
+     "contact pattern {'Q2': 3, 'Q1': 2} != {'Q1': 3, 'Q2': 2}"),
+    ("nekovar-3tor", "2", _third_contact,
+     "contact pattern {'Q1': 1, 'Q2': 2} != {'Q1': 1, 'Q2': 2, 'O': 1}"),
+], ids=["place-count", "contact-point", "h-pattern", "3tor-multiplicities",
+        "g2-multiplicities", "3tor-points", "g2-points", "3tor-extra-point"])
 def test_contact_record_checks_its_model(monkeypatch, capsys, tmp_path,
                                          family, r, mutate, message):
     """A model that breaks the contact families' postconditions ends gen
-    with exit 3 and one line, and writes nothing."""
+    with exit 3 and one line, and writes nothing.  H must meet the curve
+    exactly at the named points with their multiplicities: swapped names,
+    swapped multiplicities or a named point that H misses all refuse."""
     mutate(monkeypatch)
     out = tmp_path / "r.json"
     assert main(["gen", family, "--r", r, "--out", str(out)]) == 3

@@ -19,7 +19,8 @@ from k2forge.records import record_to_json
 from k2forge.series import PowerSeries
 from k2forge.symbols import (FnElt, K2Element, SymbolEngine, SymbolPair,
                              TorsionFunction, construction_torsion,
-                             nekovar_element, steinberg_values, verify_k2t)
+                             nekovar_element, steinberg_values, verify_k2t,
+                             verify_torsion_shape)
 
 from test_branches import _CUBIC_TERMS, _plan_curves
 
@@ -270,6 +271,29 @@ def test_shape_mismatch_rejected(quartic):
         construction_torsion(curve, t1, bad, t3, engine=eng)
 
 
+def test_torsion_shape_names_each_point_that_differs(quartic):
+    """One comparison of div(fn) with m (plus) - m (minus): the refusal
+    names every point whose order differs, with both orders; with no minus
+    point the poles at infinity are free."""
+    curve, eng, pts = quartic
+    fP = FnElt.poly(curve, BiPoly.parse("x - 1/8"))  # div 3(P) - 3(inf)
+    support = eng.support_candidates([fP], extra=[pts["O"], pts["Q"]])
+    P, Q, inf = pts["P"].label(), pts["Q"].label(), pts["inf"].label()
+    verify_torsion_shape(eng, TorsionFunction(fP, plus=pts["P"], minus=None, order=3),
+                         support)
+    for tf, message in [
+        (TorsionFunction(fP, plus=pts["P"], minus=pts["inf"], order=2),
+         f"order 3 at {P}, expected 2; order -3 at {inf}, expected -2"),
+        (TorsionFunction(fP, plus=pts["Q"], minus=None, order=3),
+         f"order 0 at {Q}, expected 3; order 3 at {P}, expected 0"),
+        (TorsionFunction(fP, plus=pts["P"], minus=pts["O"], order=3),
+         f"order 0 at {pts['O'].label()}, expected -3; order -3 at {inf}, expected 0"),
+    ]:
+        with pytest.raises(PreconditionError) as ei:
+            verify_torsion_shape(eng, tf, support)
+        assert str(ei.value) == "not a torsion triple: " + message
+
+
 def test_corrupted_element_fails_with_reciprocity(quartic):
     curve, eng, pts = quartic
     fP = FnElt.poly(curve, BiPoly.parse("x - 1/8"))
@@ -456,9 +480,10 @@ def test_tame_is_the_leading_coefficient_formula(index, f_terms, h_terms):
         m, lead_f = eng.fn_val_lead(f, p)
         n, lead_h = eng.fn_val_lead(h, p)
         want = F(-1) ** (m * n) * lead_f**n / lead_h**m
-        for ords in (None, (m, n)):
-            got = SymbolEngine(curve).tame(SymbolPair(f, h), p, ords)
-            assert type(got) is F and got == want, (p, m, n)
+        got = SymbolEngine(curve).tame(SymbolPair(f, h), p)
+        assert type(got) is F and got == want, (p, m, n)
+        num, den = SymbolEngine(curve)._tame_ints(SymbolPair(f, h), p, (m, n))
+        assert F(num, den) == want, (p, m, n)
 
 
 @pytest.mark.parametrize("index", range(len(PLAN)))
@@ -737,8 +762,13 @@ def test_integer_certificate_arithmetic_matches_a_fraction_reference(oracle_curv
 
 
 def test_a_refused_divisor_is_refused_again_on_the_same_engine(quartic):
-    """The engine keeps divisors it found, not refusals."""
+    """The engine keeps divisors it found, per function factors and support,
+    not refusals."""
     curve, eng, pts = quartic
+    f = FnElt.poly(curve, BiPoly.parse("x - 1/8"))
+    div = eng.divisor(f, [pts["P"], pts["inf"]])
+    assert eng.divisor(f * 3, (pts["P"], pts["inf"])) is div
+    assert eng.divisor(f, [pts["inf"], pts["P"]]) is not div
     elem = K2Element([SymbolPair(FnElt.poly(curve, BiPoly.parse("x - 1/8")),
                                  FnElt.constant(curve, 2))], [pts["P"]])
     for _ in range(2):
@@ -750,22 +780,27 @@ def test_verify_of_a_quartic_ct_record_counts_its_fractions_and_divisors(monkeyp
     """One `verify` builds a Fraction only where a row, a point total, the
     product or a public value needs one, and finds each function's divisor
     once: the record's 24 symbols hold 24 distinct functions, since the
-    three symbols of a triple share theirs."""
+    three symbols of a triple share theirs.  The `gen` that writes the
+    record finds 24 too: the shape check of each torsion function and the
+    certificate of each symbol read one divisor."""
     import fractions
-    path = str(tmp_path / "ct.json")
-    assert main(["gen", "quartic-ct", "--t", "0", "--out", path]) == 0
     built, divisors = [0], [0]
-    real_new, real_divisor = fractions.Fraction.__new__, SymbolEngine.divisor
+    real_new = fractions.Fraction.__new__
 
     def counting_new(cls, *args, **kwargs):
         built[0] += 1
         return real_new(cls, *args, **kwargs)
 
-    def counting_divisor(self, f, support):
-        divisors[0] += 1
-        return real_divisor(self, f, support)
+    class CountingDivisor(symbols.Divisor):  # built once per divisor found
+        def __init__(self, *args, **kwargs):
+            divisors[0] += 1
+            super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(SymbolEngine, "divisor", counting_divisor)
+    monkeypatch.setattr(symbols, "Divisor", CountingDivisor)
+    path = str(tmp_path / "ct.json")
+    assert main(["gen", "quartic-ct", "--t", "0", "--out", path]) == 0
+    assert divisors[0] == 24
+    divisors[0] = 0
     monkeypatch.setattr(fractions.Fraction, "__new__", counting_new)
     code = main(["verify", path])
     monkeypatch.undo()
