@@ -334,8 +334,6 @@ class BiPoly:
         m, n = len(a) - 1, len(b) - 1
         if m <= 0 and n <= 0:
             raise PreconditionError("nothing to eliminate")
-        if m < 0 or n < 0:
-            return UniPoly.zero()
         det = bareiss_det(sylvester_matrix(a, b, UniPoly.zero()), exact_div=UniPoly.exact_div)
         return det * Fraction(1, self.den**n * other.den**m)
 

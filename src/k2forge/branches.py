@@ -129,7 +129,7 @@ def _eval_in_t(rows: List[List[int]], den: int, v: PowerSeries, prec: int) -> Po
     return PowerSeries.from_ints(val, nums, den * k, top)
 
 
-def _eval_series(p: BiPoly, s: PowerSeries, v: PowerSeries, prec: int) -> PowerSeries:
+def eval_series(p: BiPoly, s: PowerSeries, v: PowerSeries, prec: int) -> PowerSeries:
     """p(s(t), v(t)) truncated to prec; the rows in v have no pole when s has none."""
     cut = _live_rows(s, prec)
     rows = [_horner([(0, (a,), prec) for a in r[:cut]], s, prec)
@@ -166,11 +166,13 @@ def _horner(coeffs: List[Tuple[int, Sequence[int], int]], v: PowerSeries,
 
 
 def _polygon_places(h: BiPoly, depth: int = 0) -> List[_ChartPlace]:
-    """All places of h = 0 at the origin with s not identically zero."""
+    """All places of h = 0 at the origin with s not identically zero.
+
+    h vanishes at the origin: the first call gets the chart at a point of
+    the curve, and each h1 below has h1(0, 0) = rho^k psi(rho) = 0 at its
+    edge root rho."""
     if depth > 40:
         raise VerificationError("Newton polygon recursion did not terminate")
-    if h(0, 0) != 0:
-        return []
     support = list(h.nums)
     if all(j >= 1 for _, j in support):
         raise NonRationalSupportError("curve has the chart axis as a component")
@@ -301,7 +303,7 @@ class Branch:
         """Check F(x(t), y(t)) = 0 to the working truncation."""
         prec = prec or (2 * self.curve.degree + 6)
         x, y = self.xy(prec)
-        val = _eval_series(self.curve.affine, x, y, min(x.prec, y.prec))
+        val = eval_series(self.curve.affine, x, y, min(x.prec, y.prec))
         return val.is_zero()
 
     def _order_key(self) -> Tuple[int, int, Fraction, Fraction]:
@@ -322,7 +324,7 @@ def branch_at_affine(curve: PlaneCurve, p: CurvePoint, local: BiPoly = None) -> 
         raise PreconditionError("branch_at_affine needs an affine point")
     local = curve.affine.shift(p.x, p.y) if local is None else local
     if local.nums.get((0, 0)):
-        raise PreconditionError("point does not lie on the curve")
+        raise PreconditionError(f"point {p.label()} does not lie on the curve")
     if local.nums.get((0, 1)):
         return Branch(curve, p, "affine-y", (local, p.x, p.y))
     if local.nums.get((1, 0)):

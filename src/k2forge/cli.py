@@ -20,7 +20,7 @@ from .errors import (InsufficientPrecisionError, PreconditionError, RecordFormat
                      VerificationError)
 from .families import GENERATORS, PARAMS, Param
 from .rationals import rat, rat_str
-from .records import (_param_jsonable, catalog_entry_jsonable, params_hash,
+from .records import (catalog_entry_jsonable, param_jsonable, params_hash,
                       record_from_json, record_to_json)
 from .symbols import SymbolEngine, verify_k2t
 
@@ -217,7 +217,7 @@ def cmd_catalog(ns) -> int:
                     with open(ns.db + ".errors.txt", "a", encoding="utf-8") as log:
                         log.write(json.dumps({
                             "family": ns.family,
-                            "params": {k: _param_jsonable(v) for k, v in params.items()},
+                            "params": {k: param_jsonable(v) for k, v in params.items()},
                             "exit": code, "error": str(e)}) + "\n")
                     if code == 3:
                         raise  # a verification failure ends the run

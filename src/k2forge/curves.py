@@ -196,12 +196,10 @@ class PlaneCurve:
         Returns (points, complete); `complete` is False when the binary
         form F(X, Y, 0) also has non-rational roots.
         """
-        p = self.affine.chart("Y").eval_y(0)  # F(X,1,0) as UniPoly in X
+        # F(X, 1, 0) as a UniPoly in X: the top-degree form at Y = 1, never zero
+        p = self.affine.chart("Y").eval_y(0)
         pts: List[Tuple[Fraction, Fraction]] = []
         found_deg = 0
-        if p.is_zero():
-            # Z=0 is a component; not a legal curve here
-            raise PreconditionError("curve contains the line at infinity")
         for root, mult in p.rational_roots():
             pts.append((root, Fraction(1)))
             found_deg += mult
@@ -335,7 +333,7 @@ def tangent_line(c: CurveLike, p: CurvePoint) -> Line:
     if not p.is_affine:
         raise PreconditionError("tangent_line expects an affine point")
     if f(p.x, p.y) != 0:
-        raise PreconditionError("point does not lie on the curve")
+        raise PreconditionError(f"point {p.label()} does not lie on the curve")
     fx = f.partial("x")(p.x, p.y)
     fy = f.partial("y")(p.x, p.y)
     if fx == 0 and fy == 0:

@@ -26,14 +26,13 @@ from .errors import PreconditionError
 # cells per axis; the grid holds (grid + 1)^2 floats, about 40 bytes each,
 # so the maximum keeps a plot near 160 MiB
 MIN_GRID, MAX_GRID = 16, 2048
+WIDTH = HEIGHT = 640  # the figure's size in pixels
 
 
 @dataclass
 class PlotSpec:
     window: Tuple[float, float, float, float]  # xmin, xmax, ymin, ymax
-    grid: int = 512
-    width: int = 640
-    height: int = 640
+    grid: int
 
     def __post_init__(self):
         xmin, xmax, ymin, ymax = self.window
@@ -160,7 +159,7 @@ def render_record_svg(record_data: dict, spec: PlotSpec) -> str:
     Raises RecordFormatError when record_data does not have a record's shape.
     """
     xmin, xmax, ymin, ymax = spec.window
-    W, H = spec.width, spec.height
+    W, H = WIDTH, HEIGHT
 
     def to_px(x, y):
         px = (x - xmin) / (xmax - xmin) * W

@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional
 from .bipoly import BiPoly
 from .curves import CurvePoint, PlaneCurve
 from .errors import PreconditionError, RecordFormatError
-from .rationals import pow_pair, rat, rat_str
+from .rationals import rat, rat_str
 from .symbols import Certificate, FnElt, K2Element, SymbolPair
 
 SCHEMA_VERSION = 1
@@ -75,11 +75,11 @@ class CurveRecord:
 # JSON encoding
 # ---------------------------------------------------------------------------
 
-def _param_jsonable(v):
+def param_jsonable(v):
     if isinstance(v, (int, Fraction)):
         return rat_str(rat(v))
     if isinstance(v, (list, tuple)):
-        return [_param_jsonable(x) for x in v]
+        return [param_jsonable(x) for x in v]
     return str(v)
 
 
@@ -183,27 +183,21 @@ def _fnelt_jsonable(f: FnElt) -> dict:
     }
 
 
-def _fnelt_from_json(curve: PlaneCurve, d: dict, factor: Callable[[str], FnElt]) -> FnElt:
+def _fnelt_from_json(curve: PlaneCurve, d: dict, factor: Callable[[str], BiPoly]) -> FnElt:
     """The function of d's "scalar" and "factors" (its "num" and "den" are
-    not read); `factor` maps a factor's polynomial string to
-    FnElt(curve, poly)."""
-    scalar = FnElt.constant(curve, rat_field(d, "scalar", "1")).scalar
-    num, den = scalar.numerator, scalar.denominator
-    exps: Dict[BiPoly, int] = {}  # summed, in order of first appearance
+    not read); `factor` parses a factor's polynomial string."""
+    scalar = rat_field(d, "scalar", "1")
+    factors = []
     for fd in json_field(d, "factors", list):
         exp = within_limit("'exp'", int_field(fd, "exp"))
-        fn = factor(json_field(fd, "poly", str))
-        a, b = pow_pair(fn.scalar.numerator, fn.scalar.denominator, exp)
-        num, den = num * a, den * b
-        for poly, e in fn.factors:
-            exps[poly] = exps.get(poly, 0) + e * exp
-    return FnElt._make(curve, Fraction(num, den), exps.items())
+        factors.append((factor(json_field(fd, "poly", str)), exp))
+    return FnElt(curve, scalar, factors)
 
 
-def _factor_from_json(curve: PlaneCurve, text: str) -> FnElt:
+def _factor_from_json(text: str) -> BiPoly:
     poly = _parse_poly("poly", text)
     within_limit("the degree of factor 'poly'", poly.total_degree)
-    return FnElt(curve, poly)
+    return poly
 
 
 def _element_jsonable(e: NamedElement) -> dict:
@@ -236,7 +230,7 @@ def record_jsonable(rec: CurveRecord) -> dict:
     return {
         "k2forge_schema": SCHEMA_VERSION,
         "family_id": rec.family_id,
-        "params": {k: _param_jsonable(v) for k, v in rec.params.items()},
+        "params": {k: param_jsonable(v) for k, v in rec.params.items()},
         "curve": {
             "affine": rec.curve.canonical(),
             "projective": rec.curve.affine.projective_canonical(),
@@ -320,7 +314,7 @@ def record_from_json(text: str) -> LoadedRecord:
     PreconditionError for an unsupported schema or a marked point off the
     stored curve.
 
-    Each distinct factor string becomes one FnElt, and each distinct raw
+    Each distinct factor string becomes one BiPoly, and each distinct raw
     point one CurvePoint, within this call."""
     data = json.loads(text)
     if json_object(data).get("k2forge_schema") != SCHEMA_VERSION:
@@ -332,7 +326,7 @@ def record_from_json(text: str) -> LoadedRecord:
         raise RecordFormatError(f"'degree' is {degree}, but the curve has degree "
                                 f"{affine.total_degree}")
     curve = PlaneCurve(affine)
-    factor = cache(lambda text: _factor_from_json(curve, text))
+    factor = cache(_factor_from_json)
     read_point = _point_reader()
     points = {name: read_point(d) for name, d in json_field(data, "points", dict).items()}
     for name, p in points.items():
@@ -369,7 +363,7 @@ def record_from_json(text: str) -> LoadedRecord:
 def params_hash(family_id: str, params: Dict[str, object]) -> str:
     import hashlib  # only the catalog path hashes
     canon = json.dumps({"family": family_id,
-                        "params": {k: _param_jsonable(v) for k, v in sorted(params.items())}},
+                        "params": {k: param_jsonable(v) for k, v in sorted(params.items())}},
                        sort_keys=True)
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 

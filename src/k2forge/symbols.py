@@ -1,5 +1,13 @@
 """Function-field elements, divisors, tame symbols and K2 certificates.
 
+A function is scalar * prod poly_i^e_i, made by the one constructor
+`FnElt(curve, scalar, factors)` into one normal form: constant
+polynomials folded into the scalar, equal polynomials merged in order of
+first appearance, zero exponents dropped, and the zero function (a zero
+scalar, or a factor that vanishes on the curve) refused.  `FnElt.poly`
+is how a polynomial from outside becomes a function; the arithmetic and
+the record decoder call the same constructor.
+
 The tame symbol of {f, h} at a rational place P is the unit
 
     T_P({f,h}) = (-1)^(ord f * ord h) * (f^(ord h) / h^(ord f))(P),
@@ -44,11 +52,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .bipoly import BiPoly
-from .branches import (Branch, _eval_series, branch_at_affine,
-                       branches_at_infinity)
+from .branches import (Branch, branch_at_affine, branches_at_infinity,
+                       eval_series)
 from .curves import (CurvePoint, PlaneCurve, fulton_multiplicity,
                      intersection_multiplicity, rational_common_zeros)
 from .errors import (NonRationalSupportError, PreconditionError,
@@ -64,6 +72,15 @@ from .series import PowerSeries
 class FnElt:
     """Element of Q(C), kept in factored form scalar * prod poly_i^e_i.
 
+    `FnElt(curve, scalar, factors)` is the one constructor, and every
+    element is in one normal form: constant polynomials are folded into
+    the nonzero rational scalar, equal polynomials are merged in order of
+    first appearance, and zero exponents are dropped.  It refuses the zero
+    function: a zero scalar, or a factor that vanishes on the curve at any
+    exponent ("zero function", or "denominator vanishes on the curve" for
+    a negative exponent).  `FnElt.poly` is how a polynomial from outside
+    becomes a function, and `FnElt.constant` a rational.
+
     Orders of vanishing and leading series coefficients are additive and
     multiplicative over the factors, so every evaluation decomposes into
     work on the small building-block polynomials (which the engine
@@ -73,47 +90,25 @@ class FnElt:
 
     __slots__ = ("curve", "scalar", "factors", "_num", "_den")
 
-    def __init__(self, curve: PlaneCurve, num: BiPoly, den: BiPoly = None):
-        den = BiPoly.const(1) if den is None else den
-        if den.is_zero():
-            raise PreconditionError("zero denominator")
-        if _vanishes_on_curve(curve, num):
-            raise PreconditionError("zero function")
-        if _vanishes_on_curve(curve, den):
-            raise PreconditionError("denominator vanishes on the curve")
-        self.curve = curve
-        self.scalar = Fraction(1)
-        factors = []
-        for poly, e in ((num, 1), (den, -1)):
-            if poly.total_degree == 0:
-                self.scalar *= poly.coeff(0, 0) ** e
-            else:
-                factors.append((poly, e))
-        self.factors = tuple(factors)
-        self._num = None
-        self._den = None
-
-    @classmethod
-    def _make(cls, curve: PlaneCurve, scalar: Fraction, factors) -> "FnElt":
+    def __init__(self, curve: PlaneCurve, scalar=1,
+                 factors: Iterable[Tuple[BiPoly, int]] = ()):
+        scalar = rat(scalar)
         if scalar == 0:
             raise PreconditionError("zero function")
-        obj = cls.__new__(cls)
-        obj.curve = curve
-        obj.scalar = scalar
-        merged: List[Tuple[BiPoly, int]] = []
+        exps: Dict[BiPoly, int] = {}  # summed, in order of first appearance
         for poly, e in factors:
-            if e == 0:
-                continue
-            for k, (q, eq) in enumerate(merged):
-                if q is poly or q == poly:
-                    merged[k] = (q, eq + e)
-                    break
+            if _vanishes_on_curve(curve, poly):
+                raise PreconditionError("denominator vanishes on the curve" if e < 0
+                                        else "zero function")
+            if poly.total_degree == 0:
+                scalar *= poly.coeff(0, 0) ** e
             else:
-                merged.append((poly, e))
-        obj.factors = tuple((p, e) for p, e in merged if e != 0)
-        obj._num = None
-        obj._den = None
-        return obj
+                exps[poly] = exps.get(poly, 0) + e
+        self.curve = curve
+        self.scalar = scalar
+        self.factors = tuple((p, e) for p, e in exps.items() if e)
+        self._num = None
+        self._den = None
 
     # -- lazily materialized numerator / denominator -------------------
     @property
@@ -139,57 +134,41 @@ class FnElt:
     # -- arithmetic in the function field --------------------------------
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = rat(other)
-            if q == 0:
-                raise PreconditionError("zero function")
-            return FnElt._make(self.curve, self.scalar * q, self.factors)
+            return FnElt(self.curve, self.scalar * other, self.factors)
         self._same_curve(other)
-        return FnElt._make(self.curve, self.scalar * other.scalar,
-                           self.factors + other.factors)
+        return FnElt(self.curve, self.scalar * other.scalar, self.factors + other.factors)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = rat(other)
-            if q == 0:
+            if other == 0:
                 raise PreconditionError("division by zero")
-            return FnElt._make(self.curve, self.scalar / q, self.factors)
-        self._same_curve(other)
-        return FnElt._make(self.curve, self.scalar / other.scalar,
-                           self.factors + tuple((p, -e) for p, e in other.factors))
+            return FnElt(self.curve, self.scalar / other, self.factors)
+        return self * other.inverse()
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = FnElt.constant(self.curve, other)
-        self._same_curve(other)
         return self._combine(other, 1)
 
     def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign: int) -> "FnElt":
+        """f +- g, g an FnElt or a rational, with the common denominator kept
+        in factored form."""
         if isinstance(other, (int, Fraction)):
             other = FnElt.constant(self.curve, other)
         self._same_curve(other)
-        return self._combine(other, -1)
-
-    def _combine(self, other: "FnElt", sign: int) -> "FnElt":
-        """f +- g with the common denominator kept in factored form."""
         new_num = self.num * other.den + other.num * self.den * sign
-        if _vanishes_on_curve(self.curve, new_num):
-            raise PreconditionError("zero function")
-        den_factors = tuple((p, e) for p, e in self.factors if e < 0)
-        den_factors += tuple((p, e) for p, e in other.factors if e < 0)
+        den_factors = tuple((p, e) for p, e in self.factors + other.factors if e < 0)
         scal = Fraction(1, self.scalar.denominator * other.scalar.denominator)
-        return FnElt._make(self.curve, scal, ((new_num, 1),) + den_factors)
+        return FnElt(self.curve, scal, ((new_num, 1),) + den_factors)
 
     def __pow__(self, n: int):
-        if n == 0:
-            return FnElt.constant(self.curve, 1)
-        return FnElt._make(self.curve, self.scalar**n,
-                           tuple((p, e * n) for p, e in self.factors))
+        return FnElt(self.curve, self.scalar**n, tuple((p, e * n) for p, e in self.factors))
 
     def inverse(self) -> "FnElt":
-        return FnElt._make(self.curve, 1 / self.scalar,
-                           tuple((p, -e) for p, e in self.factors))
+        return self**-1
 
     def _same_curve(self, other: "FnElt"):
         if other.curve is not self.curve:
@@ -197,14 +176,11 @@ class FnElt:
 
     @staticmethod
     def constant(curve: PlaneCurve, c) -> "FnElt":
-        c = rat(c)
-        if c == 0:
-            raise PreconditionError("zero function")
-        return FnElt._make(curve, c, ())
+        return FnElt(curve, c)
 
     @staticmethod
     def poly(curve: PlaneCurve, p: BiPoly) -> "FnElt":
-        return FnElt(curve, p)
+        return FnElt(curve, 1, ((p, 1),))
 
     def is_constant(self) -> bool:
         return not self.factors
@@ -408,7 +384,7 @@ class SymbolEngine:
     def _val_lead_uncached(self, poly: BiPoly, p: CurvePoint) -> Tuple[int, Fraction]:
         if p.is_affine:
             if p not in self._on_curve and not self.curve.contains(p):  # no branch needed to refuse p
-                raise PreconditionError("point does not lie on the curve")
+                raise PreconditionError(f"point {p.label()} does not lie on the curve")
             self._on_curve.add(p)
             c = poly(p.x, p.y)
             if c != 0:
@@ -418,8 +394,8 @@ class SymbolEngine:
             br = self.branch(p)
             m, local = self._meet(poly, p)
             x, y = br.xy(m + 1)
-            ser = _eval_series(local, x - PowerSeries.const(p.x, x.prec),
-                               y - PowerSeries.const(p.y, y.prec), m + 1)
+            ser = eval_series(local, x - PowerSeries.const(p.x, x.prec),
+                              y - PowerSeries.const(p.y, y.prec), m + 1)
             _two_routes_agree(p, m, [ser])
             return m, ser.leading()
         # g(x, y) = g_P(s, w) / w^deg g on the chart series (s, w), which have
@@ -429,7 +405,7 @@ class SymbolEngine:
         i, g_p = self._meet(poly, p)
         deg, places = poly.total_degree, self._places_over(p)
         charts = [br.chart_series(max(i, br.w_val) + 1) for br in places]
-        sers = [_eval_series(g_p, s, w, i + 1) for s, w in charts]
+        sers = [eval_series(g_p, s, w, i + 1) for s, w in charts]
         _two_routes_agree(p, i, sers)
         for br, (_, w), ser in zip(places, charts, sers):
             self._val_lead_cache[(poly, br.point)] = (ser.val - deg * br.w_val,
@@ -561,8 +537,6 @@ class SymbolEngine:
         seen = set(pts)
         for f in fns:
             for poly, _ in f.factors:
-                if poly.total_degree == 0:
-                    continue
                 zs = self.affine_zeros(poly)
                 if zs is None:
                     raise VerificationError("degenerate support: shared component with the curve")
@@ -704,7 +678,7 @@ def nekovar_element(curve: PlaneCurve,
         raise PreconditionError("maximal contact hypothesis fails: "
                                 "line at infinity must meet the curve in one rational point")
     g = FnElt.poly(curve, g_poly)
-    h = FnElt(curve, h_poly * h_scale)
+    h = FnElt.poly(curve, h_poly * h_scale)
     # (b) intersection of G with the curve: all rational, all with torsion data
     g_points = _full_affine_intersection(eng, g_poly)
     supplied = {tf.plus: tf for tf in torsion_data}

@@ -1,15 +1,15 @@
 """Branch expansions: valuations at infinity, residuals, rationality."""
 
 from fractions import Fraction as F
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from k2forge import branches
 from k2forge.bipoly import BiPoly
-from k2forge.branches import (Branch, _eval_in_t, _eval_series, _horner, _newton_series,
-                              branch_at_affine, branches_at_infinity)
+from k2forge.branches import (Branch, _eval_in_t, _horner, _newton_series, branch_at_affine,
+                              branches_at_infinity, eval_series)
 from k2forge.curves import CurvePoint, PlaneCurve, intersection_multiplicity
 from k2forge.errors import NonRationalSupportError, PreconditionError
 from k2forge.linalg import vandermonde_solve
@@ -117,7 +117,7 @@ def test_affine_branch_solves_curve():
     assert c.contains(p)
     br = branch_at_affine(c, p)
     x, y = br.xy(12)
-    assert _eval_series(c.affine, x, y, min(x.prec, y.prec)).is_zero()
+    assert eval_series(c.affine, x, y, min(x.prec, y.prec)).is_zero()
     # vertical tangent at this Weierstrass point: x - 1 vanishes doubly
     assert (x - PowerSeries.const(1, x.prec)).valuation() == 2
 
@@ -148,7 +148,7 @@ def test_newton_series_solves_and_truncates(coeffs, px, py, n, data):
     h = f.substitute(BiPoly.x() + BiPoly.const(px), BiPoly.y() + BiPoly.const(py))
     v = _newton_series(h, n)
     assert v.prec == n and (v.is_zero() or v.val >= 1)
-    assert _eval_series(h, PowerSeries.t_power(1, n), v, n).is_zero()
+    assert eval_series(h, PowerSeries.t_power(1, n), v, n).is_zero()
     m = data.draw(st.integers(1, n - 1))
     assert v.truncate(m) == _newton_series(h, m)
 
@@ -301,7 +301,7 @@ def test_eval_series_row_cut_matches_full_horner(terms, s, v, prec):
     """Including Laurent s or v, where a row coefficient has a pole and
     the outer rows must not be cut."""
     p = BiPoly(terms)
-    assert _eval_series(p, s, v, prec) == _full_eval_series(p, s, v, prec)
+    assert eval_series(p, s, v, prec) == _full_eval_series(p, s, v, prec)
 
 
 def _ps(val, nums, den, prec):
@@ -342,7 +342,7 @@ def test_residual_with_laurent_coordinates_is_not_cut():
         x, y = br.xy(prec)
         assert x.val < 0
         n = min(x.prec, y.prec)
-        got = _eval_series(c.affine, x, y, n)
+        got = eval_series(c.affine, x, y, n)
         assert got == _full_eval_series(c.affine, x, y, n) and got.is_zero()
 
 
@@ -388,7 +388,7 @@ def test_local_coordinates_give_the_series_val_lead(kind, data, terms, k):
     assume(poly.shift(p.x, p.y).den != poly.den)
     m = intersection_multiplicity(curve, poly, p)
     x, y = branch_at_affine(curve, p).xy(m + 1)
-    ser = _eval_series(poly, x, y, m + 1)
+    ser = eval_series(poly, x, y, m + 1)
     assert SymbolEngine(curve).val_lead(poly, p) == (ser.val, ser.leading()) == (m, ser.leading())
 
 
@@ -440,3 +440,32 @@ def test_shift_frame_divides_out_exactly_the_least_power_of_s(terms, e, q, lam, 
     k = min(i for i, _ in g.nums)
     assert h1 * BiPoly.x(k) == g
     assert min(i for i, _ in h1.nums) == 0
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(planted=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 4),
+                                  st.fractions(-3, 3, max_denominator=3).filter(bool))
+                        .filter(lambda t: gcd(t[0], t[1]) == 1), min_size=1, max_size=3),
+       unit=st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(any),
+                            st.integers(-3, 3).filter(bool), max_size=3))
+def test_every_edge_root_shifts_to_a_polynomial_vanishing_at_the_origin(planted, unit):
+    """_polygon_places recurses on h1 = _shift_frame(h, ...) at each
+    rational root rho of an edge polynomial psi, and h1(0, 0) is
+    rho^k psi(rho) = 0, so every recursive call is at a point of its curve.
+    h is a unit times factors v^e - c s^q (e, q coprime), so the edge of
+    slope q/e has the root c."""
+    h = BiPoly({**unit, (0, 0): 1})
+    for e, q, c in planted:
+        h = h * BiPoly({(0, e): 1, (q, 0): -c})
+    roots = set()
+    for mu, edge in branches._polygon_edges(list(h.nums)):
+        e, q = mu.denominator, mu.numerator
+        j0 = min(j for _, j in edge)
+        psi_terms = {(j - j0) // e: h.coeff(i, j) for i, j in edge}
+        psi = UniPoly([psi_terms.get(k, F(0)) for k in range(max(psi_terms) + 1)])
+        alpha = -pow(q, -1, e) % e
+        for rho, _ in psi.rational_roots():
+            h1 = branches._shift_frame(h, e, q, rho**alpha, rho ** ((1 + alpha * q) // e))
+            assert h1(0, 0) == 0, (mu, rho)
+            roots.add((mu, rho))
+    assert roots == {(F(q, e), c) for e, q, c in planted}

@@ -1,5 +1,6 @@
 """Family generators: published values, tangency identities, cross-checks."""
 
+import json
 import random
 from fractions import Fraction as F
 
@@ -158,23 +159,27 @@ def test_hyp_interpolation_postcondition_covers_every_family(monkeypatch, capsys
                                                              family):
     """A wrong interpolant puts the marks off the curve, whichever
     hyperelliptic family asked for it: the first element's divisor refuses,
-    and gen exits 3 with one line naming it.  (For hyp-even at a = 1, 2
-    the shifted interpolant gives a singular model, which the discriminant
-    gate refuses first, with exit 2; a = 1, 3 gives a smooth one.)"""
+    and gen exits 3 with one line naming it and the mark P1 that left the
+    curve.  (For hyp-even at a = 1, 2 the shifted interpolant gives a
+    singular model, which the discriminant gate refuses first, with exit 2;
+    a = 1, 3 gives a smooth one.)"""
     def off_by_one(nodes, values):
         return vandermonde_solve(nodes, [v + 1 for v in values])
 
-    monkeypatch.setattr(fam, "vandermonde_solve", off_by_one)
     flags = {"hyp-odd": ["--genus", "2", "--a", "1,1/2,1/4"],
              "hyp-even": ["--genus", "1", "--a", "1,3", "--eps", "1,1"],
              "hyp-partial": ["--genus", "2", "--d", "5", "--constraints", "1:1",
                              "--free", "0,0"]}[family]
+    good = tmp_path / "good.json"
+    assert main(["gen", family, *flags, "--out", str(good)]) == 0
+    p1 = json.loads(good.read_text())["points"]["P1"]
+    monkeypatch.setattr(fam, "vandermonde_solve", off_by_one)
     out = tmp_path / "r.json"
     code = main(["gen", family, *flags, "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 3, err
-    assert err.splitlines() == [err.strip()], err
-    assert err.startswith("verification failure: element {inf,O,P1}: "), err
+    assert err == (f"verification failure: element {{inf,O,P1}}: "
+                   f"point ({p1['x']}, {p1['y']}) does not lie on the curve\n"), err
     assert not out.exists()
 
 

@@ -1,7 +1,7 @@
 """Source hygiene of the package, read with the standard library's `ast`:
 no module imports a name it does not use, no module-level private name
-goes unused in the package, and no function assigns a local it never
-reads."""
+goes unused in the package, no function assigns a local it never reads,
+and no module imports or reads another module's private name."""
 
 import ast
 from pathlib import Path
@@ -104,3 +104,32 @@ def test_no_function_assigns_a_local_it_never_reads():
               if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
               for name, line in _unread_locals(fn)]
     assert not unread, f"locals assigned and never read: {unread}"
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _private_reads_across_modules(tree: ast.Module):
+    """(name, line) of each private name of another package module that the
+    module imports (`from .records import _x`) or reads as an attribute of a
+    name it imports from the package (`records._x`, `FnElt._x`)."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or
+                                                 (node.module or "").startswith("k2forge")):
+            for alias in node.names:
+                if _is_private(alias.name):
+                    yield alias.name, node.lineno
+                imported.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in imported and _is_private(node.attr)):
+            yield f"{node.value.id}.{node.attr}", node.lineno
+
+
+@pytest.mark.parametrize("module", list(MODULES))
+def test_no_module_reads_another_modules_private_name(module):
+    found = [f"{name} (line {line})"
+             for name, line in _private_reads_across_modules(MODULES[module])]
+    assert not found, f"{module}.py reads private names of other modules: {', '.join(found)}"

@@ -2,13 +2,13 @@
 
 import random
 from fractions import Fraction as F
-from math import lcm
+from math import lcm, prod
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from k2forge.bipoly import BiPoly
-from k2forge.branches import _eval_series, branches_at_infinity
+from k2forge.branches import branches_at_infinity, eval_series
 from k2forge.curves import CurvePoint, PlaneCurve
 from k2forge.errors import (NonRationalSupportError, PreconditionError,
                             VerificationError)
@@ -108,10 +108,66 @@ def test_zero_function_rejected_on_a_curve_not_monic_in_y():
     # the numerator has to divide by x at every step of the long division
     curve = PlaneCurve(BiPoly.parse("x*y^2 + y - x^3 - 1"))
     with pytest.raises(PreconditionError, match="zero function"):
-        FnElt(curve, curve.affine)
+        FnElt.poly(curve, curve.affine)
     with pytest.raises(PreconditionError, match="zero function"):
         FnElt.poly(curve, curve.affine * (BiPoly.x() + 1))
     assert FnElt.poly(curve, curve.affine + 1).num == curve.affine + 1
+
+
+_NORMAL_FORM_POOL = ["2", "-1/3", "y", "x - 1/8", "y + x", "x - 1/8"]  # an equal pair
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(scalar=st.sampled_from([F(1), F(-1), F(2, 3), F(-5, 4)]),
+       drawn=st.lists(st.tuples(st.integers(0, len(_NORMAL_FORM_POOL)), st.integers(-3, 3)),
+                      max_size=7))
+def test_the_constructor_returns_the_normal_form(quartic, scalar, drawn):
+    """Constant polynomials fold into the scalar, equal polynomials merge in
+    order of first appearance, zero exponents drop, and the result is the
+    function built one factor at a time with FnElt.poly.  The last pool
+    entry is the curve plus one, of the curve's degree."""
+    curve = quartic[0]
+    pool = [BiPoly.parse(t) for t in _NORMAL_FORM_POOL] + [curve.affine + 1]
+    factors = [(pool[k], e) for k, e in drawn]
+    f = FnElt(curve, scalar, factors)
+    order = []
+    for p, _ in factors:
+        if p.total_degree and p not in order:
+            order.append(p)
+    want = [(p, sum(e for q, e in factors if q == p)) for p in order]
+    assert f.factors == tuple((p, e) for p, e in want if e)
+    assert all(p.total_degree > 0 and e for p, e in f.factors)
+    assert len(set(p for p, _ in f.factors)) == len(f.factors)
+    consts = [p.coeff(0, 0) ** e for p, e in factors if not p.total_degree]
+    assert f.scalar == scalar * prod(consts) and type(f.scalar) is F
+    g = FnElt.constant(curve, scalar)
+    for p, e in factors:
+        g = g * FnElt.poly(curve, p) ** e
+    assert (g.scalar, dict(g.factors)) == (f.scalar, dict(f.factors))
+
+
+def test_a_difference_of_equal_polynomial_parts_is_constant(quartic):
+    """The numerator of (f + 1) - f is a constant polynomial, which the
+    normal form folds into the scalar."""
+    curve = quartic[0]
+    for text in ("x", "y + x", "x^2 - 3/2*y + 1/8"):
+        f = FnElt.poly(curve, BiPoly.parse(text)) * F(-2, 3)
+        one = (f + 1) - f
+        assert one.is_constant() and one.constant_value() == 1
+
+
+def test_the_constructor_refuses_the_zero_function(quartic):
+    curve = quartic[0]
+    vanishing = curve.affine * BiPoly.x()
+    with pytest.raises(PreconditionError, match="^zero function$"):
+        FnElt(curve, 0)
+    for poly in (BiPoly.zero(), vanishing):
+        for e in (0, 1, 2):
+            with pytest.raises(PreconditionError, match="^zero function$"):
+                FnElt(curve, 1, [(BiPoly.y(), 1), (poly, e)])
+        for e in (-1, -2):
+            with pytest.raises(PreconditionError, match="^denominator vanishes on the curve$"):
+                FnElt(curve, 1, [(poly, e)])
 
 
 def test_divisor_of_vertical_line(quartic):
@@ -123,7 +179,7 @@ def test_divisor_of_vertical_line(quartic):
 
 def test_divisor_of_tangent_quotient(quartic):
     curve, eng, pts = quartic
-    f = FnElt(curve, BiPoly.parse("y + x"), BiPoly.y())
+    f = FnElt.poly(curve, BiPoly.parse("y + x")) / FnElt.poly(curve, BiPoly.y())
     div = eng.divisor(f, [pts["Q"], pts["O"]])
     assert div.nonzero() == {pts["Q"]: 3, pts["O"]: -3}
 
@@ -414,7 +470,7 @@ def test_a_chart_valuation_shifted_by_one_is_caught(monkeypatch, index, poly):
     series evaluated comes back with its valuation one too high."""
     eng = SymbolEngine(PLAN[index])
     p = eng.infinity_points()[0]
-    real, calls = symbols._eval_series, []
+    real, calls = symbols.eval_series, []
 
     def shifted(g, s, w, prec):
         ser = real(g, s, w, prec)
@@ -423,7 +479,7 @@ def test_a_chart_valuation_shifted_by_one_is_caught(monkeypatch, index, poly):
             return ser
         return PowerSeries.from_ints(ser.val + 1, ser.nums, ser.den, ser.prec + 1)
 
-    monkeypatch.setattr(symbols, "_eval_series", shifted)
+    monkeypatch.setattr(symbols, "eval_series", shifted)
     with pytest.raises(VerificationError,
                        match=r"ord bookkeeping wrong at \(0:1:0\)#0: reduction gives \d+, "
                              r"series gives"):
@@ -438,7 +494,7 @@ def _doubling_val_lead(br, poly):
     prec = 2 * max(d, poly.total_degree) + 4
     while True:
         x, y = br.xy(prec)
-        ser = _eval_series(poly, x, y, min(x.prec, y.prec))
+        ser = eval_series(poly, x, y, min(x.prec, y.prec))
         if not ser.is_zero():
             return ser.val, ser.leading()
         assert prec <= 8 * (poly.total_degree * d + d + 2) + 64
@@ -585,7 +641,7 @@ def test_value_refuses_an_affine_point_off_the_curve():
     curve = PlaneCurve(BiPoly.parse("y^2 - x^3 - 1"))
     f = FnElt.poly(curve, BiPoly.parse("x + 1"))
     eng = SymbolEngine(curve)
-    with pytest.raises(PreconditionError, match="point does not lie on the curve"):
+    with pytest.raises(PreconditionError, match=r"^point \(1, 1\) does not lie on the curve$"):
         eng.value(f, CurvePoint.affine(1, 1))
     assert eng.value(f, CurvePoint.affine(2, 3)) == 3
 
