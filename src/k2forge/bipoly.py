@@ -31,13 +31,14 @@ rules, sorted by Y-degree, then X-degree, both descending.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from functools import reduce
+from math import gcd, lcm
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from .errors import PreconditionError
 from .linalg import bareiss_det, sylvester_matrix
-from .rationals import lowest_terms, rat, rat_str
+from .rationals import lowest_terms, pair_str, rat
 from .unipoly import UniPoly
 
 Term = Tuple[int, int]
@@ -110,6 +111,12 @@ class BiPoly:
     def from_unipoly(p: UniPoly, var: str = "x") -> "BiPoly":
         key = (lambda e: (e, 0)) if var == "x" else (lambda e: (0, e))
         return BiPoly.from_ints({key(e): c for e, c in enumerate(p.nums)}, p.den)
+
+    @staticmethod
+    def product(factors: Iterable[Tuple["BiPoly", int]]) -> "BiPoly":
+        """prod p^e over (p, e) pairs, e >= 0, formed without a factor 1."""
+        powers = [p**e for p, e in factors]
+        return reduce(BiPoly.__mul__, powers) if powers else BiPoly.const(1)
 
     @staticmethod
     def line(u, v, w) -> "BiPoly":
@@ -188,13 +195,11 @@ class BiPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise PreconditionError("negative power of a polynomial")
-        result = BiPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        result = self if n else BiPoly.const(1)
+        for bit in bin(n)[3:]:  # left to right, after the leading 1
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     @staticmethod
@@ -379,17 +384,17 @@ class BiPoly:
         like the hash."""
         if self._canonical is None:
             keys = sorted(self.nums, key=lambda k: (-(k[0] + k[1]), -k[1]))
-            self._canonical = _signed_sum([(self.coeff(i, j), _monomial(("x", i), ("y", j)))
-                                           for i, j in keys])
+            self._canonical = _signed_sum([(self.nums[i, j], _monomial(("x", i), ("y", j)))
+                                           for i, j in keys], self.den)
         return self._canonical
 
     def projective_canonical(self) -> str:
         """F^hom in X, Y, Z, with "1" for the constant monomial."""
         d = self.total_degree
         keys = sorted(self.nums, key=lambda k: (-k[1], -k[0]))
-        return _signed_sum([(self.coeff(i, j),
+        return _signed_sum([(self.nums[i, j],
                              _monomial(("X", i), ("Y", j), ("Z", d - i - j)) or "1")
-                            for i, j in keys])
+                            for i, j in keys], self.den)
 
     @staticmethod
     def parse(text: str) -> "BiPoly":
@@ -454,21 +459,23 @@ def _monomial(*powers: Tuple[str, int]) -> str:
     return "*".join(name if e == 1 else f"{name}^{e}" for name, e in powers if e)
 
 
-def _signed_sum(terms: List[Tuple[Fraction, str]]) -> str:
-    """c1*m1 + c2*m2 - ...: an empty monomial prints the bare coefficient,
+def _signed_sum(terms: List[Tuple[int, str]], den: int) -> str:
+    """n1/den*m1 + n2/den*m2 - ...: each coefficient is written in lowest
+    terms (one gcd per term); an empty monomial prints the bare coefficient,
     a unit coefficient is left out and a fractional one is parenthesized."""
     if not terms:
         return "0"
     parts = []
-    for c, mono in terms:
-        a = abs(c)
+    for n, mono in terms:
+        g = gcd(n, den)
+        a, d = abs(n) // g, den // g
+        cs = pair_str(a, d)
         if not mono:
-            body = rat_str(a)
-        elif a == 1:
+            body = cs
+        elif a == d:
             body = mono
         else:
-            cs = rat_str(a)
-            body = (f"({cs})*" if a.denominator != 1 else f"{cs}*") + mono
-        parts.append(("- " if c < 0 else "+ ") + body)
+            body = (f"({cs})*" if d != 1 else f"{cs}*") + mono
+        parts.append(("- " if n < 0 else "+ ") + body)
     out = " ".join(parts)
     return out[2:] if out.startswith("+ ") else "-" + out[2:]

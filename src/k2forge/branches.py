@@ -178,8 +178,8 @@ def _polygon_places(h: BiPoly, depth: int = 0) -> List[_ChartPlace]:
         raise NonRationalSupportError("curve has the chart axis as a component")
     if all(i >= 1 for i, _ in support):
         raise NonRationalSupportError("curve has the vertical chart axis as a component")
-    # smooth with non-vertical tangent: a single place, no polygon needed
-    if h.partial("y")(0, 0) != 0:
+    # smooth with non-vertical tangent (a y term): a single place, no polygon
+    if h.nums.get((0, 1)):
         return [_ChartPlace([], h)]
     places: List[_ChartPlace] = []
     for mu, edge in _polygon_edges(support):
@@ -202,7 +202,7 @@ def _polygon_places(h: BiPoly, depth: int = 0) -> List[_ChartPlace]:
             m = rho ** ((1 + alpha * q) // e)
             h1 = _shift_frame(h, e, q, lam, m)
             frame = _Frame(e, q, lam, m)
-            if h1(0, 0) == 0 and h1.partial("y")(0, 0) != 0:
+            if h1.nums.get((0, 1)):
                 places.append(_ChartPlace([frame], h1))
             else:
                 for sub in _polygon_places(h1, depth + 1):

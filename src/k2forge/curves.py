@@ -13,15 +13,16 @@ use.
 
 Projective smoothness is decided exactly through the resultant of the
 three partial derivatives, after one fixed coordinate change applied over
-the integers.  Macaulay's determinant, taken modulo one 61-bit prime,
-certifies smoothness when its residue is nonzero.  On a zero residue a
-search looks for a rational singular witness, and failing one, Canny's
-generalised characteristic polynomial gives the resultant exactly, even
-where Macaulay's extraneous minor vanishes.
+the integers.  Macaulay's determinant, eliminated on sparse rows modulo
+one prime below 2^30, certifies smoothness when its residue is nonzero.
+On a zero residue a search looks for a rational singular witness, and
+failing one, Canny's generalised characteristic polynomial gives the
+resultant exactly, even where Macaulay's extraneous minor vanishes.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -355,12 +356,12 @@ class SmoothnessReport:
 
 
 # Both smoothness routes work after one fixed change of coordinates, the
-# modular certificate modulo one fixed 61-bit prime.  Any invertible map
-# keeps smoothness, and determinant -1 keeps it invertible modulo every
-# prime; a generic map keeps Macaulay's extraneous minor from vanishing for
-# structural reasons, as it does in original coordinates for sparse
-# equations such as quartic-ct's.
-_PRIME = 2**61 - 1
+# modular certificate modulo the largest prime below 2^30: a product of two
+# residues fits in two 30-bit CPython digits.  Any invertible map keeps
+# smoothness, and determinant -1 keeps it invertible modulo every prime; a
+# generic map keeps Macaulay's extraneous minor from vanishing for structural
+# reasons, as it does in original coordinates for sparse equations (quartic-ct).
+_PRIME = 1073741789
 _COORDINATE_CHANGE = ((1, 2, -1), (2, 5, 1), (-1, -1, 3))
 
 Form = Dict[Tuple[int, int, int], int]
@@ -409,15 +410,15 @@ def _partials(form: Form) -> List[Form]:
     return out
 
 
-def _macaulay_matrix(gs: List[Form], m: int) -> Tuple[List[List[int]], List[int]]:
+def _macaulay_matrix(gs: List[Form], m: int) -> Tuple[List[Dict[int, int]], List[int]]:
     """Macaulay's matrix for three ternary forms of degree m >= 1.
 
-    Rows and columns are both indexed by the monomials of degree 3m - 2;
-    the row of a monomial is g_v times its quotient by V^m, for the first
-    variable V whose m-th power divides it, so the V^m term of g_v lands
-    on the diagonal.  Also returns the indices of the non-reduced
-    monomials (divisible by two of X^m, Y^m, Z^m), which span the
-    extraneous minor.
+    Rows, sparse as {column: entry}, and columns are both indexed by the
+    monomials of degree 3m - 2; the row of a monomial is g_v times its
+    quotient by V^m, for the first variable V whose m-th power divides it,
+    so the V^m term of g_v lands on the diagonal.  Also returns the
+    indices of the non-reduced monomials (divisible by two of X^m, Y^m,
+    Z^m), which span the extraneous minor.
     """
     t = 3 * m - 2
     monos = [(i, j, t - i - j) for i in range(t + 1) for j in range(t - i + 1)]
@@ -426,46 +427,56 @@ def _macaulay_matrix(gs: List[Form], m: int) -> Tuple[List[List[int]], List[int]
     for n, mono in enumerate(monos):
         big = [e >= m for e in mono]
         v = big.index(True)
-        shift = mono[:v] + (mono[v] - m,) + mono[v + 1:]
-        row = [0] * len(monos)
-        for (i, j, k), c in gs[v].items():
-            row[index[(i + shift[0], j + shift[1], k + shift[2])]] = c
-        rows.append(row)
+        a, b, c = mono[:v] + (mono[v] - m,) + mono[v + 1:]
+        rows.append({index[(i + a, j + b, k + c)]: e for (i, j, k), e in gs[v].items()})
         if sum(big) > 1:
             nonreduced.append(n)
     return rows, nonreduced
 
 
-def _nonsingular_mod(rows: List[List[int]], p: int) -> bool:
-    """True when the square integer matrix is invertible modulo the prime p."""
-    rows = [[v % p for v in row] for row in rows]
-    n = len(rows)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if rows[r][c]), None)
-        if piv is None:
+def _invertible_mod(rows: List[Dict[int, int]], p: int) -> bool:
+    """True when the square matrix of sparse rows {column: nonzero residue}
+    is invertible modulo the prime p; the rows are eliminated in place.
+
+    Columns go fewest rows first, each pivoting on the shortest row that
+    reaches it, which keeps the fill-in low.  False comes at the first
+    column that no remaining row reaches.
+    """
+    counts = Counter(col for row in rows for col in row)
+    for col in sorted(range(len(rows)), key=counts.__getitem__):
+        live = [row for row in rows if col in row]
+        if not live:
             return False
-        rows[c], rows[piv] = rows[piv], rows[c]
-        inv = pow(rows[c][c], -1, p)
-        pivot_row = [v * inv % p for v in rows[c][c + 1:]]
-        # column c of the rows below is never read again, so it is left
-        for r in range(c + 1, n):
-            f = rows[r][c]
-            if f:
-                rows[r][c + 1:] = [(a - f * b) % p for a, b in zip(rows[r][c + 1:], pivot_row)]
+        pivot = min(live, key=len)
+        rows = [row for row in rows if row is not pivot]
+        minus_inv = p - pow(pivot.pop(col), -1, p)
+        for row in live:
+            if row is not pivot:
+                f = row.pop(col) * minus_inv % p
+                for k, v in pivot.items():
+                    # f * v != 0 mod p, so a zero sum cancels an entry row has
+                    x = (row.get(k, 0) + f * v) % p
+                    if x:
+                        row[k] = x
+                    else:
+                        del row[k]
     return True
 
 
 def macaulay_nonzero(form: Form) -> bool:
     """One-sided modular certificate that the curve form = 0 is smooth.
 
-    `form` is a curve's _changed_form.  Eliminates the Macaulay matrix of its
-    three partials modulo _PRIME.  The integer determinant is Res(partials)
-    times the extraneous minor, so a nonzero residue proves that the
-    partials have no common projective zero: the curve is smooth.  False
-    proves nothing.
+    `form` is a curve's _changed_form.  Its three partials are reduced
+    modulo _PRIME, read at each call, and their Macaulay matrix (for a
+    quartic, 36 sparse rows of 10 residues) is eliminated modulo _PRIME.
+    The integer determinant is Res(partials) times the extraneous minor, so
+    a nonzero residue proves that the partials have no common projective
+    zero: the curve is smooth.  False proves nothing.
     """
-    rows, _ = _macaulay_matrix(_partials(form), sum(next(iter(form))) - 1)
-    return _nonsingular_mod(rows, _PRIME)
+    p = _PRIME
+    gs = [{k: c % p for k, c in g.items() if c % p} for g in _partials(form)]
+    rows, _ = _macaulay_matrix(gs, sum(next(iter(form))) - 1)
+    return _invertible_mod(rows, p)
 
 
 def _int_det(matrix: List[List[int]]) -> int:
@@ -482,7 +493,8 @@ def _canny_resultant(gs: List[Form], m: int) -> Fraction:
     the first integers k >= 0 where det(M' - kI) != 0, of which there are
     at most len(M') exceptions, and interpolated at 0.
     """
-    rows, nonreduced = _macaulay_matrix(gs, m)
+    sparse, nonreduced = _macaulay_matrix(gs, m)
+    rows = [[row.get(c, 0) for c in range(len(sparse))] for row in sparse]
     minor = [[rows[r][c] for c in nonreduced] for r in nonreduced]
     deg = len(rows) - len(minor)
 

@@ -43,12 +43,14 @@ def rat(value) -> Fraction:
 def rat_str(q: Fraction) -> str:
     """Serialize as "p" or "p/q" (never a float); PreconditionError past
     CPython's digit limit for integer text (`sys.get_int_max_str_digits`)."""
-    if not isinstance(q, Fraction):
-        q = Fraction(q)
+    q = q if isinstance(q, Fraction) else Fraction(q)
+    return pair_str(q.numerator, q.denominator)
+
+
+def pair_str(num: int, den: int) -> str:
+    """rat_str of num/den, a pair already in lowest terms with den > 0."""
     try:
-        if q.denominator == 1:
-            return str(q.numerator)
-        return f"{q.numerator}/{q.denominator}"
+        return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:  # raised only where the limit, and so its getter, exists
         raise PreconditionError("number too large to write: past CPython's limit of "
                                 f"{sys.get_int_max_str_digits()} digits for integer text") from None

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .bipoly import BiPoly
 from .curves import CurvePoint, PlaneCurve
@@ -173,14 +173,25 @@ def point_from_json(d: dict) -> CurvePoint:
                                   int_field(d, "branch", 0))
 
 
-def _fnelt_jsonable(f: FnElt) -> dict:
-    """Factored form (exact working representation) plus readable num/den."""
-    return {
-        "scalar": rat_str(f.scalar),
-        "factors": [{"poly": p.canonical(), "exp": e} for p, e in f.factors],
-        "num": f.num.canonical(),
-        "den": f.den.canonical(),
-    }
+def _fnelt_writer() -> Callable[[FnElt], dict]:
+    """The JSON of a function: its factored form (the exact working
+    representation) plus readable num/den.  The texts are formed once per
+    distinct (scalar, factors), equal only for equal functions, and each
+    num/den product once per factor tuple, before the scalar is applied."""
+    product = cache(BiPoly.product)
+
+    @cache
+    def texts(scalar: Fraction, factors) -> Tuple[str, str, str]:
+        num = product(tuple((p, e) for p, e in factors if e > 0)) * scalar.numerator
+        den = product(tuple((p, -e) for p, e in factors if e < 0)) * scalar.denominator
+        return rat_str(scalar), num.canonical(), den.canonical()
+
+    def write(f: FnElt) -> dict:
+        scalar, num, den = texts(f.scalar, f.factors)
+        return {"scalar": scalar, "factors": [{"poly": p.canonical(), "exp": e}
+                                              for p, e in f.factors],
+                "num": num, "den": den}
+    return write
 
 
 def _fnelt_from_json(curve: PlaneCurve, d: dict, factor: Callable[[str], BiPoly]) -> FnElt:
@@ -200,7 +211,7 @@ def _factor_from_json(text: str) -> BiPoly:
     return poly
 
 
-def _element_jsonable(e: NamedElement) -> dict:
+def _element_jsonable(e: NamedElement, fnelt: Callable[[FnElt], dict]) -> dict:
     return {
         "name": e.name,
         "kind": e.kind,
@@ -210,8 +221,8 @@ def _element_jsonable(e: NamedElement) -> dict:
             {
                 "pairs": [
                     {
-                        "f": _fnelt_jsonable(p.f),
-                        "h": _fnelt_jsonable(p.h),
+                        "f": fnelt(p.f),
+                        "h": fnelt(p.h),
                         "coefficient": p.coefficient,
                     }
                     for p in sym.terms
@@ -227,6 +238,7 @@ def _element_jsonable(e: NamedElement) -> dict:
 
 
 def record_jsonable(rec: CurveRecord) -> dict:
+    fnelt = _fnelt_writer()
     return {
         "k2forge_schema": SCHEMA_VERSION,
         "family_id": rec.family_id,
@@ -238,7 +250,7 @@ def record_jsonable(rec: CurveRecord) -> dict:
             "model": rec.model,
         },
         "points": {name: point_jsonable(p) for name, p in rec.points.items()},
-        "elements": [_element_jsonable(e) for e in rec.elements],
+        "elements": [_element_jsonable(e, fnelt) for e in rec.elements],
         "integrality_flags": rec.integrality_flags,
         "aux": {"lines": rec.aux_lines, "conics": rec.aux_conics},
         "notes": rec.notes,

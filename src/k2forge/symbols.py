@@ -84,11 +84,10 @@ class FnElt:
     Orders of vanishing and leading series coefficients are additive and
     multiplicative over the factors, so every evaluation decomposes into
     work on the small building-block polynomials (which the engine
-    caches).  Numerator/denominator products are materialized lazily for
-    membership tests and serialization.
+    caches).  `num` and `den` expand the products each time they are read.
     """
 
-    __slots__ = ("curve", "scalar", "factors", "_num", "_den")
+    __slots__ = ("curve", "scalar", "factors")
 
     def __init__(self, curve: PlaneCurve, scalar=1,
                  factors: Iterable[Tuple[BiPoly, int]] = ()):
@@ -107,29 +106,15 @@ class FnElt:
         self.curve = curve
         self.scalar = scalar
         self.factors = tuple((p, e) for p, e in exps.items() if e)
-        self._num = None
-        self._den = None
 
-    # -- lazily materialized numerator / denominator -------------------
+    # -- numerator / denominator -----------------------------------------
     @property
     def num(self) -> BiPoly:
-        if self._num is None:
-            prod = BiPoly.const(self.scalar.numerator)
-            for poly, e in self.factors:
-                if e > 0:
-                    prod = prod * poly**e
-            self._num = prod
-        return self._num
+        return BiPoly.product((p, e) for p, e in self.factors if e > 0) * self.scalar.numerator
 
     @property
     def den(self) -> BiPoly:
-        if self._den is None:
-            prod = BiPoly.const(self.scalar.denominator)
-            for poly, e in self.factors:
-                if e < 0:
-                    prod = prod * poly**(-e)
-            self._den = prod
-        return self._den
+        return BiPoly.product((p, -e) for p, e in self.factors if e < 0) * self.scalar.denominator
 
     # -- arithmetic in the function field --------------------------------
     def __mul__(self, other):

@@ -1,8 +1,11 @@
 """Plane-curve layer: membership, smoothness, intersections, tangents."""
 
+import importlib.util
 import random
+import sys
 from fractions import Fraction as F
 from math import gcd, lcm
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -172,6 +175,90 @@ def test_reports_do_not_depend_on_the_prime(curve):
     expected = smoothness_check(curve)
     with mock.patch.object(curves, "_PRIME", 7):
         assert smoothness_check(curve) == expected
+
+
+def _dense_invertible_mod(matrix, p):
+    """Reference: Gaussian elimination on the dense matrix modulo p."""
+    m = [[v % p for v in row] for row in matrix]
+    n = len(m)
+    for c in range(n):
+        r = next((r for r in range(c, n) if m[r][c]), None)
+        if r is None:
+            return False
+        m[c], m[r] = m[r], m[c]
+        inv = pow(m[c][c], -1, p)
+        for r in range(c + 1, n):
+            f = m[r][c] * inv % p
+            m[r] = [(a - f * b) % p for a, b in zip(m[r], m[c])]
+    return True
+
+
+@st.composite
+def square_int_matrices(draw):
+    """Integer matrices with planted structure: a zero row or column, a row
+    that is a combination of two others, or a zero leading entry, which
+    forces a row swap in dense elimination."""
+    n = draw(st.integers(1, 7))
+    entries = st.integers(-9, 9) | st.sampled_from([0, 7, -14, curves._PRIME])
+    m = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    kind = draw(st.sampled_from(["plain", "zero row", "zero column", "dependent",
+                                 "swap"]))
+    i = draw(st.integers(0, n - 1))
+    if kind == "zero row":
+        m[i] = [0] * n
+    elif kind == "zero column":
+        for row in m:
+            row[i] = 0
+    elif kind == "dependent" and n >= 3:
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        j, k = [r for r in range(n) if r != i][:2]
+        m[i] = [a * u + b * v for u, v in zip(m[j], m[k])]
+    elif kind == "swap":
+        m[0][0] = 0
+    return m
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(square_int_matrices(), st.sampled_from([7, curves._PRIME]))
+def test_sparse_elimination_matches_dense_reference(matrix, p):
+    rows = [{c: v % p for c, v in enumerate(row) if v % p} for row in matrix]
+    assert curves._invertible_mod(rows, p) == _dense_invertible_mod(matrix, p)
+
+
+def test_the_certificate_prime_is_below_two_to_the_thirty():
+    """Two residues multiply within two 30-bit digits of a CPython int."""
+    assert sympy.isprime(curves._PRIME) and curves._PRIME < 2**30
+    assert sympy.nextprime(curves._PRIME) > 2**30
+
+
+def _catalog_grid(seed):
+    """The t grid of the quartic-catalog benchmark workload at `seed`."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(sys.modules, {spec.name: workloads}):  # for its dataclasses
+        spec.loader.exec_module(workloads)
+    return workloads.QuarticCatalog(seed, None, None).grid
+
+
+def test_catalog_members_are_certified_by_the_modular_route():
+    """Every smooth member of the benchmark's quartic-catalog grids at
+    seeds 0-3 gets a nonzero Macaulay residue, so none reaches the exact
+    route."""
+    verdicts = []
+    certify = curves.macaulay_nonzero
+
+    def counted(form):
+        verdicts.append(certify(form))
+        return verdicts[-1]
+    with mock.patch.object(curves, "macaulay_nonzero", counted), \
+            mock.patch.object(curves, "_rational_singular_point", None), \
+            mock.patch.object(curves, "_canny_resultant", None):
+        for seed in range(4):
+            for t in _catalog_grid(seed):
+                if t not in (1, -3, F(-5, 2), F(-7, 2)):
+                    assert smoothness_check(PlaneCurve(ct_equation(t))).smooth
+    assert len(verdicts) == 76 and all(verdicts)
 
 
 # ---------------------------------------------------------------------------

@@ -674,6 +674,53 @@ def test_canonical_random_round_trip():
         assert BiPoly.parse(p.canonical()) == p
 
 
+def _fraction_text(terms):
+    """The text rule on one Fraction per term: c1*m1 + c2*m2 - ..., an
+    empty monomial printing the bare coefficient, a unit coefficient left
+    out and a fractional one parenthesized."""
+    if not terms:
+        return "0"
+    parts = []
+    for c, mono in terms:
+        a = abs(c)
+        cs = str(a.numerator) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
+        if not mono:
+            body = cs
+        elif a == 1:
+            body = mono
+        else:
+            body = (f"({cs})*" if a.denominator != 1 else f"{cs}*") + mono
+        parts.append(("- " if c < 0 else "+ ") + body)
+    out = " ".join(parts)
+    return out[2:] if out.startswith("+ ") else "-" + out[2:]
+
+
+def _power_text(*powers):
+    return "*".join(name if e == 1 else f"{name}^{e}" for name, e in powers if e)
+
+
+_coefficients = st.sampled_from([F(1), F(-1), F(1, 2), F(-3, 4), F(6, 4)]) | st.fractions(
+    min_value=-40, max_value=40, max_denominator=12).filter(bool)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)), _coefficients,
+                       max_size=8),
+       st.booleans())
+def test_canonical_texts_match_the_fraction_rule(terms, constant):
+    if not constant:
+        terms.pop((0, 0), None)
+    p = BiPoly(terms)
+    d = p.total_degree
+    affine = sorted(terms, key=lambda k: (-(k[0] + k[1]), -k[1]))
+    projective = sorted(terms, key=lambda k: (-k[1], -k[0]))
+    assert p.canonical() == _fraction_text(
+        [(terms[i, j], _power_text(("x", i), ("y", j))) for i, j in affine])
+    assert p.projective_canonical() == _fraction_text(
+        [(terms[i, j], _power_text(("X", i), ("Y", j), ("Z", d - i - j)) or "1")
+         for i, j in projective])
+
+
 @pytest.mark.parametrize("text, term", [
     ("y^2 - x^-1", "x^-1"),
     ("z*x + 1", "z*x"),

@@ -1,6 +1,7 @@
 """Record serialization, CLI exit codes, catalogs and figure output."""
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -10,6 +11,7 @@ import sys
 import warnings
 from fractions import Fraction as F
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -829,3 +831,31 @@ def test_json_text_is_json_dumps_with_indent_1(value):
 def test_json_text_refuses_what_a_record_does_not_hold(value):
     with pytest.raises(TypeError):
         json_text(value)
+
+
+def test_writing_a_record_forms_each_num_den_product_once():
+    """record_to_json expands each distinct num/den product of the record's
+    functions once, however many functions share it; the normalized copies
+    of a torsion function differ only in their scalar."""
+    rec = fam.gen_hyp_odd(4, [1, F(-1, 2), F(3, 4), F(-1, 3), F(4, 3)])
+    fns = [f for e in rec.elements for sym in e.symbols for pair in sym.terms
+           for f in (pair.f, pair.h)]
+    assert len({f.factors for f in fns}) < len({(f.scalar, f.factors) for f in fns})
+    products = set()
+    for f in fns:
+        for sign in (1, -1):
+            part = [(p, sign * e) for p, e in f.factors if sign * e > 0]
+            if sum(e for _, e in part) > 1:  # more than one bare factor
+                products.add(functools.reduce(BiPoly.__mul__, [p**e for p, e in part]))
+    formed = []
+    multiply = BiPoly.__mul__
+
+    def counted(self, other):
+        out = multiply(self, other)
+        if isinstance(other, BiPoly):
+            formed.append(out)
+        return out
+    with mock.patch.object(BiPoly, "__mul__", counted):
+        record_to_json(rec)
+    assert len(products) == 6  # y^2 and five ninth powers
+    assert all(formed.count(q) == 1 for q in products)
