@@ -629,7 +629,9 @@ def gen_nekovar_2tor(r) -> CurveRecord:
     this elliptic curve has only the degenerate rational points
     s = oo, -4/3, -1/3, 2/3 is asserted, not proven here; if it holds, no
     rational r gives three rational roots and the rational-support engine
-    always rejects the family.  The error carries the verified contact data.
+    always rejects the family.  The error carries the verified contact data:
+    the contact numbers m1, m2 of H at Q1, Q2 are read from
+    `SymbolEngine.divisor` of h on its support candidates.
     """
     data = nekovar_2tor_data(r)
     r = data["r"]
@@ -643,8 +645,9 @@ def gen_nekovar_2tor(r) -> CurveRecord:
     for q in (q1, q2):
         if not curve.contains(q):
             raise VerificationError("contact point is not on the curve")
-    m1 = eng.intersection(data["h_line"], q1)
-    m2 = eng.intersection(data["h_line"], q2)
+    h = FnElt.poly(curve, data["h_line"])
+    contact = eng.divisor(h, eng.support_candidates([h], extra=[q1, q2])).entries
+    m1, m2 = contact[q1], contact[q2]
     if (m1, m2) != (1, 2):
         raise VerificationError(f"contact pattern ({m1},{m2}) != (1,2)")
     roots = data["cubic"].rational_roots()

@@ -39,7 +39,11 @@ The divisor is the proof object of a construction, and it has one path:
 `SymbolEngine.divisor` finds each function's divisor on a support once,
 from its factors, which alone determine it, and keeps it.  The torsion
 shape check compares that divisor with the claimed one, and
-`verify_k2t` reads the same divisor, so each claim is proved once.
+`verify_k2t` reads the same divisor, so each claim is proved once.  It
+is also the one intersection rule: a contact element reads G cap C and
+H cap C from div(g) and div(h), whose degree count proves each complete
+and rational, and the 2-torsion family its contact numbers; the engine
+has no separate `closure` or `intersection()`.
 
 An element of K2 of the function field is an integer combination of
 symbol pairs; `verify_k2t` certifies membership in the tame kernel over
@@ -49,6 +53,7 @@ values, which must equal 1 independently by the reciprocity law.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -139,15 +144,23 @@ class FnElt:
         return self._combine(other, -1)
 
     def _combine(self, other, sign: int) -> "FnElt":
-        """f +- g, g an FnElt or a rational, with the common denominator kept
-        in factored form."""
+        """f +- g, g an FnElt or a rational, over the lcm of the factored
+        denominators: each denominator polynomial at its largest exponent."""
         if isinstance(other, (int, Fraction)):
             other = FnElt.constant(self.curve, other)
         self._same_curve(other)
-        new_num = self.num * other.den + other.num * self.den * sign
-        den_factors = tuple((p, e) for p, e in self.factors + other.factors if e < 0)
-        scal = Fraction(1, self.scalar.denominator * other.scalar.denominator)
-        return FnElt(self.curve, scal, ((new_num, 1),) + den_factors)
+        lcd: Dict[BiPoly, int] = {}
+        for p, e in self.factors + other.factors:
+            if e < 0:
+                lcd[p] = max(lcd.get(p, 0), -e)
+        a, b = self.scalar, other.scalar
+        # each side over lcd: its exponents plus lcd's, none negative, the
+        # zero ones dropped by Counter's sum
+        sides = [BiPoly.product((Counter(lcd) + Counter(dict(f.factors))).items()) * c
+                 for f, c in ((self, a.numerator * b.denominator),
+                              (other, sign * b.numerator * a.denominator))]
+        return FnElt(self.curve, Fraction(1, a.denominator * b.denominator),
+                     ((sides[0] + sides[1], 1),) + tuple((p, -k) for p, k in lcd.items()))
 
     def __pow__(self, n: int):
         return FnElt(self.curve, self.scalar**n, tuple((p, e * n) for p, e in self.factors))
@@ -397,24 +410,16 @@ class SymbolEngine:
                                                       ser.leading() / w.leading()**deg)
         return self._val_lead_cache[(poly, p)]
 
-    def intersection(self, poly: BiPoly, p: CurvePoint) -> int:
-        """I_P(C, poly) at p, or at p's projective point."""
-        return self._meet(poly, p)[0]
-
-    def _meet(self, poly: BiPoly, p: CurvePoint) -> Tuple[int, Optional[BiPoly]]:
-        """(I_P(C, poly), poly expanded about P): intersection_multiplicity of the
-        curve and poly both shifted to an affine P, fulton_multiplicity in the
-        chart its places at infinity keep (I = 0 and no expansion without one)."""
+    def _meet(self, poly: BiPoly, p: CurvePoint) -> Tuple[int, BiPoly]:
+        """(I_P(C, poly), poly expanded about P), for an affine P on the curve
+        where poly vanishes or a place at infinity, as `_val_lead_uncached`
+        has checked: intersection_multiplicity of the curve and poly both
+        shifted to an affine P, fulton_multiplicity in the chart its places
+        at infinity keep."""
         if p.is_affine:
             local = poly.shift(p.x, p.y)
-            curve = self._local_curve(p)
-            if local.nums.get((0, 0)) or curve.nums.get((0, 0)):
-                raise PreconditionError(f"empty intersection at point {p.label()}")
-            return intersection_multiplicity(curve, local, self._origin), local
-        places = self._places_over(p)
-        if not places:  # off the curve: each rational point on it has a place
-            return 0, None
-        name, u0, chart = places[0].chart
+            return intersection_multiplicity(self._local_curve(p), local, self._origin), local
+        name, u0, chart = self._places_over(p)[0].chart
         local = poly.chart(name).shift(u0, 0)
         i = (fulton_multiplicity(chart, local, self.curve.degree * poly.total_degree)
              if not local.nums.get((0, 0)) else 0)
@@ -475,24 +480,14 @@ class SymbolEngine:
         """`points` without repeats, then each place at infinity not among them."""
         return list(dict.fromkeys([*points, *self._infinity_places()]))
 
-    def closure(self, poly: BiPoly,
-                places: Sequence[CurvePoint]) -> Tuple[List[int], int]:
-        """ord_p(poly) at each of `places`, which must include every place
-        at infinity, and the degree of poly's zeros elsewhere, rational or
-        not.  A principal divisor has degree 0, and a polynomial has its
-        poles at infinity only, so that degree is minus the sum of the
-        orders."""
-        orders = [self.ord_poly(poly, p) for p in places]
-        return orders, -sum(orders)
-
     def divisor(self, f: FnElt, support: Sequence[CurvePoint]) -> Divisor:
         """div(f) on `support`, found once per engine for f's factors, on
         which it alone depends; the same Divisor is returned on every call.
 
         NonRationalSupportError ("support incomplete") unless `support`
-        holds every zero of each factor of f (see closure) and every place
-        at infinity where f has a nonzero order.  A refusal is not kept,
-        so it is raised again on every call.
+        holds every zero of each factor of f and every place at infinity
+        where f has a nonzero order.  A refusal is not kept, so it is
+        raised again on every call.
         """
         key = (f.factors, tuple(support))
         div = self._divisors.get(key)
@@ -502,8 +497,10 @@ class SymbolEngine:
         places = self.with_infinity(declared)
         total = [0] * len(places)
         for poly, e in f.factors:
-            orders, missing = self.closure(poly, places)
-            if missing:
+            orders = [self.ord_poly(poly, p) for p in places]
+            # div(poly) has degree 0 and its poles lie at infinity, among
+            # `places`, so orders that sum to 0 leave no zero elsewhere
+            if sum(orders):
                 raise NonRationalSupportError(
                     f"support incomplete: {poly.canonical()} has a zero off the "
                     "declared support")
@@ -652,8 +649,12 @@ def nekovar_element(curve: PlaneCurve,
         point of H with the curve; a sign mix triggers the squaring
         adjustment, which is recorded in the returned metadata.
 
+    G cap C and H cap C are read from `SymbolEngine.divisor` of g and h
+    on the support candidates, whose degree count refuses ("support
+    incomplete") an intersection with a point that is not rational.
+
     Returns (element, info dict); info["h_points"] lists H cap C as
-    (point, multiplicity) pairs.
+    (point, multiplicity) pairs, in `affine_zeros` order.
     """
     eng = engine or SymbolEngine(curve)
     kappa = rat(kappa)
@@ -664,20 +665,19 @@ def nekovar_element(curve: PlaneCurve,
                                 "line at infinity must meet the curve in one rational point")
     g = FnElt.poly(curve, g_poly)
     h = FnElt.poly(curve, h_poly * h_scale)
-    # (b) intersection of G with the curve: all rational, all with torsion data
-    g_points = _full_affine_intersection(eng, g_poly)
-    supplied = {tf.plus: tf for tf in torsion_data}
-    for (pt, mult) in g_points:
-        if pt not in supplied:
-            raise NonRationalSupportError(
-                f"rational support required: no torsion function at {pt.label()}")
     candidates = eng.support_candidates(
         [tf.fn for tf in torsion_data] + [g, h],
         extra=[tf.plus for tf in torsion_data])
+    # (b) G cap C, whole and rational by div(g): each point has torsion data
+    supplied = {tf.plus for tf in torsion_data}
+    for pt, _ in _affine_divisor(eng, g, candidates):
+        if pt not in supplied:
+            raise NonRationalSupportError(
+                f"rational support required: no torsion function at {pt.label()}")
     for tf in torsion_data:
         verify_torsion_shape(eng, tf, candidates)
-    # (c) constancy of g on H cap C
-    h_points = _full_affine_intersection(eng, h_poly)
+    # (c) constancy of g on H cap C, whole and rational by div(h)
+    h_points = _affine_divisor(eng, h, candidates)
     values = [(pt, mult, eng.value(g, pt)) for (pt, mult) in h_points]
     target = abs(kappa)
     if any(abs(v) != target for (_, _, v) in values):
@@ -685,10 +685,7 @@ def nekovar_element(curve: PlaneCurve,
             "constancy hypothesis fails: g is not constant (up to sign) on H")
     signs = {1 if v > 0 else -1 for (_, _, v) in values}
     power = 1 if len(signs) == 1 else 2
-    if power == 1:
-        kappa_eff = values[0][2]
-    else:
-        kappa_eff = values[0][2] ** 2
+    kappa_eff = values[0][2] ** power
     g_tilde = g**power / kappa_eff
     m = lcm(*[tf.order for tf in torsion_data])
     base_pair = SymbolPair(g_tilde, h, 1)
@@ -711,16 +708,8 @@ def nekovar_element(curve: PlaneCurve,
     return elem, info
 
 
-def _full_affine_intersection(eng: SymbolEngine, poly: BiPoly):
-    """All affine intersection points of poly=0 with the curve, with
-    multiplicities; raises when irrational points must exist."""
-    zs = eng.affine_zeros(poly)
-    if zs is None:
-        raise VerificationError("auxiliary curve shares a component with the curve")
-    points = [CurvePoint.affine(x0, y0) for (x0, y0) in zs]
-    orders, missing = eng.closure(poly, eng.with_infinity(points))
-    if missing:
-        raise NonRationalSupportError(
-            "rational support required: intersection has non-rational points "
-            f"(of degree {missing} in all)")
-    return list(zip(points, orders))
+def _affine_divisor(eng: SymbolEngine, f: FnElt, support: Sequence[CurvePoint]):
+    """[(P, ord_P f)] at each rational affine zero P of f's factors, in `affine_zeros` order."""
+    div = eng.divisor(f, support).entries
+    return [(p, div[p]) for poly, _ in f.factors
+            for p in (CurvePoint.affine(*z) for z in eng.affine_zeros(poly))]

@@ -18,6 +18,8 @@ from k2forge.linalg import vandermonde_solve
 from k2forge.records import record_jsonable
 from k2forge.unipoly import UniPoly
 
+from test_acceptance import FIGURES, HYP_ODD_DEEP, SMOKE_TUPLES
+
 rng = random.Random(31337)
 
 
@@ -659,6 +661,20 @@ def _third_contact(monkeypatch):
         *args, contacts={**contacts, "O": 1}, **kw))
 
 
+def _h_meets_conjugate_points(monkeypatch):
+    """At r = 2, y = -2 meets x^3 + y^2 - 9xy + 2y at Q1 = (0, -2) and
+    where x^2 + 18 = 0: div(h) on the rational points has degree -2."""
+    real = fam.nekovar_3tor_curve
+    monkeypatch.setattr(fam, "nekovar_3tor_curve", lambda r: (
+        real(r)[0], BiPoly.y() + BiPoly.const(r)))
+
+
+def _contact_point_off_the_curve(monkeypatch):
+    real = fam.nekovar_2tor_data
+    monkeypatch.setattr(fam, "nekovar_2tor_data", lambda r: {
+        **real(r), "Q1": (real(r)["Q1"][0], real(r)["Q1"][1] + 1)})
+
+
 @pytest.mark.parametrize("family, r, mutate, message", [
     ("nekovar-3tor", "2", _two_places_at_infinity,
      "model must have 1 place(s) at infinity, found 2"),
@@ -676,14 +692,20 @@ def _third_contact(monkeypatch):
      "contact pattern {'Q2': 3, 'Q1': 2} != {'Q1': 3, 'Q2': 2}"),
     ("nekovar-3tor", "2", _third_contact,
      "contact pattern {'Q1': 1, 'Q2': 2} != {'Q1': 1, 'Q2': 2, 'O': 1}"),
+    ("nekovar-3tor", "2", _h_meets_conjugate_points,
+     "element nekovar: support incomplete: y + 2 has a zero off the declared support"),
+    ("nekovar-2tor", "3/4", _contact_point_off_the_curve, "contact point is not on the curve"),
 ], ids=["place-count", "contact-point", "h-pattern", "3tor-multiplicities",
-        "g2-multiplicities", "3tor-points", "g2-points", "3tor-extra-point"])
+        "g2-multiplicities", "3tor-points", "g2-points", "3tor-extra-point",
+        "3tor-conjugate-points", "2tor-point-off-the-curve"])
 def test_contact_record_checks_its_model(monkeypatch, capsys, tmp_path,
                                          family, r, mutate, message):
     """A model that breaks the contact families' postconditions ends gen
     with exit 3 and one line, and writes nothing.  H must meet the curve
     exactly at the named points with their multiplicities: swapped names,
-    swapped multiplicities or a named point that H misses all refuse."""
+    swapped multiplicities, a named point that H misses or H meeting the
+    curve off the rational points all refuse, as does a contact point
+    moved off the curve."""
     mutate(monkeypatch)
     out = tmp_path / "r.json"
     assert main(["gen", family, "--r", r, "--out", str(out)]) == 3
@@ -753,6 +775,27 @@ def test_every_record_has_pass_certificates():
 # ---------------------------------------------------------------------------
 # each construction claim is proved once, by its block's divisor
 # ---------------------------------------------------------------------------
+
+def test_every_triple_support_point_is_a_named_point(tmp_path):
+    """On the SMOKE_TUPLES and figure records and the hyp-odd g=4 record,
+    `construction_torsion`'s support discovery adds no point to a torsion
+    triple beyond the record's named points."""
+    corpus = dict.fromkeys([(f, tuple(flags)) for f, flags in SMOKE_TUPLES]
+                           + [(f, tuple(flags)) for _, f, flags, _, _ in FIGURES]
+                           + [HYP_ODD_DEEP[1]])
+    assert len(corpus) == 14
+    out, triples = tmp_path / "r.json", 0
+    for family, flags in corpus:
+        assert main(["gen", family, *flags, "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        named = list(data["points"].values())
+        for elem in (e for e in data["elements"] if e["kind"] == "triple"):
+            triples += 1
+            for sym in elem["symbols"]:
+                extra = [p for p in sym["support"] if p not in named]
+                assert not extra, (family, flags, elem["name"], extra)
+    assert triples
+
 
 def _wrong_contact(monkeypatch):
     real = fam._Marks.vertical
