@@ -17,9 +17,10 @@ return, and the text forms.
 
 The projective closure needs no second type.  With d the total degree,
 F^hom = sum n/den X^i Y^j Z^(d-i-j), so a chart is a map of exponents on
-the same numerators: ``chart("Y")`` is F^hom(u, 1, w), exponent (i, d-i-j),
-and ``chart("X")`` is F^hom(1, v, w), exponent (j, d-i-j).  ``top_value``
-is F^hom(X, Y, 0), the top-degree form at (X, Y).
+the same numerators: ``chart("Z")`` is F^hom(x, y, 1) = F, ``chart("Y")``
+is F^hom(u, 1, w), exponent (i, d-i-j), and ``chart("X")`` is F^hom(1, v,
+w), exponent (j, d-i-j).  ``top_value`` is F^hom(X, Y, 0), the top-degree
+form at (X, Y).
 
 The canonical text form sorts monomials by total degree (descending),
 then y-degree (descending), prints x before y, and parenthesizes
@@ -108,9 +109,8 @@ class BiPoly:
         return BiPoly.from_ints({(0, power): 1})
 
     @staticmethod
-    def from_unipoly(p: UniPoly, var: str = "x") -> "BiPoly":
-        key = (lambda e: (e, 0)) if var == "x" else (lambda e: (0, e))
-        return BiPoly.from_ints({key(e): c for e, c in enumerate(p.nums)}, p.den)
+    def from_unipoly(p: UniPoly) -> "BiPoly":
+        return BiPoly.from_ints({(e, 0): c for e, c in enumerate(p.nums)}, p.den)
 
     @staticmethod
     def product(factors: Iterable[Tuple["BiPoly", int]]) -> "BiPoly":
@@ -153,6 +153,14 @@ class BiPoly:
         if self._hash is None:
             self._hash = hash((self.den, frozenset(self.nums.items())))
         return self._hash
+
+    def primitive_key(self) -> frozenset:
+        """The numerators over their content, signed so that the term of
+        largest exponent pair is positive: one key for all nonzero rational
+        multiples of a polynomial."""
+        c = gcd(*self.nums.values())
+        c = -c if self.nums[max(self.nums)] < 0 else c
+        return frozenset((k, v // c) for k, v in self.nums.items())
 
     def degree_in(self, var: str) -> int:
         idx = 0 if var == "x" else 1
@@ -363,7 +371,10 @@ class BiPoly:
 
     # -- projective ----------------------------------------------------------
     def chart(self, name: str) -> "BiPoly":
-        """F^hom in the chart Y=1, as (u, w) = (X, Z), or X=1, as (v, w) = (Y, Z)."""
+        """F^hom in the chart Z=1, which is F itself, Y=1, as (u, w) = (X, Z),
+        or X=1, as (v, w) = (Y, Z)."""
+        if name == "Z":
+            return self
         d, first = self.total_degree, 0 if name == "Y" else 1
         return BiPoly.from_ints({(k[first], d - k[0] - k[1]): c for k, c in self.nums.items()},
                                 self.den)

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .bipoly import BiPoly
-from .curves import CurvePoint, PlaneCurve, infinity_chart
+from .curves import CurvePoint, PlaneCurve, point_chart
 from .errors import (NonRationalSupportError, PreconditionError,
                      VerificationError)
 from .series import PowerSeries, mul_nums
@@ -247,28 +247,29 @@ def _shift_frame(h: BiPoly, e: int, q: int, lam: Fraction, m: Fraction) -> BiPol
 # ---------------------------------------------------------------------------
 
 class Branch:
-    """Parametrized place of a plane curve with exact series coordinates."""
+    """Parametrized place of a plane curve with exact series coordinates;
+    every place keeps `chart`, the curve's `point_chart` at its point."""
 
     def __init__(self, curve: PlaneCurve, point: CurvePoint, kind: str, data,
-                 chart: Optional[Tuple[str, Fraction, BiPoly]] = None):
+                 chart: Tuple[str, Tuple[Fraction, Fraction], BiPoly]):
         self.curve = curve
         self.point = point
         self._kind = kind  # "affine-y" | "affine-x" | "inf-Y" | "inf-X"
-        self._data = data
-        self.chart = chart  # at infinity: (name, u0, shifted chart polynomial)
+        self._data = data  # affine: the Newton equation; at infinity: the chart place
+        self.chart = chart
         self._cached: Optional[Tuple[PowerSeries, PowerSeries]] = None
         self._sw: Optional[Tuple[PowerSeries, PowerSeries]] = None
 
     @property
     def w_val(self) -> int:
         """At a place at infinity: val(w), w = Z/Y (inf-Y) or Z/X (inf-X)."""
-        return self._data[0].val
+        return self._data.val
 
     def chart_series(self, prec: int) -> Tuple[PowerSeries, PowerSeries]:
         """At a place at infinity: (s, w) with chart point (u0 + s, w), both
         known mod t^prec at least and without poles; kept, extended on demand."""
         if self._sw is None or self._sw[1].prec < prec:
-            self._sw = self._data[0].sv_series(prec)
+            self._sw = self._data.sv_series(prec)
         return self._sw
 
     def xy(self, prec: int) -> Tuple[PowerSeries, PowerSeries]:
@@ -279,8 +280,8 @@ class Branch:
 
     def _xy_uncached(self, prec: int) -> Tuple[PowerSeries, PowerSeries]:
         if self._kind in ("affine-y", "affine-x"):
-            h, px, py = self._data
-            v = _newton_series(h, max(prec, 2))
+            px, py = self.chart[1]
+            v = _newton_series(self._data, max(prec, 2))
             t = PowerSeries.t_power(1, v.prec)
             if self._kind == "affine-y":
                 return (t + PowerSeries.const(px, v.prec), v + PowerSeries.const(py, v.prec))
@@ -296,7 +297,7 @@ class Branch:
         (v, w) = (Y/X, Z/X)."""
         s, w = self.chart_series(prec)
         w_inv = w.invert()
-        u_w = (s + PowerSeries.const(self._data[1], s.prec)) * w_inv
+        u_w = (s + PowerSeries.const(self.chart[1][0], s.prec)) * w_inv
         return (u_w, w_inv) if self._kind == "inf-Y" else (w_inv, u_w)
 
     def residual_ok(self, prec: int = None) -> bool:
@@ -316,20 +317,20 @@ class Branch:
         return f"Branch({self.point.label()})"
 
 
-def branch_at_affine(curve: PlaneCurve, p: CurvePoint, local: BiPoly = None) -> Branch:
-    """Local parametrization at a smooth affine rational point; `local`, when
-    given, is the curve shifted to p, whose constant and linear terms are
-    F(p) and the gradient."""
+def branch_at_affine(curve: PlaneCurve, p: CurvePoint) -> Branch:
+    """Local parametrization at a smooth affine rational point, from its
+    chart: the curve shifted to p, whose constant and linear terms are F(p)
+    and the gradient."""
     if not p.is_affine:
         raise PreconditionError("branch_at_affine needs an affine point")
-    local = curve.affine.shift(p.x, p.y) if local is None else local
+    chart = point_chart(curve.affine, p)
+    local = chart[2]
     if local.nums.get((0, 0)):
         raise PreconditionError(f"point {p.label()} does not lie on the curve")
     if local.nums.get((0, 1)):
-        return Branch(curve, p, "affine-y", (local, p.x, p.y))
+        return Branch(curve, p, "affine-y", local, chart)
     if local.nums.get((1, 0)):
-        swapped = local.substitute(BiPoly.y(), BiPoly.x())
-        return Branch(curve, p, "affine-x", (swapped, p.x, p.y))
+        return Branch(curve, p, "affine-x", local.substitute(BiPoly.y(), BiPoly.x()), chart)
     raise PreconditionError(f"point {p.label()} is singular; no unique branch")
 
 
@@ -346,10 +347,10 @@ def branches_at_infinity(curve: PlaneCurve) -> List[Branch]:
     out: List[Branch] = []
     for (X, Y) in pts:
         # chart Y has variables (u, w) = (X/Y, Z/Y), chart X (v, w) = (Y/X, Z/X)
-        chart = infinity_chart(curve.affine, X, Y)
-        name, u0, shifted = chart
-        brs = [Branch(curve, CurvePoint.at_infinity(X, Y, 0), "inf-" + name, (pl, u0), chart)
-               for pl in _polygon_places(shifted)]
+        point = CurvePoint.at_infinity(X, Y, 0)
+        chart = point_chart(curve.affine, point)
+        brs = [Branch(curve, point, "inf-" + chart[0], pl, chart)
+               for pl in _polygon_places(chart[2])]
         if len(brs) > 1:
             brs.sort(key=Branch._order_key)
         for idx, br in enumerate(brs):

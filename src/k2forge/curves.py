@@ -1,15 +1,15 @@
 """Plane curves over Q: points, intersection multiplicity, tangents, smoothness.
 
-Intersection multiplicity is computed by Fulton's reduction algorithm:
-translate the point to the origin with one exact Taylor shift
-(`BiPoly.shift`), then, on content-free integer coefficients, cancel the
-leading terms of the restrictions to y=0 fraction-free (g <- a*g -
-b*x^s*f, then divide out the content) and split off factors of y.  It
-terminates for curves with no common component and agrees with the
-local-ring definition.  A point at infinity is moved to the origin of
-the chart Y=1 or X=1 by one rule, `infinity_chart`, which intersection
-multiplicities, branches at infinity and the singular-point search all
-use.
+Every rational point of P^2 is the origin of one of the charts Z=1,
+Y=1 or X=1 after one exact Taylor shift (`BiPoly.shift`), and one rule,
+`point_chart`, picks that chart: Z at an affine point, Y at (X:Y:0) when
+Y != 0, else X.  Intersection multiplicities, the singular-point search,
+the branches and the symbol engine all read it.  Intersection
+multiplicity is then Fulton's reduction algorithm at the origin: on
+content-free integer coefficients, cancel the leading terms of the
+restrictions to y=0 fraction-free (g <- a*g - b*x^s*f, then divide out
+the content) and split off factors of y.  It terminates for curves with
+no common component and agrees with the local-ring definition.
 
 Projective smoothness is decided exactly through the resultant of the
 three partial derivatives, after one fixed coordinate change applied over
@@ -82,11 +82,6 @@ class CurvePoint:
     @property
     def is_affine(self) -> bool:
         return self.kind == "affine"
-
-    def projective(self) -> Tuple[Fraction, Fraction, Fraction]:
-        if self.is_affine:
-            return (self.x, self.y, Fraction(1))
-        return (self.x, self.y, Fraction(0))
 
     def label(self) -> str:
         if self.is_affine:
@@ -295,30 +290,26 @@ def fulton_multiplicity(f: BiPoly, g: BiPoly, bound: int) -> int:
 
 
 def intersection_multiplicity(c1: CurveLike, c2: CurveLike, p: CurvePoint) -> int:
-    """I_P(c1, c2) at a rational point (affine, or at infinity via the other chart)."""
+    """I_P(c1, c2) at a rational point, at the origin of its chart."""
     f1, f2 = _poly_of(c1), _poly_of(c2)
-    d1, d2 = f1.total_degree, f2.total_degree
-    bound = d1 * d2
-    if p.is_affine:
-        if f1(p.x, p.y) != 0 or f2(p.x, p.y) != 0:
-            raise PreconditionError(f"empty intersection at point {p.label()}")
-        return fulton_multiplicity(f1.shift(p.x, p.y), f2.shift(p.x, p.y), bound)
-    _, _, g1 = infinity_chart(f1, p.x, p.y)
-    _, _, g2 = infinity_chart(f2, p.x, p.y)
-    if g1.coeff(0, 0) != 0 or g2.coeff(0, 0) != 0:
+    g1, g2 = point_chart(f1, p)[2], point_chart(f2, p)[2]
+    if g1.nums.get((0, 0)) or g2.nums.get((0, 0)):
         raise PreconditionError(f"empty intersection at point {p.label()}")
-    return fulton_multiplicity(g1, g2, bound)
+    return fulton_multiplicity(g1, g2, f1.total_degree * f2.total_degree)
 
 
-def infinity_chart(f: BiPoly, X, Y) -> Tuple[str, Fraction, BiPoly]:
-    """Where the point (X : Y : 0) is affine: chart Y at u0 = X/Y when
-    Y != 0, else chart X at u0 = 0.
-
-    Returns the chart name, u0 and f's chart polynomial shifted so that
-    the point is the origin.
-    """
-    name, u0 = ("Y", rat(X) / rat(Y)) if Y != 0 else ("X", Fraction(0))
-    return name, u0, f.chart(name).shift(u0, 0)
+def point_chart(f: BiPoly, p: CurvePoint) -> Tuple[str, Tuple[Fraction, Fraction], BiPoly]:
+    """(name, origin, f's chart polynomial shifted so that p is the origin)
+    for the chart where the rational point p is affine: chart Z at (x0, y0)
+    for an affine p, else, for p = (X : Y : 0), chart Y at (X/Y, 0) when
+    Y != 0 and chart X at (0, 0) otherwise."""
+    if p.is_affine:
+        name, origin = "Z", (p.x, p.y)
+    elif p.y != 0:
+        name, origin = "Y", (p.x / p.y, Fraction(0))
+    else:
+        name, origin = "X", (Fraction(0), Fraction(0))
+    return name, origin, f.chart(name).shift(*origin)
 
 
 def is_on_curve(c: CurveLike, p: CurvePoint) -> bool:
@@ -526,19 +517,14 @@ def _rational_singular_point(curve: PlaneCurve) -> Optional[CurvePoint]:
         # f shares a component with both partials (line components
         # crossing, as in x*y): the singular points lie on f_x = f_y = 0
         pts = rational_common_zeros(fx, fy)
-    pts = [(x0, y0) for (x0, y0) in pts or ()
-           if f(x0, y0) == 0 and fx(x0, y0) == 0 and fy(x0, y0) == 0]
-    if pts:
-        return CurvePoint.affine(*pts[0])
-    # rational points at infinity: the chart polynomial, moved to the
-    # point, has no constant or linear term there (by Euler's identity
-    # that is F_X = F_Y = F_Z = 0)
-    inf_pts, _ = curve.rational_infinity_points()
-    for (X, Y) in inf_pts:
-        _, _, g = infinity_chart(f, X, Y)
-        if not any(g.nums.get(k) for k in ((0, 0), (1, 0), (0, 1))):
-            return CurvePoint.at_infinity(X, Y)
-    return None
+    # the rational common zeros, then the rational points at infinity; a
+    # point is singular when its chart has no constant or linear term (at
+    # infinity, by Euler's identity, that is F_X = F_Y = F_Z = 0)
+    candidates = [CurvePoint.affine(x0, y0) for (x0, y0) in pts or ()]
+    candidates += [CurvePoint.at_infinity(X, Y) for (X, Y) in curve.rational_infinity_points()[0]]
+    return next((p for p in candidates
+                 if not any(point_chart(f, p)[2].nums.get(k) for k in ((0, 0), (1, 0), (0, 1)))),
+                None)
 
 
 def rational_common_zeros(p1: BiPoly, p2: BiPoly) -> Optional[List[Tuple[Fraction, Fraction]]]:

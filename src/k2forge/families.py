@@ -282,8 +282,6 @@ def gen_hyp_even(g: int, a: Sequence, eps: Sequence[int]) -> CurveRecord:
     a, eps = [rat(x) for x in a], [int(e) for e in eps]
     if len(a) != g + 1 or len(eps) != g + 1:
         raise PreconditionError("need g+1 parameters and g+1 signs")
-    if g >= 1 and all(e == -1 for e in eps):  # _hyp_family refuses g < 1 first
-        raise PreconditionError("f1 would be zero: all epsilon entries equal -1")
     notes = ["universal relation: the g+2 classes from this model satisfy "
              "one linear relation in the tame kernel modulo torsion"]
     return _hyp_family("hyp-even", {"genus": g, "a": a, "eps": eps}, g, 2 * g + 2,

@@ -1,12 +1,11 @@
 """Function-field elements, divisors, tame symbols and K2 certificates.
 
 A function is scalar * prod poly_i^e_i, made by the one constructor
-`FnElt(curve, scalar, factors)` into one normal form: constant
-polynomials folded into the scalar, equal polynomials merged in order of
-first appearance, zero exponents dropped, and the zero function (a zero
-scalar, or a factor that vanishes on the curve) refused.  `FnElt.poly`
-is how a polynomial from outside becomes a function; the arithmetic and
-the record decoder call the same constructor.
+`FnElt(curve, scalar, factors)` into one normal form, in which rational
+multiples of a polynomial are one factor (see `FnElt`); the zero
+function is refused.  `FnElt.poly` is how a polynomial from outside
+becomes a function; the arithmetic, the common denominator of a sum and
+the record decoder use the same merge.
 
 The tame symbol of {f, h} at a rational place P is the unit
 
@@ -20,13 +19,14 @@ partner's order is nonzero.
 Orders of vanishing are computed twice on purpose: through the
 intersection-multiplicity reduction and through the series valuation
 (at an affine point on the local series (x - x0, y - y0), at infinity
-in the chart its places keep: ord g = val g_P(s, w) - deg g val w,
-Fulton, *Algebraic Curves*, chs. 3 and 7); a mismatch raises
-VerificationError, because it would mean the ord bookkeeping (and so
-the certificate) is wrong.  At an affine point both run on the curve
-shifted once per point, and a factor nonzero at a point of the curve
-gets order 0 without a branch.  Each Horner pass stops at the last
-row that survives mod t^prec.
+on the chart series: ord g = val g_P(s, w) - deg g val w, Fulton,
+*Algebraic Curves*, chs. 3 and 7); a mismatch raises VerificationError,
+because it would mean the ord bookkeeping (and so the certificate) is
+wrong.  Every place keeps the chart of its point (`curves.point_chart`:
+chart Z at an affine point, the curve shifted there once), and both
+routes read the curve from it; a factor nonzero at an affine point of
+the curve gets order 0 without a branch.  Each Horner pass stops at the
+last row that survives mod t^prec.
 
 Leading coefficients of functions, tame values and certificate totals
 are products of powers, formed on integer (numerator, denominator)
@@ -53,7 +53,6 @@ values, which must equal 1 independently by the reciprocity law.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -78,13 +77,16 @@ class FnElt:
     """Element of Q(C), kept in factored form scalar * prod poly_i^e_i.
 
     `FnElt(curve, scalar, factors)` is the one constructor, and every
-    element is in one normal form: constant polynomials are folded into
-    the nonzero rational scalar, equal polynomials are merged in order of
-    first appearance, and zero exponents are dropped.  It refuses the zero
-    function: a zero scalar, or a factor that vanishes on the curve at any
-    exponent ("zero function", or "denominator vanishes on the curve" for
-    a negative exponent).  `FnElt.poly` is how a polynomial from outside
-    becomes a function, and `FnElt.constant` a rational.
+    element is in one normal form (`_merged`): constants are folded into
+    the nonzero rational scalar, a polynomial c * p for a p held earlier
+    merges into p with c^e in the scalar, and a polynomial whose exponent
+    sums to 0 is dropped, so a later multiple starts it again at the end.
+    The form is the same whether a function is built at once or one
+    factor at a time.  It refuses the zero function: a zero scalar, or a
+    factor that vanishes on the curve at any exponent ("zero function", or
+    "denominator vanishes on the curve" for a negative exponent).
+    `FnElt.poly` is how a polynomial from outside becomes a function, and
+    `FnElt.constant` a rational.
 
     Orders of vanishing and leading series coefficients are additive and
     multiplicative over the factors, so every evaluation decomposes into
@@ -99,18 +101,13 @@ class FnElt:
         scalar = rat(scalar)
         if scalar == 0:
             raise PreconditionError("zero function")
-        exps: Dict[BiPoly, int] = {}  # summed, in order of first appearance
+        factors = tuple(factors)
         for poly, e in factors:
             if _vanishes_on_curve(curve, poly):
                 raise PreconditionError("denominator vanishes on the curve" if e < 0
                                         else "zero function")
-            if poly.total_degree == 0:
-                scalar *= poly.coeff(0, 0) ** e
-            else:
-                exps[poly] = exps.get(poly, 0) + e
         self.curve = curve
-        self.scalar = scalar
-        self.factors = tuple((p, e) for p, e in exps.items() if e)
+        self.scalar, self.factors = _merged(scalar, factors)
 
     # -- numerator / denominator -----------------------------------------
     @property
@@ -145,22 +142,26 @@ class FnElt:
 
     def _combine(self, other, sign: int) -> "FnElt":
         """f +- g, g an FnElt or a rational, over the lcm of the factored
-        denominators: each denominator polynomial at its largest exponent."""
+        denominators: each denominator polynomial, up to a rational
+        multiple, at its largest exponent."""
         if isinstance(other, (int, Fraction)):
             other = FnElt.constant(self.curve, other)
         self._same_curve(other)
-        lcd: Dict[BiPoly, int] = {}
+        lcd: Dict[frozenset, Tuple[BiPoly, int]] = {}  # one entry per class
         for p, e in self.factors + other.factors:
             if e < 0:
-                lcd[p] = max(lcd.get(p, 0), -e)
+                key = p.primitive_key()
+                q, k = lcd.get(key, (p, 0))
+                lcd[key] = (q, max(k, -e))
         a, b = self.scalar, other.scalar
-        # each side over lcd: its exponents plus lcd's, none negative, the
-        # zero ones dropped by Counter's sum
-        sides = [BiPoly.product((Counter(lcd) + Counter(dict(f.factors))).items()) * c
-                 for f, c in ((self, a.numerator * b.denominator),
-                              (other, sign * b.numerator * a.denominator))]
+        # each side times lcd in normal form: no negative exponent is left
+        sides = []
+        for f, c in ((self, a.numerator * b.denominator),
+                     (other, sign * b.numerator * a.denominator)):
+            c, fs = _merged(Fraction(c), f.factors + tuple(lcd.values()))
+            sides.append(BiPoly.product(fs) * c)
         return FnElt(self.curve, Fraction(1, a.denominator * b.denominator),
-                     ((sides[0] + sides[1], 1),) + tuple((p, -k) for p, k in lcd.items()))
+                     ((sides[0] + sides[1], 1),) + tuple((p, -k) for p, k in lcd.values()))
 
     def __pow__(self, n: int):
         return FnElt(self.curve, self.scalar**n, tuple((p, e * n) for p, e in self.factors))
@@ -192,6 +193,26 @@ class FnElt:
         if self.den == BiPoly.const(1):
             return f"FnElt({self.num.canonical()})"
         return f"FnElt(({self.num.canonical()}) / ({self.den.canonical()}))"
+
+
+def _merged(scalar: Fraction, factors) -> Tuple[Fraction, Tuple[Tuple[BiPoly, int], ...]]:
+    """(scalar, factors) of scalar * prod p^e in the normal form `FnElt`
+    describes: one factor per class of rational multiples."""
+    classes: Dict[frozenset, Tuple[BiPoly, int]] = {}
+    for poly, e in factors:
+        if poly.total_degree == 0:
+            scalar *= poly.coeff(0, 0) ** e
+            continue
+        key = poly.primitive_key()
+        first, total = classes.get(key, (poly, 0))
+        if first is not poly:  # poly = c * first, and c^e joins the scalar
+            k = next(iter(poly.nums))
+            scalar *= Fraction(poly.nums[k] * first.den, poly.den * first.nums[k]) ** e
+        if total + e:
+            classes[key] = (first, total + e)
+        else:
+            classes.pop(key, None)
+    return scalar, tuple(classes.values())
 
 
 def _two_routes_agree(p: CurvePoint, m: int, sers) -> None:
@@ -240,13 +261,6 @@ class K2Element:
     terms: List[SymbolPair]
     declared_support: List[CurvePoint]
     name: str = ""
-
-    def scaled(self, k: int) -> "K2Element":
-        return K2Element(
-            [SymbolPair(t.f, t.h, t.coefficient * k) for t in self.terms],
-            list(self.declared_support),
-            name=f"{k}*{self.name}" if self.name else "",
-        )
 
 
 @dataclass
@@ -315,7 +329,6 @@ class SymbolEngine:
         self._infinity: Optional[Dict[CurvePoint, Branch]] = None
         self._val_lead_cache: Dict[Tuple[BiPoly, CurvePoint], Tuple[int, Fraction]] = {}
         self._divisors: Dict[tuple, Divisor] = {}  # (factors, support) -> div
-        self._local: Dict[CurvePoint, BiPoly] = {}
         self._on_curve: Set[CurvePoint] = set()  # affine points found on the curve
         self._zeros_cache: Dict[BiPoly, Optional[Tuple[Tuple[Fraction, Fraction], ...]]] = {}
 
@@ -330,19 +343,13 @@ class SymbolEngine:
         if p.is_affine:
             br = self._affine.get(p)
             if br is None:
-                br = branch_at_affine(self.curve, p, self._local_curve(p))
+                br = branch_at_affine(self.curve, p)
                 self._affine[p] = br
             return br
         br = self._infinity_places().get(p)
         if br is None:
             raise PreconditionError(f"no rational branch {p.label()} on this curve")
         return br
-
-    def _local_curve(self, p: CurvePoint) -> BiPoly:
-        """The curve shifted to the affine point p, for its branch and Fulton."""
-        if p not in self._local:
-            self._local[p] = self.curve.affine.shift(p.x, p.y)
-        return self._local[p]
 
     def infinity_points(self) -> List[CurvePoint]:
         return list(self._infinity_places())
@@ -390,7 +397,7 @@ class SymbolEngine:
             # the valuation is the intersection multiplicity m, so m + 1
             # terms of the local series (x - x0, y - y0) decide it
             br = self.branch(p)
-            m, local = self._meet(poly, p)
+            m, local = self._meet(poly, br)
             x, y = br.xy(m + 1)
             ser = eval_series(local, x - PowerSeries.const(p.x, x.prec),
                               y - PowerSeries.const(p.y, y.prec), m + 1)
@@ -400,8 +407,8 @@ class SymbolEngine:
         # no pole; the valuations of g_P over the places at P sum to
         # I = I_P(C, g^hom), so I + 1 terms decide each of them
         self.branch(p)  # PreconditionError unless p is a place at infinity
-        i, g_p = self._meet(poly, p)
         deg, places = poly.total_degree, self._places_over(p)
+        i, g_p = self._meet(poly, places[0])
         charts = [br.chart_series(max(i, br.w_val) + 1) for br in places]
         sers = [eval_series(g_p, s, w, i + 1) for s, w in charts]
         _two_routes_agree(p, i, sers)
@@ -410,17 +417,16 @@ class SymbolEngine:
                                                       ser.leading() / w.leading()**deg)
         return self._val_lead_cache[(poly, p)]
 
-    def _meet(self, poly: BiPoly, p: CurvePoint) -> Tuple[int, BiPoly]:
-        """(I_P(C, poly), poly expanded about P), for an affine P on the curve
-        where poly vanishes or a place at infinity, as `_val_lead_uncached`
-        has checked: intersection_multiplicity of the curve and poly both
-        shifted to an affine P, fulton_multiplicity in the chart its places
-        at infinity keep."""
-        if p.is_affine:
-            local = poly.shift(p.x, p.y)
-            return intersection_multiplicity(self._local_curve(p), local, self._origin), local
-        name, u0, chart = self._places_over(p)[0].chart
-        local = poly.chart(name).shift(u0, 0)
+    def _meet(self, poly: BiPoly, place: Branch) -> Tuple[int, BiPoly]:
+        """(I_P(C, poly), poly in P's chart moved to the origin), for a place
+        over P, affine on the curve where poly vanishes or at infinity, as
+        `_val_lead_uncached` has checked.  Every place keeps its chart, so
+        the curve is never shifted here; Fulton runs on the two chart
+        polynomials, through intersection_multiplicity at an affine P."""
+        name, origin, chart = place.chart
+        local = poly.chart(name).shift(*origin)
+        if place.point.is_affine:
+            return intersection_multiplicity(chart, local, self._origin), local
         i = (fulton_multiplicity(chart, local, self.curve.degree * poly.total_degree)
              if not local.nums.get((0, 0)) else 0)
         return i, local

@@ -195,11 +195,6 @@ class UniPoly:
         return Fraction(acc, self.den * b ** max(self.degree, 0))
 
     # -- gcd / roots ----------------------------------------------------
-    def monic(self) -> "UniPoly":
-        if self.is_zero():
-            return self
-        return UniPoly.from_ints(self.nums, self.nums[-1])
-
     def gcd(self, other: "UniPoly") -> "UniPoly":
         """The monic gcd, by a primitive remainder sequence on the numerators."""
         a, b = _primitive(self.nums), _primitive(self._coerce(other).nums)

@@ -10,7 +10,7 @@ from k2forge import branches
 from k2forge.bipoly import BiPoly
 from k2forge.branches import (Branch, _eval_in_t, _horner, _newton_series, branch_at_affine,
                               branches_at_infinity, eval_series)
-from k2forge.curves import CurvePoint, PlaneCurve, intersection_multiplicity
+from k2forge.curves import CurvePoint, PlaneCurve, intersection_multiplicity, point_chart
 from k2forge.errors import NonRationalSupportError, PreconditionError
 from k2forge.linalg import vandermonde_solve
 from k2forge.series import PowerSeries
@@ -191,7 +191,7 @@ def test_xy_reaches_requested_precision_in_one_run(monkeypatch):
         d = c.degree
         for br in branches_at_infinity(c):
             for prec in (1, 2, 5, 2 * d + 6, 2 * d + 7):
-                fresh = Branch(c, br.point, br._kind, br._data)
+                fresh = Branch(c, br.point, br._kind, br._data, br.chart)
                 calls.clear()
                 x, y = fresh.xy(prec)
                 assert len(calls) == 1, (c, br, prec)
@@ -365,6 +365,20 @@ def _smooth_affine_points():
 
 
 SMOOTH_POINTS = _smooth_affine_points()
+
+
+def test_every_place_keeps_the_chart_of_its_point():
+    """Affine or at infinity, a Branch's chart is point_chart of the curve
+    at its projective point, and its xy series start at that point."""
+    places = [(c, br, CurvePoint.at_infinity(br.point.x, br.point.y))
+              for c in _plan_curves() for br in branches_at_infinity(c)]
+    places += [(c, branch_at_affine(c, p), p) for pts in SMOOTH_POINTS.values() for c, p in pts]
+    assert {br._kind for _, br, _ in places} == {"affine-y", "affine-x", "inf-Y", "inf-X"}
+    for c, br, point in places:
+        assert br.chart == point_chart(c.affine, point), br
+        if point.is_affine:
+            x, y = br.xy(2)
+            assert (x.coeff(0), y.coeff(0)) == (point.x, point.y), br
 
 
 _CUBIC_TERMS = st.dictionaries(

@@ -15,7 +15,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from k2forge import curves
 from k2forge.bipoly import BiPoly
 from k2forge.curves import (Conic, CurvePoint, Line, PlaneCurve, fulton_multiplicity,
-                            infinity_chart, intersection_multiplicity, is_on_curve,
+                            intersection_multiplicity, is_on_curve, point_chart,
                             smoothness_check, tangent_line)
 from k2forge.errors import PreconditionError, VerificationError
 from k2forge.families import ct_equation, _thm53_polys
@@ -639,5 +639,69 @@ def test_one_rational_point_at_infinity_has_contact_deg_c(d, u, lc, lower):
     f = line**d * BiPoly.const(lc) + BiPoly({k: c for k, c in lower.items() if sum(k) < d})
     pts, complete = PlaneCurve(f, check_squarefree=False).rational_infinity_points()
     assert complete and pts == [(F(1), F(0)) if u is None else (u, F(1))]
-    _, _, chart = infinity_chart(f, *pts[0])
+    _, _, chart = point_chart(f, CurvePoint.at_infinity(*pts[0]))
     assert fulton_multiplicity(chart, BiPoly.y(), bound=d) == d
+
+
+def _chart_before_point_chart(f, p):
+    """The rules point_chart replaced: f shifted to an affine p, and at
+    (X : Y : 0) f's chart Y shifted to (X/Y, 0) when Y != 0, else chart X."""
+    if p.is_affine:
+        return f.shift(p.x, p.y)
+    name, u0 = ("Y", p.x / p.y) if p.y != 0 else ("X", F(0))
+    return f.chart(name).shift(u0, 0)
+
+
+def _multiplicity_before_point_chart(f1, f2, p):
+    """intersection_multiplicity's two paths before point_chart: at an affine
+    p, evaluate both, then shift both; at infinity, both charts."""
+    bound = f1.total_degree * f2.total_degree
+    if p.is_affine:
+        if f1(p.x, p.y) != 0 or f2(p.x, p.y) != 0:
+            raise PreconditionError(f"empty intersection at point {p.label()}")
+        return fulton_multiplicity(f1.shift(p.x, p.y), f2.shift(p.x, p.y), bound)
+    g1, g2 = _chart_before_point_chart(f1, p), _chart_before_point_chart(f2, p)
+    if g1.coeff(0, 0) != 0 or g2.coeff(0, 0) != 0:
+        raise PreconditionError(f"empty intersection at point {p.label()}")
+    return fulton_multiplicity(g1, g2, bound)
+
+
+def _result_or_refusal(fn, *args):
+    try:
+        return fn(*args)
+    except (PreconditionError, VerificationError) as e:
+        return type(e), str(e)
+
+
+chart_coords = st.sampled_from([F(0), F(1), F(-1), F(2), F(1, 2), F(-3, 4)])
+chart_points = (st.builds(CurvePoint.affine, chart_coords, chart_coords)
+                | st.builds(CurvePoint.at_infinity, chart_coords, chart_coords.filter(bool))
+                | st.builds(CurvePoint.at_infinity, chart_coords.filter(bool), st.just(0)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(chart_polys, chart_polys, chart_points, st.integers(0, 2))
+@example(BiPoly.parse("y - x^2"), BiPoly.y(), CurvePoint.affine(1, 1), 0)  # off both
+@example(BiPoly.parse("y - x^2"), BiPoly.y(), CurvePoint.affine(0, 0), 0)  # tangent, 2
+@example(BiPoly.parse("x^3 + y^2"), BiPoly.parse("x + 1"), CurvePoint.at_infinity(0, 1), 0)
+def test_point_chart_and_multiplicity_match_the_rules_they_replace(f1, f2, p, through):
+    """point_chart gives chart Z at (x0, y0) for an affine point and the old
+    chart rule at infinity; intersection_multiplicity agrees with its old
+    two paths, refusal text included, on points off either curve and, after
+    moving `through` of the two curves onto p, on it."""
+    if through:
+        # through p: subtract the value at an affine p; at (X : Y : 0),
+        # multiply by Y*x - X*y, whose top form vanishes there
+        line = BiPoly({(1, 0): p.y, (0, 1): -p.x})
+        polys = [f - f(p.x, p.y) if p.is_affine else f * line + 1 for f in (f1, f2)[:through]]
+        f1, f2 = polys + [f1, f2][through:]
+        assume(f1.total_degree >= 1 and f2.total_degree >= 1)
+    for f in (f1, f2):
+        name, origin, shifted = point_chart(f, p)
+        assert shifted == _chart_before_point_chart(f, p)
+        if p.is_affine:
+            assert (name, origin) == ("Z", (p.x, p.y))
+        else:
+            assert (name, origin) == (("Y", (p.x / p.y, 0)) if p.y else ("X", (0, 0)))
+    assert _result_or_refusal(intersection_multiplicity, f1, f2, p) \
+        == _result_or_refusal(_multiplicity_before_point_chart, f1, f2, p)

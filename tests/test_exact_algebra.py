@@ -536,7 +536,6 @@ def test_unipoly_arithmetic_matches_fraction_reference(ca, cb, cc, q):
     assert _as_uref(a * -3) == [x * -3 for x in ra]
     assert _as_uref(a.derivative()) == _uref([i * x for i, x in enumerate(ra)][1:])
     assert a(q) == _uref_eval(ra, q) and a(-2) == _uref_eval(ra, -2)
-    assert _as_uref(a.monic()) == [x / ra[-1] for x in ra]
     assert (a == b) == (ra == rb)
     twin = UniPoly(ra + [F(0)])
     assert a == twin and hash(a) == hash(twin)

@@ -103,7 +103,8 @@ def test_hyp_even_postcondition_and_split_sides():
 
 
 def test_hyp_even_all_minus_rejected():
-    with pytest.raises(PreconditionError, match="f1 would be zero"):
+    with pytest.raises(SingularModelError,
+                       match="^discriminant vanishes: two-torsion polynomial drops degree$"):
         fam.gen_hyp_even(2, [1, 2, 3], [-1, -1, -1])
 
 
@@ -740,8 +741,7 @@ def test_bezout_bookkeeping_over_declared_support():
                 if p.is_affine:
                     on_aux = poly(p.x, p.y) == 0
                 else:
-                    X, Y, _ = p.projective()
-                    on_aux = poly.top_value(X, Y) == 0
+                    on_aux = poly.top_value(p.x, p.y) == 0
                 if on_curve and on_aux:
                     total += intersection_multiplicity(curve, poly, p)
             assert total == curve.degree * deg, (rec.family_id, poly.canonical())

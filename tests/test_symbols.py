@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction as F
-from math import lcm, prod
+from math import lcm
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -114,7 +114,16 @@ def test_zero_function_rejected_on_a_curve_not_monic_in_y():
     assert FnElt.poly(curve, curve.affine + 1).num == curve.affine + 1
 
 
-_NORMAL_FORM_POOL = ["2", "-1/3", "y", "x - 1/8", "y + x", "x - 1/8"]  # an equal pair
+# an equal pair, and rational multiples of earlier entries
+_NORMAL_FORM_POOL = ["2", "-1/3", "y", "x - 1/8", "y + x", "x - 1/8",
+                     "-2*y", "(3/2)*x - 3/16", "-y - x", "8*x - 1"]
+
+
+def _multiple_of(p, first):
+    """c with p = c * first, or None."""
+    k = next(iter(first.terms))
+    c = p.coeff(*k) / first.coeff(*k)
+    return c if c and first * c == p else None
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -122,24 +131,32 @@ _NORMAL_FORM_POOL = ["2", "-1/3", "y", "x - 1/8", "y + x", "x - 1/8"]  # an equa
        drawn=st.lists(st.tuples(st.integers(0, len(_NORMAL_FORM_POOL)), st.integers(-3, 3)),
                       max_size=7))
 def test_the_constructor_returns_the_normal_form(quartic, scalar, drawn):
-    """Constant polynomials fold into the scalar, equal polynomials merge in
-    order of first appearance, zero exponents drop, and the result is the
-    function built one factor at a time with FnElt.poly.  The last pool
-    entry is the curve plus one, of the curve's degree."""
+    """Constant polynomials fold into the scalar, rational multiples of a
+    polynomial merge into the first of them to appear, in order of first
+    appearance, with the multiplier's power in the scalar, a polynomial
+    whose exponent sums to 0 drops (a later multiple starts it again), and
+    the result is the function built one factor at a time with FnElt.poly.
+    The last pool entry is the curve plus one, of the curve's degree."""
     curve = quartic[0]
     pool = [BiPoly.parse(t) for t in _NORMAL_FORM_POOL] + [curve.affine + 1]
     factors = [(pool[k], e) for k, e in drawn]
     f = FnElt(curve, scalar, factors)
-    order = []
-    for p, _ in factors:
-        if p.total_degree and p not in order:
-            order.append(p)
-    want = [(p, sum(e for q, e in factors if q == p)) for p in order]
-    assert f.factors == tuple((p, e) for p, e in want if e)
+    firsts, want_scalar = {}, scalar  # first polynomial -> summed exponent
+    for p, e in factors:
+        if not p.total_degree:
+            want_scalar *= p.coeff(0, 0) ** e
+            continue
+        first = next((q for q in firsts if _multiple_of(p, q)), p)
+        total = firsts.get(first, 0) + e
+        if total:
+            firsts[first] = total
+        else:
+            firsts.pop(first, None)
+        want_scalar *= _multiple_of(p, first) ** e
+    assert f.factors == tuple(firsts.items())
     assert all(p.total_degree > 0 and e for p, e in f.factors)
-    assert len(set(p for p, _ in f.factors)) == len(f.factors)
-    consts = [p.coeff(0, 0) ** e for p, e in factors if not p.total_degree]
-    assert f.scalar == scalar * prod(consts) and type(f.scalar) is F
+    assert len(set(p.primitive_key() for p, _ in f.factors)) == len(f.factors)
+    assert f.scalar == want_scalar and type(f.scalar) is F
     g = FnElt.constant(curve, scalar)
     for p, e in factors:
         g = g * FnElt.poly(curve, p) ** e
@@ -156,6 +173,19 @@ def test_a_difference_of_equal_polynomial_parts_is_constant(quartic):
               for text in ("x", "y + x", "x^2 - 3/2*y + 1/8")] + [fQ]:
         one = (f + 1) - f
         assert one.is_constant() and one.constant_value() == 1
+    # h = 2 * (2x)^-1 and f = 1/x hold different multiples of one denominator
+    h, f = 2 * FnElt.poly(curve, BiPoly.x() * 2)**-1, FnElt.poly(curve, BiPoly.x())**-1
+    one = (h + 1) - f
+    assert one.is_constant() and one.constant_value() == 1
+
+
+def test_a_quotient_of_rational_multiples_is_constant():
+    """A polynomial and a rational multiple of it are one factor of the
+    normal form, so their quotient is the constant multiplier."""
+    curve = PlaneCurve(BiPoly.parse("y^3 - x^4 + x*y - 1/2"))
+    x = FnElt.poly(curve, BiPoly.x())
+    for q, c in ((FnElt.poly(curve, BiPoly.x() * 2) / x, 2), ((x - 2 * x) / x, -1)):
+        assert q.is_constant() and q.constant_value() == c
 
 
 def test_the_constructor_refuses_the_zero_function(quartic):
@@ -313,7 +343,10 @@ def test_scaled_symbols_share_certificates(quartic):
     total = lcm(*orders)
     certs = []
     for s, m in zip(symbols, orders):
-        cert = verify_k2t(curve, s.scaled(total // m), engine=eng)
+        k = total // m
+        scaled = K2Element([SymbolPair(t.f, t.h, t.coefficient * k) for t in s.terms],
+                           list(s.declared_support))
+        cert = verify_k2t(curve, scaled, engine=eng)
         assert cert.passed
         certs.append({p.label(): v for p, v in cert.point_totals.items()})
     assert certs[0] == certs[1] == certs[2]
@@ -587,9 +620,9 @@ def test_a_wrong_stored_intersection_number_is_caught(monkeypatch):
     route can disagree, and it must."""
     real, origin = SymbolEngine._meet, CurvePoint.affine(0, 0)
 
-    def bumped(self, poly, p):
-        i, local = real(self, poly, p)
-        return (i + 1 if p == origin else i), local
+    def bumped(self, poly, place):
+        i, local = real(self, poly, place)
+        return (i + 1 if place.point == origin else i), local
 
     monkeypatch.setattr(SymbolEngine, "_meet", bumped)
     with pytest.raises(VerificationError, match=r"ord bookkeeping wrong at \(0, 0\)"):
@@ -623,16 +656,17 @@ def test_gen_builds_the_chart_at_infinity_once(monkeypatch, tmp_path, argv):
     """The engine reads the chart its places at infinity keep: each curve
     has one point at infinity, (0:1:0), and its chart is built once.
     `symbols` builds no chart of its own."""
-    assert not hasattr(symbols, "infinity_chart")
+    assert not hasattr(symbols, "point_chart")
     charts = []
-    real = curves.infinity_chart
+    real = curves.point_chart
 
-    def counting(f, X, Y):
-        charts.append((X, Y))
-        return real(f, X, Y)
+    def counting(f, p):
+        if not p.is_affine:
+            charts.append((p.x, p.y))
+        return real(f, p)
 
     for module in (curves, branches):
-        monkeypatch.setattr(module, "infinity_chart", counting)
+        monkeypatch.setattr(module, "point_chart", counting)
     assert main(argv + ["--out", str(tmp_path / "rec.json")]) == 0
     assert charts == [(0, 1)]
 
@@ -660,9 +694,9 @@ def test_a_factor_that_does_not_vanish_builds_no_branch(quartic, monkeypatch):
     built = []
     real = symbols.branch_at_affine
 
-    def recording(c, p, local=None):
+    def recording(c, p):
         built.append(p)
-        return real(c, p, local)
+        return real(c, p)
 
     monkeypatch.setattr(symbols, "branch_at_affine", recording)
     eng = SymbolEngine(curve)
