@@ -1,10 +1,15 @@
 """Exact branch parametrizations of plane curves over Q.
 
-Every rational place of a curve gets a parametrization (x(t), y(t)) by
-truncated Laurent series with rational coefficients:
+A rational place is one `Branch`: the chart of its point (`point_chart`),
+the Newton-polygon frame chain of the place in that chart, and the
+regular equation the chain leaves.  Its chart series (s(t), v(t)), by
+truncated power series with rational coefficients, are the one series of
+the place, and its affine coordinates (x(t), y(t)) are read from them by
+the chart's name:
 
-* at a smooth affine point the implicit function theorem applies and a
-  Newton iteration on the curve equation delivers the series directly;
+* at a smooth affine point the chart is regular, so the chain is empty
+  and a Newton iteration on the shifted curve delivers the series
+  directly (with the axes swapped when the tangent is vertical);
 
 * over a point on the line at infinity (smooth or not) the equation in
   the chart Y=1 or X=1 is expanded by Newton-polygon iteration.  Each
@@ -44,42 +49,6 @@ class _Frame:
     q: int
     lam: Fraction
     m: Fraction
-
-
-class _ChartPlace:
-    """A place of H(s, v) = 0 at the origin, given by a frame chain.
-
-    The last frame leaves a regular equation: H_final(0,0) = 0 with
-    a nonzero v-derivative, so plain Newton iteration finishes the job.
-
-    Each frame writes v = s1^q * (m + v1) with m != 0, so the chain alone
-    fixes val(v) along the place and the precision each frame adds to
-    the Newton series: ``val`` and ``shift`` below.  Without frames
-    v is the Newton series itself, of valuation ord_s H(s, 0).
-    """
-
-    def __init__(self, frames: List[_Frame], final: BiPoly):
-        self.frames = frames
-        self.final = final
-        e, shift, val = 1, 0, None
-        for fr in reversed(frames):
-            val = e * fr.q
-            shift += val
-            e *= fr.e
-        if val is None:
-            val = min(i for (i, j) in final.nums if j == 0)
-        self.shift, self.val = shift, val
-
-    def sv_series(self, prec: int) -> Tuple[PowerSeries, PowerSeries]:
-        """(s(t), v(t)) with both series known at least mod t^prec."""
-        v = _newton_series(self.final, max(prec - self.shift, 1))
-        lam, e = Fraction(1), 1  # current level's s as lam * t^e
-        for fr in reversed(self.frames):
-            # v_prev = s_i^q * (m + v_i) with s_i the current monomial
-            mono = PowerSeries.t_power(e * fr.q, v.prec + e * fr.q, lam**fr.q)
-            v = mono * (v + PowerSeries.const(fr.m, v.prec))
-            lam, e = fr.lam * lam**fr.e, fr.e * e
-        return PowerSeries.t_power(e, v.prec + e, lam), v
 
 
 def _newton_series(h: BiPoly, prec: int) -> PowerSeries:
@@ -165,8 +134,9 @@ def _horner(coeffs: List[Tuple[int, Sequence[int], int]], v: PowerSeries,
     return val, acc, top, k
 
 
-def _polygon_places(h: BiPoly, depth: int = 0) -> List[_ChartPlace]:
-    """All places of h = 0 at the origin with s not identically zero.
+def _polygon_places(h: BiPoly, depth: int = 0) -> List[Tuple[List[_Frame], BiPoly]]:
+    """All places of h = 0 at the origin with s not identically zero, each
+    as its frame chain and the regular equation the chain leaves.
 
     h vanishes at the origin: the first call gets the chart at a point of
     the curve, and each h1 below has h1(0, 0) = rho^k psi(rho) = 0 at its
@@ -180,8 +150,8 @@ def _polygon_places(h: BiPoly, depth: int = 0) -> List[_ChartPlace]:
         raise NonRationalSupportError("curve has the vertical chart axis as a component")
     # smooth with non-vertical tangent (a y term): a single place, no polygon
     if h.nums.get((0, 1)):
-        return [_ChartPlace([], h)]
-    places: List[_ChartPlace] = []
+        return [([], h)]
+    places: List[Tuple[List[_Frame], BiPoly]] = []
     for mu, edge in _polygon_edges(support):
         e, q = mu.denominator, mu.numerator
         j0 = min(j for _, j in edge)
@@ -203,10 +173,10 @@ def _polygon_places(h: BiPoly, depth: int = 0) -> List[_ChartPlace]:
             h1 = _shift_frame(h, e, q, lam, m)
             frame = _Frame(e, q, lam, m)
             if h1.nums.get((0, 1)):
-                places.append(_ChartPlace([frame], h1))
+                places.append(([frame], h1))
             else:
-                for sub in _polygon_places(h1, depth + 1):
-                    places.append(_ChartPlace([frame] + sub.frames, sub.final))
+                for frames, final in _polygon_places(h1, depth + 1):
+                    places.append(([frame] + frames, final))
     return places
 
 
@@ -247,58 +217,78 @@ def _shift_frame(h: BiPoly, e: int, q: int, lam: Fraction, m: Fraction) -> BiPol
 # ---------------------------------------------------------------------------
 
 class Branch:
-    """Parametrized place of a plane curve with exact series coordinates;
-    every place keeps `chart`, the curve's `point_chart` at its point."""
+    """A place of a plane curve at a rational point: `chart`, the curve's
+    `point_chart` at the point, the frame chain of the place in it, and
+    `final`, the regular equation the chain leaves (final(0, 0) = 0 with
+    a nonzero v-derivative), on which plain Newton iteration finishes.
 
-    def __init__(self, curve: PlaneCurve, point: CurvePoint, kind: str, data,
-                 chart: Tuple[str, Tuple[Fraction, Fraction], BiPoly]):
+    Each frame writes v = s1^q * (m + v1) with m != 0, so the chain alone
+    fixes val(v) along the place and the precision each frame adds to the
+    Newton series.  Without frames v is the Newton series itself, of
+    valuation ord_s final(s, 0), found only when read.  At an affine point
+    with a vertical tangent the chart's axes are swapped (``swap``): the
+    parameter is then t = y - y0 and the Newton series gives x - x0.
+    """
+
+    def __init__(self, curve: PlaneCurve, point: CurvePoint,
+                 chart: Tuple[str, Tuple[Fraction, Fraction], BiPoly],
+                 frames: List[_Frame], final: BiPoly, swap: bool = False):
         self.curve = curve
         self.point = point
-        self._kind = kind  # "affine-y" | "affine-x" | "inf-Y" | "inf-X"
-        self._data = data  # affine: the Newton equation; at infinity: the chart place
         self.chart = chart
-        self._cached: Optional[Tuple[PowerSeries, PowerSeries]] = None
-        self._sw: Optional[Tuple[PowerSeries, PowerSeries]] = None
+        self.frames = frames
+        self.final = final
+        self.swap = swap
+        e, self._shift, self._val = 1, 0, None
+        for fr in reversed(frames):
+            self._val = e * fr.q
+            self._shift += self._val
+            e *= fr.e
+        self._series: Optional[Tuple[PowerSeries, PowerSeries]] = None
 
     @property
     def w_val(self) -> int:
-        """At a place at infinity: val(w), w = Z/Y (inf-Y) or Z/X (inf-X)."""
-        return self._data.val
+        """At a place at infinity: val(w), w = Z/Y (chart Y) or Z/X (chart X)."""
+        if self._val is None:
+            return min(i for (i, j) in self.final.nums if j == 0)
+        return self._val
 
     def chart_series(self, prec: int) -> Tuple[PowerSeries, PowerSeries]:
-        """At a place at infinity: (s, w) with chart point (u0 + s, w), both
-        known mod t^prec at least and without poles; kept, extended on demand."""
-        if self._sw is None or self._sw[1].prec < prec:
-            self._sw = self._data.sv_series(prec)
-        return self._sw
+        """(s, v) with chart point origin + (s, v), both known mod t^prec at
+        least and without poles (the axes swapped at an affine point with
+        ``swap``); kept, extended on demand."""
+        if self._series is None or self._series[1].prec < prec:
+            v = _newton_series(self.final, max(prec - self._shift, 1))
+            lam, e = Fraction(1), 1  # current level's s as lam * t^e
+            for fr in reversed(self.frames):
+                # v_prev = s_i^q * (m + v_i) with s_i the current monomial
+                mono = PowerSeries.t_power(e * fr.q, v.prec + e * fr.q, lam**fr.q)
+                v = mono * (v + PowerSeries.const(fr.m, v.prec))
+                lam, e = fr.lam * lam**fr.e, fr.e * e
+            self._series = PowerSeries.t_power(e, v.prec + e, lam), v
+        return self._series
 
     def xy(self, prec: int) -> Tuple[PowerSeries, PowerSeries]:
         """Affine coordinate series (x(t), y(t)), both known mod t^prec at least."""
-        if self._cached is None or min(self._cached[0].prec, self._cached[1].prec) < prec:
-            self._cached = self._xy_uncached(prec)
-        return self._cached
-
-    def _xy_uncached(self, prec: int) -> Tuple[PowerSeries, PowerSeries]:
-        if self._kind in ("affine-y", "affine-x"):
-            px, py = self.chart[1]
-            v = _newton_series(self._data, max(prec, 2))
-            t = PowerSeries.t_power(1, v.prec)
-            if self._kind == "affine-y":
-                return (t + PowerSeries.const(px, v.prec), v + PowerSeries.const(py, v.prec))
-            return (v + PowerSeries.const(px, v.prec), t + PowerSeries.const(py, v.prec))
+        if self.chart[0] == "Z":
+            s, v = self.chart_series(prec)
+            x0, y0 = self.chart[1]
+            if self.swap:
+                s, v = v, s
+            return s + PowerSeries.const(x0, s.prec), v + PowerSeries.const(y0, v.prec)
         # w has valuation w_val, so 1/w and u/w are known to 2*w_val fewer
         # terms than w
         x, y = self._chart_xy(prec + 2 * self.w_val)
         return x.truncate(prec), y.truncate(prec)
 
     def _chart_xy(self, prec: int) -> Tuple[PowerSeries, PowerSeries]:
-        """(x, y) from the chart series to prec terms: (u/w, 1/w) in chart Y,
-        where (u, w) = (X/Y, Z/Y), and (1/w, v/w) in chart X, where
-        (v, w) = (Y/X, Z/X)."""
+        """(x, y) from the chart series to prec terms at a place at infinity:
+        (u/w, 1/w) in chart Y, where (u, w) = (X/Y, Z/Y), and (1/w, v/w) in
+        chart X, where (v, w) = (Y/X, Z/X)."""
         s, w = self.chart_series(prec)
         w_inv = w.invert()
         u_w = (s + PowerSeries.const(self.chart[1][0], s.prec)) * w_inv
-        return (u_w, w_inv) if self._kind == "inf-Y" else (w_inv, u_w)
+        return (u_w, w_inv) if self.chart[0] == "Y" else (w_inv, u_w)
 
     def residual_ok(self, prec: int = None) -> bool:
         """Check F(x(t), y(t)) = 0 to the working truncation."""
@@ -318,9 +308,9 @@ class Branch:
 
 
 def branch_at_affine(curve: PlaneCurve, p: CurvePoint) -> Branch:
-    """Local parametrization at a smooth affine rational point, from its
-    chart: the curve shifted to p, whose constant and linear terms are F(p)
-    and the gradient."""
+    """The place at a smooth affine rational point, from its chart: the
+    curve shifted to p, whose constant and linear terms are F(p) and the
+    gradient.  The chart is regular there, so the place has no frames."""
     if not p.is_affine:
         raise PreconditionError("branch_at_affine needs an affine point")
     chart = point_chart(curve.affine, p)
@@ -328,9 +318,9 @@ def branch_at_affine(curve: PlaneCurve, p: CurvePoint) -> Branch:
     if local.nums.get((0, 0)):
         raise PreconditionError(f"point {p.label()} does not lie on the curve")
     if local.nums.get((0, 1)):
-        return Branch(curve, p, "affine-y", local, chart)
+        return Branch(curve, p, chart, [], local)
     if local.nums.get((1, 0)):
-        return Branch(curve, p, "affine-x", local.substitute(BiPoly.y(), BiPoly.x()), chart)
+        return Branch(curve, p, chart, [], local.substitute(BiPoly.y(), BiPoly.x()), swap=True)
     raise PreconditionError(f"point {p.label()} is singular; no unique branch")
 
 
@@ -349,8 +339,8 @@ def branches_at_infinity(curve: PlaneCurve) -> List[Branch]:
         # chart Y has variables (u, w) = (X/Y, Z/Y), chart X (v, w) = (Y/X, Z/X)
         point = CurvePoint.at_infinity(X, Y, 0)
         chart = point_chart(curve.affine, point)
-        brs = [Branch(curve, point, "inf-" + chart[0], pl, chart)
-               for pl in _polygon_places(chart[2])]
+        brs = [Branch(curve, point, chart, frames, final)
+               for frames, final in _polygon_places(chart[2])]
         if len(brs) > 1:
             brs.sort(key=Branch._order_key)
         for idx, br in enumerate(brs):

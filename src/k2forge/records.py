@@ -98,13 +98,14 @@ def json_object(d) -> dict:
 
 
 def json_field(d, key: str, kind, default=_REQUIRED):
-    """d[key], which must be of type `kind`; RecordFormatError for any other shape."""
+    """d[key], which must be of type `kind`; RecordFormatError for any other
+    shape, a JSON boolean included: Python's bool is an int."""
     if key not in json_object(d):
         if default is _REQUIRED:
             raise RecordFormatError(f"missing key {key!r}")
         return default
     value = d[key]
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise RecordFormatError(f"{key!r} has type {type(value).__name__}")
     return value
 
@@ -167,8 +168,13 @@ def point_jsonable(p: CurvePoint) -> dict:
 
 
 def point_from_json(d: dict) -> CurvePoint:
-    if json_field(d, "kind", str) == "affine":
+    kind = json_field(d, "kind", str)
+    if kind == "affine":
         return CurvePoint.affine(rat_field(d, "x"), rat_field(d, "y"))
+    if kind != "infinity":
+        raise RecordFormatError(f"'kind' is {kind!r}, not 'affine' or 'infinity'")
+    if json_field(d, "Z", str) != "0":
+        raise RecordFormatError(f"a point at infinity has 'Z': {d['Z']!r}, not '0'")
     return CurvePoint.at_infinity(rat_field(d, "X"), rat_field(d, "Y"),
                                   int_field(d, "branch", 0))
 
@@ -329,7 +335,8 @@ def record_from_json(text: str) -> LoadedRecord:
     Each distinct factor string becomes one BiPoly, and each distinct raw
     point one CurvePoint, within this call."""
     data = json.loads(text)
-    if json_object(data).get("k2forge_schema") != SCHEMA_VERSION:
+    schema = json_object(data).get("k2forge_schema")
+    if type(schema) is not int or schema != SCHEMA_VERSION:  # true == 1
         raise PreconditionError("unsupported record schema")
     curve_data = json_field(data, "curve", dict)
     affine = poly_field(curve_data, "affine")

@@ -91,7 +91,8 @@ class FnElt:
     Orders of vanishing and leading series coefficients are additive and
     multiplicative over the factors, so every evaluation decomposes into
     work on the small building-block polynomials (which the engine
-    caches).  `num` and `den` expand the products each time they are read.
+    caches); only a sum or difference expands products, over the common
+    denominator.  `repr` prints the factored form.
     """
 
     __slots__ = ("curve", "scalar", "factors")
@@ -108,15 +109,6 @@ class FnElt:
                                         else "zero function")
         self.curve = curve
         self.scalar, self.factors = _merged(scalar, factors)
-
-    # -- numerator / denominator -----------------------------------------
-    @property
-    def num(self) -> BiPoly:
-        return BiPoly.product((p, e) for p, e in self.factors if e > 0) * self.scalar.numerator
-
-    @property
-    def den(self) -> BiPoly:
-        return BiPoly.product((p, -e) for p, e in self.factors if e < 0) * self.scalar.denominator
 
     # -- arithmetic in the function field --------------------------------
     def __mul__(self, other):
@@ -190,9 +182,8 @@ class FnElt:
         return self.scalar
 
     def __repr__(self):
-        if self.den == BiPoly.const(1):
-            return f"FnElt({self.num.canonical()})"
-        return f"FnElt(({self.num.canonical()}) / ({self.den.canonical()}))"
+        factors = "".join(f" * ({p.canonical()})^{e}" for p, e in self.factors)
+        return f"FnElt({rat_str(self.scalar)}{factors})"
 
 
 def _merged(scalar: Fraction, factors) -> Tuple[Fraction, Tuple[Tuple[BiPoly, int], ...]]:

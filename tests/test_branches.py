@@ -191,7 +191,7 @@ def test_xy_reaches_requested_precision_in_one_run(monkeypatch):
         d = c.degree
         for br in branches_at_infinity(c):
             for prec in (1, 2, 5, 2 * d + 6, 2 * d + 7):
-                fresh = Branch(c, br.point, br._kind, br._data, br.chart)
+                fresh = Branch(c, br.point, br.chart, br.frames, br.final)
                 calls.clear()
                 x, y = fresh.xy(prec)
                 assert len(calls) == 1, (c, br, prec)
@@ -350,6 +350,14 @@ def _gradient(c, p):
     return c.affine.partial("x")(p.x, p.y), c.affine.partial("y")(p.x, p.y)
 
 
+def _kind(br):
+    """A place's kind: its chart's name, and at an affine point whether the
+    Newton series gives y (a non-vertical tangent) or x."""
+    if br.chart[0] == "Z":
+        return "affine-x" if br.swap else "affine-y"
+    return "inf-" + br.chart[0]
+
+
 def _smooth_affine_points():
     """(curve, point) for the smooth affine points of the plan curves with
     a small x, sorted by branch kind."""
@@ -360,7 +368,7 @@ def _smooth_affine_points():
             for y0, _ in c.affine.eval_x(x0).rational_roots():
                 p = CurvePoint.affine(x0, y0)
                 if _gradient(c, p) != (0, 0):
-                    out[branch_at_affine(c, p)._kind].append((c, p))
+                    out[_kind(branch_at_affine(c, p))].append((c, p))
     return out
 
 
@@ -373,12 +381,47 @@ def test_every_place_keeps_the_chart_of_its_point():
     places = [(c, br, CurvePoint.at_infinity(br.point.x, br.point.y))
               for c in _plan_curves() for br in branches_at_infinity(c)]
     places += [(c, branch_at_affine(c, p), p) for pts in SMOOTH_POINTS.values() for c, p in pts]
-    assert {br._kind for _, br, _ in places} == {"affine-y", "affine-x", "inf-Y", "inf-X"}
+    assert {_kind(br) for _, br, _ in places} == {"affine-y", "affine-x", "inf-Y", "inf-X"}
     for c, br, point in places:
         assert br.chart == point_chart(c.affine, point), br
         if point.is_affine:
             x, y = br.xy(2)
             assert (x.coeff(0), y.coeff(0)) == (point.x, point.y), br
+
+
+@pytest.mark.parametrize("poly, point", [("y^2 - x^2*y - y", (5, 0)),
+                                         ("x^2 - x*y^2 - x", (0, 5))],
+                         ids=["horizontal", "vertical"])
+def test_a_smooth_point_on_a_line_component_has_a_branch(poly, point):
+    """On the line y = 0 the chart has no term free of v, so the place's
+    valuation must not be read before it is asked for; on x = 0 the
+    tangent is vertical, and the Newton polygon would refuse the chart."""
+    c = PlaneCurve(BiPoly.parse(poly))
+    br = branch_at_affine(c, CurvePoint.affine(*point))
+    x, y = br.xy(4)
+    assert (x.coeff(0), y.coeff(0)) == point
+    assert br.residual_ok(4)
+
+
+def _reference_xy(c, p, n):
+    """(t + x0, v + y0), with v the Newton series of the curve shifted to
+    p, or (v + x0, t + y0) on the swapped shifted curve at a vertical
+    tangent."""
+    local = c.affine.shift(p.x, p.y)
+    vertical = not local.nums.get((0, 1))
+    v = _newton_series(local.substitute(BiPoly.y(), BiPoly.x()) if vertical else local, n)
+    t = PowerSeries.t_power(1, v.prec)
+    x, y = (v, t) if vertical else (t, v)
+    return x + PowerSeries.const(p.x, v.prec), y + PowerSeries.const(p.y, v.prec)
+
+
+@pytest.mark.parametrize("kind", ["affine-y", "affine-x"])
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(data=st.data(), n=st.integers(2, 12))
+def test_affine_xy_agrees_with_the_reference_rule(kind, data, n):
+    c, p = data.draw(st.sampled_from(SMOOTH_POINTS[kind]))
+    got = branch_at_affine(c, p).xy(n)
+    assert [a.truncate(n) for a in got] == [a.truncate(n) for a in _reference_xy(c, p, n)]
 
 
 _CUBIC_TERMS = st.dictionaries(

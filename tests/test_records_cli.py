@@ -691,6 +691,39 @@ def test_a_function_without_factors_exits_1(ct_record, tmp_path):
     assert (code, err) == (1, "cannot read record: missing key 'factors'\n")
 
 
+def _first_support_point(data: dict) -> dict:
+    return data["elements"][0]["symbols"][0]["support"][0]
+
+
+def _set(where: str, data: dict):
+    if where == "kind":
+        _first_support_point(data)["kind"] = "weird"
+    elif where == "Z":
+        _first_support_point(data)["Z"] = "5"
+    elif where == "branch":
+        _first_support_point(data)["branch"] = True
+    elif where == "exp":
+        next(_pairs(data))["f"]["factors"][0]["exp"] = True
+    else:
+        data["k2forge_schema"] = True
+
+
+@pytest.mark.parametrize("where, code, err", [
+    ("kind", 1, "cannot read record: 'kind' is 'weird', not 'affine' or 'infinity'\n"),
+    ("Z", 1, "cannot read record: a point at infinity has 'Z': '5', not '0'\n"),
+    ("branch", 1, "cannot read record: 'branch' has type bool\n"),
+    ("exp", 1, "cannot read record: 'exp' has type bool\n"),
+    ("schema", 3, "verification failure: unsupported record schema\n"),
+], ids=["kind", "Z", "branch", "exp", "schema"])
+def test_a_field_that_contradicts_the_record_is_refused(where, code, err, ct_record, tmp_path):
+    """Each edit was once read as something else: any kind as a point at
+    infinity, any Z as 0, and true as the integer 1."""
+    data = json.loads(json.dumps(ct_record))
+    assert records.point_from_json(_first_support_point(data)).label() == "(0:1:0)#0"
+    _set(where, data)
+    assert _verify(data, tmp_path / "r.json") == (code, "", err)
+
+
 @pytest.fixture(scope="module")
 def family_records(tmp_path_factory) -> dict:
     """The record text of each attainable family."""

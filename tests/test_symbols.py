@@ -73,11 +73,11 @@ def test_val_lead_sizes_affine_branches_exactly(quartic):
     eng = SymbolEngine(curve)
     # a unit at the point: its value, with no branch expansion
     assert eng.val_lead(BiPoly.parse("x - 1"), pts["Q"]) == (0, F(-3, 4))
-    assert eng.branch(pts["Q"])._cached is None
+    assert eng.branch(pts["Q"])._series is None
     # the tangent at Q has contact m = 3: the branch is expanded to m + 1 terms
     assert eng.val_lead(BiPoly.parse("y + x"), pts["Q"])[0] == 3
-    x, y = eng.branch(pts["Q"])._cached
-    assert min(x.prec, y.prec) == 4
+    s, v = eng.branch(pts["Q"])._series
+    assert min(s.prec, v.prec) == 4
 
 
 @pytest.mark.parametrize("skew", [-1, 1])
@@ -111,7 +111,7 @@ def test_zero_function_rejected_on_a_curve_not_monic_in_y():
         FnElt.poly(curve, curve.affine)
     with pytest.raises(PreconditionError, match="zero function"):
         FnElt.poly(curve, curve.affine * (BiPoly.x() + 1))
-    assert FnElt.poly(curve, curve.affine + 1).num == curve.affine + 1
+    assert FnElt.poly(curve, curve.affine + 1).factors == ((curve.affine + 1, 1),)
 
 
 # an equal pair, and rational multiples of earlier entries
