@@ -10,8 +10,10 @@ from __future__ import annotations
 import argparse
 import datetime
 import functools
+import io
 import itertools
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -177,15 +179,47 @@ def cmd_verify(ns) -> int:
     return 0
 
 
+# the end of a line that `json.dumps(catalog_entry_jsonable(...))` wrote
+_WRITER_TAIL = re.compile(rb', "input_hash": "([0-9a-f]{64})"\}\n?\Z')
+
+
+def _db_lines(fh):
+    """The lines of a file open in binary mode, split at "\n", "\r\n" and a
+    lone "\r" as text mode's universal newlines split them."""
+    for line in fh:
+        if b"\r" in line:
+            yield from line.splitlines(keepends=True)
+        else:
+            yield line
+
+
 def _db_hashes(path: str) -> Set[str]:
-    """input_hash of every entry already in the db (none when it is missing)."""
+    """input_hash of every entry already in the db (none when it is missing).
+
+    No line in writer form is parsed: one that ends in the fixed tail
+    `, "input_hash": "<64 lowercase hex digits>"}` and holds the key
+    `"input_hash"` only there gives the hex digits of that tail.  Two
+    entries glued on one line hold the key twice.  Every other nonblank
+    line is decoded as UTF-8 and parsed whole, and a line that is not JSON,
+    not an object, or lacks the key is refused with its line number.  So a
+    writer-form line whose bytes before the tail are not JSON is read, not
+    refused; `verify` and `plot` of that entry still refuse it."""
     hashes = set()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for n, line in enumerate(fh, 1):
-                if line.strip():
+        with open(path, "rb") as fh:
+            for n, line in enumerate(_db_lines(fh), 1):
+                # the tail is 83 bytes, and a newline may follow it
+                tail = _WRITER_TAIL.search(line, max(0, len(line) - 84))
+                if tail and line.count(b'"input_hash"') == 1:
+                    hashes.add(tail[1].decode("ascii"))
+                    continue
+                try:
+                    text = line.decode("utf-8")
+                except UnicodeDecodeError as e:  # its repr holds the whole line
+                    raise InputError(f"cannot read db: line {n}: {e}") from None
+                if text.strip():
                     try:
-                        hashes.add(json.loads(line)["input_hash"])
+                        hashes.add(json.loads(text)["input_hash"])
                     except (ValueError, RecursionError, TypeError, KeyError) as e:
                         raise InputError(f"cannot read db: line {n}: {e!r}") from None
     except FileNotFoundError:
@@ -195,15 +229,29 @@ def _db_hashes(path: str) -> Set[str]:
     return hashes
 
 
+def _unterminated(path: str) -> bool:
+    """Whether the file at `path` is nonempty and its last line has no newline."""
+    try:
+        with open(path, "rb") as fh:
+            if not fh.seek(0, io.SEEK_END):
+                return False
+            fh.seek(-1, io.SEEK_END)
+            return fh.read(1) not in b"\r\n"
+    except FileNotFoundError:
+        return False
+
+
 def cmd_catalog(ns) -> int:
     """Append one entry per new grid member, flushed as soon as it is made,
-    so a run that ends early keeps what it wrote.  Each refused member
+    so a run that ends early keeps what it wrote.  A db whose last line lacks
+    its newline gets one before the first new entry.  Each refused member
     (exit 2), and the verification failure that ends a run (exit 3), is
     appended to <db>.errors.txt as one JSON line."""
     grid = _param_grid(ns, sweep=True)
     existing = _db_hashes(ns.db)
     added = skipped = errored = 0
     try:
+        sep = "\n" if _unterminated(ns.db) else ""
         with open(ns.db, "a", encoding="utf-8") as db:
             for params in grid:
                 h = params_hash(ns.family, params)
@@ -224,8 +272,9 @@ def cmd_catalog(ns) -> int:
                     errored += 1
                     continue
                 stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-                db.write(json.dumps(catalog_entry_jsonable(rec, stamp, h)) + "\n")
+                db.write(sep + json.dumps(catalog_entry_jsonable(rec, stamp, h)) + "\n")
                 db.flush()
+                sep = ""
                 existing.add(h)
                 added += 1
     except OSError as e:

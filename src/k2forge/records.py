@@ -111,8 +111,8 @@ def json_field(d, key: str, kind, default=_REQUIRED):
 
 
 def _as_rat(key: str, value) -> Fraction:
-    """value read as a "p/q" string or an integer."""
-    if isinstance(value, (str, int)):
+    """value read as a "p/q" string or an integer, never a JSON boolean."""
+    if isinstance(value, (str, int)) and not isinstance(value, bool):
         try:
             return rat(value)
         except (ValueError, ZeroDivisionError):

@@ -291,6 +291,17 @@ def test_cli_plot_out_of_range_values_exit_0(quartic_t0_record, tmp_path, capsys
     assert "<path " not in body and ">O</text>" not in body and ">P</text>" in body
 
 
+def test_cli_plot_refuses_a_boolean_coefficient(quartic_t0_record, tmp_path, capsys):
+    """A JSON boolean among an auxiliary line's coefficients is not read as 0 or 1."""
+    data = json.loads(quartic_t0_record.read_text())
+    data["aux"]["lines"][0]["coeffs"] = [True, "0", False]
+    rec, out = tmp_path / "bool.json", tmp_path / "bool.svg"
+    rec.write_text(json.dumps(data))
+    assert main(["plot", str(rec), "--grid", "16", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "cannot read record: 'coeffs' is not a rational: True\n"
+    assert not out.exists()
+
+
 def test_cli_plot_grid_above_the_maximum_exits_2_at_once(quartic_t0_record, tmp_path):
     out = tmp_path / "big.svg"
     done = subprocess.run([sys.executable, "-m", "k2forge.cli", "plot", str(quartic_t0_record),
@@ -415,16 +426,19 @@ def test_cli_catalog_truncated_db_exits_1(tmp_path, capsys):
     (["catalog", "quartic-ct", "--t", "0", "--db", "{path}"], "cannot read db: line 1: "),
 ], ids=["verify", "plot", "catalog"])
 def test_json_nested_past_the_recursion_limit_exits_1(tmp_path, command, prefix):
-    """100,000 open brackets make the JSON decoder raise RecursionError;
-    each command that reads JSON turns it into its one-line refusal."""
-    path, out = tmp_path / "deep.json", tmp_path / "out.svg"
-    path.write_text("[" * 100_000)
-    argv = [arg.format(path=path, out=out) for arg in command]
-    done = subprocess.run([sys.executable, "-m", "k2forge.cli", *argv],
-                          env=_package_env(), capture_output=True, text=True, timeout=60)
-    assert done.returncode == 1, done.stderr
-    assert done.stderr.startswith(prefix) and len(done.stderr.splitlines()) == 1, done.stderr
-    assert "Traceback" not in done.stderr and not out.exists()
+    """100,000 open brackets make the JSON decoder raise RecursionError, and
+    a file that is not UTF-8 fails to decode; each command that reads JSON
+    turns either into its one-line refusal and writes nothing."""
+    path, out = tmp_path / "bad.json", tmp_path / "out.svg"
+    for content in (b"[" * 100_000, b'\xff\xfe{"input_hash": "x"}\n'):
+        path.write_bytes(content)
+        argv = [arg.format(path=path, out=out) for arg in command]
+        done = subprocess.run([sys.executable, "-m", "k2forge.cli", *argv],
+                              env=_package_env(), capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1, done.stderr
+        assert done.stderr.startswith(prefix) and len(done.stderr.splitlines()) == 1, done.stderr
+        assert "Traceback" not in done.stderr and not out.exists()
+        assert path.read_bytes() == content
 
 
 def test_cli_catalog_keeps_entries_written_before_a_verification_failure(
@@ -450,6 +464,141 @@ def test_cli_catalog_keeps_entries_written_before_a_verification_failure(
     (logged,) = (tmp_path / "cat.jsonl.errors.txt").read_text().splitlines()
     assert json.loads(logged) == {"family": "nekovar-3tor", "params": {"r": "3"},
                                   "exit": 3, "error": "injected"}
+
+
+def test_cli_catalog_appends_after_a_last_line_without_newline(tmp_path, capsys):
+    """A db whose last line lost its newline gets one before the next entry,
+    so the two entries are not glued onto one line."""
+    db = tmp_path / "cat.jsonl"
+    argv = ["catalog", "quartic-ct", "--db", str(db)]
+    assert main([*argv, "--t", "0"]) == 0
+    db.write_bytes(db.read_bytes()[:-1])
+    assert main([*argv, "--t", "2"]) == 0
+    assert [json.loads(l)["record"]["params"]["t"] for l in db.read_text().splitlines()] \
+        == ["0", "2"]
+    capsys.readouterr()
+    assert main([*argv, "--t", "0,2,3"]) == 0
+    assert capsys.readouterr().out == "catalog: 1 added, 2 skipped (duplicates), 0 errored\n"
+    assert len(db.read_text().splitlines()) == 3
+
+
+def _parsed_hashes(path) -> tuple:
+    """The db read by parsing each nonblank line whole, in text mode:
+    (hashes, None), or (None, n) when line n is refused."""
+    hashes = set()
+    with open(path, "r", encoding="utf-8") as fh:
+        for n, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    hashes.add(json.loads(line)["input_hash"])
+                except (ValueError, RecursionError, TypeError, KeyError):
+                    return None, n
+    return hashes, None
+
+
+def _tail_hashes(path) -> tuple:
+    """`cli._db_hashes` in the shape of `_parsed_hashes`."""
+    try:
+        return cli._db_hashes(str(path)), None
+    except cli.InputError as e:
+        n = str(e).removeprefix("cannot read db: line ").partition(":")[0]
+        return None, int(n)
+
+
+@functools.cache
+def _catalog_entries() -> tuple:
+    """Two catalog entries as `catalog` builds them before writing."""
+    return tuple(records.catalog_entry_jsonable(fam.gen_quartic_ct(t), "2026-01-01T00:00:00+00:00",
+                                                params_hash("quartic-ct", {"t": F(t)}))
+                 for t in (0, 2))
+
+
+HEX = "0123456789abcdef"
+hex_hashes = st.text(HEX, min_size=64, max_size=64)
+
+
+@st.composite
+def db_lines(draw) -> str:
+    """One db line, without its newline."""
+    entry = dict(draw(st.sampled_from(_catalog_entries())), input_hash=draw(hex_hashes))
+    writer = json.dumps(entry)
+    kind = draw(st.sampled_from(["writer", "reserialized", "glued", "truncated", "repeated",
+                                 "in-string", "not-object", "missing", "odd-hex", "blank"]))
+    if kind == "writer":
+        return writer
+    if kind == "reserialized":
+        keys = draw(st.permutations(list(entry)))
+        seps = draw(st.sampled_from([(",", ":"), (", ", ": "), (" ,", " : "), (",\t", ":")]))
+        return json.dumps({k: entry[k] for k in keys}, separators=seps)
+    if kind == "glued":
+        return writer + draw(st.sampled_from(["", " "])) + json.dumps(
+            dict(entry, input_hash=draw(hex_hashes)))
+    if kind == "truncated":
+        return writer[:-draw(st.integers(1, 100))]
+    if kind == "repeated":
+        return '{"input_hash": "%s", ' % draw(hex_hashes) + writer[1:]
+    if kind == "in-string":
+        where = draw(st.sampled_from(["created_at", "tool_version"]))
+        return json.dumps(dict(entry, **{where: draw(st.sampled_from(
+            ["input_hash", '"input_hash"', ', "input_hash": "%s"}' % entry["input_hash"]]))}))
+    if kind == "not-object":
+        return draw(st.sampled_from(["[1, 2]", "3", "null", '"input_hash"',
+                                     '["input_hash", "%s"]' % entry["input_hash"]]))
+    if kind == "missing":
+        return json.dumps({k: v for k, v in entry.items() if k != "input_hash"})
+    if kind == "odd-hex":
+        odd = draw(st.sampled_from([entry["input_hash"].upper(), entry["input_hash"][1:],
+                                    entry["input_hash"] + "0"]))
+        return json.dumps(dict(entry, input_hash=odd))
+    return draw(st.sampled_from(["", "  ", "\t", "\u00a0", "\u2028"]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(lines=st.lists(db_lines(), min_size=1, max_size=4),
+       newline=st.sampled_from(["\n", "\r\n", "\r"]), last=st.booleans())
+def test_db_hashes_agree_with_parsing_every_line(tmp_path_factory, lines, newline, last):
+    """Reading each hash from a line's tail gives the hashes that parsing
+    every line gives, or refuses at the same line; `catalog` then exits 0,
+    or 1 with one stderr line."""
+    path = tmp_path_factory.getbasetemp() / "agree.jsonl"
+    path.write_bytes((newline.join(lines) + (newline if last else "")).encode("utf-8"))
+    want = _parsed_hashes(path)
+    assert _tail_hashes(path) == want
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["catalog", "quartic-ct", "--t", "1", "--db", str(path)])  # t = 1 is refused
+    assert (code, len(err.getvalue().splitlines())) == ((0, 0) if want[1] is None else (1, 1))
+
+
+def test_db_hashes_read_a_writer_tail_after_bytes_that_are_not_json(tmp_path, capsys):
+    """The one line read differently: a writer-form tail after bytes that
+    are not JSON gives its hash, while parsing the line refuses it.
+    `verify` and `plot` of that entry still refuse it."""
+    h = params_hash("quartic-ct", {"t": F(0)})
+    db, out = tmp_path / "cat.jsonl", tmp_path / "fig.svg"
+    db.write_text('{"record": [, "input_hash": "%s"}\n' % h)
+    assert _parsed_hashes(db) == (None, 1)
+    assert cli._db_hashes(str(db)) == {h}
+    assert main(["catalog", "quartic-ct", "--t", "0", "--db", str(db)]) == 0
+    assert capsys.readouterr().out == "catalog: 0 added, 1 skipped (duplicates), 0 errored\n"
+    for argv in (["verify", str(db)], ["plot", str(db), "--out", str(out)]):
+        done = subprocess.run([sys.executable, "-m", "k2forge.cli", *argv],
+                              env=_package_env(), capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1 and done.stderr.startswith("cannot read record: ")
+        assert len(done.stderr.splitlines()) == 1, done.stderr
+    assert not out.exists()
+
+
+def test_db_hashes_parse_no_writer_line(tmp_path, monkeypatch):
+    """A db that only `catalog` wrote is read without one `json.loads`."""
+    db = tmp_path / "cat.jsonl"
+    assert main(["catalog", "quartic-ct", "--t", "0,2,3", "--db", str(db)]) == 0
+    want, _ = _parsed_hashes(db)
+    calls = []
+    real = json.loads
+    monkeypatch.setattr(json, "loads", lambda *a, **k: calls.append(a) or real(*a, **k))
+    assert cli._db_hashes(str(db)) == want and len(want) == 3
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
