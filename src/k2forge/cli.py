@@ -23,7 +23,7 @@ from .errors import (InsufficientPrecisionError, PreconditionError, RecordFormat
 from .families import GENERATORS, PARAMS, Param
 from .rationals import rat, rat_str
 from .records import (catalog_entry_jsonable, param_jsonable, params_hash,
-                      record_from_json, record_to_json)
+                      record_from_json, record_to_json, stored_record)
 from .symbols import SymbolEngine, verify_k2t
 
 USAGE_FAMILIES = ", ".join(sorted(GENERATORS))
@@ -291,15 +291,13 @@ def cmd_plot(ns) -> int:
     except (OSError, ValueError, RecursionError) as e:  # bad or too deep JSON
         print(f"cannot read record: {e}", file=sys.stderr)
         return 1
-    if isinstance(data, dict) and "record" in data:  # catalog entry
-        data = data["record"]
     try:
         window = tuple(float(x) for x in ns.window.split(","))
         if len(window) != 4:
             raise ValueError
         from .plotting import PlotSpec, render_record_svg  # only `plot` pays for it
         spec = PlotSpec(window=window, grid=ns.grid)
-        svg = render_record_svg(data, spec)
+        svg = render_record_svg(stored_record(data), spec)
     except RecordFormatError as e:
         print(f"cannot read record: {e}", file=sys.stderr)
         return 1

@@ -237,14 +237,6 @@ def _primitive(terms: IntTerms) -> IntTerms:
     return {k: v // c for k, v in terms.items()} if c > 1 else terms
 
 
-def _content_free(p: BiPoly) -> IntTerms:
-    """p times a positive rational, as coprime integer coefficients.
-
-    Rescaling either argument never changes an intersection multiplicity.
-    """
-    return _primitive(p.nums)
-
-
 def fulton_multiplicity(f: BiPoly, g: BiPoly, bound: int) -> int:
     """I_origin(f, g) by the reduction algorithm; both must vanish at (0,0).
 
@@ -253,7 +245,8 @@ def fulton_multiplicity(f: BiPoly, g: BiPoly, bound: int) -> int:
     or contract violation).
     """
     total = 0
-    f, g = _content_free(f), _content_free(g)
+    # rescaling either argument never changes an intersection multiplicity
+    f, g = _primitive(f.nums), _primitive(g.nums)
     # Each pass returns, raises, splits off one y (adding at least 1 to
     # total, which is capped by bound) or lowers the sum of the two
     # restriction degrees, so the loop ends.

@@ -19,10 +19,6 @@ class PreconditionError(K2ForgeError):
 class SingularModelError(PreconditionError):
     """A generated curve is singular (vanishing discriminant)."""
 
-    def __init__(self, message, vanished=None):
-        super().__init__(message)
-        self.vanished = vanished  # name of the factor that vanished, if known
-
 
 class NonRationalSupportError(PreconditionError):
     """A divisor or branch needs a point that is not rational over Q."""

@@ -60,25 +60,6 @@ def _y2_model(f1: UniPoly, d: int) -> Tuple[PlaneCurve, UniPoly, Fraction]:
     return curve, tpoly, disc
 
 
-def hyperelliptic_curve(g: int, d: int,
-                        f1: UniPoly) -> Tuple[PlaneCurve, UniPoly, Fraction]:
-    """The model y^2 + f1*y + x^d of genus g (see _y2_model).
-
-    Rejects degenerate interpolants (wrong degree shape) and degrees past
-    the record format limit.
-    """
-    if d not in (2 * g + 1, 2 * g + 2):
-        raise PreconditionError("degree must be 2g+1 or 2g+2")
-    if d > RECORD_LIMIT:
-        raise PreconditionError(f"degree {d} is past the record format limit of {RECORD_LIMIT}")
-    if d == 2 * g + 1 and f1.degree > g:
-        raise PreconditionError("f1 degree exceeds g for the odd model")
-    if d == 2 * g + 2:
-        if f1.degree != g + 1 or f1.lc != 2:
-            raise PreconditionError("even model needs leading term 2x^(g+1)")
-    return _y2_model(f1, d)
-
-
 def _quartic_poly(f1: UniPoly, f2: UniPoly) -> BiPoly:
     return (BiPoly.y(3) + BiPoly.from_unipoly(f2) * BiPoly.y(2)
             + BiPoly.from_unipoly(f1) * BiPoly.y() + BiPoly.x(4))
@@ -201,7 +182,7 @@ def _hyp_record(family_id: str, params: dict, g: int, d: int, f1: UniPoly,
     divisor of each block x - alpha, 2(alpha, beta) - 2(inf), proves the
     vertical tangent and the one place at infinity (a second would hold
     stray poles)."""
-    curve, tpoly, disc = hyperelliptic_curve(g, d, f1)
+    curve, tpoly, disc = _y2_model(f1, d)
     model = {
         "type": "hyperelliptic",
         "genus": g,
@@ -249,6 +230,8 @@ def _hyp_family(family_id: str, params: dict, g: int, d: int,
         raise PreconditionError(f"genus must be at least 1, got {g}")
     if d not in (2 * g + 1, 2 * g + 2):
         raise PreconditionError("degree must be 2g+1 or 2g+2")
+    if d > RECORD_LIMIT:
+        raise PreconditionError(f"degree {d} is past the record format limit of {RECORD_LIMIT}")
     if any(e not in (1, -1) for _, e in constraints):
         raise PreconditionError("epsilon entries must be +1 or -1")
     if any(x == 0 for x, _ in constraints):
@@ -403,8 +386,7 @@ def disc_ex62_factors(a, d1, d4) -> List[Tuple[str, Fraction]]:
 def _gate_on_factors(factors: List[Tuple[str, Fraction]], family: str) -> None:
     for name, value in factors:
         if value == 0:
-            raise SingularModelError(
-                f"singular member of {family}: factor {name} vanishes", vanished=name)
+            raise SingularModelError(f"singular member of {family}: factor {name} vanishes")
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +420,7 @@ def _lines_record(family_id: str, params: dict, a: Fraction, b: Fraction, c: Fra
     except SingularModelError:
         raise SingularModelError(
             "singular member: " + (f"factor {vanished[0]} vanishes" if vanished
-                                   else "smoothness check failed"),
-            vanished=vanished[0] if vanished else None)
+                                   else "smoothness check failed"))
     if vanished:
         # the printed product must agree with the smoothness verdict
         raise VerificationError(
@@ -502,8 +483,7 @@ def _conic_record(family_id: str, params: dict, conic: Conic,
     """
     if conic.d2 == 0 or conic.d3 == 0:
         raise SingularModelError(
-            "singular member: the conic families need d2 != 0 and d3 != 0",
-            vanished="d2" if conic.d2 == 0 else "d3")
+            "singular member: the conic families need d2 != 0 and d3 != 0")
     curve = conic_quartic_curve(conic)
     marks = _Marks(curve, SymbolEngine(curve))
     R = CurvePoint.affine(0, -conic.d2)
@@ -534,9 +514,6 @@ def gen_quartic_conic(d1, d2, d3, d4) -> CurveRecord:
 def gen_quartic_conic_1tangent(a, d1, d4) -> CurveRecord:
     """Conic contact plus one vertical 3-contact tangent at P = (a^3, -a^4)."""
     a, d1, d4 = rat(a), rat(d1), rat(d4)
-    if a == 0:
-        raise SingularModelError("singular member: factor a^42 vanishes",
-                                 vanished="a^42")
     _gate_on_factors(disc_ex62_factors(a, d1, d4), "the one-tangent conic family")
     d2 = Fraction(3, 2) * a**4 - a**3 * d1
     d3 = Fraction(3, 4) * a**5 - d4 * a**3
@@ -570,8 +547,7 @@ def gen_quartic_conic_pq(a, b) -> CurveRecord:
     a, b = rat(a), rat(b)
     printed = disc_ex64_printed(a, b)
     if 2 * b**3 + 3 * a == 0:
-        raise SingularModelError("singular member: factor (2b^3+3a)^2 vanishes",
-                                 vanished="(2b^3+3a)^2")
+        raise SingularModelError("singular member: factor (2b^3+3a)^2 vanishes")
     if printed == 0:
         raise SingularModelError("singular member: printed discriminant vanishes")
     d1 = b**3 + Fraction(3, 2) * a
@@ -663,7 +639,8 @@ def gen_nekovar_2tor(r) -> CurveRecord:
                      "cubic": [rat_str(c) for c in data["cubic"].coeffs]})
     # the full element; unreachable over Q if the docstring's assertion holds
     return _nekovar_record("nekovar-2tor", r, curve, eng, data["h_line"], torsion,
-                           {"Q1": 1, "Q2": 2}, {"Q1": q1, "Q2": q2})
+                           {"Q1": 1, "Q2": 2}, {"Q1": q1, "Q2": q2},
+                           {"type": "nekovar-2tor"})
 
 
 def nekovar_3tor_curve(r) -> Tuple[PlaneCurve, BiPoly]:
@@ -733,7 +710,7 @@ def _contact_record(family_id: str, r: Fraction, curve: PlaneCurve, h_line: BiPo
 
 def _nekovar_record(family_id: str, r: Fraction, curve: PlaneCurve, eng: SymbolEngine,
                     h_line: BiPoly, torsion: List[TorsionFunction], contacts: Dict[str, int],
-                    named_points: dict, model: Optional[dict] = None,
+                    named_points: dict, model: dict,
                     h_scale: Fraction = Fraction(1)) -> CurveRecord:
     """The tail of the contact families: the element on G = {y = 0} and H =
     h_line with kappa = r from the torsion blocks on G, the check that H
@@ -762,7 +739,7 @@ def _nekovar_record(family_id: str, r: Fraction, curve: PlaneCurve, eng: SymbolE
               "h_pattern": info["h_pattern"]})
     return CurveRecord(
         family_id=family_id, params={"r": r}, curve=curve,
-        model=model or {"type": family_id},
+        model=model,
         points=points, elements=[named],
         aux_lines=[{"label": "H", "coeffs": _line_coeffs(h_line)},
                    {"label": "G", "coeffs": ["0", "1", "0"]}],

@@ -30,7 +30,7 @@ TOOL_VERSION = "0.1.0"
 # Fulton's reduction, the series and powers take time that grows with
 # these, so a record past the limit is malformed.  `gen` stays well inside
 # it (at most degree 15, factor degree 2, |exp| 15 and |coefficient| 5),
-# and hyperelliptic_curve refuses a degree past it.
+# and the hyperelliptic families refuse a degree past it before interpolating.
 RECORD_LIMIT = 64
 
 
@@ -325,16 +325,21 @@ def _point_reader() -> Callable[[dict], CurvePoint]:
     return read
 
 
+def stored_record(data):
+    """The record in decoded JSON: a catalog entry's "record", else the data."""
+    return data["record"] if isinstance(data, dict) and "record" in data else data
+
+
 def record_from_json(text: str) -> LoadedRecord:
-    """Decode a stored record.  Raises RecordFormatError when the JSON does
-    not have the record's shape, a value is past RECORD_LIMIT or a symbol
-    repeats a support point,
+    """Decode a stored record or one catalog entry.  Raises
+    RecordFormatError when the JSON does not have the record's shape, a
+    value is past RECORD_LIMIT or a symbol repeats a support point,
     PreconditionError for an unsupported schema or a marked point off the
     stored curve.
 
     Each distinct factor string becomes one BiPoly, and each distinct raw
     point one CurvePoint, within this call."""
-    data = json.loads(text)
+    data = stored_record(json.loads(text))
     schema = json_object(data).get("k2forge_schema")
     if type(schema) is not int or schema != SCHEMA_VERSION:  # true == 1
         raise PreconditionError("unsupported record schema")
@@ -369,7 +374,7 @@ def record_from_json(text: str) -> LoadedRecord:
                 dup = next(p for i, p in enumerate(support) if p in support[:i])
                 raise RecordFormatError(f"symbol {k} of element {name!r} lists the support "
                                         f"point {dup.label()} twice")
-            symbols.append(K2Element(pairs, support, name=name))
+            symbols.append(K2Element(pairs, support))
         verdicts = [json_field(cd, "verdict", str) for cd in json_field(ed, "certificates", list)]
         elements.append(LoadedElement(name, json_field(ed, "kind", str), symbols, verdicts))
     return LoadedRecord(json_field(data, "family_id", str), curve, points, elements)

@@ -251,7 +251,6 @@ class SymbolPair:
 class K2Element:
     terms: List[SymbolPair]
     declared_support: List[CurvePoint]
-    name: str = ""
 
 
 @dataclass

@@ -197,6 +197,24 @@ def test_cli_catalog_count_and_idempotence(tmp_path, capsys):
     assert entry["record"]["k2forge_schema"] == 1
 
 
+def test_cli_verify_reads_a_one_entry_catalog(tmp_path, capsys):
+    """`verify` reads a catalog entry's record, as `plot` does; a db of two
+    entries is not one JSON document."""
+    db, rec = tmp_path / "cat.jsonl", tmp_path / "rec.json"
+    assert main(["catalog", "quartic-ct", "--t", "2", "--db", str(db)]) == 0
+    assert main(["gen", "quartic-ct", "--t", "2", "--out", str(rec)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(rec)]) == 0
+    want = capsys.readouterr().out
+    assert main(["verify", str(db)]) == 0
+    assert capsys.readouterr().out == want
+    assert main(["catalog", "quartic-ct", "--t", "3", "--db", str(db)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(db)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cannot read record: Extra data") and len(err.splitlines()) == 1
+
+
 def test_cli_catalog_a_grid(tmp_path):
     db = tmp_path / "cat2.jsonl"
     assert main(["catalog", "hyp-odd", "--genus", "2",
@@ -799,11 +817,21 @@ def test_a_value_past_the_format_limit_exits_1_at_once(where, ct_record, tmp_pat
     assert len(done.stderr.splitlines()) == 1
 
 
-def test_gen_refuses_a_hyperelliptic_degree_past_the_format_limit(capsys):
-    g = records.RECORD_LIMIT // 2
-    a = ",".join(str(k) for k in range(1, g + 2))
-    assert main(["gen", "hyp-odd", "--genus", str(g), "--a", a]) == 2
-    assert capsys.readouterr().err == (f"precondition error: degree {2 * g + 1} is past "
+_G_PAST = records.RECORD_LIMIT // 2
+_A_PAST = ",".join(str(k) for k in range(1, _G_PAST + 2))
+
+
+@pytest.mark.parametrize("flags, d", [
+    (["hyp-odd", "--a", _A_PAST], 2 * _G_PAST + 1),
+    (["hyp-even", "--a", _A_PAST, "--eps", ",".join(["1"] * (_G_PAST + 1))], 2 * _G_PAST + 2),
+    (["hyp-partial", "--d", str(2 * _G_PAST + 1),
+      "--constraints", ",".join(f"{k}:1" for k in range(1, _G_PAST + 2))], 2 * _G_PAST + 1),
+], ids=["hyp-odd", "hyp-even", "hyp-partial"])
+def test_gen_refuses_a_hyperelliptic_degree_past_the_format_limit(flags, d, capsys):
+    """The degree is refused before f1 is interpolated."""
+    with mock.patch.object(fam, "vandermonde_solve", side_effect=AssertionError("interpolated")):
+        assert main(["gen", *flags, "--genus", str(_G_PAST)]) == 2
+    assert capsys.readouterr().err == (f"precondition error: degree {d} is past "
                                        f"the record format limit of {records.RECORD_LIMIT}\n")
 
 
