@@ -36,8 +36,8 @@ P = CurvePoint.affine(F(-1, 8), F(-1, 16))
 Q = CurvePoint.affine(F(-1, 4), F(-1, 4))
 LP = tangent_line(C0, P)
 LQ = tangent_line(C0, Q)
-print(f"tangent at P = {P.label()}: {LP.pretty()} = 0")
-print(f"tangent at Q = {Q.label()}: {LQ.pretty()} = 0")
+print(f"tangent at P = {P.label()}: {LP.canonical()} = 0")
+print(f"tangent at Q = {Q.label()}: {LQ.canonical()} = 0")
 print(f"I_P(C, L_P) = {intersection_multiplicity(C0, LP, P)}")
 print(f"I_Q(C, L_Q) = {intersection_multiplicity(C0, LQ, Q)}")
 O = CurvePoint.affine(0, 0)

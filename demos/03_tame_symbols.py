@@ -51,9 +51,9 @@ h1 = y**3 / xP**4
 t1 = TorsionFunction(h1, plus=O, minus=P, order=12)
 t2 = TorsionFunction(xP, plus=P, minus=inf, order=3)
 t3 = TorsionFunction(y.inverse(), plus=inf, minus=O, order=4)
-symbols = construction_torsion(curve, t1, t2, t3, engine=eng)
+symbols = construction_torsion(eng, t1, t2, t3)
 for i, s in enumerate(symbols, start=1):
-    cert = verify_k2t(curve, s, engine=eng)
+    cert = verify_k2t(eng, s)
     values = {p.label(): str(v) for p, v in cert.point_totals.items()}
     print(f"S{i}: verdict {cert.verdict}, reciprocity product {cert.product}")
     print(f"    tame values: {values}")
@@ -62,7 +62,7 @@ print()
 print("a deliberately corrupted symbol fails, but reciprocity still holds:")
 from k2forge import K2Element
 bad = K2Element([SymbolPair(xP, y, 1)], [O, P, inf])
-cert = verify_k2t(curve, bad, engine=eng)
+cert = verify_k2t(eng, bad)
 print(f"  verdict {cert.verdict}; values "
       f"{ {p.label(): str(v) for p, v in cert.point_totals.items()} }; "
       f"product {cert.product}")

@@ -49,7 +49,7 @@ print("=" * 72)
 text = record_to_json(rec)
 loaded = record_from_json(text)
 eng = SymbolEngine(loaded.curve)
-ok = all(verify_k2t(loaded.curve, sym, engine=eng).passed
+ok = all(verify_k2t(eng, sym).passed
          for elem in loaded.elements for sym in elem.symbols)
 print(f"re-verification of the stored record: {'PASS' if ok else 'FAIL'}")
 

@@ -8,7 +8,7 @@ finitely checkable claim about the generated families.
 """
 
 from .bipoly import BiPoly
-from .curves import (Conic, CurvePoint, Line, PlaneCurve, SmoothnessReport,
+from .curves import (Conic, CurvePoint, PlaneCurve, SmoothnessReport,
                      intersection_multiplicity, is_on_curve, smoothness_check,
                      tangent_line)
 from .branches import Branch, branch_at_affine, branches_at_infinity

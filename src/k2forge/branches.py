@@ -230,10 +230,9 @@ class Branch:
     parameter is then t = y - y0 and the Newton series gives x - x0.
     """
 
-    def __init__(self, curve: PlaneCurve, point: CurvePoint,
+    def __init__(self, point: CurvePoint,
                  chart: Tuple[str, Tuple[Fraction, Fraction], BiPoly],
                  frames: List[_Frame], final: BiPoly, swap: bool = False):
-        self.curve = curve
         self.point = point
         self.chart = chart
         self.frames = frames
@@ -290,13 +289,6 @@ class Branch:
         u_w = (s + PowerSeries.const(self.chart[1][0], s.prec)) * w_inv
         return (u_w, w_inv) if self.chart[0] == "Y" else (w_inv, u_w)
 
-    def residual_ok(self, prec: int = None) -> bool:
-        """Check F(x(t), y(t)) = 0 to the working truncation."""
-        prec = prec or (2 * self.curve.degree + 6)
-        x, y = self.xy(prec)
-        val = eval_series(self.curve.affine, x, y, min(x.prec, y.prec))
-        return val.is_zero()
-
     def _order_key(self) -> Tuple[int, int, Fraction, Fraction]:
         """(val y, val x, lead y, lead x) at a place at infinity: w_val + 1
         chart terms fix them, since s = lam * t^e and val(s) >= 1."""
@@ -318,9 +310,9 @@ def branch_at_affine(curve: PlaneCurve, p: CurvePoint) -> Branch:
     if local.nums.get((0, 0)):
         raise PreconditionError(f"point {p.label()} does not lie on the curve")
     if local.nums.get((0, 1)):
-        return Branch(curve, p, chart, [], local)
+        return Branch(p, chart, [], local)
     if local.nums.get((1, 0)):
-        return Branch(curve, p, chart, [], local.substitute(BiPoly.y(), BiPoly.x()), swap=True)
+        return Branch(p, chart, [], local.substitute(BiPoly.y(), BiPoly.x()), swap=True)
     raise PreconditionError(f"point {p.label()} is singular; no unique branch")
 
 
@@ -339,7 +331,7 @@ def branches_at_infinity(curve: PlaneCurve) -> List[Branch]:
         # chart Y has variables (u, w) = (X/Y, Z/Y), chart X (v, w) = (Y/X, Z/X)
         point = CurvePoint.at_infinity(X, Y, 0)
         chart = point_chart(curve.affine, point)
-        brs = [Branch(curve, point, chart, frames, final)
+        brs = [Branch(point, chart, frames, final)
                for frames, final in _polygon_places(chart[2])]
         if len(brs) > 1:
             brs.sort(key=Branch._order_key)

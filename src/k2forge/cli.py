@@ -162,7 +162,7 @@ def cmd_verify(ns) -> int:
         for k, sym in enumerate(elem.symbols):
             tag = f"{elem.name}" + (f"[S{k+1}]" if len(elem.symbols) > 1 else "")
             try:
-                cert = verify_k2t(loaded.curve, sym, engine=eng)
+                cert = verify_k2t(eng, sym)
             except (PreconditionError, VerificationError) as e:
                 print(f"{tag}: ERROR {e}")
                 failures += 1
@@ -294,7 +294,7 @@ def cmd_plot(ns) -> int:
     try:
         window = tuple(float(x) for x in ns.window.split(","))
         if len(window) != 4:
-            raise ValueError
+            raise ValueError(f"window needs 4 values xmin,xmax,ymin,ymax, got {len(window)}")
         from .plotting import PlotSpec, render_record_svg  # only `plot` pays for it
         spec = PlotSpec(window=window, grid=ns.grid)
         svg = render_record_svg(stored_record(data), spec)

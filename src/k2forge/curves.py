@@ -8,8 +8,9 @@ the branches and the symbol engine all read it.  Intersection
 multiplicity is then Fulton's reduction algorithm at the origin: on
 content-free integer coefficients, cancel the leading terms of the
 restrictions to y=0 fraction-free (g <- a*g - b*x^s*f, then divide out
-the content) and split off factors of y.  It terminates for curves with
-no common component and agrees with the local-ring definition.
+the content) and split off factors of y, dropping every term of total
+degree above what is left of the Bezout bound.  It terminates for curves
+with no common component and agrees with the local-ring definition.
 
 Projective smoothness is decided exactly through the resultant of the
 three partial derivatives, after one fixed coordinate change applied over
@@ -37,7 +38,7 @@ from .unipoly import UniPoly
 
 
 # ---------------------------------------------------------------------------
-# points, lines, conics
+# points, conics
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -93,33 +94,6 @@ class CurvePoint:
 
 
 @dataclass(frozen=True)
-class Line:
-    """The line u*x + v*y + w = 0, stored in primitive normalized form."""
-
-    u: Fraction
-    v: Fraction
-    w: Fraction
-
-    @staticmethod
-    def make(u, v, w) -> "Line":
-        u, v, w = rat(u), rat(v), rat(w)
-        if u == v == 0 and w == 0:
-            raise PreconditionError("line coefficients identically zero")
-        lead = next(c for c in (u, v, w) if c != 0)
-        return Line(u / lead, v / lead, w / lead)
-
-    @staticmethod
-    def vertical(alpha) -> "Line":
-        return Line.make(1, 0, -rat(alpha))
-
-    def poly(self) -> BiPoly:
-        return BiPoly.line(self.u, self.v, self.w)
-
-    def pretty(self) -> str:
-        return self.poly().canonical()
-
-
-@dataclass(frozen=True)
 class Conic:
     """The conic (y + d1*x + d2)^2 + d3*x + d4*x^2 = 0."""
 
@@ -147,13 +121,13 @@ class Conic:
         return bareiss_det(m) == 0
 
 
-CurveLike = Union["PlaneCurve", Line, Conic, BiPoly]
+CurveLike = Union["PlaneCurve", Conic, BiPoly]
 
 
 def _poly_of(c: CurveLike) -> BiPoly:
     if isinstance(c, PlaneCurve):
         return c.affine
-    if isinstance(c, (Line, Conic)):
+    if isinstance(c, Conic):
         return c.poly()
     if isinstance(c, BiPoly):
         return c
@@ -243,6 +217,15 @@ def fulton_multiplicity(f: BiPoly, g: BiPoly, bound: int) -> int:
     Runs on content-free integer coefficients.  Raises VerificationError
     when the computed multiplicity would exceed `bound` (shared component
     or contract violation).
+
+    Each f or g the reduction builds keeps no term of total degree above
+    n = bound - total: if the pair left has I <= n, then m^n lies in
+    (f, g), so m^(n+1) lies in m(f, g) and by Nakayama the dropped terms
+    keep the ideal (Fulton, *Algebraic Curves*, chs. 2-3); if I > n, the
+    truncated pair has I > n as well, by the same argument, and is
+    refused.  A pair that truncates to zero generates an ideal of infinite
+    colength.  The arguments are not truncated on entry: every caller
+    passes a bound of at least deg f * deg g, and neither has a term above it.
     """
     total = 0
     # rescaling either argument never changes an intersection multiplicity
@@ -251,13 +234,14 @@ def fulton_multiplicity(f: BiPoly, g: BiPoly, bound: int) -> int:
     # total, which is capped by bound) or lowers the sum of the two
     # restriction degrees, so the loop ends.
     while True:
+        # a unit decides I = 0 whatever its partner holds, truncated or not
+        if (0, 0) in f or (0, 0) in g:
+            return total
         if not f or not g:
             raise VerificationError("intersection multiplicity infinite: common component")
         # restrictions to the x-axis, as {x-degree: coefficient}
         fr = {i: c for (i, j), c in f.items() if j == 0}
         gr = {i: c for (i, j), c in g.items() if j == 0}
-        if 0 in fr or 0 in gr:
-            return total
         if not fr and not gr:
             raise VerificationError("intersection multiplicity infinite: common factor y")
         if not fr or not gr:
@@ -267,7 +251,7 @@ def fulton_multiplicity(f: BiPoly, g: BiPoly, bound: int) -> int:
             total += min(gr)
             if total > bound:
                 raise VerificationError("intersection multiplicity exceeds the Bezout bound")
-            f = {(i, j - 1): c for (i, j), c in f.items()}
+            f = {(i, j - 1): c for (i, j), c in f.items() if i + j <= bound - total + 1}
             continue
         # both restrictions nonzero; cancel leading x-terms
         if max(fr) > max(gr):
@@ -275,10 +259,12 @@ def fulton_multiplicity(f: BiPoly, g: BiPoly, bound: int) -> int:
         shift = max(gr) - max(fr)
         a, b = fr[max(fr)], gr[max(gr)]
         # g := a*g - b*x^shift*f keeps I (a != 0) and lowers the restriction degree
-        out = {k: a * v for k, v in g.items()}
+        n = bound - total
+        out = {k: a * v for k, v in g.items() if k[0] + k[1] <= n}
         for (i, j), v in f.items():
-            key = (i + shift, j)
-            out[key] = out.get(key, 0) - b * v
+            if i + j + shift <= n:
+                key = (i + shift, j)
+                out[key] = out.get(key, 0) - b * v
         g = _primitive({k: v for k, v in out.items() if v})
 
 
@@ -312,8 +298,9 @@ def is_on_curve(c: CurveLike, p: CurvePoint) -> bool:
     return poly.top_value(p.x, p.y) == 0
 
 
-def tangent_line(c: CurveLike, p: CurvePoint) -> Line:
-    """Tangent dF/dx(p)(x-px) + dF/dy(p)(y-py) = 0 at a smooth affine point."""
+def tangent_line(c: CurveLike, p: CurvePoint) -> BiPoly:
+    """Tangent dF/dx(p)(x-px) + dF/dy(p)(y-py) = 0 at a smooth affine point,
+    scaled so that its first nonzero coefficient among x, y and 1 is 1."""
     f = _poly_of(c)
     if not p.is_affine:
         raise PreconditionError("tangent_line expects an affine point")
@@ -323,7 +310,8 @@ def tangent_line(c: CurveLike, p: CurvePoint) -> Line:
     fy = f.partial("y")(p.x, p.y)
     if fx == 0 and fy == 0:
         raise PreconditionError("no unique tangent: point is singular")
-    return Line.make(fx, fy, -(fx * p.x + fy * p.y))
+    lead = fx or fy
+    return BiPoly.line(fx / lead, fy / lead, -(fx * p.x + fy * p.y) / lead)
 
 
 # ---------------------------------------------------------------------------

@@ -102,30 +102,31 @@ class _Marks:
     inf, then O with block y (divisor deg C * (O - inf)), then each point
     added.  A block is a torsion function from its point to inf."""
 
-    def __init__(self, curve: PlaneCurve, eng: SymbolEngine):
-        self.curve, self.eng = curve, eng
+    def __init__(self, eng: SymbolEngine):
+        self.eng = eng
         self.points = {"inf": eng.infinity_points()[0]}
         self.aux_lines: List[dict] = []
         self.blocks: Dict[str, TorsionFunction] = {}
         self.elements: List[NamedElement] = []
-        self.add("O", CurvePoint.affine(0, 0), FnElt.poly(curve, BiPoly.y()),
-                 curve.degree, ["0", "1", "0"])
+        y = BiPoly.y()
+        self.add("O", CurvePoint.affine(0, 0), FnElt.poly(eng.curve, y), eng.curve.degree, y)
 
     def add(self, name: str, point: CurvePoint, fn: FnElt, order: int,
-            line: Optional[List[str]] = None) -> None:
+            line: Optional[BiPoly] = None) -> None:
         """Mark `point` as `name` with block fn, of divisor order*(point -
-        inf), and aux line L_name when given."""
+        inf), and aux line L_name, written from the line polynomial, when
+        given."""
         self.points[name] = point
         self.blocks[name] = TorsionFunction(fn, plus=point, minus=self.points["inf"],
                                             order=order)
         if line is not None:
-            self.aux_lines.append({"label": f"L_{name}", "coeffs": line})
+            self.aux_lines.append({"label": f"L_{name}", "coeffs": _line_coeffs(line)})
 
     def vertical(self, name: str, alpha: Fraction, beta: Fraction, contact: int) -> None:
         """(alpha, beta), where x = alpha has the given contact: block x - alpha."""
-        fn = FnElt.poly(self.curve, BiPoly.x() - BiPoly.const(alpha))
-        self.add(name, CurvePoint.affine(alpha, beta), fn, contact,
-                 ["1", "0", rat_str(-alpha)])
+        line = BiPoly.x() - BiPoly.const(alpha)
+        self.add(name, CurvePoint.affine(alpha, beta), FnElt.poly(self.eng.curve, line),
+                 contact, line)
 
     def through_origin(self, name: str, slope: Fraction, q: CurvePoint) -> None:
         """q, whose tangent y = slope*x passes through O.
@@ -134,8 +135,8 @@ class _Marks:
         divisor 12(q) - 12(inf).
         """
         line = BiPoly.y() - BiPoly.x() * slope
-        fn = FnElt.poly(self.curve, line)**4 / self.blocks["O"].fn
-        self.add(name, q, fn, 12, [rat_str(-slope), "1", "0"])
+        fn = FnElt.poly(self.eng.curve, line)**4 / self.blocks["O"].fn
+        self.add(name, q, fn, 12, line)
 
     def element(self, a_name: str, b_name: str, extra: Sequence[str] = ()) -> None:
         """The element {inf,A,B}, with the points named in `extra` declared too.
@@ -149,11 +150,11 @@ class _Marks:
         t1 = _pair_function(a, b)
         t3 = TorsionFunction(a.fn.inverse(), plus=a.minus, minus=a.plus, order=a.order)
         try:
-            symbols = construction_torsion(self.curve, t1, b, t3, engine=self.eng,
+            symbols = construction_torsion(self.eng, t1, b, t3,
                                            extra_support=[self.points[n] for n in extra])
         except PreconditionError as e:  # a block's divisor is not what its mark claims
             raise VerificationError(f"element {name}: {e}") from e
-        certs = [verify_k2t(self.curve, s, engine=self.eng) for s in symbols]
+        certs = [verify_k2t(self.eng, s) for s in symbols]
         if not all(c.passed for c in certs):
             raise VerificationError(f"element {name} failed tame verification")
         orders = [t1.order, b.order, a.order]
@@ -163,7 +164,7 @@ class _Marks:
 
     def record(self, family_id: str, params: dict, model: dict, **fields) -> CurveRecord:
         """The record of these marks, with its integrality flags."""
-        rec = CurveRecord(family_id=family_id, params=params, curve=self.curve,
+        rec = CurveRecord(family_id=family_id, params=params, curve=self.eng.curve,
                           model=model, points=self.points, elements=self.elements,
                           aux_lines=self.aux_lines, **fields)
         rec.integrality_flags = integrality_flags(rec)
@@ -200,7 +201,7 @@ def _hyp_record(family_id: str, params: dict, g: int, d: int, f1: UniPoly,
             "second_factor": [rat_str(c) for c in second.coeffs],
         }
     extras["integral_model"] = _integral_model(d, f1)
-    marks = _Marks(curve, SymbolEngine(curve))
+    marks = _Marks(SymbolEngine(curve))
     for i, (alpha, beta) in enumerate(marked, start=1):
         marks.vertical(f"P{i}", alpha, beta, 2)
     for i in range(1, len(marked) + 1):
@@ -425,7 +426,7 @@ def _lines_record(family_id: str, params: dict, a: Fraction, b: Fraction, c: Fra
         # the printed product must agree with the smoothness verdict
         raise VerificationError(
             "printed discriminant vanishes on a smooth member: cross-check failed")
-    marks = _Marks(curve, SymbolEngine(curve))
+    marks = _Marks(SymbolEngine(curve))
     marks.vertical("P", a**3, -a**4, 3)
     marks.through_origin("Q", b**3, CurvePoint.affine(-a**2 * b**3, -a**2 * b**6))
     marks.element("O", "P", ["Q"])
@@ -485,7 +486,7 @@ def _conic_record(family_id: str, params: dict, conic: Conic,
         raise SingularModelError(
             "singular member: the conic families need d2 != 0 and d3 != 0")
     curve = conic_quartic_curve(conic)
-    marks = _Marks(curve, SymbolEngine(curve))
+    marks = _Marks(SymbolEngine(curve))
     R = CurvePoint.affine(0, -conic.d2)
     marks.add("R", R, FnElt.poly(curve, conic.poly()), 8)
     for i, (alpha, beta) in enumerate(verticals, start=1):
@@ -638,7 +639,7 @@ def gen_nekovar_2tor(r) -> CurveRecord:
             details={"h_pattern": [m1, m2], "rational_roots": [str(x) for x, _ in roots],
                      "cubic": [rat_str(c) for c in data["cubic"].coeffs]})
     # the full element; unreachable over Q if the docstring's assertion holds
-    return _nekovar_record("nekovar-2tor", r, curve, eng, data["h_line"], torsion,
+    return _nekovar_record("nekovar-2tor", r, eng, data["h_line"], torsion,
                            {"Q1": 1, "Q2": 2}, {"Q1": q1, "Q2": q2},
                            {"type": "nekovar-2tor"})
 
@@ -703,12 +704,12 @@ def _contact_record(family_id: str, r: Fraction, curve: PlaneCurve, h_line: BiPo
     # with several places at infinity the poles of y split over them
     minus = eng.infinity_points()[0] if places == 1 else None
     tf = TorsionFunction(y_fn, plus=O, minus=minus, order=d)
-    return _nekovar_record(family_id, r, curve, eng, h_line, [tf], contacts,
+    return _nekovar_record(family_id, r, eng, h_line, [tf], contacts,
                            {"O": O, "Q1": CurvePoint.affine(0, -r),
                             "Q2": CurvePoint.affine(2 * r, r)}, model, h_scale)
 
 
-def _nekovar_record(family_id: str, r: Fraction, curve: PlaneCurve, eng: SymbolEngine,
+def _nekovar_record(family_id: str, r: Fraction, eng: SymbolEngine,
                     h_line: BiPoly, torsion: List[TorsionFunction], contacts: Dict[str, int],
                     named_points: dict, model: dict,
                     h_scale: Fraction = Fraction(1)) -> CurveRecord:
@@ -717,15 +718,15 @@ def _nekovar_record(family_id: str, r: Fraction, curve: PlaneCurve, eng: SymbolE
     meets the curve exactly at the named points with the multiplicities
     `contacts`, the certificate and the record."""
     try:
-        elem, info = nekovar_element(curve, BiPoly.y(), h_line, torsion,
-                                     kappa=r, h_scale=h_scale, engine=eng)
+        elem, info = nekovar_element(eng, BiPoly.y(), h_line, torsion,
+                                     kappa=r, h_scale=h_scale)
     except PreconditionError as e:  # a block, or a contact hypothesis, fails
         raise VerificationError(f"element nekovar: {e}") from e
     names = {p: n for n, p in named_points.items()}
     met = {names.get(p, p.label()): k for p, k in info["h_points"]}
     if met != contacts:
         raise VerificationError(f"contact pattern {met} != {contacts}")
-    cert = verify_k2t(curve, elem, engine=eng)
+    cert = verify_k2t(eng, elem)
     if not cert.passed:
         raise VerificationError("combination element failed tame verification")
     points = dict(named_points)
@@ -738,11 +739,11 @@ def _nekovar_record(family_id: str, r: Fraction, curve: PlaneCurve, eng: SymbolE
               "kappa": info["kappa"],
               "h_pattern": info["h_pattern"]})
     return CurveRecord(
-        family_id=family_id, params={"r": r}, curve=curve,
+        family_id=family_id, params={"r": r}, curve=eng.curve,
         model=model,
         points=points, elements=[named],
         aux_lines=[{"label": "H", "coeffs": _line_coeffs(h_line)},
-                   {"label": "G", "coeffs": ["0", "1", "0"]}],
+                   {"label": "G", "coeffs": _line_coeffs(BiPoly.y())}],
         notes=["power adjustment applied to g (sign mix on H-contact values)"]
         if info["power_adjusted"] else [],
     )

@@ -45,6 +45,10 @@ H cap C from div(g) and div(h), whose degree count proves each complete
 and rational, and the 2-torsion family its contact numbers; the engine
 has no separate `closure` or `intersection()`.
 
+The engine is the one source of a computation's curve: `verify_k2t`,
+`construction_torsion` and `nekovar_element` take the engine, and the
+engine refuses a function built on another curve.
+
 An element of K2 of the function field is an integer combination of
 symbol pairs; `verify_k2t` certifies membership in the tame kernel over
 the declared (rational) support and reports the product of all tame
@@ -114,7 +118,7 @@ class FnElt:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return FnElt(self.curve, self.scalar * other, self.factors)
-        self._same_curve(other)
+        _same_curve(self.curve, other)
         return FnElt(self.curve, self.scalar * other.scalar, self.factors + other.factors)
 
     __rmul__ = __mul__
@@ -138,7 +142,7 @@ class FnElt:
         multiple, at its largest exponent."""
         if isinstance(other, (int, Fraction)):
             other = FnElt.constant(self.curve, other)
-        self._same_curve(other)
+        _same_curve(self.curve, other)
         lcd: Dict[frozenset, Tuple[BiPoly, int]] = {}  # one entry per class
         for p, e in self.factors + other.factors:
             if e < 0:
@@ -160,10 +164,6 @@ class FnElt:
 
     def inverse(self) -> "FnElt":
         return self**-1
-
-    def _same_curve(self, other: "FnElt"):
-        if other.curve is not self.curve:
-            raise PreconditionError("function field elements live on different curves")
 
     @staticmethod
     def constant(curve: PlaneCurve, c) -> "FnElt":
@@ -204,6 +204,11 @@ def _merged(scalar: Fraction, factors) -> Tuple[Fraction, Tuple[Tuple[BiPoly, in
         else:
             classes.pop(key, None)
     return scalar, tuple(classes.values())
+
+
+def _same_curve(curve: PlaneCurve, f: FnElt) -> None:
+    if f.curve is not curve:
+        raise PreconditionError("function field elements live on different curves")
 
 
 def _two_routes_agree(p: CurvePoint, m: int, sers) -> None:
@@ -426,6 +431,7 @@ class SymbolEngine:
         return self.val_lead(poly, p)[0]
 
     def ord(self, f: FnElt, p: CurvePoint) -> int:
+        _same_curve(self.curve, f)
         return sum(e * self.ord_poly(poly, p) for poly, e in f.factors)
 
     def fn_val_lead(self, f: FnElt, p: CurvePoint) -> Tuple[int, Fraction]:
@@ -436,6 +442,7 @@ class SymbolEngine:
     def _val_lead_ints(self, f: FnElt, p: CurvePoint) -> Tuple[int, int, int]:
         """fn_val_lead as (val, num, den), the coefficient num/den on ints and
         not reduced; den is nonzero, of either sign."""
+        _same_curve(self.curve, f)
         val, num, den = 0, f.scalar.numerator, f.scalar.denominator
         for poly, e in f.factors:
             v, l = self.val_lead(poly, p)
@@ -485,6 +492,7 @@ class SymbolEngine:
         where f has a nonzero order.  A refusal is not kept, so it is
         raised again on every call.
         """
+        _same_curve(self.curve, f)
         key = (f.factors, tuple(support))
         div = self._divisors.get(key)
         if div is not None:
@@ -526,15 +534,13 @@ class SymbolEngine:
         return self.with_infinity(pts)
 
 
-def verify_k2t(curve: PlaneCurve, elem: K2Element,
-               engine: SymbolEngine = None) -> Certificate:
+def verify_k2t(eng: SymbolEngine, elem: K2Element) -> Certificate:
     """Certify that every tame symbol of `elem` over its declared support is 1.
 
     Also re-checks that the declared points hold the whole support (see
     SymbolEngine.divisor) and reports the product of all point totals,
     which reciprocity forces to 1.
     """
-    eng = engine or SymbolEngine(curve)
     support = tuple(elem.declared_support)
     divs = [(eng.divisor(pair.f, support).entries, eng.divisor(pair.h, support).entries)
             for pair in elem.terms]
@@ -557,9 +563,8 @@ def verify_k2t(curve: PlaneCurve, elem: K2Element,
     return Certificate(rows, totals, product, verdict)
 
 
-def construction_torsion(curve: PlaneCurve,
+def construction_torsion(eng: SymbolEngine,
                          t1: TorsionFunction, t2: TorsionFunction, t3: TorsionFunction,
-                         engine: SymbolEngine = None,
                          extra_support: Sequence[CurvePoint] = ()) -> List[K2Element]:
     """Build the three symbols S_i from a torsion triple.
 
@@ -568,7 +573,6 @@ def construction_torsion(curve: PlaneCurve,
     before any symbol is formed.  S_i pairs the functions normalized to
     take value 1 at their own index point.
     """
-    eng = engine or SymbolEngine(curve)
     tfs = [t1, t2, t3]
     points = [t3.plus, t1.plus, t2.plus]  # P_1, P_2, P_3
     # consistency of the cyclic labelling (each plus point is in `points`
@@ -619,20 +623,19 @@ def steinberg_values(curve: PlaneCurve, f: FnElt,
             for p in eng.support_candidates([f, one_minus], extra=points)]
 
 
-def nekovar_element(curve: PlaneCurve,
+def nekovar_element(eng: SymbolEngine,
                     g_poly: BiPoly,
                     h_poly: BiPoly,
                     torsion_data: Sequence[TorsionFunction],
                     kappa: Fraction,
-                    h_scale: Fraction = Fraction(1),
-                    engine: SymbolEngine = None):
+                    h_scale: Fraction = Fraction(1)):
     """Element m*{g/kappa, h} - sum (m/m_i)*{k_i, g_i} from contact data,
     with k_i the tame symbol of {g/kappa, h} at the zero P_i of g_i.
 
     `g_poly` and `h_poly` are the affine polynomials of the auxiliary
-    curves G and H; the implicit E is the line at infinity (all families
-    here have maximal contact between C and L_infinity at one rational
-    point, which is verified).  The three hypotheses checked:
+    curves G and H, met with the engine's curve C; the implicit E is the
+    line at infinity (all families here have maximal contact between C
+    and L_infinity at one rational point, which is verified).  The three hypotheses checked:
 
     (a) maximal contact of the curve with the line at infinity at a
         single rational point: F(X, Y, 0) has one root, and it is
@@ -652,7 +655,7 @@ def nekovar_element(curve: PlaneCurve,
     Returns (element, info dict); info["h_points"] lists H cap C as
     (point, multiplicity) pairs, in `affine_zeros` order.
     """
-    eng = engine or SymbolEngine(curve)
+    curve = eng.curve
     kappa = rat(kappa)
     # (a) maximal contact with the line at infinity at one rational point
     inf_pts, complete = curve.rational_infinity_points()

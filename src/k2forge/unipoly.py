@@ -22,7 +22,6 @@ from math import gcd, isqrt, lcm
 from typing import List, Sequence, Tuple
 
 from .errors import PreconditionError
-from .linalg import bareiss_det, sylvester_matrix
 from .rationals import lowest_terms, rat
 
 
@@ -276,13 +275,6 @@ class UniPoly:
         if not a or not b:
             return Fraction(0)
         return Fraction(_int_resultant(a, b), self.den ** (len(b) - 1) * other.den ** (len(a) - 1))
-
-    def sylvester_resultant(self, other: "UniPoly") -> Fraction:
-        """Res via the Sylvester determinant (independent small-degree route)."""
-        f, g = self, self._coerce(other)
-        if f.is_zero() or g.is_zero():
-            return Fraction(0)
-        return bareiss_det(sylvester_matrix(f.coeffs, g.coeffs, Fraction(0)))
 
     def discriminant(self) -> Fraction:
         """disc(p) = (-1)^(n(n-1)/2) Res(p, p') / lc(p); requires deg >= 1."""

@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from k2forge import curves
 from k2forge.bipoly import BiPoly
-from k2forge.curves import (Conic, CurvePoint, Line, PlaneCurve, fulton_multiplicity,
+from k2forge.curves import (Conic, CurvePoint, PlaneCurve, fulton_multiplicity,
                             intersection_multiplicity, is_on_curve, point_chart,
                             smoothness_check, tangent_line)
 from k2forge.errors import PreconditionError, VerificationError
@@ -320,11 +320,16 @@ def test_symmetry_on_random_instances():
         checked += 1
 
 
-def _fraction_fulton(f, g, bound):
+def _fraction_fulton(f, g, bound, truncate=True):
     """The reduction over Fraction coefficients, as it ran before the integer
-    form: the reference the integer reduction must reproduce step for step."""
+    form: the reference the integer reduction must reproduce step for step.
+    With `truncate`, terms of total degree above bound - total are dropped
+    where the integer reduction drops them; without it, this is the plain
+    reduction that the truncation must agree with."""
 
-    def primitive_scale(p):
+    def primitive_scale(p, n=None):
+        if truncate and n is not None:
+            p = BiPoly({k: c for k, c in p.terms.items() if sum(k) <= n})
         if p.is_zero():
             return p
         den = lcm(*(c.denominator for c in p.terms.values()))
@@ -334,11 +339,11 @@ def _fraction_fulton(f, g, bound):
     total = 0
     f, g = primitive_scale(f), primitive_scale(g)
     while True:
+        if f.coeff(0, 0) != 0 or g.coeff(0, 0) != 0:
+            return total
         if f.is_zero() or g.is_zero():
             raise VerificationError("intersection multiplicity infinite: common component")
         fr, gr = f.eval_y(0), g.eval_y(0)
-        if fr.coeff(0) != 0 or gr.coeff(0) != 0:
-            return total
         if fr.is_zero() and gr.is_zero():
             raise VerificationError("intersection multiplicity infinite: common factor y")
         if fr.is_zero() or gr.is_zero():
@@ -347,12 +352,13 @@ def _fraction_fulton(f, g, bound):
             total += next(i for i, c in enumerate(gr.coeffs) if c != 0)
             if total > bound:
                 raise VerificationError("intersection multiplicity exceeds the Bezout bound")
-            f = BiPoly({(i, j - 1): c for (i, j), c in f.terms.items()})
+            f = primitive_scale(BiPoly({(i, j - 1): c for (i, j), c in f.terms.items()}),
+                                bound - total)
             continue
         if fr.degree > gr.degree:
             f, g, fr, gr = g, f, gr, fr
         shift = gr.degree - fr.degree
-        g = primitive_scale(g - f * BiPoly.x(shift) * (gr.lc / fr.lc))
+        g = primitive_scale(g - f * BiPoly.x(shift) * (gr.lc / fr.lc), bound - total)
 
 
 def _outcome(fn, *args):
@@ -401,6 +407,20 @@ def test_integer_reduction_matches_fraction_reference(pair):
     assert got == _outcome(_fraction_fulton, f, g, bound)
     if shared:
         assert isinstance(got, str)  # raised VerificationError
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(origin_pairs())
+@example((BiPoly.parse("x^2 - 3*y^2"), BiPoly.x(), False))
+@example((BiPoly.parse("x*y^2 + x"), BiPoly.x(), True))
+def test_truncated_reduction_matches_the_untruncated_one(pair):
+    """Terms above the Bezout window never change I, and a pair that the
+    plain reduction refuses is refused, in either wording."""
+    f, g, _ = pair
+    bound = f.total_degree * g.total_degree
+    got = _outcome(fulton_multiplicity, f, g, bound)
+    want = _outcome(_fraction_fulton, f, g, bound, False)
+    assert got == want if isinstance(want, int) else isinstance(got, str)
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
@@ -535,7 +555,7 @@ def test_rational_common_zeros_match_sympy(pair):
 
 def test_tangent_parabola():
     c = PlaneCurve(BiPoly.parse("y - x^2"))
-    assert tangent_line(c, CurvePoint.affine(0, 0)) == Line.make(0, 1, 0)
+    assert tangent_line(c, CurvePoint.affine(0, 0)) == BiPoly.y()
 
 
 def test_tangent_vertical_on_hyperelliptic_model():
@@ -544,14 +564,14 @@ def test_tangent_vertical_on_hyperelliptic_model():
     a = [F(1), F(1, 2), F(1, 4)]
     f1 = UniPoly(vandermonde_solve([x * x for x in a], [-2 * x**5 for x in a]))
     c = PlaneCurve(BiPoly.y(2) + BiPoly.from_unipoly(f1) * BiPoly.y() + BiPoly.x(5))
-    assert tangent_line(c, CurvePoint.affine(1, 1)) == Line.vertical(1)
+    assert tangent_line(c, CurvePoint.affine(1, 1)) == BiPoly.x() - 1
 
 
 def test_tangent_line_through_origin():
     c = thm53_curve(F(1, 2), -1, 0)
     Q = CurvePoint.affine(F(1, 4), F(-1, 4))
     # b = -1: expected tangent y = b^3 x, i.e. x + y = 0
-    assert tangent_line(c, Q) == Line.make(1, 1, 0)
+    assert tangent_line(c, Q) == BiPoly.x() + BiPoly.y()
 
 
 def test_tangent_meets_with_multiplicity_at_least_two():

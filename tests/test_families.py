@@ -651,9 +651,9 @@ def _swapped_contacts(monkeypatch):
 
 
 def _swapped_points(monkeypatch):
-    real = fam._nekovar_record  # named_points is its eighth argument
+    real = fam._nekovar_record  # named_points is its seventh argument
     monkeypatch.setattr(fam, "_nekovar_record", lambda *args: real(
-        *args[:7], {**args[7], "Q1": args[7]["Q2"], "Q2": args[7]["Q1"]}, *args[8:]))
+        *args[:6], {**args[6], "Q1": args[6]["Q2"], "Q2": args[6]["Q1"]}, *args[7:]))
 
 
 def _third_contact(monkeypatch):

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from fractions import Fraction as F
 from pathlib import Path
@@ -41,7 +42,7 @@ def test_record_round_trip_reverifies(hyp_record_json):
     for elem in loaded.elements:
         assert elem.stored_verdicts == ["PASS"] * 3
         for sym in elem.symbols:
-            assert verify_k2t(loaded.curve, sym, engine=eng).passed
+            assert verify_k2t(eng, sym).passed
 
 
 def test_params_hash_deterministic():
@@ -281,7 +282,8 @@ NOT_FINITE = "bad plot spec: window bounds and spans must be finite\n"
     ("-inf,inf,-1,1", 2, NOT_FINITE),
     ("-1e308,1e308,-1,1", 2, NOT_FINITE),  # the x span overflows
     ("nan,1,-1,1", 2, NOT_FINITE),
-], ids=["huge", "huge-excluding", "infinite", "span-overflow", "nan"])
+    ("1,2,3", 2, "bad plot spec: window needs 4 values xmin,xmax,ymin,ymax, got 3\n"),
+], ids=["huge", "huge-excluding", "infinite", "span-overflow", "nan", "three-values"])
 def test_cli_plot_window_bounds(window, code, err, quartic_t0_record, tmp_path, capsys):
     out = tmp_path / "fig.svg"
     with warnings.catch_warnings():
@@ -715,7 +717,7 @@ def test_record_decodes_each_distinct_factor_and_point_once(hyp_record_json, mon
     assert sorted(parsed) == sorted(factors | {data["curve"]["affine"]})
     assert sorted(map(json.dumps, decoded)) == sorted({json.dumps(pt) for pt in raw_points})
     eng = SymbolEngine(loaded.curve)
-    assert all(verify_k2t(loaded.curve, sym, engine=eng).passed
+    assert all(verify_k2t(eng, sym).passed
                for elem in loaded.elements for sym in elem.symbols)
 
 
@@ -784,6 +786,21 @@ def test_an_emptied_support_no_longer_hides_a_tampered_scalar(ct_record, tmp_pat
     code, out, _ = _verify(data, tmp_path / "r.json")
     assert code == 3
     assert "ERROR support incomplete: y has a zero off the declared support" in out
+
+
+def test_a_high_power_of_a_tangent_is_refused_at_once(tmp_path):
+    """The quartic-lines record with its first f replaced by (x + y)^16, the
+    tangent at Q = (1/4, -1/4) to the 16th power: I_Q = 48 inside a Bezout
+    bound of 64.  Fulton's reduction keeps no term above what is left of
+    the bound, so `verify` answers in well under a second, not minutes."""
+    data = json.loads(record_to_json(fam.gen_quartic_lines(F(1, 2), -1, 0)))
+    tangent_power = ((BiPoly.x() + BiPoly.y()) ** 16).canonical()
+    next(_pairs(data))["f"]["factors"] = [{"poly": tangent_power, "exp": 1}]
+    t0 = time.perf_counter()
+    code, out, err = _verify(data, tmp_path / "r.json")
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 3 and err == "1 element(s) failed re-verification\n"
+    assert "{inf,O,P}[S1]: product = 1  verdict = FAIL" in out
 
 
 def _set_huge(where: str, data: dict) -> None:
@@ -985,7 +1002,7 @@ def test_verify_survives_mutated_records(family_records, tmp_path_factory, kind,
     if code == 0:
         loaded = record_from_json(json.dumps(record))
         eng = SymbolEngine(loaded.curve)
-        assert all(verify_k2t(loaded.curve, sym, engine=eng).passed
+        assert all(verify_k2t(eng, sym).passed
                    for elem in loaded.elements for sym in elem.symbols)
 
 

@@ -229,6 +229,25 @@ def test_incomplete_support_rejected(quartic):
         eng.divisor(f, [pts["P"]])
 
 
+def test_the_engine_refuses_a_function_of_another_curve():
+    """f = x and h = y - 1 on A: {f, h} at (0, 1) is -2.  B passes through
+    (0, 1) too, and its engine used to answer 1 for A's functions."""
+    A = PlaneCurve(BiPoly.parse("y^2 - x^3 - 1"))
+    B = PlaneCurve(BiPoly.parse("y^2 - x^3 + 2*x - 1"))
+    f, h = FnElt.poly(A, BiPoly.x()), FnElt.poly(A, BiPoly.parse("y - 1"))
+    P = CurvePoint.affine(0, 1)
+    pair = SymbolPair(f, h)
+    assert SymbolEngine(A).tame(pair, P) == -2
+    eng = SymbolEngine(B)
+    support = eng.with_infinity([P])
+    for call in (lambda: eng.tame(pair, P), lambda: eng.ord(f, P),
+                 lambda: eng.divisor(h, support),
+                 lambda: verify_k2t(eng, K2Element([pair], support))):
+        with pytest.raises(PreconditionError,
+                           match="^function field elements live on different curves$"):
+            call()
+
+
 @pytest.mark.parametrize("fP_first", [False, True])
 def test_verify_k2t_checks_the_support_of_every_distinct_function(quartic, fP_first):
     """fP shares its scalar with fO, which closes over the declared support;
@@ -238,7 +257,7 @@ def test_verify_k2t_checks_the_support_of_every_distinct_function(quartic, fP_fi
     pair = SymbolPair(fP, fO) if fP_first else SymbolPair(fO, fP)
     elem = K2Element([SymbolPair(fO, fO), pair], [pts["O"], pts["inf"]])
     with pytest.raises(NonRationalSupportError, match="support incomplete"):
-        verify_k2t(curve, elem, engine=eng)
+        verify_k2t(eng, elem)
 
 
 def test_ord_is_a_valuation(quartic):
@@ -322,8 +341,7 @@ def make_triple(curve, eng, pts):
     t1 = TorsionFunction(h1, plus=pts["O"], minus=pts["P"], order=12)
     t2 = TorsionFunction(fP, plus=pts["P"], minus=pts["inf"], order=3)
     t3 = TorsionFunction(fO.inverse(), plus=pts["inf"], minus=pts["O"], order=4)
-    return construction_torsion(curve, t1, t2, t3, engine=eng,
-                                extra_support=[pts["Q"]])
+    return construction_torsion(eng, t1, t2, t3, extra_support=[pts["Q"]])
 
 
 def test_construction_symbols_certify(quartic):
@@ -331,7 +349,7 @@ def test_construction_symbols_certify(quartic):
     symbols = make_triple(curve, eng, pts)
     assert len(symbols) == 3
     for s in symbols:
-        cert = verify_k2t(curve, s, engine=eng)
+        cert = verify_k2t(eng, s)
         assert cert.passed and cert.product == 1
 
 
@@ -346,7 +364,7 @@ def test_scaled_symbols_share_certificates(quartic):
         k = total // m
         scaled = K2Element([SymbolPair(t.f, t.h, t.coefficient * k) for t in s.terms],
                            list(s.declared_support))
-        cert = verify_k2t(curve, scaled, engine=eng)
+        cert = verify_k2t(eng, scaled)
         assert cert.passed
         certs.append({p.label(): v for p, v in cert.point_totals.items()})
     assert certs[0] == certs[1] == certs[2]
@@ -359,7 +377,7 @@ def test_shape_mismatch_rejected(quartic):
     t1 = TorsionFunction(fO**3 / fP**4, plus=pts["O"], minus=pts["P"], order=12)
     t3 = TorsionFunction(fO.inverse(), plus=pts["inf"], minus=pts["O"], order=4)
     with pytest.raises(PreconditionError, match="not a torsion triple"):
-        construction_torsion(curve, t1, bad, t3, engine=eng)
+        construction_torsion(eng, t1, bad, t3)
 
 
 def test_torsion_shape_names_each_point_that_differs(quartic):
@@ -391,7 +409,7 @@ def test_corrupted_element_fails_with_reciprocity(quartic):
     y = FnElt.poly(curve, BiPoly.y())
     bad = K2Element([SymbolPair(fP, y, 1)],
                     [pts["O"], pts["P"], pts["inf"]])
-    cert = verify_k2t(curve, bad, engine=eng)
+    cert = verify_k2t(eng, bad)
     assert not cert.passed
     assert cert.point_totals[pts["P"]] != 1
     assert cert.product == 1  # reciprocity holds even for non-kernel symbols
@@ -469,7 +487,7 @@ def test_nekovar_constancy_hypothesis_enforced():
     # (1/4,1/8) whose y-values are not constant up to sign
     bad_line = BiPoly.y() - BiPoly.x() * F(17, 2) + BiPoly.const(2)
     with pytest.raises(PreconditionError, match="constancy hypothesis"):
-        nekovar_element(curve, BiPoly.y(), bad_line, [tf], kappa=r, engine=eng)
+        nekovar_element(eng, BiPoly.y(), bad_line, [tf], kappa=r)
 
 
 @pytest.mark.parametrize("poly", ["x^2 - y^2 - 1", "x^3 + y^3 - 1"],
@@ -481,7 +499,7 @@ def test_nekovar_maximal_contact_needs_one_rational_point_at_infinity(poly):
     with pytest.raises(PreconditionError,
                        match="^maximal contact hypothesis fails: line at infinity must "
                              "meet the curve in one rational point$"):
-        nekovar_element(curve, BiPoly.y(), BiPoly.x(), [], kappa=1)
+        nekovar_element(SymbolEngine(curve), BiPoly.y(), BiPoly.x(), [], kappa=1)
 
 
 def test_nekovar_needs_a_torsion_function_at_each_point_of_g():
@@ -489,7 +507,7 @@ def test_nekovar_needs_a_torsion_function_at_each_point_of_g():
     curve, h_line = nekovar_3tor_curve(F(2))
     with pytest.raises(NonRationalSupportError,
                        match=r"^rational support required: no torsion function at \(0, 0\)$"):
-        nekovar_element(curve, BiPoly.y(), h_line, [], kappa=2)
+        nekovar_element(SymbolEngine(curve), BiPoly.y(), h_line, [], kappa=2)
 
 
 # ---------------------------------------------------------------------------
@@ -521,11 +539,11 @@ def test_a_chart_valuation_shifted_by_one_is_caught(monkeypatch, index, poly):
         eng.val_lead(BiPoly.parse(poly), p)
 
 
-def _doubling_val_lead(br, poly):
+def _doubling_val_lead(curve, br, poly):
     """The rule val_lead used at infinity before its series were sized from
     the chart intersection number: evaluate poly on (x(t), y(t)) and double
     the truncation from 2 max(d, deg poly) + 4 until the result is nonzero."""
-    d = br.curve.degree
+    d = curve.degree
     prec = 2 * max(d, poly.total_degree) + 4
     while True:
         x, y = br.xy(prec)
@@ -549,7 +567,7 @@ def test_chart_rule_matches_the_doubling_rule_at_infinity(index, terms):
     assume(poly.total_degree > 0 and not curve.affine.divides(poly))
     eng = SymbolEngine(curve)
     for br in REFERENCE[index]:
-        assert eng.val_lead(poly, br.point) == _doubling_val_lead(br, poly), br
+        assert eng.val_lead(poly, br.point) == _doubling_val_lead(curve, br, poly), br
 
 
 # ---------------------------------------------------------------------------
@@ -839,7 +857,7 @@ def test_integer_certificate_arithmetic_matches_a_fraction_reference(oracle_curv
             assert got == value and type(got) is F, (p, idx)
             ords = (eng.ord(pair.f, p), eng.ord(pair.h, p))
             ref_rows.append((p, idx, pair.coefficient, *ords, value**pair.coefficient))
-    cert = verify_k2t(curve, K2Element(terms, support), engine=eng)
+    cert = verify_k2t(eng, K2Element(terms, support))
     assert [(r.point, r.pair_index, r.coefficient, r.ord_f, r.ord_h, r.value)
             for r in cert.rows] == ref_rows
     assert all(type(r.value) is F for r in cert.rows)
@@ -867,7 +885,7 @@ def test_a_refused_divisor_is_refused_again_on_the_same_engine(quartic):
                                  FnElt.constant(curve, 2))], [pts["P"]])
     for _ in range(2):
         with pytest.raises(NonRationalSupportError, match="support incomplete"):
-            verify_k2t(curve, elem, engine=eng)
+            verify_k2t(eng, elem)
 
 
 def test_verify_of_a_quartic_ct_record_counts_its_fractions_and_divisors(monkeypatch, tmp_path):
